@@ -680,66 +680,7 @@ int main(int argc, char** argv) {
         .Field("cancel_max_ms", cancel_ms.empty() ? 0.0 : cancel_ms.back());
   }
 
-  // --- 12. Vectorized execution: batch-at-a-time vs row-at-a-time pull.
-  //         All result caches off (key/filter/skyline), so every query pays
-  //         the full scan -> filter -> key build -> BMO pipeline — the path
-  //         batching accelerates. Two query shapes: a filtered PREFERRING
-  //         (batch predicate fast path + batch BMO feed) and a bare-table
-  //         PREFERRING (batch scan + BMO feed only), at two table sizes.
-  {
-    struct Shape {
-      const char* label;
-      const char* query;
-    };
-    const Shape shapes[] = {
-        {"filtered",
-         "SELECT id FROM car WHERE price < 18000 "
-         "PREFERRING LOWEST(price) AND LOWEST(mileage)"},
-        {"bare", kQuery},
-    };
-    for (size_t rows : {kRows, size_t{200000}}) {
-      prefsql::Connection conn;
-      if (!prefsql::GenerateUsedCars(conn.database(), rows, 7).ok()) return 1;
-      (void)conn.Execute("SET evaluation_mode = bnl");
-      (void)conn.Execute("SET key_cache = off");  // also gates filter cache
-      (void)conn.Execute("SET skyline_cache = off");
-      const int iters = rows > 50000 ? 10 : kWarmIters;
-      for (const Shape& shape : shapes) {
-        auto mean_ms = [&](const char* setting) {
-          (void)conn.Execute(std::string("SET vectorized_execution = ") +
-                             setting);
-          (void)conn.Execute(shape.query);  // touch state once, untimed
-          const auto t0 = Clock::now();
-          for (int i = 0; i < iters; ++i) {
-            auto r = conn.Execute(shape.query);
-            if (!r.ok()) {
-              std::fprintf(stderr, "vectorized bench query failed: %s\n",
-                           r.status().ToString().c_str());
-              std::exit(1);
-            }
-          }
-          return MsSince(t0) / iters;
-        };
-        const double row_ms = mean_ms("off");
-        const double batch_ms = mean_ms("on");
-        std::printf(
-            "vectorized (%s, %zu rows, caches off): row %.3f ms, batch "
-            "%.3f ms, speedup %.2fx\n",
-            shape.label, rows, row_ms, batch_ms, row_ms / batch_ms);
-        json.BeginRecord()
-            .Field("section", "vectorized")
-            .Field("shape", shape.label)
-            .Field("rows", static_cast<uint64_t>(rows))
-            .Field("row_ms", row_ms)
-            .Field("row_qps", 1000.0 / row_ms)
-            .Field("batch_ms", batch_ms)
-            .Field("batch_qps", 1000.0 / batch_ms)
-            .Field("speedup", row_ms / batch_ms);
-      }
-    }
-  }
-
-  // --- 13. Networked serving: concurrent wire-protocol clients against a
+  // --- 12. Networked serving: concurrent wire-protocol clients against a
   //         prefsqld instance. Eight clients connect over TCP, prepare the
   //         AROUND-target skyline query once, and stream every execution's
   //         rows through FETCH pages — per-query latency includes the bind

@@ -56,31 +56,17 @@ Status BmoOperator::Open() {
   config_.bmo.ctx = qctx;
 
   // 1. Pull the candidate stream. Base-table rows stay borrowed (no tuple
-  //    copies between scan and BMO). In batch mode the scan/filter subtree
-  //    hands over ~1k rows per virtual call — one MVCC visibility sweep and
-  //    one interrupt check per batch — so the key build and the SIMD
-  //    dominance kernels below see the candidates at feed, not pull, speed.
-  if (BatchModeEnabled()) {
-    RowBatch batch;
-    while (true) {
-      if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
-      PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
-      if (!more) break;
-      if (qctx != nullptr) qctx->batch_stats().Record(batch.sel.size());
-      run_stats_.candidate_count += batch.sel.size();
-      for (uint32_t idx : batch.sel) {
-        rows_.push_back(std::move(batch.rows[idx]));
-      }
-    }
-  } else {
-    RowRef ref;
-    size_t tick = 0;
-    while (true) {
-      PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-      PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&ref));
-      if (!more) break;
-      ++run_stats_.candidate_count;
-      rows_.push_back(std::move(ref));
+  //    copies between scan and BMO). The scan/filter subtree hands over ~1k
+  //    rows per virtual call — one MVCC visibility sweep and one interrupt
+  //    check per batch — so the key build and the SIMD dominance kernels
+  //    below see the candidates at feed, not pull, speed.
+  RowBatch batch;
+  while (true) {
+    PSQL_ASSIGN_OR_RETURN(bool more, PullBatch(*child_, &batch));
+    if (!more) break;
+    run_stats_.candidate_count += batch.sel.size();
+    for (uint32_t idx : batch.sel) {
+      rows_.push_back(std::move(batch.rows[idx]));
     }
   }
   const size_t n = rows_.size();
@@ -373,22 +359,10 @@ Result<bool> BmoOperator::PassesButOnly(size_t id) {
   return EvaluatePredicate(*config_.but_only, ctx);
 }
 
-Result<bool> BmoOperator::Next(RowRef* out) {
-  if (pos_ >= survivors_.size()) return false;
-  size_t id = survivors_[pos_++];
-  if (config_.emit_quality_columns) {
-    *out = RowRef::Owned(BuildAugmentedRow(id));
-  } else {
-    // Each survivor is emitted exactly once.
-    *out = std::move(rows_[LocalOf(id)]);
-  }
-  return true;
-}
-
 Result<bool> BmoOperator::NextBatch(RowBatch* out) {
   out->Clear();
   if (pos_ >= survivors_.size()) return false;
-  const size_t take = std::min(kRowBatchCapacity, survivors_.size() - pos_);
+  const size_t take = std::min(out->capacity, survivors_.size() - pos_);
   out->rows.reserve(take);
   out->sel.reserve(take);
   for (size_t i = 0; i < take; ++i) {

@@ -122,10 +122,8 @@ class BmoOperator : public PhysicalOperator {
     return config_.emit_quality_columns ? aug_schema_ : child_->schema();
   }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "bmo"; }
 
   /// Dominance-test counters of the last Open (accumulated over
   /// partitions; survives Close for benches).

@@ -42,7 +42,6 @@ Result<std::optional<RowRef>> Cursor::Next() {
     ++impl.streamed;
     return std::optional<RowRef>(std::move(row));
   }
-  RowRef row;
   // A cancel or an expired deadline surfaces at the next pull even when the
   // operator tree would not poll soon (e.g. a client paused mid-stream).
   if (impl.ctx != nullptr) {
@@ -52,47 +51,32 @@ Result<std::optional<RowRef>> Cursor::Next() {
       return interrupt;
     }
   }
-  if (impl.ctx != nullptr && impl.ctx->vectorized()) {
-    // Batch mode: refill from the operator tree ~1k rows at a time and
-    // replay the batch row by row — the client API stays row-at-a-time.
-    if (impl.batch_pos >= impl.batch.sel.size()) {
-      ScopedSnapshot ambient(impl.snapshot);
-      ScopedQueryContext qscope(impl.ctx.get());
-      auto more = impl.root->NextBatch(&impl.batch);
-      if (!more.ok()) {
-        Close();
-        return more.status();
-      }
-      if (!*more) {
-        Close();
-        return std::optional<RowRef>();
-      }
-      impl.ctx->batch_stats().Record(impl.batch.sel.size());
-      impl.batch_pos = 0;
+  // Refill from the operator tree ~1k rows at a time and replay the batch
+  // row by row — the client API stays row-at-a-time. Pull under the
+  // cursor's pinned snapshot so any subplan materialized mid-stream reads
+  // the same point-in-time view the cursor opened with; the query context
+  // rides along so the operators keep polling it.
+  if (impl.batch_pos >= impl.batch.sel.size()) {
+    ScopedSnapshot ambient(impl.snapshot);
+    ScopedQueryContext qscope(impl.ctx.get());
+    auto more = PullBatch(*impl.root, &impl.batch);
+    if (!more.ok()) {
+      Close();
+      return more.status();
     }
-    RowRef out = std::move(impl.batch.rows[impl.batch.sel[impl.batch_pos]]);
-    ++impl.batch_pos;
-    ++impl.streamed;
-    return std::optional<RowRef>(std::move(out));
+    if (!*more) {
+      // End of stream: release the statement lock promptly instead of
+      // making the client call Close() before the engine accepts writers
+      // again.
+      Close();
+      return std::optional<RowRef>();
+    }
+    impl.batch_pos = 0;
   }
-  // Pull under the cursor's pinned snapshot so any subplan materialized
-  // mid-stream reads the same point-in-time view the cursor opened with;
-  // the query context rides along so the operators keep polling it.
-  ScopedSnapshot ambient(impl.snapshot);
-  ScopedQueryContext qscope(impl.ctx.get());
-  auto more = impl.root->Next(&row);
-  if (!more.ok()) {
-    Close();
-    return more.status();
-  }
-  if (!*more) {
-    // End of stream: release the statement lock promptly instead of making
-    // the client call Close() before the engine accepts writers again.
-    Close();
-    return std::optional<RowRef>();
-  }
+  RowRef out = std::move(impl.batch.rows[impl.batch.sel[impl.batch_pos]]);
+  ++impl.batch_pos;
   ++impl.streamed;
-  return std::optional<RowRef>(std::move(row));
+  return std::optional<RowRef>(std::move(out));
 }
 
 void Cursor::Close() {

@@ -10,7 +10,6 @@
 
 #include "core/analyzer.h"
 #include "core/rewriter.h"
-#include "types/row_batch.h"
 #include "sql/normalize.h"
 #include "sql/parameters.h"
 #include "sql/parser.h"
@@ -189,7 +188,6 @@ std::shared_ptr<QueryContext> Engine::ArmStatementContext(Session& session) {
   auto ctx = std::make_shared<QueryContext>();
   const ConnectionOptions& o = session.options();
   ctx->set_deadline_ms(o.statement_timeout_ms);
-  ctx->set_vectorized(o.vectorized_execution);
   ctx->ArmStatementBudget(o.statement_memory_bytes);
   ctx->set_engine_budget(&engine_budget_);
   ctx->set_pressure_relief(
@@ -213,7 +211,6 @@ uint64_t Engine::KnobFingerprint(const ConnectionOptions& o) {
   h = FingerprintMix(h, o.simd ? 1 : 0);
   h = FingerprintMix(h, o.skyline_cache ? 1 : 0);
   h = FingerprintMix(h, o.mvcc_gc ? 1 : 0);
-  h = FingerprintMix(h, o.vectorized_execution ? 1 : 0);
   return h;
 }
 
@@ -1002,9 +999,6 @@ Result<ResultTable> Engine::ExecuteExplain(
         ", gc cleared " +
         std::to_string(db_.executor().stats().gc_cleared.load(
             std::memory_order_relaxed)));
-    add(std::string("-- vectorized: ") +
-        (session.options().vectorized_execution ? "on" : "off") +
-        " (batch capacity " + std::to_string(kRowBatchCapacity) + ")");
     add(plan_cache_line);
     add(SelectToSql(select));
     return ResultTable(std::move(schema), std::move(lines));
@@ -1400,13 +1394,6 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
       PSQL_ASSIGN_OR_RETURN(options.statement_timeout_ms,
                             SetValueAsSize(v, knob));
     }
-  } else if (knob == "vectorized_execution") {
-    if (reset) {
-      options.vectorized_execution = defaults.vectorized_execution;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.vectorized_execution,
-                            SetValueAsBool(v, knob));
-    }
   } else if (knob == "statement_memory_bytes") {
     if (reset) {
       options.statement_memory_bytes = defaults.statement_memory_bytes;
@@ -1475,8 +1462,8 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
         "parallel_min_rows, preference_pushdown, bnl_window, but_only_mode, "
         "keep_aux_views, plan_cache, auto_parameterize, key_cache, "
         "skyline_cache, simd, mvcc_gc, mvcc_gc_background, "
-        "statement_timeout_ms, vectorized_execution, "
-        "statement_memory_bytes, engine_memory_bytes)");
+        "statement_timeout_ms, statement_memory_bytes, "
+        "engine_memory_bytes)");
   }
 
   // Echo the effective value so scripts/shell users see what stuck.
@@ -1507,8 +1494,6 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
     effective = options.mvcc_gc_background ? "on" : "off";
   } else if (knob == "statement_timeout_ms") {
     effective = std::to_string(options.statement_timeout_ms);
-  } else if (knob == "vectorized_execution") {
-    effective = options.vectorized_execution ? "on" : "off";
   } else if (knob == "statement_memory_bytes") {
     effective = std::to_string(options.statement_memory_bytes);
   } else if (knob == "engine_memory_bytes") {

@@ -26,35 +26,24 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "util/memory_budget.h"
 #include "util/status.h"
 
 namespace prefsql {
 
-/// Counters of the batch-at-a-time (vectorized) pipeline, owned by the
-/// statement's QueryContext. Drain sites (DrainToTable, Cursor refills, the
-/// BMO/sort feeds) count each root-level batch exactly once; operators that
-/// serve NextBatch through the row-loop fallback record their label so
-/// last_stats()/EXPLAIN can show which part of a tree ran unvectorized.
-/// Unsynchronized by design: the operator tree of one statement is pulled
-/// from a single thread (BMO workers receive rows, not the context).
+/// Counters of the batch pipeline, owned by the statement's QueryContext.
+/// Pipeline sinks (DrainToTable, Cursor refills, the sort/BMO/aggregate/join
+/// feeds) count each batch they pull through PullBatch. Unsynchronized by
+/// design: the operator tree of one statement is pulled from a single
+/// thread (BMO workers receive rows, not the context).
 struct BatchExecStats {
   uint64_t batches = 0;
   uint64_t batch_rows = 0;
-  std::vector<std::string> fallback_ops;  ///< distinct labels, first-seen order
 
   void Record(size_t rows) {
     ++batches;
     batch_rows += rows;
-  }
-
-  void RecordFallback(const char* label) {
-    for (const auto& seen : fallback_ops) {
-      if (seen == label) return;
-    }
-    fallback_ops.emplace_back(label);
   }
 };
 
@@ -173,12 +162,6 @@ class QueryContext {
     return latched_;
   }
 
-  /// Whether this statement drains its operator tree batch-at-a-time
-  /// (`SET vectorized_execution`). Read by drain sites and pipeline
-  /// breakers; the tree itself is protocol-agnostic.
-  void set_vectorized(bool on) { vectorized_ = on; }
-  bool vectorized() const { return vectorized_; }
-
   BatchExecStats& batch_stats() { return batch_stats_; }
   const BatchExecStats& batch_stats() const { return batch_stats_; }
 
@@ -193,7 +176,6 @@ class QueryContext {
   MemoryBudget* statement_budget_ = nullptr;
   MemoryBudget* engine_budget_ = nullptr;
   std::function<void(uint64_t)> pressure_relief_;
-  bool vectorized_ = true;
   BatchExecStats batch_stats_;
 };
 
@@ -226,15 +208,6 @@ inline QueryContext* CurrentQueryContext() {
   return query_context_internal::TlsCurrent();
 }
 
-/// Whether the current statement should drain operator trees
-/// batch-at-a-time. Defaults to on outside any statement scope (direct
-/// Database/Executor use, tests); `SET vectorized_execution = off` pins the
-/// row-at-a-time path for the session.
-inline bool BatchModeEnabled() {
-  QueryContext* ctx = CurrentQueryContext();
-  return ctx == nullptr ? true : ctx->vectorized();
-}
-
 /// Stride-counted interrupt helper for hot loops:
 ///   size_t tick = 0;
 ///   for (...) { PSQL_RETURN_IF_ERROR(PollInterrupt(&tick)); ... }
@@ -245,5 +218,45 @@ inline Status PollInterrupt(size_t* tick) {
   if (ctx == nullptr) return Status::OK();
   return ctx->CheckInterrupt();
 }
+
+/// Charges an operator's growing buffer (sort input, join build side,
+/// DISTINCT seen-set, aggregate groups) against the current statement's
+/// budgets in kChargeBatchBytes steps, keeping the atomics off the per-row
+/// path. The reservation is held until Reset (operator Close). A no-op
+/// outside any statement context.
+class BufferCharge {
+ public:
+  /// Binds to the current statement context.
+  BufferCharge() : ctx_(CurrentQueryContext()) {}
+
+  /// Releases everything held and rebinds to the current statement context
+  /// (operators call it in Open and Close).
+  void Reset() {
+    stmt_.Reset();
+    engine_.Reset();
+    pending_ = 0;
+    ctx_ = CurrentQueryContext();
+  }
+
+  /// Accounts `bytes` more; charges once kChargeBatchBytes have piled up.
+  Status Add(uint64_t bytes) {
+    pending_ += bytes;
+    return pending_ >= kChargeBatchBytes ? Flush() : Status::OK();
+  }
+
+  /// Charges whatever is still pending.
+  Status Flush() {
+    const uint64_t bytes = pending_;
+    pending_ = 0;
+    if (ctx_ == nullptr || bytes == 0) return Status::OK();
+    return ctx_->ChargeMemory(bytes, &stmt_, &engine_);
+  }
+
+ private:
+  QueryContext* ctx_;
+  uint64_t pending_ = 0;
+  ScopedMemoryCharge stmt_;
+  ScopedMemoryCharge engine_;
+};
 
 }  // namespace prefsql

@@ -90,11 +90,6 @@ struct ConnectionOptions {
   /// return kTimeout promptly (cooperative checks every few hundred rows /
   /// dominance tests). 0 = no deadline.
   uint64_t statement_timeout_ms = 0;
-  /// Batch-at-a-time (vectorized) execution: drain operator trees ~1k rows
-  /// per NextBatch pull, with interrupt polls, memory charges, and MVCC
-  /// visibility sweeps amortized per batch. Off pins the row-at-a-time
-  /// Volcano pulls (parity debugging, `SET vectorized_execution = off`).
-  bool vectorized_execution = true;
   /// Per-statement memory budget in bytes for materializing buffers (packed
   /// key stores, sort/join/BMO staging). Exceeding it returns
   /// kResourceExhausted instead of OOM-ing. 0 = unlimited.
@@ -151,12 +146,9 @@ struct PreferenceQueryStats {
   uint64_t mvcc_versions_scanned = 0;  // row versions visibility-tested
   uint64_t mvcc_versions_skipped = 0;  // versions invisible at the snapshot
   uint64_t mvcc_gc_cleared = 0;        // version payloads reclaimed by GC
-  // Batch (vectorized) execution observability.
-  bool vectorized = false;          // statement ran in batch mode
-  uint64_t batches = 0;             // batches drained at pipeline sinks
+  // Batch execution observability.
+  uint64_t batches = 0;             // batches pulled at pipeline sinks
   uint64_t batch_rows = 0;          // rows carried by those batches
-  std::string batch_fallback;       // operators served by the row-loop
-                                    // fallback (comma-joined labels)
 };
 
 /// Copies the statement context's batch-execution counters into `stats`
@@ -165,14 +157,8 @@ struct PreferenceQueryStats {
 inline void FlushBatchExecStats(const QueryContext* ctx,
                                 PreferenceQueryStats& stats) {
   if (ctx == nullptr) return;
-  stats.vectorized = ctx->vectorized();
   stats.batches = ctx->batch_stats().batches;
   stats.batch_rows = ctx->batch_stats().batch_rows;
-  stats.batch_fallback.clear();
-  for (const auto& label : ctx->batch_stats().fallback_ops) {
-    if (!stats.batch_fallback.empty()) stats.batch_fallback += ",";
-    stats.batch_fallback += label;
-  }
 }
 
 /// Per-client state over a (possibly shared) Engine.

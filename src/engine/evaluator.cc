@@ -473,7 +473,7 @@ BinaryOp MirrorComparisonOp(BinaryOp op) {
 // NULL`. Anything else — outer-scope references (kNotFound here may resolve
 // in an outer scope), ambiguous names, unbound parameters, arbitrary
 // expressions — takes the generic per-row path, which raises the identical
-// error row mode would.
+// error a per-row EvaluatePredicate would.
 struct FastConjunct {
   enum class Kind { kGeneric, kColOpLit, kIsNull };
   Kind kind = Kind::kGeneric;

@@ -58,9 +58,9 @@ Result<bool> EvaluatePredicate(const Expr& expr, const EvalContext& ctx);
 /// AND), and `column OP literal` / `column IS [NOT] NULL` conjuncts resolve
 /// the column index once per batch instead of once per row. Everything else
 /// falls back to per-row EvaluatePredicate with `outer`/`runner` providing
-/// the correlated scope chain, so results match row mode exactly; only the
-/// order in which multiple *erroring* rows surface may differ (a conjunct
-/// sees rows already filtered by its left siblings).
+/// the correlated scope chain, so results match per-row evaluation
+/// exactly; only the order in which multiple *erroring* rows surface may
+/// differ (a conjunct sees rows already filtered by its left siblings).
 Status EvaluatePredicateBatch(const Expr& expr, const Schema& schema,
                               RowBatch* batch, const EvalContext* outer,
                               SubqueryRunner* runner);

@@ -231,8 +231,12 @@ Result<bool> Executor::SubqueryExists(const SelectStmt& select,
     plan->Close();
     return open;
   }
-  RowRef row;
-  auto more = plan->Next(&row);
+  // A 1-row target: the scan hands over one row per pull and the filter
+  // above it evaluates only that row, so the probe stops at its first
+  // match instead of scanning and testing a whole batch.
+  RowBatch batch;
+  batch.capacity = 1;
+  auto more = plan->NextBatch(&batch);
   plan->Close();
   PSQL_RETURN_IF_ERROR(more.status());
   return *more;
@@ -266,11 +270,8 @@ Result<ResultTable> Executor::ExecuteInsert(const Statement& stmt) {
   // rollback — the DmlCommit guard publishes partial effects by design);
   // the budget bounds one statement's ingest spike and releases when the
   // statement finishes.
-  QueryContext* qctx = CurrentQueryContext();
-  ScopedMemoryCharge stmt_charge;
-  ScopedMemoryCharge engine_charge;
+  BufferCharge charge;
   size_t tick = 0;
-  uint64_t pending = 0;
   auto insert_values = [&](std::vector<Value> values) -> Status {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
     if (values.size() != positions.size()) {
@@ -283,14 +284,7 @@ Result<ResultTable> Executor::ExecuteInsert(const Statement& stmt) {
       row[positions[i]] = std::move(values[i]);
     }
     PSQL_ASSIGN_OR_RETURN(row, table->CoerceRow(std::move(row)));
-    if (qctx != nullptr) {
-      pending += sizeof(Row) + row.size() * sizeof(Value);
-      if (pending >= kChargeBatchBytes) {
-        PSQL_RETURN_IF_ERROR(
-            qctx->ChargeMemory(pending, &stmt_charge, &engine_charge));
-        pending = 0;
-      }
-    }
+    PSQL_RETURN_IF_ERROR(charge.Add(sizeof(Row) + row.size() * sizeof(Value)));
     table->AppendVersion(std::move(row), commit.epoch());
     commit.MarkMutated();
     return Status::OK();
@@ -333,11 +327,8 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
   const Schema& schema = table->schema();
   const RowHeap& heap = table->heap();
   DmlCommit commit(table, &dml);
-  QueryContext* qctx = CurrentQueryContext();
-  ScopedMemoryCharge stmt_charge;
-  ScopedMemoryCharge engine_charge;
+  BufferCharge charge;
   size_t tick = 0;
-  uint64_t pending = 0;
   int64_t affected = 0;
   // Only slots that existed at statement start: our own appended versions
   // land above heap_before and must not be revisited.
@@ -364,15 +355,9 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
           updated[target_cols[i]],
           table->CoerceToColumn(target_cols[i], std::move(new_values[i])));
     }
-    if (qctx != nullptr) {
-      // Each touched row appends a replacement version (RowHeap growth).
-      pending += sizeof(Row) + updated.size() * sizeof(Value);
-      if (pending >= kChargeBatchBytes) {
-        PSQL_RETURN_IF_ERROR(
-            qctx->ChargeMemory(pending, &stmt_charge, &engine_charge));
-        pending = 0;
-      }
-    }
+    // Each touched row appends a replacement version (RowHeap growth).
+    PSQL_RETURN_IF_ERROR(
+        charge.Add(sizeof(Row) + updated.size() * sizeof(Value)));
     table->MarkDeleted(slot, commit.epoch());
     table->AppendVersion(std::move(updated), commit.epoch());
     commit.MarkMutated();

@@ -20,6 +20,7 @@ Status AggregateOperator::Open() {
   PSQL_RETURN_IF_ERROR(child_->Open());
   group_rows_.clear();
   pos_ = 0;
+  charge_.Reset();
 
   struct Group {
     Row key;
@@ -37,38 +38,47 @@ Status AggregateOperator::Open() {
     groups.push_back(std::move(g));
     return groups.size() - 1;
   };
+  // Per group: its key and accumulators plus the index entry.
+  const uint64_t group_bytes = sizeof(Group) + sizeof(size_t) +
+                               group_by_.size() * sizeof(Value) +
+                               aggs_.size() * sizeof(AggregateAccumulator);
 
-  RowRef ref;
+  RowBatch batch;
   while (true) {
-    PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&ref));
+    PSQL_ASSIGN_OR_RETURN(bool more, PullBatch(*child_, &batch));
     if (!more) break;
-    EvalContext ctx{&child_->schema(), &ref.row(), outer_, runner_};
-    Row key;
-    key.reserve(group_by_.size());
-    for (const Expr* g : group_by_) {
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*g, ctx));
-      key.push_back(std::move(v));
-    }
-    size_t h = HashRow(key);
-    size_t gidx = SIZE_MAX;
-    for (size_t cand : group_index[h]) {
-      if (RowsIdentityEqual(groups[cand].key, key)) {
-        gidx = cand;
-        break;
+    for (uint32_t idx : batch.sel) {
+      EvalContext ctx{&child_->schema(), &batch.rows[idx].row(), outer_,
+                      runner_};
+      Row key;
+      key.reserve(group_by_.size());
+      for (const Expr* g : group_by_) {
+        PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*g, ctx));
+        key.push_back(std::move(v));
       }
-    }
-    if (gidx == SIZE_MAX) {
-      gidx = new_group(std::move(key));
-      group_index[h].push_back(gidx);
-    }
-    for (size_t j = 0; j < aggs_.size(); ++j) {
-      Value arg;  // NULL placeholder for COUNT(*)
-      if (kinds_[j] != AggregateKind::kCountStar) {
-        PSQL_ASSIGN_OR_RETURN(arg, Evaluate(*aggs_[j]->args[0], ctx));
+      size_t h = HashRow(key);
+      size_t gidx = SIZE_MAX;
+      for (size_t cand : group_index[h]) {
+        if (RowsIdentityEqual(groups[cand].key, key)) {
+          gidx = cand;
+          break;
+        }
       }
-      PSQL_RETURN_IF_ERROR(groups[gidx].accs[j].Add(arg));
+      if (gidx == SIZE_MAX) {
+        PSQL_RETURN_IF_ERROR(charge_.Add(group_bytes));
+        gidx = new_group(std::move(key));
+        group_index[h].push_back(gidx);
+      }
+      for (size_t j = 0; j < aggs_.size(); ++j) {
+        Value arg;  // NULL placeholder for COUNT(*)
+        if (kinds_[j] != AggregateKind::kCountStar) {
+          PSQL_ASSIGN_OR_RETURN(arg, Evaluate(*aggs_[j]->args[0], ctx));
+        }
+        PSQL_RETURN_IF_ERROR(groups[gidx].accs[j].Add(arg));
+      }
     }
   }
+  PSQL_RETURN_IF_ERROR(charge_.Flush());
   // Scalar aggregation over an empty input still yields one group.
   if (group_by_.empty() && groups.empty()) new_group(Row{});
 
@@ -81,15 +91,18 @@ Status AggregateOperator::Open() {
   return Status::OK();
 }
 
-Result<bool> AggregateOperator::Next(RowRef* out) {
-  if (pos_ >= group_rows_.size()) return false;
-  *out = RowRef::Owned(std::move(group_rows_[pos_++]));
-  return true;
+Result<bool> AggregateOperator::NextBatch(RowBatch* out) {
+  out->Clear();
+  while (pos_ < group_rows_.size() && !out->full()) {
+    out->PushRow(RowRef::Owned(std::move(group_rows_[pos_++])));
+  }
+  return !out->rows.empty();
 }
 
 void AggregateOperator::Close() {
   child_->Close();
   group_rows_.clear();
+  charge_.Reset();
 }
 
 }  // namespace prefsql

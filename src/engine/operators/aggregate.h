@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/query_context.h"
 #include "engine/aggregates.h"
 #include "engine/evaluator.h"
 #include "engine/operators/operator.h"
@@ -27,11 +28,8 @@ class AggregateOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
+  Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  // Serves NextBatch through the row-loop fallback: emission is one row
-  // per group, already far below batch granularity.
-  const char* label() const override { return "aggregate"; }
 
  private:
   OperatorPtr child_;
@@ -44,6 +42,7 @@ class AggregateOperator : public PhysicalOperator {
 
   std::vector<Row> group_rows_;
   size_t pos_ = 0;
+  BufferCharge charge_;  // the groups, held until Close
 };
 
 }  // namespace prefsql

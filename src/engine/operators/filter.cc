@@ -19,29 +19,12 @@ FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate,
       outer_(outer),
       runner_(runner) {}
 
-Result<bool> FilterOperator::Next(RowRef* out) {
-  RowRef row;
-  while (true) {
-    // A selective predicate (e.g. the rewrite path's NOT EXISTS anti-join)
-    // can reject unboundedly many rows inside one pull; poll the deadline/
-    // cancel latch so the reject loop stays interruptible.
-    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
-    PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
-    if (!more) return false;
-    EvalContext ctx{&child_->schema(), &row.row(), outer_, runner_};
-    PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*predicate_, ctx));
-    if (pass) {
-      *out = std::move(row);
-      return true;
-    }
-  }
-}
-
 Result<bool> FilterOperator::NextBatch(RowBatch* out) {
   while (true) {
-    // One latch check per child batch replaces the stride-256 row poll; a
-    // fully-rejecting predicate keeps pulling rather than hand back an
-    // empty batch, so the check also bounds the reject loop.
+    // A selective predicate (e.g. the rewrite path's NOT EXISTS anti-join)
+    // can reject unboundedly many rows inside one pull: it keeps pulling
+    // rather than hand back an empty batch, so one latch check per child
+    // batch bounds the reject loop.
     if (QueryContext* ctx = CurrentQueryContext()) {
       PSQL_RETURN_IF_ERROR(ctx->CheckInterrupt());
     }

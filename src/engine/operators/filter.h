@@ -3,8 +3,6 @@
 
 #pragma once
 
-#include <cstddef>
-
 #include "core/query_context.h"
 #include "engine/evaluator.h"
 #include "engine/operators/operator.h"
@@ -24,10 +22,8 @@ class FilterOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return child_->schema(); }
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  const char* label() const override { return "filter"; }
 
  private:
   OperatorPtr child_;
@@ -35,7 +31,6 @@ class FilterOperator : public PhysicalOperator {
   const Expr* predicate_;
   const EvalContext* outer_;
   SubqueryRunner* runner_;
-  size_t tick_ = 0;  ///< interrupt-poll stride over rejected rows
 };
 
 }  // namespace prefsql

@@ -1,7 +1,5 @@
 #include "engine/operators/join.h"
 
-#include "core/query_context.h"
-
 namespace prefsql {
 namespace {
 
@@ -29,6 +27,17 @@ Row PadRight(const Row& left, size_t width) {
 
 }  // namespace
 
+Result<const Row*> ProbeSide::NextRow(PhysicalOperator& child,
+                                      size_t capacity) {
+  if (pos_ >= batch_.sel.size()) {
+    batch_.capacity = capacity;
+    PSQL_ASSIGN_OR_RETURN(bool more, child.NextBatch(&batch_));
+    if (!more) return static_cast<const Row*>(nullptr);
+    pos_ = 0;
+  }
+  return &batch_.rows[batch_.sel[pos_++]].row();
+}
+
 // ===========================================================================
 // HashJoinOperator
 // ===========================================================================
@@ -54,46 +63,35 @@ Status HashJoinOperator::Open() {
   PSQL_RETURN_IF_ERROR(right_->Open());
   build_rows_.clear();
   build_index_.clear();
-  stmt_charge_.Reset();
-  engine_charge_.Reset();
-  QueryContext* qctx = CurrentQueryContext();
-  RowRef row;
-  size_t tick = 0;
-  uint64_t pending = 0;
+  charge_.Reset();
+  RowBatch batch;
   while (true) {
-    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-    PSQL_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
+    PSQL_ASSIGN_OR_RETURN(bool more, PullBatch(*right_, &batch));
     if (!more) break;
-    if (qctx != nullptr) {
-      // Row payload + its index entry, batched to keep the atomics off the
-      // per-row path.
-      pending += sizeof(RowRef) + row.row().size() * sizeof(Value) +
-                 2 * sizeof(size_t);
-      if (pending >= kChargeBatchBytes) {
-        PSQL_RETURN_IF_ERROR(
-            qctx->ChargeMemory(pending, &stmt_charge_, &engine_charge_));
-        pending = 0;
-      }
+    for (uint32_t idx : batch.sel) {
+      RowRef& row = batch.rows[idx];
+      // Row payload + its index entry.
+      PSQL_RETURN_IF_ERROR(charge_.Add(sizeof(RowRef) +
+                                       row.row().size() * sizeof(Value) +
+                                       2 * sizeof(size_t)));
+      build_index_[HashRow(KeyOf(row.row(), right_keys_))].push_back(
+          build_rows_.size());
+      build_rows_.push_back(std::move(row));
     }
-    build_index_[HashRow(KeyOf(row.row(), right_keys_))].push_back(
-        build_rows_.size());
-    build_rows_.push_back(std::move(row));
   }
-  if (qctx != nullptr && pending > 0) {
-    PSQL_RETURN_IF_ERROR(
-        qctx->ChargeMemory(pending, &stmt_charge_, &engine_charge_));
-  }
+  PSQL_RETURN_IF_ERROR(charge_.Flush());
+  probe_.Reset();
   left_valid_ = false;
   return Status::OK();
 }
 
-Result<bool> HashJoinOperator::AdvanceLeft() {
-  PSQL_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-  if (!more) return false;
+Result<bool> HashJoinOperator::AdvanceLeft(size_t capacity) {
+  PSQL_ASSIGN_OR_RETURN(left_row_, probe_.NextRow(*left_, capacity));
+  if (left_row_ == nullptr) return false;
   left_valid_ = true;
   left_matched_ = false;
   match_pos_ = 0;
-  left_key_ = KeyOf(left_row_.row(), left_keys_);
+  left_key_ = KeyOf(*left_row_, left_keys_);
   left_key_null_ = false;
   for (const auto& v : left_key_) left_key_null_ |= v.is_null();
   auto it = build_index_.find(HashRow(left_key_));
@@ -101,22 +99,23 @@ Result<bool> HashJoinOperator::AdvanceLeft() {
   return true;
 }
 
-Result<bool> HashJoinOperator::Next(RowRef* out) {
-  while (true) {
+Result<bool> HashJoinOperator::NextBatch(RowBatch* out) {
+  out->Clear();
+  while (!out->full()) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
     if (!left_valid_) {
-      PSQL_ASSIGN_OR_RETURN(bool more, AdvanceLeft());
-      if (!more) return false;
+      PSQL_ASSIGN_OR_RETURN(bool more, AdvanceLeft(out->capacity));
+      if (!more) break;
     }
     // NULL keys never join.
     if (matches_ != nullptr && !left_key_null_) {
-      while (match_pos_ < matches_->size()) {
+      while (match_pos_ < matches_->size() && !out->full()) {
         size_t j = (*matches_)[match_pos_++];
         const Row& right_row = build_rows_[j].row();
         if (!RowsIdentityEqual(left_key_, KeyOf(right_row, right_keys_))) {
           continue;
         }
-        Row combined = ConcatRows(left_row_.row(), right_row);
+        Row combined = ConcatRows(*left_row_, right_row);
         bool pass = true;
         EvalContext ctx{&schema_, &combined, outer_, runner_};
         for (const Expr* e : residual_) {
@@ -125,18 +124,18 @@ Result<bool> HashJoinOperator::Next(RowRef* out) {
         }
         if (pass) {
           left_matched_ = true;
-          *out = RowRef::Owned(std::move(combined));
-          return true;
+          out->PushRow(RowRef::Owned(std::move(combined)));
         }
       }
+      if (match_pos_ < matches_->size()) break;  // batch full: resume here
     }
     // Left row exhausted.
     left_valid_ = false;
     if (left_join_ && !left_matched_) {
-      *out = RowRef::Owned(PadRight(left_row_.row(), schema_.num_columns()));
-      return true;
+      out->PushRow(RowRef::Owned(PadRight(*left_row_, schema_.num_columns())));
     }
   }
+  return !out->rows.empty();
 }
 
 void HashJoinOperator::Close() {
@@ -144,8 +143,8 @@ void HashJoinOperator::Close() {
   right_->Close();
   build_rows_.clear();
   build_index_.clear();
-  stmt_charge_.Reset();
-  engine_charge_.Reset();
+  probe_.Reset();
+  charge_.Reset();
 }
 
 // ===========================================================================
@@ -170,31 +169,38 @@ Status NestedLoopJoinOperator::Open() {
   PSQL_RETURN_IF_ERROR(left_->Open());
   PSQL_RETURN_IF_ERROR(right_->Open());
   right_rows_.clear();
-  RowRef row;
-  size_t tick = 0;
+  charge_.Reset();
+  RowBatch batch;
   while (true) {
-    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-    PSQL_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
+    PSQL_ASSIGN_OR_RETURN(bool more, PullBatch(*right_, &batch));
     if (!more) break;
-    right_rows_.push_back(std::move(row));
+    for (uint32_t idx : batch.sel) {
+      RowRef& row = batch.rows[idx];
+      PSQL_RETURN_IF_ERROR(
+          charge_.Add(sizeof(RowRef) + row.row().size() * sizeof(Value)));
+      right_rows_.push_back(std::move(row));
+    }
   }
+  PSQL_RETURN_IF_ERROR(charge_.Flush());
+  probe_.Reset();
   left_valid_ = false;
   return Status::OK();
 }
 
-Result<bool> NestedLoopJoinOperator::Next(RowRef* out) {
-  while (true) {
+Result<bool> NestedLoopJoinOperator::NextBatch(RowBatch* out) {
+  out->Clear();
+  while (!out->full()) {
     if (!left_valid_) {
-      PSQL_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-      if (!more) return false;
+      PSQL_ASSIGN_OR_RETURN(left_row_, probe_.NextRow(*left_, out->capacity));
+      if (left_row_ == nullptr) break;
       left_valid_ = true;
       left_matched_ = false;
       right_pos_ = 0;
     }
-    while (right_pos_ < right_rows_.size()) {
+    while (right_pos_ < right_rows_.size() && !out->full()) {
       PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
       const Row& right_row = right_rows_[right_pos_++].row();
-      Row combined = ConcatRows(left_row_.row(), right_row);
+      Row combined = ConcatRows(*left_row_, right_row);
       bool pass = true;
       if (join_on_ != nullptr) {
         EvalContext ctx{&schema_, &combined, outer_, runner_};
@@ -202,22 +208,24 @@ Result<bool> NestedLoopJoinOperator::Next(RowRef* out) {
       }
       if (pass) {
         left_matched_ = true;
-        *out = RowRef::Owned(std::move(combined));
-        return true;
+        out->PushRow(RowRef::Owned(std::move(combined)));
       }
     }
+    if (right_pos_ < right_rows_.size()) break;  // batch full: resume here
     left_valid_ = false;
     if (left_join_ && !left_matched_) {
-      *out = RowRef::Owned(PadRight(left_row_.row(), schema_.num_columns()));
-      return true;
+      out->PushRow(RowRef::Owned(PadRight(*left_row_, schema_.num_columns())));
     }
   }
+  return !out->rows.empty();
 }
 
 void NestedLoopJoinOperator::Close() {
   left_->Close();
   right_->Close();
   right_rows_.clear();
+  probe_.Reset();
+  charge_.Reset();
 }
 
 }  // namespace prefsql

@@ -2,19 +2,38 @@
 // and picks HashJoinOperator when any exist; otherwise (CROSS JOIN, ON
 // without extractable keys, comma-list FROM) NestedLoopJoinOperator runs.
 // Both stream the left input and materialize the right at Open; LEFT JOIN
-// NULL-pads unmatched left rows.
+// NULL-pads unmatched left rows. The right side's buffer is charged against
+// the statement's memory budgets.
 
 #pragma once
 
 #include <unordered_map>
 #include <vector>
 
+#include "core/query_context.h"
 #include "engine/evaluator.h"
 #include "engine/operators/operator.h"
 #include "sql/ast.h"
-#include "util/memory_budget.h"
 
 namespace prefsql {
+
+/// Row-by-row reader over a join's left (probe) input. Each refill asks the
+/// child for as many rows as the join's output batch may still take, so a
+/// 1-row EXISTS probe pulls one left row at a time.
+class ProbeSide {
+ public:
+  void Reset() {
+    batch_.Clear();
+    pos_ = 0;
+  }
+  /// The next selected left row, or null at end of stream. Valid until the
+  /// next call.
+  Result<const Row*> NextRow(PhysicalOperator& child, size_t capacity);
+
+ private:
+  RowBatch batch_;
+  size_t pos_ = 0;
+};
 
 /// Hash join on equi-key columns with an optional residual conjunction.
 class HashJoinOperator : public PhysicalOperator {
@@ -27,14 +46,11 @@ class HashJoinOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
+  Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  // Joins serve NextBatch through the row-loop fallback (probe state is
-  // inherently per-left-row); the label makes that visible in stats.
-  const char* label() const override { return "hash_join"; }
 
  private:
-  Result<bool> AdvanceLeft();
+  Result<bool> AdvanceLeft(size_t capacity);
 
   OperatorPtr left_;
   OperatorPtr right_;
@@ -49,12 +65,11 @@ class HashJoinOperator : public PhysicalOperator {
   // Build side (right input), materialized at Open.
   std::vector<RowRef> build_rows_;
   std::unordered_map<size_t, std::vector<size_t>> build_index_;
-  // Budget reservations for the build side, held until Close.
-  ScopedMemoryCharge stmt_charge_;
-  ScopedMemoryCharge engine_charge_;
+  BufferCharge charge_;  // the build side, held until Close
 
   // Probe state for the current left row.
-  RowRef left_row_;
+  ProbeSide probe_;
+  const Row* left_row_ = nullptr;
   Row left_key_;
   bool left_key_null_ = false;
   const std::vector<size_t>* matches_ = nullptr;
@@ -73,9 +88,8 @@ class NestedLoopJoinOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
+  Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "nl_join"; }
 
  private:
   OperatorPtr left_;
@@ -87,7 +101,9 @@ class NestedLoopJoinOperator : public PhysicalOperator {
   SubqueryRunner* runner_;
 
   std::vector<RowRef> right_rows_;
-  RowRef left_row_;
+  BufferCharge charge_;  // right_rows_, held until Close
+  ProbeSide probe_;
+  const Row* left_row_ = nullptr;
   size_t right_pos_ = 0;
   bool left_matched_ = false;
   bool left_valid_ = false;

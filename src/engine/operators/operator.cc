@@ -4,21 +4,14 @@
 
 namespace prefsql {
 
-Result<bool> PhysicalOperator::NextBatch(RowBatch* out) {
-  if (!batch_fallback_recorded_) {
-    batch_fallback_recorded_ = true;
-    if (QueryContext* ctx = CurrentQueryContext()) {
-      ctx->batch_stats().RecordFallback(label());
-    }
-  }
-  out->Clear();
-  RowRef ref;
-  while (out->rows.size() < kRowBatchCapacity) {
-    PSQL_ASSIGN_OR_RETURN(bool more, Next(&ref));
-    if (!more) break;
-    out->PushRow(std::move(ref));
-  }
-  return !out->rows.empty();
+Result<bool> PullBatch(PhysicalOperator& op, RowBatch* batch) {
+  // One deadline/cancel check per batch keeps multi-hundred-thousand-row
+  // feeds interruptible at ~1k-row granularity.
+  QueryContext* ctx = CurrentQueryContext();
+  if (ctx != nullptr) PSQL_RETURN_IF_ERROR(ctx->CheckInterrupt());
+  PSQL_ASSIGN_OR_RETURN(bool more, op.NextBatch(batch));
+  if (more && ctx != nullptr) ctx->batch_stats().Record(batch->sel.size());
+  return more;
 }
 
 Result<ResultTable> DrainToTable(PhysicalOperator& op) {
@@ -28,51 +21,16 @@ Result<ResultTable> DrainToTable(PhysicalOperator& op) {
     return open;
   }
   std::vector<Row> rows;
-  if (BatchModeEnabled()) {
-    QueryContext* ctx = CurrentQueryContext();
-    RowBatch batch;
-    while (true) {
-      // One deadline/cancel check per batch (vs the stride-256 row poll of
-      // the row loop below) keeps multi-hundred-thousand-row drains
-      // interruptible at ~1k-row granularity.
-      if (ctx != nullptr) {
-        Status interrupt = ctx->CheckInterrupt();
-        if (!interrupt.ok()) {
-          op.Close();
-          return interrupt;
-        }
-      }
-      auto more = op.NextBatch(&batch);
-      if (!more.ok()) {
-        op.Close();
-        return more.status();
-      }
-      if (!*more) break;
-      if (ctx != nullptr) ctx->batch_stats().Record(batch.sel.size());
-      for (uint32_t idx : batch.sel) {
-        rows.push_back(std::move(batch.rows[idx]).IntoRow());
-      }
+  RowBatch batch;
+  while (true) {
+    auto more = PullBatch(op, &batch);
+    if (!more.ok()) {
+      op.Close();
+      return more.status();
     }
-  } else {
-    RowRef ref;
-    size_t tick = 0;
-    while (true) {
-      // Every eager materialization funnels through here (view
-      // materialization, rewrite-mode scripts, DML sources); poll the
-      // deadline/cancel latch so multi-hundred-thousand-row drains stay
-      // interruptible between operator-level polls.
-      Status interrupt = PollInterrupt(&tick);
-      if (!interrupt.ok()) {
-        op.Close();
-        return interrupt;
-      }
-      auto more = op.Next(&ref);
-      if (!more.ok()) {
-        op.Close();
-        return more.status();
-      }
-      if (!*more) break;
-      rows.push_back(std::move(ref).IntoRow());
+    if (!*more) break;
+    for (uint32_t idx : batch.sel) {
+      rows.push_back(std::move(batch.rows[idx]).IntoRow());
     }
   }
   op.Close();

@@ -1,17 +1,15 @@
 // Physical operator interface: pull-based open/next/close execution (the
-// Volcano iterator model). The planner (engine/planner.h) compiles a
-// SelectStmt into a tree of these; the executor facade drains the root into
-// a ResultTable, while early-exit consumers (EXISTS probes, LIMIT) stop
-// pulling as soon as they are satisfied.
+// Volcano iterator model, one batch per pull). The planner
+// (engine/planner.h) compiles a SelectStmt into a tree of these; the
+// executor facade drains the root into a ResultTable, while early-exit
+// consumers (EXISTS probes, LIMIT) stop pulling as soon as they are
+// satisfied.
 //
-// Two pull protocols share one tree: row-at-a-time Next(RowRef*) and
-// batch-at-a-time NextBatch(RowBatch*) (types/row_batch.h). A drain site
-// picks exactly one protocol per execution — the two must never be
-// interleaved on the same operator instance. Operators without a native
-// batch implementation serve NextBatch through a row-loop fallback, so a
-// partially-vectorized tree is always correct; the fallback is recorded in
-// the statement's BatchExecStats so parity is inspectable from
-// last_stats()/EXPLAIN.
+// There is one pull protocol: NextBatch(RowBatch*) (types/row_batch.h).
+// Every operator produces batches natively. The consumer sets the batch's
+// row target (`RowBatch::capacity`): full drains keep the 1024-row default,
+// and an EXISTS probe asks for a single row, so it stops at its first match
+// without scanning or evaluating a whole batch.
 
 #pragma once
 
@@ -37,30 +35,23 @@ class PhysicalOperator {
   /// BMO) consume their input here.
   virtual Status Open() = 0;
 
-  /// Produces the next row into `*out`; returns false at end of stream.
-  virtual Result<bool> Next(RowRef* out) = 0;
-
-  /// Produces the next batch of rows into `*out` (cleared first); returns
-  /// false at end of stream, true iff at least one selected row — a
-  /// filter-heavy operator keeps pulling internally rather than return an
-  /// empty batch, so callers need no empty-but-not-done handling. The base
-  /// implementation loops this operator's own Next() up to
-  /// kRowBatchCapacity with an identity selection, which also drops the
-  /// whole subtree below to row-at-a-time pulls.
-  virtual Result<bool> NextBatch(RowBatch* out);
+  /// Produces the next batch of at most `out->capacity` rows into `*out`
+  /// (cleared first, capacity kept); returns false at end of stream, true
+  /// iff at least one selected row — a filter-heavy operator keeps pulling
+  /// internally rather than return an empty batch, so callers need no
+  /// empty-but-not-done handling.
+  virtual Result<bool> NextBatch(RowBatch* out) = 0;
 
   /// Releases per-execution state. Must be safe to call after Open failed.
   virtual void Close() = 0;
-
-  /// Short stable label for fallback/EXPLAIN reporting ("filter", "sort").
-  virtual const char* label() const { return "operator"; }
-
- private:
-  // The row-loop fallback reports itself once per instance.
-  bool batch_fallback_recorded_ = false;
 };
 
 using OperatorPtr = std::unique_ptr<PhysicalOperator>;
+
+/// One pull of a pipeline sink (drains, pipeline-breaker feeds): checks the
+/// statement's deadline/cancel latch, then pulls `op`'s next batch and
+/// counts it in the statement's batch stats.
+Result<bool> PullBatch(PhysicalOperator& op, RowBatch* batch);
 
 /// Opens, fully drains and closes `op`, materializing a ResultTable.
 Result<ResultTable> DrainToTable(PhysicalOperator& op);

@@ -12,21 +12,6 @@ ProjectOperator::ProjectOperator(OperatorPtr child, Schema out_schema,
       outer_(outer),
       runner_(runner) {}
 
-Result<bool> ProjectOperator::Next(RowRef* out) {
-  RowRef in;
-  PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-  if (!more) return false;
-  EvalContext ctx{&child_->schema(), &in.row(), outer_, runner_};
-  Row row;
-  row.reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e, ctx));
-    row.push_back(std::move(v));
-  }
-  *out = RowRef::Owned(std::move(row));
-  return true;
-}
-
 Result<bool> ProjectOperator::NextBatch(RowBatch* out) {
   PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
@@ -52,29 +37,41 @@ DistinctOperator::DistinctOperator(OperatorPtr child, size_t key_width)
 Status DistinctOperator::Open() {
   seen_rows_.clear();
   seen_.clear();
+  charge_.Reset();
   return child_->Open();
 }
 
-Result<bool> DistinctOperator::Next(RowRef* out) {
-  RowRef row;
+Result<bool> DistinctOperator::NextBatch(RowBatch* out) {
   while (true) {
-    PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
-    if (!more) return false;
-    const Row& r = row.row();
-    size_t h = HashRowPrefix(r, key_width_);
-    bool dup = false;
-    for (size_t idx : seen_[h]) {
-      if (RowPrefixIdentityEqual(seen_rows_[idx], r, key_width_)) {
-        dup = true;
-        break;
-      }
+    // Like a filter: a run of duplicates keeps pulling, so one latch check
+    // per child batch bounds the loop.
+    if (QueryContext* ctx = CurrentQueryContext()) {
+      PSQL_RETURN_IF_ERROR(ctx->CheckInterrupt());
     }
-    if (dup) continue;
-    Row prefix(r.begin(), r.begin() + static_cast<ptrdiff_t>(key_width_));
-    seen_[h].push_back(seen_rows_.size());
-    seen_rows_.push_back(std::move(prefix));
-    *out = std::move(row);
-    return true;
+    PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
+    if (!more) return false;
+    size_t kept = 0;
+    for (uint32_t idx : out->sel) {
+      const Row& r = out->rows[idx].row();
+      size_t h = HashRowPrefix(r, key_width_);
+      std::vector<size_t>& bucket = seen_[h];
+      bool dup = false;
+      for (size_t seen : bucket) {
+        if (RowPrefixIdentityEqual(seen_rows_[seen], r, key_width_)) {
+          dup = true;
+          break;
+        }
+      }
+      if (dup) continue;
+      bucket.push_back(seen_rows_.size());
+      seen_rows_.emplace_back(
+          r.begin(), r.begin() + static_cast<ptrdiff_t>(key_width_));
+      PSQL_RETURN_IF_ERROR(charge_.Add(sizeof(Row) + sizeof(size_t) +
+                                       key_width_ * sizeof(Value)));
+      out->sel[kept++] = idx;
+    }
+    out->sel.resize(kept);
+    if (kept > 0) return true;
   }
 }
 
@@ -82,20 +79,11 @@ void DistinctOperator::Close() {
   child_->Close();
   seen_rows_.clear();
   seen_.clear();
+  charge_.Reset();
 }
 
 PrefixOperator::PrefixOperator(OperatorPtr child, Schema out_schema)
     : child_(std::move(child)), schema_(std::move(out_schema)) {}
-
-Result<bool> PrefixOperator::Next(RowRef* out) {
-  RowRef in;
-  PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-  if (!more) return false;
-  Row row = std::move(in).IntoRow();
-  row.resize(schema_.num_columns());
-  *out = RowRef::Owned(std::move(row));
-  return true;
-}
 
 Result<bool> PrefixOperator::NextBatch(RowBatch* out) {
   PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/query_context.h"
 #include "engine/evaluator.h"
 #include "engine/operators/operator.h"
 #include "sql/ast.h"
@@ -23,10 +24,8 @@ class ProjectOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  const char* label() const override { return "project"; }
 
  private:
   OperatorPtr child_;
@@ -44,17 +43,16 @@ class DistinctOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return child_->schema(); }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
+  /// Compacts the child batch's selection to first occurrences.
+  Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  // Stays on the row-loop NextBatch fallback: the dedup hash probe is
-  // per-row either way, so a native batch path would buy nothing.
-  const char* label() const override { return "distinct"; }
 
  private:
   OperatorPtr child_;
   size_t key_width_;
   std::vector<Row> seen_rows_;  // kept key prefixes
   std::unordered_map<size_t, std::vector<size_t>> seen_;
+  BufferCharge charge_;  // the seen-set, held until Close
 };
 
 /// Truncates each row to its first `width` columns (drops hidden keys).
@@ -64,10 +62,8 @@ class PrefixOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  const char* label() const override { return "prefix"; }
 
  private:
   OperatorPtr child_;

@@ -22,16 +22,10 @@ Status SeqScanOperator::Open() {
   return Status::OK();
 }
 
-Result<bool> SeqScanOperator::Next(RowRef* out) {
-  if (pos_ >= rows_->size()) return false;
-  *out = RowRef::Borrowed(&(*rows_)[pos_++]);
-  return true;
-}
-
 Result<bool> SeqScanOperator::NextBatch(RowBatch* out) {
   out->Clear();
   if (pos_ >= rows_->size()) return false;
-  const size_t take = std::min(kRowBatchCapacity, rows_->size() - pos_);
+  const size_t take = std::min(out->capacity, rows_->size() - pos_);
   out->rows.reserve(take);
   out->sel.reserve(take);
   for (size_t i = 0; i < take; ++i) {
@@ -55,16 +49,10 @@ Status PositionScanOperator::Open() {
   return Status::OK();
 }
 
-Result<bool> PositionScanOperator::Next(RowRef* out) {
-  if (pos_ >= positions_.size()) return false;
-  *out = RowRef::Borrowed(&(*rows_)[positions_[pos_++]]);
-  return true;
-}
-
 Result<bool> PositionScanOperator::NextBatch(RowBatch* out) {
   out->Clear();
   if (pos_ >= positions_.size()) return false;
-  const size_t take = std::min(kRowBatchCapacity, positions_.size() - pos_);
+  const size_t take = std::min(out->capacity, positions_.size() - pos_);
   out->rows.reserve(take);
   out->sel.reserve(take);
   for (size_t i = 0; i < take; ++i) {
@@ -93,27 +81,13 @@ Status HeapScanOperator::Open() {
   return Status::OK();
 }
 
-Result<bool> HeapScanOperator::Next(RowRef* out) {
-  while (pos_ < limit_) {
-    size_t slot = pos_++;
-    ++scanned_;
-    if (!heap_->VisibleAt(slot, snapshot_)) {
-      ++skipped_;
-      continue;
-    }
-    *out = RowRef::Borrowed(&heap_->row(slot));
-    return true;
-  }
-  return false;
-}
-
 Result<bool> HeapScanOperator::NextBatch(RowBatch* out) {
   out->Clear();
   // One visibility sweep fills the whole batch. A run of dead versions
   // keeps sweeping (the slot range is sealed, so this terminates) rather
   // than hand back an empty batch; the stride poll keeps a
   // dead-version-heavy sweep interruptible mid-batch.
-  while (pos_ < limit_ && out->rows.size() < kRowBatchCapacity) {
+  while (pos_ < limit_ && !out->full()) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
     size_t slot = pos_++;
     ++scanned_;
@@ -153,23 +127,9 @@ Status HeapPositionScanOperator::Open() {
   return Status::OK();
 }
 
-Result<bool> HeapPositionScanOperator::Next(RowRef* out) {
-  while (pos_ < positions_.size()) {
-    size_t slot = positions_[pos_++];
-    ++scanned_;
-    if (check_visibility_ && !heap_->VisibleAt(slot, snapshot_)) {
-      ++skipped_;
-      continue;
-    }
-    *out = RowRef::Borrowed(&heap_->row(slot));
-    return true;
-  }
-  return false;
-}
-
 Result<bool> HeapPositionScanOperator::NextBatch(RowBatch* out) {
   out->Clear();
-  while (pos_ < positions_.size() && out->rows.size() < kRowBatchCapacity) {
+  while (pos_ < positions_.size() && !out->full()) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
     size_t slot = positions_[pos_++];
     ++scanned_;
@@ -194,13 +154,6 @@ void HeapPositionScanOperator::Close() {
 Status OneRowOperator::Open() {
   done_ = false;
   return Status::OK();
-}
-
-Result<bool> OneRowOperator::Next(RowRef* out) {
-  if (done_) return false;
-  done_ = true;
-  *out = RowRef::Borrowed(&row_);
-  return true;
 }
 
 Result<bool> OneRowOperator::NextBatch(RowBatch* out) {

@@ -34,10 +34,8 @@ class SeqScanOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "seq_scan"; }
 
  private:
   Schema schema_;
@@ -57,10 +55,8 @@ class PositionScanOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "position_scan"; }
 
  private:
   Schema schema_;
@@ -80,10 +76,8 @@ class HeapScanOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "heap_scan"; }
 
  private:
   Schema schema_;
@@ -111,10 +105,8 @@ class HeapPositionScanOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "heap_position_scan"; }
 
  private:
   Schema schema_;
@@ -136,10 +128,8 @@ class OneRowOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override {}
-  const char* label() const override { return "one_row"; }
 
  private:
   Schema schema_;

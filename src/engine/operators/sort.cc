@@ -13,54 +13,20 @@ Status SortOperator::Open() {
   PSQL_RETURN_IF_ERROR(child_->Open());
   rows_.clear();
   pos_ = 0;
-  stmt_charge_.Reset();
-  engine_charge_.Reset();
-  QueryContext* qctx = CurrentQueryContext();
-  uint64_t pending = 0;
-  if (BatchModeEnabled()) {
-    // Batch feed: one interrupt check and one (accumulated) memory charge
-    // per ~1k rows instead of stride-256 row polls.
-    RowBatch batch;
-    while (true) {
-      if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
-      PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
-      if (!more) break;
-      if (qctx != nullptr) qctx->batch_stats().Record(batch.sel.size());
-      for (uint32_t idx : batch.sel) {
-        Row row = std::move(batch.rows[idx]).IntoRow();
-        pending += sizeof(Row) + row.size() * sizeof(Value);
-        rows_.push_back(std::move(row));
-      }
-      if (qctx != nullptr && pending >= kChargeBatchBytes) {
-        PSQL_RETURN_IF_ERROR(
-            qctx->ChargeMemory(pending, &stmt_charge_, &engine_charge_));
-        pending = 0;
-      }
-    }
-  } else {
-    RowRef ref;
-    size_t tick = 0;
-    while (true) {
-      PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-      PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&ref));
-      if (!more) break;
-      Row row = std::move(ref).IntoRow();
-      if (qctx != nullptr) {
-        pending += sizeof(Row) + row.size() * sizeof(Value);
-        if (pending >= kChargeBatchBytes) {
-          PSQL_RETURN_IF_ERROR(
-              qctx->ChargeMemory(pending, &stmt_charge_, &engine_charge_));
-          pending = 0;
-        }
-      }
+  charge_.Reset();
+  RowBatch batch;
+  while (true) {
+    PSQL_ASSIGN_OR_RETURN(bool more, PullBatch(*child_, &batch));
+    if (!more) break;
+    for (uint32_t idx : batch.sel) {
+      Row row = std::move(batch.rows[idx]).IntoRow();
+      PSQL_RETURN_IF_ERROR(
+          charge_.Add(sizeof(Row) + row.size() * sizeof(Value)));
       rows_.push_back(std::move(row));
     }
   }
-  if (qctx != nullptr) {
-    if (pending > 0) {
-      PSQL_RETURN_IF_ERROR(
-          qctx->ChargeMemory(pending, &stmt_charge_, &engine_charge_));
-    }
+  PSQL_RETURN_IF_ERROR(charge_.Flush());
+  if (QueryContext* qctx = CurrentQueryContext()) {
     PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
   }
   std::stable_sort(rows_.begin(), rows_.end(),
@@ -74,16 +40,10 @@ Status SortOperator::Open() {
   return Status::OK();
 }
 
-Result<bool> SortOperator::Next(RowRef* out) {
-  if (pos_ >= rows_.size()) return false;
-  *out = RowRef::Owned(std::move(rows_[pos_++]));
-  return true;
-}
-
 Result<bool> SortOperator::NextBatch(RowBatch* out) {
   out->Clear();
   if (pos_ >= rows_.size()) return false;
-  const size_t take = std::min(kRowBatchCapacity, rows_.size() - pos_);
+  const size_t take = std::min(out->capacity, rows_.size() - pos_);
   out->rows.reserve(take);
   out->sel.reserve(take);
   for (size_t i = 0; i < take; ++i) {
@@ -96,8 +56,7 @@ Result<bool> SortOperator::NextBatch(RowBatch* out) {
 void SortOperator::Close() {
   child_->Close();
   rows_.clear();
-  stmt_charge_.Reset();
-  engine_charge_.Reset();
+  charge_.Reset();
 }
 
 LimitOperator::LimitOperator(OperatorPtr child, std::optional<int64_t> limit,
@@ -108,22 +67,6 @@ Status LimitOperator::Open() {
   skipped_ = 0;
   emitted_ = 0;
   return child_->Open();
-}
-
-Result<bool> LimitOperator::Next(RowRef* out) {
-  if (limit_ && emitted_ >= *limit_) return false;
-  RowRef row;
-  while (true) {
-    PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
-    if (!more) return false;
-    if (offset_ && skipped_ < *offset_) {
-      ++skipped_;
-      continue;
-    }
-    ++emitted_;
-    *out = std::move(row);
-    return true;
-  }
 }
 
 Result<bool> LimitOperator::NextBatch(RowBatch* out) {

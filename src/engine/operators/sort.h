@@ -5,8 +5,8 @@
 #include <optional>
 #include <vector>
 
+#include "core/query_context.h"
 #include "engine/operators/operator.h"
-#include "util/memory_budget.h"
 
 namespace prefsql {
 
@@ -25,19 +25,15 @@ class SortOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return child_->schema(); }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "sort"; }
 
  private:
   OperatorPtr child_;
   std::vector<SortKey> keys_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
-  // Budget reservations for the materialized input, held until Close.
-  ScopedMemoryCharge stmt_charge_;
-  ScopedMemoryCharge engine_charge_;
+  BufferCharge charge_;  // the materialized input, held until Close
 };
 
 /// Skips `offset` rows, then forwards at most `limit` rows and stops
@@ -49,10 +45,8 @@ class LimitOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return child_->schema(); }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  const char* label() const override { return "limit"; }
 
  private:
   OperatorPtr child_;

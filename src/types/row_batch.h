@@ -1,14 +1,19 @@
-// RowBatch: the unit of exchange of the batch-at-a-time (vectorized)
-// operator pipeline. Instead of one virtual Next() call per row, operators
-// hand over up to kRowBatchCapacity rows at once:
+// RowBatch: the unit of exchange of the operator pipeline. Every pull hands
+// over up to `capacity` rows at once:
 //
 //   * `rows`  — the batch's row references, in pull order. A RowRef either
 //     borrows storage-resident rows (scans) or owns computed ones
-//     (projections, BMO augmentation), exactly as in row-at-a-time mode.
+//     (projections, joins, BMO augmentation).
 //   * `sel`   — the selection vector: ascending indices into `rows` naming
 //     the live rows. Filters never move row data; they compact `sel` in
 //     place, so a predicate pass over 1024 rows costs one column-index
 //     resolution and zero row copies.
+//   * `capacity` — the row target the consumer sets. Batch producers (scans,
+//     sort, aggregate, join, BMO output) fill at most this many rows;
+//     pass-through operators (filter, project, distinct, prefix, limit) hand
+//     the same batch down, so the target reaches the producer below them.
+//     Full drains keep the default; an early-exit consumer asks for fewer
+//     (an EXISTS probe asks for 1 and stops at its first match).
 //
 // Per-row bookkeeping amortizes across the batch: one interrupt poll, one
 // memory-budget charge, and (for heap scans) one MVCC visibility sweep per
@@ -26,20 +31,25 @@
 
 namespace prefsql {
 
-/// Target rows per NextBatch call. 1024 RowRefs (~40 KiB of refs plus the
-/// selection vector) stay L1/L2-resident while amortizing the per-call
-/// overhead ~1000x over row-at-a-time pulls.
+/// Default row target per NextBatch call. 1024 RowRefs (~40 KiB of refs
+/// plus the selection vector) stay L1/L2-resident while amortizing the
+/// per-call overhead ~1000x over one pull per row.
 inline constexpr size_t kRowBatchCapacity = 1024;
 
 struct RowBatch {
   std::vector<RowRef> rows;
   std::vector<uint32_t> sel;
+  /// Row target of each pull; survives Clear().
+  size_t capacity = kRowBatchCapacity;
 
   /// Appends a row as selected (identity selection while filling).
   void PushRow(RowRef ref) {
     sel.push_back(static_cast<uint32_t>(rows.size()));
     rows.push_back(std::move(ref));
   }
+
+  /// Whether a producer may append another row.
+  bool full() const { return rows.size() >= capacity; }
 
   void Clear() {
     rows.clear();

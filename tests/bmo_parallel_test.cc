@@ -225,10 +225,12 @@ TEST(BmoOperatorStatsTest, CloseFlushesStatsAfterPartialConsumption) {
     BmoOperator op(std::make_unique<SeqScanOperator>(schema, &rows), &*pref,
                    std::move(config), nullptr);
     ASSERT_TRUE(op.Open().ok());
-    RowRef ref;
-    auto first = op.Next(&ref);  // pull exactly one row, then stop
+    RowBatch batch;
+    batch.capacity = 1;  // pull exactly one row, then stop
+    auto first = op.NextBatch(&batch);
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(*first);
+    EXPECT_EQ(batch.selected(), 1u);
     op.Close();
   }
   EXPECT_EQ(sink.candidate_count, 64u);

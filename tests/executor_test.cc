@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "engine/operators/filter.h"
+#include "engine/operators/scan.h"
+#include "sql/parser.h"
 
 namespace prefsql {
 namespace {
@@ -266,6 +269,80 @@ TEST_F(ExecutorTest, ViewMaterializedOncePerStatement) {
   ResultTable t = Run(
       "SELECT COUNT(*) FROM v a, v b WHERE a.id = b.id");
   EXPECT_EQ(t.at(0, 0).AsInt(), 4);
+}
+
+// Counts EXISTS probes; every probe finds a row.
+class CountingRunner : public SubqueryRunner {
+ public:
+  Result<ResultTable> RunSubquery(const SelectStmt&,
+                                  const EvalContext*) override {
+    return Status::InvalidArgument("not used");
+  }
+  Result<bool> SubqueryExists(const SelectStmt&, const EvalContext*) override {
+    ++calls;
+    return true;
+  }
+  size_t calls = 0;
+};
+
+// The row target a consumer sets on the batch passes through a filter to
+// the scan below it: a 1-row pull evaluates the predicate on one row only.
+TEST(BatchTargetTest, FilterEvaluatesOnlyTheRowsThePullAsksFor) {
+  Schema schema = Schema::FromNames({"x"});
+  std::vector<Row> rows(5000, Row{Value::Int(1)});
+  auto predicate = ParseExpression("EXISTS (SELECT 1)");
+  ASSERT_TRUE(predicate.ok()) << predicate.status().ToString();
+  CountingRunner runner;
+  FilterOperator filter(std::make_unique<SeqScanOperator>(schema, &rows),
+                        predicate->get(), nullptr, &runner);
+  ASSERT_TRUE(filter.Open().ok());
+  RowBatch batch;
+  batch.capacity = 1;
+  for (size_t pull = 1; pull <= 3; ++pull) {
+    auto more = filter.NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    ASSERT_TRUE(*more);
+    EXPECT_EQ(batch.selected(), 1u);
+    EXPECT_EQ(runner.calls, pull);
+  }
+  // The default target evaluates a whole batch per pull.
+  batch.capacity = kRowBatchCapacity;
+  auto more = filter.NextBatch(&batch);
+  ASSERT_TRUE(more.ok());
+  EXPECT_EQ(batch.selected(), kRowBatchCapacity);
+  EXPECT_EQ(runner.calls, 3 + kRowBatchCapacity);
+  filter.Close();
+}
+
+// Counts the EXISTS probes the executor runs, nested ones included.
+class CountingExecutor : public Executor {
+ public:
+  using Executor::Executor;
+  Result<bool> SubqueryExists(const SelectStmt& select,
+                              const EvalContext* outer) override {
+    ++exists_calls;
+    return Executor::SubqueryExists(select, outer);
+  }
+  size_t exists_calls = 0;
+};
+
+// The §3.2 rewrite's NOT EXISTS probe stops at the first row of its
+// FROM/WHERE pipeline: the probe pulls with a 1-row target, so the WHERE
+// clause below it runs on that row alone, not on a whole batch.
+TEST_F(ExecutorTest, ExistsProbeEvaluatesOneRowBeforeItsFirstMatch) {
+  Run("CREATE TABLE many (x INTEGER)");
+  std::string insert = "INSERT INTO many VALUES (0)";
+  for (int i = 1; i < 3000; ++i) insert += ", (" + std::to_string(i) + ")";
+  Run(insert);
+  CountingExecutor exec(&db_.catalog());
+  auto stmt = ParseStatement(
+      "SELECT 1 WHERE EXISTS (SELECT x FROM many WHERE EXISTS (SELECT 1))");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto result = exec.ExecuteStatement(*stmt);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_rows(), 1u);
+  // The outer probe, plus one nested probe for the single row it pulled.
+  EXPECT_EQ(exec.exists_calls, 2u);
 }
 
 }  // namespace

@@ -31,6 +31,17 @@ constexpr char kHeavyQuery[] =
     "SELECT id FROM car PREFERRING LOWEST(price) AND LOWEST(mileage) "
     "AND HIGHEST(power) AND LOWEST(age)";
 
+// Every statement the deadline tests time: the skyline above, plus a GROUP
+// BY and a DISTINCT whose pipeline breakers consume the whole 500k-row input
+// before emitting a row (each runs well past the bound when its feed does
+// not poll the deadline).
+constexpr const char* kTimeoutQueries[] = {
+    kHeavyQuery,
+    "SELECT make, category, color, COUNT(*), SUM(price), AVG(mileage), "
+    "MAX(power) FROM car GROUP BY make, category, color",
+    "SELECT DISTINCT make, category, color, diesel, airbag FROM car",
+};
+
 constexpr size_t kBigRows = 500000;
 
 // The acceptance bound: a 50ms deadline returns within 2x the deadline.
@@ -94,19 +105,21 @@ const GoldenConfig kGoldenConfigs[] = {
 TEST(RobustnessTest, TimeoutFiresUnderEveryGoldenConfig) {
   auto engine = BigEngine();
   for (const GoldenConfig& config : kGoldenConfigs) {
-    SCOPED_TRACE(config.name);
-    Connection conn;
-    conn.Attach(engine);
-    config.apply(conn.options());
-    ASSERT_TRUE(conn.Execute("SET statement_timeout_ms = 50").ok());
-    const auto t0 = steady_clock::now();
-    auto result = conn.Execute(kHeavyQuery);
-    const auto elapsed =
-        duration_cast<milliseconds>(steady_clock::now() - t0);
-    ASSERT_FALSE(result.ok()) << config.name << " finished in "
-                              << elapsed.count() << "ms";
-    EXPECT_TRUE(result.status().IsTimeout()) << result.status().ToString();
-    EXPECT_LT(elapsed.count(), kTimeoutBoundMs) << config.name;
+    for (const char* query : kTimeoutQueries) {
+      SCOPED_TRACE(std::string(config.name) + ": " + query);
+      Connection conn;
+      conn.Attach(engine);
+      config.apply(conn.options());
+      ASSERT_TRUE(conn.Execute("SET statement_timeout_ms = 50").ok());
+      const auto t0 = steady_clock::now();
+      auto result = conn.Execute(query);
+      const auto elapsed =
+          duration_cast<milliseconds>(steady_clock::now() - t0);
+      ASSERT_FALSE(result.ok()) << config.name << " finished in "
+                                << elapsed.count() << "ms";
+      EXPECT_TRUE(result.status().IsTimeout()) << result.status().ToString();
+      EXPECT_LT(elapsed.count(), kTimeoutBoundMs) << config.name;
+    }
   }
 }
 
@@ -168,16 +181,27 @@ TEST(RobustnessTest, StatementMemoryBudgetRefusesWithResourceExhausted) {
   Connection conn;
   conn.Attach(engine);
   conn.options().mode = EvaluationMode::kBlockNestedLoop;
-  // 64KB cannot hold the packed keys of a 20k-row 4-d query.
-  ASSERT_TRUE(conn.Execute("SET statement_memory_bytes = 65536").ok());
-  auto result = conn.Execute(kHeavyQuery);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsResourceExhausted())
-      << result.status().ToString();
-  // Lifting the budget makes the same query succeed — the refusal left no
-  // residual charge or latch behind.
-  ASSERT_TRUE(conn.Execute("SET statement_memory_bytes = 0").ok());
-  EXPECT_TRUE(conn.Execute(kHeavyQuery).ok());
+  // 64KB cannot hold the packed keys of a 20k-row 4-d query, nor the
+  // 20k-entry DISTINCT seen-set, the 20k aggregate groups, or the buffered
+  // right side of a nested-loop join.
+  const char* const queries[] = {
+      kHeavyQuery,
+      "SELECT DISTINCT id, price FROM car",
+      "SELECT id, COUNT(*) FROM car GROUP BY id",
+      "SELECT a.id FROM car a JOIN car b ON a.price < b.price LIMIT 1",
+  };
+  for (const char* query : queries) {
+    SCOPED_TRACE(query);
+    ASSERT_TRUE(conn.Execute("SET statement_memory_bytes = 65536").ok());
+    auto result = conn.Execute(query);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsResourceExhausted())
+        << result.status().ToString();
+    // Lifting the budget makes the same query succeed — the refusal left
+    // no residual charge or latch behind.
+    ASSERT_TRUE(conn.Execute("SET statement_memory_bytes = 0").ok());
+    EXPECT_TRUE(conn.Execute(query).ok());
+  }
 }
 
 TEST(RobustnessTest, EngineBudgetShedsCachesBeforeRefusing) {
