@@ -88,7 +88,8 @@ BENCHMARK(BM_PreferenceQueryIndexScan)->Unit(benchmark::kMillisecond);
 // over the same candidates.
 void RunSfsPreference(benchmark::State& state, const char* suffix) {
   ConnectionOptions opts;
-  opts.mode = EvaluationMode::kSortFilterSkyline;
+  opts.mode = EvaluationMode::kBlockNestedLoop;
+  opts.bmo_algorithm = BmoAlgorithm::kSortFilterSkyline;
   auto conn = MakeConnection(true, opts);
   std::string sql = std::string(kPreferenceQuery) + suffix;
   size_t rows = 0;

@@ -170,7 +170,8 @@ int main() {
   std::printf("\nLIMIT pushdown (BmoOperator top-k, sort-filter mode):\n");
   {
     prefsql::ConnectionOptions sfs_opts;
-    sfs_opts.mode = prefsql::EvaluationMode::kSortFilterSkyline;
+    sfs_opts.mode = prefsql::EvaluationMode::kBlockNestedLoop;
+    sfs_opts.bmo_algorithm = prefsql::BmoAlgorithm::kSortFilterSkyline;
     prefsql::Connection sfs(sfs_opts);
     prefsql::JobProfileConfig sfs_cfg;
     sfs_cfg.rows = rows;

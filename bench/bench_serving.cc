@@ -281,26 +281,6 @@ int main(int argc, char** argv) {
     const double prepared_ms = MsSince(t_prepared) / kWarmIters;
     const bool prepared_hit = conn.last_stats().plan_cache_hit;
 
-    // cycled = a small rotating set of bound values: after the first cycle
-    // every execute finds its compiled PREFERRING clause in the plan's
-    // per-bound-value memo and skips the recompile entirely.
-    constexpr int kCycle = 8;
-    for (int i = 0; i < kCycle; ++i) {
-      (void)stmt->Bind("target", prefsql::Value::Int(15000 + i));
-      (void)stmt->Execute();
-    }
-    const auto t_cycled = Clock::now();
-    for (int i = 0; i < kWarmIters; ++i) {
-      (void)stmt->Bind("target", prefsql::Value::Int(15000 + (i % kCycle)));
-      auto r = stmt->Execute();
-      if (!r.ok()) {
-        std::fprintf(stderr, "cycled execute failed: %s\n",
-                     r.status().ToString().c_str());
-        return 1;
-      }
-    }
-    const double cycled_ms = MsSince(t_cycled) / kWarmIters;
-
     (void)conn.Execute("SET key_cache = on");
     (void)stmt->Bind("target", prefsql::Value::Int(15000));
     (void)stmt->Execute();
@@ -313,10 +293,9 @@ int main(int argc, char** argv) {
     std::printf(
         "prepared vs unprepared (varying target), %zu rows: unprepared "
         "%.3f ms, text (auto-param hit %d) %.3f ms, prepared (hit %d) %.3f "
-        "ms, cycled (bound-value memo) %.3f ms, fixed-value prepared %.3f "
-        "ms (key hit %d)\n",
+        "ms, fixed-value prepared %.3f ms (key hit %d)\n",
         kRows, unprepared_ms, text_hit, text_ms, prepared_hit, prepared_ms,
-        cycled_ms, fixed_ms, fixed_key_hit);
+        fixed_ms, fixed_key_hit);
     json.BeginRecord()
         .Field("section", "prepared_vs_unprepared")
         .Field("rows", static_cast<uint64_t>(kRows))
@@ -326,7 +305,6 @@ int main(int argc, char** argv) {
         .Field("prepared_ms", prepared_ms)
         .Field("prepared_plan_cache_hit",
                static_cast<uint64_t>(prepared_hit))
-        .Field("prepared_cycled_ms", cycled_ms)
         .Field("prepared_fixed_ms", fixed_ms)
         .Field("prepared_fixed_key_cache_hit",
                static_cast<uint64_t>(fixed_key_hit))

@@ -102,12 +102,6 @@ Status BmoOperator::Open() {
       local_of_.clear();
     }
     use_positions_ = ok;
-    if (use_positions_ && config_.filter_cache != nullptr) {
-      if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
-      config_.filter_cache->Insert(
-          config_.filter_cache_key,
-          std::make_shared<const std::vector<size_t>>(positions_));
-    }
   }
   // Candidate id of pulled row i: its heap slot in position mode (an index
   // into the whole-table KeyStore), the pulled index otherwise.
@@ -119,8 +113,8 @@ Status BmoOperator::Open() {
   //    correspondence); otherwise build into a fresh store — appended
   //    straight into the packed KeyStore, no per-tuple key allocation —
   //    and publish it when this run is cache-keyed. In position mode the
-  //    store covers the whole table (one build amortizes across every
-  //    filtered query over this snapshot).
+  //    store covers every heap slot of the snapshot, so later readers of
+  //    the same table version share it by slot.
   const bool cache_keyed = config_.key_cache != nullptr &&
                            (config_.base_heap == nullptr || use_positions_);
   if (cache_keyed) {

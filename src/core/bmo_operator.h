@@ -77,9 +77,9 @@ struct BmoOperatorConfig {
   BmoRunStats* stats_sink = nullptr;
   /// Engine skyline/key cache to consult/fill for this run (not owned;
   /// nullptr = off). The planner sets it only when the candidate child is a
-  /// bare (optionally WHERE-filtered, see `base_rows`) scan of one base
-  /// table; `key_cache_key` carries the (preference fingerprint, table id,
-  /// table version) identity of the whole-table key store.
+  /// bare scan of one base table (no WHERE); `key_cache_key` carries the
+  /// (preference fingerprint, table id, table version) identity of the
+  /// whole-table key store.
   SkylineCache* key_cache = nullptr;
   KeyCacheKey key_cache_key;
   /// Shared ownership of the compiled preference, stored into published
@@ -90,7 +90,7 @@ struct BmoOperatorConfig {
   /// (planner sets this only when the result equals the bare skyline: full
   /// scan, no GROUPING / BUT ONLY / top-k truncation).
   bool publish_skyline = false;
-  /// Position mode (cache-eligible candidates over one base table): the
+  /// Position mode (cache-eligible bare scan of one base table): the
   /// table's version heap, used to recover each pulled row's heap slot via
   /// pointer identity and to build whole-table keys on a cache miss. The
   /// dominance pass then runs over slot positions into the shared
@@ -106,10 +106,6 @@ struct BmoOperatorConfig {
   /// at the snapshot still occupy a key row — GC-cleared payloads get
   /// neutral keys, sound because dominance only runs over candidate ids.
   size_t key_rows = 0;
-  /// Filter-position cache to fill with the pulled positions (position
-  /// mode only; not owned; may be nullptr).
-  FilterCache* filter_cache = nullptr;
-  FilterCacheKey filter_cache_key;
 };
 
 class BmoOperator : public PhysicalOperator {
@@ -156,8 +152,8 @@ class BmoOperator : public PhysicalOperator {
   /// borrowed wholesale from the engine key cache (immutable either way).
   /// Indexed by candidate id (storage positions in position mode).
   std::shared_ptr<const KeyStore> keys_;
-  /// Position mode engaged at runtime: config_.base_rows is set and every
-  /// pulled row's storage position was recovered.
+  /// Position mode engaged at runtime: config_.base_heap is set and every
+  /// pulled row's heap slot was recovered.
   bool use_positions_ = false;
   std::vector<size_t> positions_;  // pulled index -> storage position
   std::unordered_map<size_t, size_t> local_of_;  // storage pos -> pulled

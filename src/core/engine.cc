@@ -25,10 +25,6 @@ const char* EvaluationModeToString(EvaluationMode m) {
       return "rewrite";
     case EvaluationMode::kBlockNestedLoop:
       return "bnl";
-    case EvaluationMode::kNaiveNestedLoop:
-      return "naive";
-    case EvaluationMode::kSortFilterSkyline:
-      return "sfs";
   }
   return "?";
 }
@@ -176,7 +172,6 @@ void Engine::RelieveMemoryPressure(uint64_t /*requested_bytes*/) {
   auto quarter = [](size_t n) { return std::max<size_t>(4, n / 4); };
   plan_cache_.Shed(quarter(plan_cache_.size()));
   key_cache_.Shed(quarter(key_cache_.size()));
-  filter_cache_.Shed(quarter(filter_cache_.size()));
   {
     std::lock_guard<std::mutex> g(gc_mu_);
     gc_kick_ = true;
@@ -196,27 +191,8 @@ std::shared_ptr<QueryContext> Engine::ArmStatementContext(Session& session) {
   return ctx;
 }
 
-uint64_t Engine::KnobFingerprint(const ConnectionOptions& o) {
-  uint64_t h = kFingerprintSeed;
-  h = FingerprintMix(h, static_cast<uint64_t>(o.mode));
-  h = FingerprintMix(h, static_cast<uint64_t>(o.but_only_mode));
-  h = FingerprintMix(
-      h, o.bmo_algorithm ? 1 + static_cast<uint64_t>(*o.bmo_algorithm) : 0);
-  h = FingerprintMix(h, o.bnl_window);
-  h = FingerprintMix(h, o.keep_aux_views ? 1 : 0);
-  h = FingerprintMix(h, o.bmo_threads);
-  h = FingerprintMix(h, o.parallel_min_rows);
-  h = FingerprintMix(h, o.preference_pushdown ? 1 : 0);
-  h = FingerprintMix(h, o.key_cache ? 1 : 0);
-  h = FingerprintMix(h, o.simd ? 1 : 0);
-  h = FingerprintMix(h, o.skyline_cache ? 1 : 0);
-  h = FingerprintMix(h, o.mvcc_gc ? 1 : 0);
-  return h;
-}
-
-PlanCacheKey Engine::CacheKey(const Session& session, std::string text) {
-  return PlanCacheKey{std::move(text), KnobFingerprint(session.options()),
-                      db_.catalog().version()};
+PlanCacheKey Engine::CacheKey(std::string text) {
+  return PlanCacheKey{std::move(text), db_.catalog().version()};
 }
 
 // ===========================================================================
@@ -261,7 +237,7 @@ Result<Cursor> Engine::OpenCursor(Session& session, const std::string& sql,
           parse_text = &key_text;
         }
       }
-      PlanCacheKey key = CacheKey(session, key_text);
+      PlanCacheKey key = CacheKey(key_text);
       if (auto cached = plan_cache_.Lookup(key)) {
         return OpenPreparedCursor(session, std::move(cached),
                                   /*plan_cache_hit=*/true, params, auto_par,
@@ -537,7 +513,7 @@ Result<std::shared_ptr<const CachedPlan>> Engine::LookupOrPrepare(
       select == nullptr) {
     return BuildPreparation(kind, std::move(select));
   }
-  PlanCacheKey key = CacheKey(session, key_text);
+  PlanCacheKey key = CacheKey(key_text);
   if (auto cached = plan_cache_.Lookup(key)) {
     *hit = true;
     return cached;
@@ -583,39 +559,10 @@ Result<Engine::ExecutionView> Engine::BindForExecutionLocked(
     if (plan.pref_has_params) pref = nullptr;
   }
   if (is_pref && pref == nullptr) {
-    // A parameterized PREFERRING clause compiles per execution — but the
-    // compilation is a pure function of (expanded clause, bound values), so
-    // the plan memoizes it per bound-value fingerprint. Only sound while
-    // the expansion is current (no DDL since preparation).
-    const bool memoizable = plan.pref_has_params && params != nullptr &&
-                            !params->empty() &&
-                            db_.catalog().version() == plan.catalog_version;
-    uint64_t fp = kFingerprintSeed;
-    if (memoizable) {
-      for (const Value& p : *params) fp = FingerprintValue(fp, p);
-      // The same flat values can split differently across collapsed
-      // placeholders (widths [2,1] vs [1,2] over three values compile
-      // different preferences), so the split is part of the identity.
-      if (wide) {
-        for (uint32_t w : *widths) {
-          fp = FingerprintValue(fp, Value::Int(static_cast<int64_t>(w)));
-        }
-      }
-      std::lock_guard<std::mutex> guard(plan.bound_mutex);
-      auto it = plan.bound_prefs.find(fp);
-      if (it != plan.bound_prefs.end()) pref = it->second;
-    }
-    if (pref == nullptr) {
-      PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*select));
-      pref = analyzed.pref;
-      if (memoizable) {
-        std::lock_guard<std::mutex> guard(plan.bound_mutex);
-        if (plan.bound_prefs.size() >= CachedPlan::kBoundPrefCapacity) {
-          plan.bound_prefs.clear();
-        }
-        plan.bound_prefs.emplace(fp, pref);
-      }
-    }
+    // A parameterized PREFERRING clause (or a re-expansion after DDL)
+    // compiles per execution, against the bound values.
+    PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*select));
+    pref = analyzed.pref;
   }
   return ExecutionView{std::move(select), std::move(pref)};
 }
@@ -856,23 +803,8 @@ DirectEvalOptions Engine::DirectOptions(const Session& session) {
   direct.pushdown = options.preference_pushdown;
   direct.bmo.simd = options.simd;
   direct.key_cache = options.key_cache ? &key_cache_ : nullptr;
-  direct.filter_cache = options.key_cache ? &filter_cache_ : nullptr;
   direct.skyline_cache = options.skyline_cache;
-  switch (options.mode) {
-    case EvaluationMode::kNaiveNestedLoop:
-      direct.bmo.algorithm = BmoAlgorithm::kNaiveNestedLoop;
-      break;
-    case EvaluationMode::kSortFilterSkyline:
-      direct.bmo.algorithm = BmoAlgorithm::kSortFilterSkyline;
-      break;
-    case EvaluationMode::kRewrite:  // fallback
-    case EvaluationMode::kBlockNestedLoop:
-      direct.bmo.algorithm = BmoAlgorithm::kBlockNestedLoop;
-      break;
-  }
-  // The bmo_algorithm knob overrides the algorithm the mode implies (the
-  // only way to select LESS, which has no evaluation mode of its own).
-  if (options.bmo_algorithm) direct.bmo.algorithm = *options.bmo_algorithm;
+  direct.bmo.algorithm = options.bmo_algorithm;
   return direct;
 }
 
@@ -898,11 +830,9 @@ Result<ResultTable> Engine::ExecuteViaRewrite(
     (void)ignored;
   }
   auto result = db_.ExecuteSelect(*rewritten.query);
-  if (!session.options().keep_aux_views) {
-    for (const auto& st : rewritten.teardown) {
-      auto drop = db_.ExecuteStatement(st);
-      if (!drop.ok() && result.ok()) return drop.status();
-    }
+  for (const auto& st : rewritten.teardown) {
+    auto drop = db_.ExecuteStatement(st);
+    if (!drop.ok() && result.ok()) return drop.status();
   }
   PSQL_RETURN_IF_ERROR(result.status());
   stats.used_rewrite = true;
@@ -1245,7 +1175,6 @@ void Engine::SweepCaches() {
            version <= it->second.second;
   };
   key_cache_.EvictStale(is_live);
-  filter_cache_.EvictStale(is_live);
 }
 
 void Engine::TryCollectGarbage(Session& session) {
@@ -1332,12 +1261,6 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
       PSQL_ASSIGN_OR_RETURN(options.preference_pushdown,
                             SetValueAsBool(v, knob));
     }
-  } else if (knob == "keep_aux_views") {
-    if (reset) {
-      options.keep_aux_views = defaults.keep_aux_views;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.keep_aux_views, SetValueAsBool(v, knob));
-    }
   } else if (knob == "plan_cache") {
     if (reset) {
       options.plan_cache = defaults.plan_cache;
@@ -1419,25 +1342,20 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
         options.mode = EvaluationMode::kRewrite;
       } else if (m == "bnl") {
         options.mode = EvaluationMode::kBlockNestedLoop;
-      } else if (m == "naive") {
-        options.mode = EvaluationMode::kNaiveNestedLoop;
-      } else if (m == "sfs") {
-        options.mode = EvaluationMode::kSortFilterSkyline;
       } else {
         return Status::InvalidArgument(
-            "SET evaluation_mode expects rewrite, bnl, naive or sfs");
+            "SET evaluation_mode expects rewrite or bnl");
       }
     } else {
       return Status::InvalidArgument(
-          "SET evaluation_mode expects rewrite, bnl, naive or sfs");
+          "SET evaluation_mode expects rewrite or bnl");
     }
   } else if (knob == "bmo_algorithm") {
     if (reset) {
       options.bmo_algorithm = defaults.bmo_algorithm;
     } else if (v.type() == ValueType::kText) {
-      PSQL_ASSIGN_OR_RETURN(auto algo,
+      PSQL_ASSIGN_OR_RETURN(options.bmo_algorithm,
                             BmoAlgorithmFromString(ToLower(v.AsText())));
-      options.bmo_algorithm = algo;
     } else {
       return Status::InvalidArgument(
           "SET bmo_algorithm expects naive, bnl, sfs, less or default");
@@ -1460,10 +1378,9 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
         "unknown setting '" + stmt.name +
         "' (known: evaluation_mode, bmo_algorithm, bmo_threads, "
         "parallel_min_rows, preference_pushdown, bnl_window, but_only_mode, "
-        "keep_aux_views, plan_cache, auto_parameterize, key_cache, "
-        "skyline_cache, simd, mvcc_gc, mvcc_gc_background, "
-        "statement_timeout_ms, statement_memory_bytes, "
-        "engine_memory_bytes)");
+        "plan_cache, auto_parameterize, key_cache, skyline_cache, simd, "
+        "mvcc_gc, mvcc_gc_background, statement_timeout_ms, "
+        "statement_memory_bytes, engine_memory_bytes)");
   }
 
   // Echo the effective value so scripts/shell users see what stuck.
@@ -1476,8 +1393,6 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
     effective = std::to_string(options.bnl_window);
   } else if (knob == "preference_pushdown") {
     effective = options.preference_pushdown ? "on" : "off";
-  } else if (knob == "keep_aux_views") {
-    effective = options.keep_aux_views ? "on" : "off";
   } else if (knob == "plan_cache") {
     effective = options.plan_cache ? "on" : "off";
   } else if (knob == "auto_parameterize") {
@@ -1501,9 +1416,7 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
   } else if (knob == "evaluation_mode") {
     effective = EvaluationModeToString(options.mode);
   } else if (knob == "bmo_algorithm") {
-    effective = options.bmo_algorithm
-                    ? BmoAlgorithmToString(*options.bmo_algorithm)
-                    : "default";
+    effective = BmoAlgorithmToString(options.bmo_algorithm);
   } else if (knob == "but_only_mode") {
     effective = options.but_only_mode == ButOnlyMode::kPreFilter
                     ? "prefilter"

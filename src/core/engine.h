@@ -29,18 +29,19 @@
 // version-keyed caches sound (entries are keyed by the version the
 // reader's snapshot sees — Table::VersionAt — not by the latest version):
 //
-//   * plan cache  — (parameterized normalized text, knob fingerprint,
-//                   catalog version) -> parsed + expanded + compiled
-//                   preparation. Constant literals of SELECT/EXPLAIN texts
-//                   are auto-parameterized into `?` holes for keying, so
-//                   statements differing only in literal values share one
-//                   preparation; the values are re-injected at execute
-//                   time (sql/normalize.h, sql/parameters.h);
+//   * plan cache  — (parameterized normalized text, catalog version)
+//                   -> parsed + expanded + compiled preparation. Constant
+//                   literals of SELECT/EXPLAIN texts are auto-parameterized
+//                   into `?` holes for keying, so statements differing only
+//                   in literal values share one preparation; the values are
+//                   re-injected at execute time (sql/normalize.h,
+//                   sql/parameters.h). No session knob is part of the key:
+//                   preparation reads none;
 //   * skyline cache — (preference fingerprint, table id, table version)
 //                   -> packed KeyStore + optionally the skyline positions
-//                   (see preference/key_cache.h);
-//   * filter cache — (WHERE text, table id, table version) -> candidate
-//                   row positions of one filtered scan.
+//                   (see preference/key_cache.h). Only bare scans
+//                   (no WHERE) are keyed; a filtered query builds keys for
+//                   its candidates alone.
 //
 // Any DDL bumps the catalog version and any DML seals a new table version,
 // so stale entries become unreachable by key — except to a reader still
@@ -165,7 +166,6 @@ class Engine {
 
   PlanCache& plan_cache() { return plan_cache_; }
   SkylineCache& key_cache() { return key_cache_; }
-  FilterCache& filter_cache() { return filter_cache_; }
 
   /// Engine-wide memory budget shared by all sessions' statement buffers
   /// (`SET engine_memory_bytes` adjusts the limit; 0 = unlimited).
@@ -190,15 +190,16 @@ class Engine {
   Result<std::shared_ptr<const CachedPlan>> BuildPreparation(
       StatementKind kind, std::shared_ptr<const SelectStmt> select);
 
-  /// Key under which `session` would cache a preparation of `text`.
-  PlanCacheKey CacheKey(const Session& session, std::string text);
+  /// Key under which a preparation of `text` is cached at the current
+  /// catalog version.
+  PlanCacheKey CacheKey(std::string text);
 
   /// Wraps an eagerly computed result into a (replay) cursor.
   Cursor MaterializedCursor(ResultTable result, Session* session,
                             std::shared_ptr<Engine> keepalive);
 
   /// Looks up / builds-and-publishes the preparation for (`key_text`,
-  /// session knobs, current catalog version); `select` is the parsed form
+  /// current catalog version); `select` is the parsed form
   /// used on a miss (no re-parse). Honors the session's plan_cache knob.
   Result<std::shared_ptr<const CachedPlan>> LookupOrPrepare(
       Session& session, const std::string& key_text, StatementKind kind,
@@ -326,7 +327,7 @@ class Engine {
   uint64_t CollectGarbageAllTablesLocked();
 
   /// Engine-budget pressure relief (installed into each statement's
-  /// QueryContext): sheds cold plan/skyline/filter-cache entries — freeing
+  /// QueryContext): sheds cold plan/skyline-cache entries — freeing
   /// their heap memory, though not budget-charged bytes, which only return
   /// when statements finish — and kicks the background reclaimer so a full
   /// pin-aware sweep runs before any query is refused.
@@ -339,11 +340,6 @@ class Engine {
   /// responsible for retiring it (SessionContextClearGuard / cursor Close).
   std::shared_ptr<QueryContext> ArmStatementContext(Session& session);
 
-  /// Hash of every knob that affects how a statement prepares or executes;
-  /// part of the plan-cache key so differently-tuned sessions never share a
-  /// preparation.
-  static uint64_t KnobFingerprint(const ConnectionOptions& options);
-
   Database db_;
   /// The DDL lock: readers and DML writers share it, structural statements
   /// and GC take it exclusively; see file comment.
@@ -352,7 +348,6 @@ class Engine {
   std::mutex writer_mutex_;
   PlanCache plan_cache_;
   SkylineCache key_cache_;
-  FilterCache filter_cache_;
   std::atomic<uint64_t> aux_counter_{0};
 
   /// Engine-wide statement-buffer budget (`SET engine_memory_bytes`).

@@ -7,8 +7,7 @@
 // (semantic analysis, EXPLICIT closure, dominance-program compilation). A
 // cache entry is keyed by
 //
-//   (parameterized normalized text, session knob fingerprint, catalog
-//    version)
+//   (parameterized normalized text, catalog version)
 //
 // so a repeated statement skips all of it. The text component is the
 // auto-parameterized canonical form when literals could be lifted
@@ -17,10 +16,11 @@
 // collapse whitespace but preserve case, so the key never conflates two
 // spellings that would display differently. The catalog version component
 // makes any DDL (including CREATE/DROP PREFERENCE, which changes what an
-// expansion means) leave older preparations unreachable; the knob
-// fingerprint isolates sessions whose settings would prepare differently.
-// Only SELECT and EXPLAIN statements are cached — they are the serving hot
-// path, and they never mutate.
+// expansion means) leave older preparations unreachable. No session knob
+// is part of the key: preparation reads none (the knobs only steer
+// execution), so differently-tuned sessions share one preparation. Only
+// SELECT and EXPLAIN statements are cached — they are the serving hot path,
+// and they never mutate.
 //
 // Entries are immutable and shared: concurrent sessions may execute the
 // same preparation simultaneously (the ASTs and the compiled preference are
@@ -30,9 +30,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "preference/composite.h"
 #include "sql/parameters.h"
@@ -64,24 +62,10 @@ struct CachedPlan {
   ParameterSignature params;
   /// The PREFERRING clause contains parameter holes (see `preference`).
   bool pref_has_params = false;
-
-  /// Per-bound-value memo of compiled PREFERRING clauses, engaged when
-  /// `pref_has_params`: fingerprint of the bound values -> compilation.
-  /// Re-executing a prepared statement with values seen before then skips
-  /// the semantic analysis + dominance-program compilation entirely.
-  /// Entries are immutable and shared like `preference`; the map itself is
-  /// the only mutable state of a published plan, guarded by `bound_mutex`
-  /// and bounded (cleared wholesale at kBoundPrefCapacity).
-  static constexpr size_t kBoundPrefCapacity = 64;
-  mutable std::mutex bound_mutex;
-  mutable std::unordered_map<uint64_t,
-                             std::shared_ptr<const CompiledPreference>>
-      bound_prefs;
 };
 
 struct PlanCacheKey {
   std::string text;  ///< NormalizeSql of the statement
-  uint64_t knob_fingerprint = 0;
   uint64_t catalog_version = 0;
 
   bool operator==(const PlanCacheKey& other) const = default;
@@ -119,7 +103,6 @@ class PlanCache {
   struct KeyHash {
     size_t operator()(const PlanCacheKey& k) const {
       uint64_t h = FingerprintString(kFingerprintSeed, k.text);
-      h = FingerprintMix(h, k.knob_fingerprint);
       h = FingerprintMix(h, k.catalog_version);
       return static_cast<size_t>(h);
     }

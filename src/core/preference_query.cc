@@ -13,88 +13,6 @@
 
 namespace prefsql {
 
-namespace {
-
-/// True iff the expression tree contains a subquery (scalar, EXISTS, or
-/// IN (SELECT ...)): its value can then depend on other tables, which breaks
-/// (table id, table version)-keyed caching of the filtered positions.
-bool ContainsSubquery(const Expr& e) {
-  if (e.subquery != nullptr) return true;
-  for (const ExprPtr* c : {&e.left, &e.right, &e.lo, &e.hi, &e.case_else}) {
-    if (*c != nullptr && ContainsSubquery(**c)) return true;
-  }
-  for (const auto& a : e.in_list) {
-    if (a != nullptr && ContainsSubquery(*a)) return true;
-  }
-  for (const auto& w : e.case_whens) {
-    if (w.when != nullptr && ContainsSubquery(*w.when)) return true;
-    if (w.then != nullptr && ContainsSubquery(*w.then)) return true;
-  }
-  for (const auto& a : e.args) {
-    if (a != nullptr && ContainsSubquery(*a)) return true;
-  }
-  return false;
-}
-
-bool IsComparisonOp(BinaryOp op) {
-  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
-         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
-}
-
-/// Mirror of a comparison under operand swap (`4 > a` ≡ `a < 4`).
-BinaryOp MirrorComparisonOp(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kLt:
-      return BinaryOp::kGt;
-    case BinaryOp::kLe:
-      return BinaryOp::kGe;
-    case BinaryOp::kGt:
-      return BinaryOp::kLt;
-    case BinaryOp::kGe:
-      return BinaryOp::kLe;
-    default:
-      return op;  // kEq / kNe are symmetric
-  }
-}
-
-/// Swaps literal-left comparisons to literal-right throughout `e`, in
-/// place. Subquery pointers are shared between clones and never descended
-/// into — moot here anyway, since subquery-bearing predicates are already
-/// filter-cache-ineligible.
-void CanonicalizeComparisons(Expr& e) {
-  if (e.kind == ExprKind::kBinary && IsComparisonOp(e.binary_op) &&
-      e.left != nullptr && e.right != nullptr &&
-      e.left->kind == ExprKind::kLiteral &&
-      e.right->kind != ExprKind::kLiteral) {
-    std::swap(e.left, e.right);
-    e.binary_op = MirrorComparisonOp(e.binary_op);
-  }
-  for (const ExprPtr* c : {&e.left, &e.right, &e.lo, &e.hi, &e.case_else}) {
-    if (*c != nullptr) CanonicalizeComparisons(**c);
-  }
-  for (const auto& a : e.in_list) {
-    if (a != nullptr) CanonicalizeComparisons(*a);
-  }
-  for (const auto& w : e.case_whens) {
-    if (w.when != nullptr) CanonicalizeComparisons(*w.when);
-    if (w.then != nullptr) CanonicalizeComparisons(*w.then);
-  }
-  for (const auto& a : e.args) {
-    if (a != nullptr) CanonicalizeComparisons(*a);
-  }
-}
-
-/// Filter-cache key text of a WHERE predicate: the printed SQL of a
-/// comparison-canonicalized clone, so commuted spellings of one predicate
-/// (`a < 4` vs `4 > a`) share a single cache entry.
-std::string CanonicalPredicateSql(const Expr& where) {
-  ExprPtr clone = where.Clone();
-  CanonicalizeComparisons(*clone);
-  return ExprToSql(*clone);
-}
-
-}  // namespace
-
 Result<PreferencePlan> BuildPreferencePlan(
     Database& db, const AnalyzedPreferenceQuery& analyzed,
     const DirectEvalOptions& options, bool count_stats) {
@@ -231,16 +149,18 @@ Result<PreferencePlan> BuildPreferencePlan(
   config.stats_sink = plan.bmo_stats.get();
 
   // Key-cache eligibility: the packed keys are a pure function of
-  // (preference, table contents) only when the candidate stream comes from
-  // one base table (not a view or join), with no pushed-down pre-filter,
-  // and no subquery anywhere a key could depend on other tables. The cache
+  // (preference, table contents) only when the candidate stream is a bare
+  // scan of one base table — no WHERE, not a view or join, no pushed-down
+  // pre-filter — and no preference attribute reads another table. The cache
   // key embeds the preference tree hash, the table's process-unique id and
-  // its mutation version, so a match is provably the same keys. A
-  // subquery-free WHERE is eligible too (position mode): the whole-table
-  // key store is shared and the WHERE only narrows the candidate ids.
-  const Table* cache_table = nullptr;
+  // its mutation version, so a match is provably the same keys. A filtered
+  // query applies its hard selection first (§2.2) and keys only the
+  // surviving candidates, locally and uncached.
   if (options.key_cache == nullptr) {
     plan.key_cache_detail = "key cache: disabled";
+  } else if (q.where != nullptr) {
+    plan.key_cache_detail =
+        "key cache: not eligible (WHERE: keys cover the candidates only)";
   } else if (plan.used_pushdown || q.from.size() != 1 ||
              q.from[0]->kind != TableRef::Kind::kTable) {
     plan.key_cache_detail =
@@ -250,13 +170,9 @@ Result<PreferencePlan> BuildPreferencePlan(
   } else if (!PreferenceColumnRefs(pref).has_value()) {
     plan.key_cache_detail =
         "key cache: not eligible (preference attribute uses a subquery)";
-  } else if (q.where != nullptr && ContainsSubquery(*q.where)) {
-    plan.key_cache_detail =
-        "key cache: not eligible (WHERE contains a subquery)";
   } else {
     PSQL_ASSIGN_OR_RETURN(Table * table,
                           db.catalog().GetTable(q.from[0]->table_name));
-    cache_table = table;
     // Cache identity is the table version *this reader's snapshot* sees —
     // not the latest — so a pinned reader still keys (and can serve) the
     // superseded entry its epoch corresponds to while writers race ahead.
@@ -275,33 +191,9 @@ Result<PreferencePlan> BuildPreferencePlan(
     config.snapshot = snap;
     config.key_rows = table->HeapSizeAt(snap);
     plan.key_cache_eligible = true;
-    plan.key_cache_detail = q.where == nullptr
-                                ? "key cache: eligible (table " +
-                                      q.from[0]->table_name + ", version " +
-                                      std::to_string(snap_version) + ")"
-                                : "key cache: eligible, filtered (table " +
-                                      q.from[0]->table_name + ", version " +
-                                      std::to_string(snap_version) + ")";
-  }
-
-  // Filter-position cache (filtered position mode only): replay the
-  // candidate slots of a repeated identical WHERE over the same table
-  // version, or arrange for the BMO run to publish them.
-  if (plan.key_cache_eligible && q.where != nullptr &&
-      options.filter_cache != nullptr) {
-    FilterCacheKey fkey{CanonicalPredicateSql(*q.where), cache_table->id(),
-                        cache_table->VersionAt(config.snapshot)};
-    auto positions = options.filter_cache->Lookup(fkey);
-    if (positions != nullptr) {
-      // Cached slots were computed at this same table version, so they are
-      // visible at this snapshot by construction — no re-check.
-      candidates = std::make_unique<HeapPositionScanOperator>(
-          cand_schema, config.base_heap, *positions, config.snapshot,
-          /*check_visibility=*/false);
-    } else {
-      config.filter_cache = options.filter_cache;
-      config.filter_cache_key = std::move(fkey);
-    }
+    plan.key_cache_detail = "key cache: eligible (table " +
+                            q.from[0]->table_name + ", version " +
+                            std::to_string(snap_version) + ")";
   }
 
   bool progressive_topk =
@@ -311,13 +203,14 @@ Result<PreferencePlan> BuildPreferencePlan(
   if (progressive_topk) config.top_k = static_cast<size_t>(*q.limit);
 
   // Skyline-cache serving and publication: a cached position list IS the
-  // result of a bare whole-table skyline (no WHERE / GROUPING / BUT ONLY,
-  // no progressive top-k truncation — the full maximal set, emitted in
-  // storage order exactly like the BMO path), so an eligible repeat query
-  // skips the dominance pass entirely. Quality-projected queries still
-  // publish (the survivor set is the skyline) but cannot be served — their
-  // output rows carry per-run quality columns.
-  const bool bare_skyline = plan.key_cache_eligible && q.where == nullptr &&
+  // result of a bare whole-table skyline (a key-cache-eligible scan with no
+  // GROUPING / BUT ONLY and no progressive top-k truncation — the full
+  // maximal set, emitted in storage order exactly like the BMO path), so an
+  // eligible repeat query skips the dominance pass entirely.
+  // Quality-projected queries still publish (the survivor set is the
+  // skyline) but cannot be served — their output rows carry per-run quality
+  // columns.
+  const bool bare_skyline = plan.key_cache_eligible &&
                             config.grouping_cols.empty() &&
                             config.but_only == nullptr &&
                             !config.top_k.has_value();

@@ -43,14 +43,10 @@ struct DirectEvalOptions {
   /// Attempt the algebraic preference pushdown below joins.
   bool pushdown = true;
   /// Engine skyline/key cache (not owned; nullptr = off). Consulted when
-  /// the candidate stream is a bare (optionally WHERE-filtered) scan of one
-  /// base table — the packed keys are then a pure function of (preference,
-  /// table contents) and are reused across queries and sessions.
+  /// the candidate stream is a bare scan of one base table (no WHERE) —
+  /// the packed keys are then a pure function of (preference, table
+  /// contents) and are reused across queries and sessions.
   SkylineCache* key_cache = nullptr;
-  /// Engine filter-position cache (not owned; nullptr = off): replays the
-  /// candidate positions of a repeated subquery-free WHERE over an
-  /// unchanged table instead of re-evaluating the predicate.
-  FilterCache* filter_cache = nullptr;
   /// Serve eligible bare-table queries straight from a cached skyline
   /// position list, and publish computed skylines into the cache.
   bool skyline_cache = true;

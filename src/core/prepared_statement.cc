@@ -88,7 +88,7 @@ Result<Cursor> PreparedStatement::Open() {
   PSQL_RETURN_IF_ERROR(CheckFullyBound());
   if (!key_text_.empty() && stmt_->select != nullptr) {
     // Plan-cached SELECT/EXPLAIN: re-validate the key against the current
-    // catalog version and knobs. A miss (DDL in between, knob change)
+    // catalog version. A miss (DDL in between, or an LRU eviction)
     // rebuilds the preparation from the retained AST — the transparent
     // re-prepare — and re-publishes it.
     bool hit = false;

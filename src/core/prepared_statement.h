@@ -18,12 +18,12 @@
 // canonical text and key separately).
 //
 // The statement holds the parsed AST and the plan-cache key text. Every
-// Execute/Open re-validates the key against the current catalog version and
-// session knobs: DDL (or a SET that changes how the statement would
-// prepare) triggers a transparent re-prepare from the retained AST — never
-// a re-parse. Binding errors (index/name out of range, values violating a
-// slot's grammar constraint, executing with unbound parameters) report
-// StatusCode::kBindError.
+// Execute/Open re-validates the key against the current catalog version:
+// DDL triggers a transparent re-prepare from the retained AST — never a
+// re-parse. A SET does not: preparation reads no session knob, and the
+// knobs take effect at execution. Binding errors (index/name out of range,
+// values violating a slot's grammar constraint, executing with unbound
+// parameters) report StatusCode::kBindError.
 //
 // A PreparedStatement borrows its Session (and, unless a keepalive was
 // supplied by Connection::Prepare, its Engine): it must not outlive the

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "core/bmo.h"
@@ -26,31 +25,27 @@ namespace prefsql {
 enum class EvaluationMode {
   /// Rewrite to standard SQL (Aux view + NOT EXISTS anti-join, §3.2) and run
   /// it on the engine — the commercial product's strategy. Falls back to
-  /// kBlockNestedLoop when the preference is not rewritable.
+  /// the in-engine path when the preference is not rewritable.
   kRewrite,
-  /// In-engine BNL skyline algorithm [BKS01].
+  /// In-engine BmoOperator (`SET evaluation_mode = bnl`); the skyline
+  /// algorithm it runs is ConnectionOptions::bmo_algorithm (BNL [BKS01] by
+  /// default).
   kBlockNestedLoop,
-  /// In-engine naive nested loop (the §3.2 abstract selection method).
-  kNaiveNestedLoop,
-  /// In-engine sort-filter skyline.
-  kSortFilterSkyline,
 };
 
 const char* EvaluationModeToString(EvaluationMode m);
 
 /// Per-session behaviour switches. All of these are also reachable from
 /// SQL via `SET <knob> = <value>` (e.g. `SET bmo_threads = 4`,
-/// `SET preference_pushdown = off`, `SET evaluation_mode = sfs`).
+/// `SET preference_pushdown = off`, `SET bmo_algorithm = sfs`).
 struct ConnectionOptions {
   EvaluationMode mode = EvaluationMode::kRewrite;
   ButOnlyMode but_only_mode = ButOnlyMode::kPostFilter;
-  /// Overrides the in-engine skyline algorithm the evaluation mode implies
-  /// (`SET bmo_algorithm = naive|bnl|sfs|less`); nullopt = follow the mode.
-  std::optional<BmoAlgorithm> bmo_algorithm;
+  /// Skyline algorithm of the in-engine path, including the rewrite
+  /// fallback (`SET bmo_algorithm = naive|bnl|sfs|less`).
+  BmoAlgorithm bmo_algorithm = BmoAlgorithm::kBlockNestedLoop;
   /// BNL window capacity (tuples); 0 = unbounded.
   size_t bnl_window = 0;
-  /// Keep the generated Aux views after a rewritten query (debugging).
-  bool keep_aux_views = false;
   /// Worker threads of the parallel partitioned BMO (direct path);
   /// 0/1 = serial.
   size_t bmo_threads = 0;

@@ -94,7 +94,7 @@ class HeapScanOperator : public PhysicalOperator {
 /// Emits the rows at explicit heap slot positions. Index lookups return
 /// *candidate* slots (they cover dead versions too), so those scans re-check
 /// visibility at `snapshot`; position lists served from the version-matched
-/// preference caches are visible by construction and pass
+/// skyline cache are visible by construction and pass
 /// `check_visibility = false`.
 class HeapPositionScanOperator : public PhysicalOperator {
  public:

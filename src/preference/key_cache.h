@@ -14,14 +14,19 @@
 //
 // so a repeated `PREFERRING` query over an unchanged table reuses the keys
 // wholesale — and, when the query shape allows serving positions directly
-// (bare-table scan, no GROUPING/BUT ONLY/quality columns), skips the BMO
-// entirely and replays the cached position list. Every key component is
-// there for a served-staleness argument: the table *version* (any DML bumps
-// it) and the process-unique table *id* (a dropped-and-recreated table
-// never matches its predecessor) pin the rows; the tree-hash fingerprint
-// plus the printed preference text pin the preference — the text guards
-// against a 64-bit hash collision between two different preferences, so a
-// match provably produces identical keys.
+// (no GROUPING/BUT ONLY/quality columns), skips the BMO entirely and
+// replays the cached position list. Only bare scans of one base table (no
+// WHERE) are keyed: a filtered query evaluates its hard selection first,
+// as in the paper, and builds keys for the surviving candidates alone — a
+// whole-table store would cost every filtered query the full table's key
+// build and residency for a reuse no measured workload shows.
+//
+// Every key component is there for a served-staleness argument: the table
+// *version* (any DML bumps it) and the process-unique table *id* (a
+// dropped-and-recreated table never matches its predecessor) pin the rows;
+// the tree-hash fingerprint plus the printed preference text pin the
+// preference — the text guards against a 64-bit hash collision between two
+// different preferences, so a match provably produces identical keys.
 //
 // Incremental maintenance: after a DML statement the engine does not merely
 // abandon the now-unreachable entries — it re-derives them under the new
@@ -184,70 +189,6 @@ class SkylineCache {
   LruCache<KeyCacheKey, std::shared_ptr<const SkylineEntry>, KeyHash> cache_;
   std::atomic<uint64_t> maintenance_events_{0};
   std::atomic<uint64_t> invalidations_{0};
-};
-
-/// FilterCache: cached candidate positions of one WHERE predicate over one
-/// table snapshot, in the order the scan pulled them (storage order for a
-/// sequential scan, index order for an index scan — replaying the list
-/// reproduces the exact candidate stream). Keyed by the printed predicate
-/// text plus (table id, table version), so any DML makes entries
-/// unreachable; only subquery-free predicates are cached (a subquery's
-/// value can change with *other* tables' versions).
-struct FilterCacheKey {
-  /// Printed SQL of the (bound) WHERE predicate, comparisons canonicalized
-  /// to literal-right (`a < 4` and `4 > a` key identically).
-  std::string where_text;
-  uint64_t table_id = 0;
-  uint64_t table_version = 0;
-
-  bool operator==(const FilterCacheKey& other) const = default;
-};
-
-class FilterCache {
- public:
-  explicit FilterCache(size_t capacity = 64) : cache_(capacity) {}
-
-  std::shared_ptr<const std::vector<size_t>> Lookup(
-      const FilterCacheKey& key) {
-    return cache_.Lookup(key);
-  }
-
-  void Insert(const FilterCacheKey& key,
-              std::shared_ptr<const std::vector<size_t>> positions) {
-    if (positions != nullptr) cache_.Insert(key, std::move(positions));
-  }
-
-  /// Memory-pressure shed: drops up to `n` cold entries (LRU order).
-  size_t Shed(size_t n) { return cache_.EvictOldest(n); }
-
-  /// Same early-reclamation contract as SkylineCache::EvictStale.
-  size_t EvictStale(
-      const std::function<bool(uint64_t table_id, uint64_t table_version)>&
-          live) {
-    return cache_.EvictWhere([&](const FilterCacheKey& key) {
-      return !live(key.table_id, key.table_version);
-    });
-  }
-
-  struct KeyHash {
-    size_t operator()(const FilterCacheKey& k) const {
-      uint64_t h = FingerprintString(kFingerprintSeed, k.where_text);
-      h = FingerprintMix(h, k.table_id);
-      h = FingerprintMix(h, k.table_version);
-      return static_cast<size_t>(h);
-    }
-  };
-
-  using Counters =
-      LruCache<FilterCacheKey, std::shared_ptr<const std::vector<size_t>>,
-               KeyHash>::Counters;
-  Counters counters() const { return cache_.counters(); }
-  size_t size() const { return cache_.size(); }
-
- private:
-  LruCache<FilterCacheKey, std::shared_ptr<const std::vector<size_t>>,
-           KeyHash>
-      cache_;
 };
 
 }  // namespace prefsql

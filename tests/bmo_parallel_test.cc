@@ -132,9 +132,11 @@ TEST(BmoParallelConnectionTest, ParallelEqualsSerialOnGeneratedWorkload) {
       Connection serial, parallel;
       ASSERT_TRUE(GenerateUsedCars(serial.database(), 600, seed).ok());
       ASSERT_TRUE(GenerateUsedCars(parallel.database(), 600, seed).ok());
-      std::string set_mode = "SET evaluation_mode = " + std::string(mode);
-      ASSERT_TRUE(serial.Execute(set_mode).ok());
-      ASSERT_TRUE(parallel.Execute(set_mode).ok());
+      std::string set_mode =
+          "SET evaluation_mode = bnl; SET bmo_algorithm = " +
+          std::string(mode);
+      ASSERT_TRUE(serial.ExecuteScript(set_mode).ok());
+      ASSERT_TRUE(parallel.ExecuteScript(set_mode).ok());
       ASSERT_TRUE(parallel.Execute("SET bmo_threads = 4").ok());
       ASSERT_TRUE(parallel.Execute("SET parallel_min_rows = 1").ok());
 

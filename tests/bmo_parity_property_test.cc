@@ -1,8 +1,8 @@
 // Randomized BMO parity property tests:
 //   * For generated workloads and random preference terms, the naive nested
 //     loop, BNL (several window sizes), SFS, LESS and the full
-//     operator-pipeline path (every Connection evaluation mode, plus the
-//     bmo_algorithm=less override) must return the same maximal set, and
+//     operator-pipeline path (the rewrite, and the in-engine path under
+//     every bmo_algorithm) must return the same maximal set, and
 //     the progressive ComputeBmoTopK(k) must return a k-subset of it with
 //     fewer (or equal) dominance comparisons.
 //   * The compiled dominance program (flat opcodes + packed kernels over the
@@ -137,42 +137,42 @@ TEST_P(BmoParityPropertyTest, AllPathsReturnTheSameMaximalSet) {
   }
   std::sort(reference_ids.begin(), reference_ids.end());
 
-  // 3. The operator-pipeline path agrees in every evaluation mode, and
-  //    under the bmo_algorithm=less override.
-  for (EvaluationMode mode :
-       {EvaluationMode::kRewrite, EvaluationMode::kBlockNestedLoop,
-        EvaluationMode::kNaiveNestedLoop,
-        EvaluationMode::kSortFilterSkyline}) {
+  // 3. The operator-pipeline path agrees under the rewrite and under every
+  //    in-engine skyline algorithm.
+  struct PathConfig {
+    EvaluationMode mode;
+    BmoAlgorithm algorithm;
+  };
+  for (PathConfig path :
+       {PathConfig{EvaluationMode::kRewrite, BmoAlgorithm::kBlockNestedLoop},
+        PathConfig{EvaluationMode::kBlockNestedLoop,
+                   BmoAlgorithm::kBlockNestedLoop},
+        PathConfig{EvaluationMode::kBlockNestedLoop,
+                   BmoAlgorithm::kNaiveNestedLoop},
+        PathConfig{EvaluationMode::kBlockNestedLoop,
+                   BmoAlgorithm::kSortFilterSkyline},
+        PathConfig{EvaluationMode::kBlockNestedLoop, BmoAlgorithm::kLess}}) {
     ConnectionOptions opts;
-    opts.mode = mode;
+    opts.mode = path.mode;
+    opts.bmo_algorithm = path.algorithm;
     opts.bnl_window = static_cast<size_t>(rng.Uniform(0, 16));
     Connection conn(opts);
     ASSERT_TRUE(GenerateUsedCars(conn.database(), 400, seed).ok());
+    const std::string label =
+        std::string(EvaluationModeToString(path.mode)) + "/" +
+        BmoAlgorithmToString(path.algorithm);
     auto r = conn.Execute("SELECT id FROM car PREFERRING " + pref_text);
-    ASSERT_TRUE(r.ok()) << EvaluationModeToString(mode) << ": "
-                        << r.status().ToString();
+    ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+    if (path.mode != EvaluationMode::kRewrite) {
+      EXPECT_EQ(conn.last_stats().bmo_algorithm,
+                BmoAlgorithmToString(path.algorithm));
+    }
     std::vector<std::string> ids;
     for (size_t i = 0; i < r->num_rows(); ++i) {
       ids.push_back(r->at(i, 0).ToString());
     }
     std::sort(ids.begin(), ids.end());
-    EXPECT_EQ(ids, reference_ids) << EvaluationModeToString(mode);
-  }
-  {
-    ConnectionOptions opts;
-    opts.mode = EvaluationMode::kBlockNestedLoop;
-    opts.bmo_algorithm = BmoAlgorithm::kLess;
-    Connection conn(opts);
-    ASSERT_TRUE(GenerateUsedCars(conn.database(), 400, seed).ok());
-    auto r = conn.Execute("SELECT id FROM car PREFERRING " + pref_text);
-    ASSERT_TRUE(r.ok()) << "less: " << r.status().ToString();
-    EXPECT_EQ(conn.last_stats().bmo_algorithm, "less");
-    std::vector<std::string> ids;
-    for (size_t i = 0; i < r->num_rows(); ++i) {
-      ids.push_back(r->at(i, 0).ToString());
-    }
-    std::sort(ids.begin(), ids.end());
-    EXPECT_EQ(ids, reference_ids) << "bmo_algorithm=less";
+    EXPECT_EQ(ids, reference_ids) << label;
   }
 
   // 4. LIMIT pushdown through the pipeline: SFS mode with a bare LIMIT
@@ -180,7 +180,8 @@ TEST_P(BmoParityPropertyTest, AllPathsReturnTheSameMaximalSet) {
   //    comparisons than the full run.
   {
     ConnectionOptions opts;
-    opts.mode = EvaluationMode::kSortFilterSkyline;
+    opts.mode = EvaluationMode::kBlockNestedLoop;
+    opts.bmo_algorithm = BmoAlgorithm::kSortFilterSkyline;
     Connection conn(opts);
     ASSERT_TRUE(GenerateUsedCars(conn.database(), 400, seed).ok());
     auto full = conn.Execute("SELECT id FROM car PREFERRING " + pref_text);

@@ -223,10 +223,11 @@ INSTANTIATE_TEST_SUITE_P(Ks, BmoTopKTest,
                          ::testing::Values(0, 1, 2, 5, 20, 10000));
 
 TEST(BmoTopKTest, LimitPushdownEndToEnd) {
-  // Through the Connection: SFS mode + bare LIMIT returns k non-dominated
-  // rows (subset of the full BMO).
+  // Through the Connection: SFS + bare LIMIT returns k non-dominated rows
+  // (subset of the full BMO).
   ConnectionOptions opts;
-  opts.mode = EvaluationMode::kSortFilterSkyline;
+  opts.mode = EvaluationMode::kBlockNestedLoop;
+  opts.bmo_algorithm = BmoAlgorithm::kSortFilterSkyline;
   Connection conn(opts);
   ASSERT_TRUE(conn.ExecuteScript(
                        "CREATE TABLE t (id INTEGER, x INTEGER, y INTEGER);"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "workload/generators.h"
 
 namespace prefsql {
@@ -42,17 +44,6 @@ TEST(ConnectionTest, AuxViewsAreCleanedUp) {
   auto names = conn.database().catalog().TableNames();
   EXPECT_EQ(names.size(), 1u);
   EXPECT_FALSE(conn.database().catalog().HasView("_prefsql_aux_1"));
-}
-
-TEST(ConnectionTest, KeepAuxViewsOption) {
-  ConnectionOptions opts;
-  opts.keep_aux_views = true;
-  Connection conn(opts);
-  ASSERT_TRUE(LoadOldtimer(conn.database()).ok());
-  ASSERT_TRUE(
-      conn.Execute("SELECT ident FROM oldtimer PREFERRING age AROUND 40")
-          .ok());
-  EXPECT_TRUE(conn.database().catalog().HasView("_prefsql_aux_1"));
 }
 
 TEST(ConnectionTest, NonRewritableExplicitFallsBackToBnl) {
@@ -98,19 +89,25 @@ TEST(ConnectionTest, RewriteToSqlRejectsPlainQueries) {
 TEST(ConnectionTest, AllModesAgreeOnUsedCars) {
   // Cross-mode equivalence on a richer generated dataset.
   std::vector<std::vector<std::string>> results;
-  for (EvaluationMode mode :
-       {EvaluationMode::kRewrite, EvaluationMode::kBlockNestedLoop,
-        EvaluationMode::kNaiveNestedLoop,
-        EvaluationMode::kSortFilterSkyline}) {
+  for (auto [mode, algorithm] :
+       {std::pair{EvaluationMode::kRewrite, BmoAlgorithm::kBlockNestedLoop},
+        std::pair{EvaluationMode::kBlockNestedLoop,
+                  BmoAlgorithm::kBlockNestedLoop},
+        std::pair{EvaluationMode::kBlockNestedLoop,
+                  BmoAlgorithm::kNaiveNestedLoop},
+        std::pair{EvaluationMode::kBlockNestedLoop,
+                  BmoAlgorithm::kSortFilterSkyline}}) {
     ConnectionOptions opts;
     opts.mode = mode;
+    opts.bmo_algorithm = algorithm;
     Connection conn(opts);
     ASSERT_TRUE(GenerateUsedCars(conn.database(), 500, 11).ok());
     auto r = conn.Execute(
         "SELECT id FROM car WHERE price < 30000 "
         "PREFERRING LOWEST(mileage) AND HIGHEST(power) AND price AROUND "
         "15000 ORDER BY id");
-    ASSERT_TRUE(r.ok()) << EvaluationModeToString(mode) << ": "
+    ASSERT_TRUE(r.ok()) << EvaluationModeToString(mode) << "/"
+                        << BmoAlgorithmToString(algorithm) << ": "
                         << r.status().ToString();
     std::vector<std::string> ids;
     for (size_t i = 0; i < r->num_rows(); ++i) ids.push_back(r->RowToString(i));

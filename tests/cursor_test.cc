@@ -54,8 +54,10 @@ TEST_F(CursorTest, StreamsPlainSelectsRowIdentically) {
 
 TEST_F(CursorTest, StreamsPreferenceQueriesInEveryDirectMode) {
   for (const char* mode : {"bnl", "naive", "sfs"}) {
-    ASSERT_TRUE(
-        conn_.Execute("SET evaluation_mode = " + std::string(mode)).ok());
+    ASSERT_TRUE(conn_.ExecuteScript(
+                         "SET evaluation_mode = bnl; SET bmo_algorithm = " +
+                         std::string(mode))
+                    .ok());
     const std::string q =
         "SELECT id, x, y FROM pts PREFERRING LOWEST(x) AND LOWEST(y) "
         "ORDER BY id";
@@ -177,7 +179,8 @@ TEST_F(CursorTest, ExplainStreamsItsPlanText) {
 TEST_F(CursorTest, TopKStopTouchesProgressiveTopKPath) {
   // Progressive top-k pushdown (bare LIMIT in sort-filter mode) streamed
   // through a cursor: the client sees exactly k rows.
-  ASSERT_TRUE(conn_.Execute("SET evaluation_mode = sfs").ok());
+  ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
+  ASSERT_TRUE(conn_.Execute("SET bmo_algorithm = sfs").ok());
   auto cursor = conn_.OpenCursor(
       "SELECT id, x, y FROM pts PREFERRING LOWEST(x) AND LOWEST(y) LIMIT 2");
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();

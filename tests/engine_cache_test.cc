@@ -1,6 +1,8 @@
 // The engine's two caches and their version-based invalidation:
-//   * plan cache — (normalized text, knob fingerprint, catalog version),
-//   * key cache  — (preference fingerprint, table id, table version),
+//   * plan cache — (normalized text, catalog version), shared by sessions
+//     whatever their knobs,
+//   * key cache  — (preference fingerprint, table id, table version), for
+//     bare scans only,
 // plus the stats/EXPLAIN surface (`plan_cache_hit`, `key_cache_hit`,
 // eviction counters) and the preference tree hashes the key cache rests on.
 
@@ -92,11 +94,32 @@ TEST_F(EngineCacheTest, DdlInvalidatesThePlanCache) {
   EXPECT_GT(conn_.last_stats().plan_cache_evictions, 0u);
 }
 
-TEST_F(EngineCacheTest, ChangedKnobsDoNotSharePreparations) {
-  ASSERT_TRUE(conn_.Execute(kQuery).ok());
+TEST_F(EngineCacheTest, ChangedKnobsShareOnePreparation) {
+  // Preparation reads no session knob, so a SET (here or in another
+  // session) keeps the preparation; each execution still follows its own
+  // session's evaluation path.
+  Connection other;
+  other.Attach(conn_.engine());
+  ASSERT_TRUE(other.Execute("SET evaluation_mode = bnl").ok());
+  ASSERT_TRUE(other.Execute("SET bmo_algorithm = sfs").ok());
+
+  auto rewritten = conn_.Execute(kQuery);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_FALSE(conn_.last_stats().plan_cache_hit);
+  EXPECT_TRUE(conn_.last_stats().used_rewrite);
+
+  auto direct = other.Execute(kQuery);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_TRUE(other.last_stats().plan_cache_hit);
+  EXPECT_FALSE(other.last_stats().used_rewrite);
+  EXPECT_EQ(other.last_stats().bmo_algorithm, "sort-filter-skyline");
+  EXPECT_EQ(rewritten->num_rows(), direct->num_rows());
+
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
   ASSERT_TRUE(conn_.Execute(kQuery).ok());
-  EXPECT_FALSE(conn_.last_stats().plan_cache_hit);  // different knob key
+  EXPECT_TRUE(conn_.last_stats().plan_cache_hit);
+  EXPECT_FALSE(conn_.last_stats().used_rewrite);
+  EXPECT_EQ(conn_.last_stats().bmo_algorithm, "block-nested-loop");
 }
 
 TEST_F(EngineCacheTest, RedefinedPreferenceIsNotServedStale) {
@@ -136,7 +159,8 @@ TEST_F(EngineCacheTest, KeyCacheIsSharedAcrossSessionsAndAlgorithms) {
   Connection other;
   other.Attach(engine);
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  ASSERT_TRUE(other.Execute("SET evaluation_mode = sfs").ok());
+  ASSERT_TRUE(other.Execute("SET evaluation_mode = bnl").ok());
+  ASSERT_TRUE(other.Execute("SET bmo_algorithm = sfs").ok());
 
   ASSERT_TRUE(conn_.Execute(kQuery).ok());
   ASSERT_FALSE(conn_.last_stats().key_cache_hit);
@@ -193,52 +217,39 @@ TEST_F(EngineCacheTest, DroppedAndRecreatedTableNeverMatchesOldKeys) {
   EXPECT_EQ(r->at(0, 0).AsText(), "new");
 }
 
-TEST_F(EngineCacheTest, FilteredQueriesShareTheWholeTableKeys) {
+TEST_F(EngineCacheTest, FilteredQueriesKeyOnlyTheirCandidates) {
+  // The WHERE pre-selection runs first; the BMO then keys only the rows
+  // that survive it, locally, and publishes nothing.
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  // A subquery-free WHERE is eligible in position mode: the whole-table
-  // store is built once and the filter only narrows the candidate ids.
-  auto r = conn_.Execute(
+  const std::string filtered =
       "SELECT name FROM gear WHERE weight < 4 "
-      "PREFERRING LOWEST(price) AND LOWEST(weight)");
+      "PREFERRING LOWEST(price) AND LOWEST(weight)";
+  auto r = conn_.Execute(filtered);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(conn_.last_stats().key_cache_eligible)
+  EXPECT_FALSE(conn_.last_stats().key_cache_eligible);
+  EXPECT_NE(conn_.last_stats().key_cache_detail.find("WHERE"),
+            std::string::npos)
       << conn_.last_stats().key_cache_detail;
   EXPECT_FALSE(conn_.last_stats().key_cache_hit);
+  EXPECT_EQ(conn_.last_stats().candidate_count, 3u);  // tent is filtered
+  EXPECT_EQ(conn_.engine()->key_cache().size(), 0u);
 
-  // Shared with the unfiltered spelling of the same preference...
-  ASSERT_TRUE(conn_.Execute(kQuery).ok());
-  EXPECT_TRUE(conn_.last_stats().key_cache_hit)
-      << conn_.last_stats().key_cache_detail;
-  // ...and with a differently-filtered one.
-  auto r2 = conn_.Execute(
-      "SELECT name FROM gear WHERE weight < 3 "
-      "PREFERRING LOWEST(price) AND LOWEST(weight)");
-  ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(conn_.last_stats().key_cache_hit)
-      << conn_.last_stats().key_cache_detail;
-}
-
-TEST_F(EngineCacheTest, CommutedComparisonsShareOneFilterEntry) {
-  // The filter-position cache keys on a canonicalized predicate text:
-  // `a < 4` and `4 > a` are one predicate and must share one entry.
-  ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  auto r1 = conn_.Execute(
-      "SELECT name FROM gear WHERE price < 200 PREFERRING LOWEST(weight)");
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  EXPECT_EQ(conn_.engine()->filter_cache().size(), 1u);
-
-  auto r2 = conn_.Execute(
-      "SELECT name FROM gear WHERE 200 > price PREFERRING LOWEST(weight)");
-  ASSERT_TRUE(r2.ok());
-  // Served from the first spelling's entry — not inserted a second time.
-  EXPECT_EQ(conn_.engine()->filter_cache().size(), 1u);
-  EXPECT_EQ(r1->ToString(), r2->ToString());
+  // The key build is charged per keyed row (2 leaves x 12 bytes): the 3
+  // candidates (72 bytes) fit in 80 bytes, the 4-row table (96) does not.
+  ASSERT_TRUE(conn_.Execute("SET statement_memory_bytes = 80").ok());
+  auto budgeted = conn_.Execute(filtered);
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
+  EXPECT_EQ(r->ToString(), budgeted->ToString());
+  auto bare = conn_.Execute(kQuery);
+  ASSERT_FALSE(bare.ok());
+  EXPECT_TRUE(bare.status().IsResourceExhausted())
+      << bare.status().ToString();
 }
 
 TEST_F(EngineCacheTest, IneligibleShapesSkipTheKeyCache) {
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  // A subquery in the WHERE can read other tables: the candidate set is
-  // not a pure function of (table id, table version) and must not be keyed.
+  // A subquery in the WHERE can read other tables; like any WHERE it makes
+  // the run local and uncached.
   auto r = conn_.Execute(
       "SELECT name FROM gear WHERE weight < (SELECT 4) "
       "PREFERRING LOWEST(price) AND LOWEST(weight)");
@@ -448,8 +459,8 @@ TEST_F(EngineCacheTest, InListArityVariantsShareOnePreparedPlan) {
 TEST_F(EngineCacheTest, InListWidthsKeepBoundPreferencesApart) {
   // Both statements collapse to `PREFERRING name IN (?) AND price IN (?)`
   // with the identical flat value vector ('tarp', 120, 150) — only the
-  // width split differs. The per-plan compiled-preference memo must treat
-  // them as distinct bindings or the second would run the first's sets.
+  // width split differs. Each execution must compile the preference from
+  // its own split or the second would run the first's sets.
   auto r1 = conn_.Execute(
       "SELECT name FROM gear PREFERRING name IN ('tarp') "
       "AND price IN (120, 150)");

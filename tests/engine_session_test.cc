@@ -1,7 +1,8 @@
 // The shared-engine Session architecture (paper §3.1: one Preference SQL
 // optimizer + one standard SQL database, many clients):
 //   * two Connections attached to one Engine see each other's tables,
-//   * per-session knobs stay private,
+//   * per-session knobs stay private, and every knob the engine lists
+//     round-trips through SET and its echo,
 //   * N sessions mixing DML and PREFERRING reads over one shared Engine
 //     produce exactly the results of a serial replay (each session works on
 //     its own table, so the interleaving is irrelevant and the parity is
@@ -10,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/connection.h"
@@ -21,6 +25,15 @@
 
 namespace prefsql {
 namespace {
+
+// Evaluation strategies mixed across concurrent sessions: the rewrite takes
+// the exclusive path, the in-engine algorithms the shared one.
+constexpr const char* kPathSettings[] = {
+    "SET evaluation_mode = rewrite",
+    "SET evaluation_mode = bnl",
+    "SET evaluation_mode = bnl; SET bmo_algorithm = sfs",
+    "SET evaluation_mode = bnl",
+};
 
 std::multiset<std::string> ResultIds(const ResultTable& t) {
   std::multiset<std::string> out;
@@ -59,9 +72,67 @@ TEST(EngineSessionTest, SessionKnobsArePerConnection) {
   Connection a, b;
   a.Attach(engine);
   b.Attach(engine);
-  ASSERT_TRUE(a.Execute("SET evaluation_mode = sfs").ok());
-  EXPECT_EQ(a.options().mode, EvaluationMode::kSortFilterSkyline);
+  ASSERT_TRUE(a.Execute("SET evaluation_mode = bnl").ok());
+  ASSERT_TRUE(a.Execute("SET bmo_algorithm = sfs").ok());
+  EXPECT_EQ(a.options().mode, EvaluationMode::kBlockNestedLoop);
+  EXPECT_EQ(a.options().bmo_algorithm, BmoAlgorithm::kSortFilterSkyline);
   EXPECT_EQ(b.options().mode, EvaluationMode::kRewrite);
+  EXPECT_EQ(b.options().bmo_algorithm, BmoAlgorithm::kBlockNestedLoop);
+}
+
+TEST(EngineSessionTest, EveryKnobRoundTripsThroughSetAndItsEcho) {
+  // Knob -> (a non-default SET value, the effective value SET echoes).
+  const std::map<std::string, std::pair<std::string, std::string>> knobs = {
+      {"evaluation_mode", {"bnl", "bnl"}},
+      {"bmo_algorithm", {"sfs", "sort-filter-skyline"}},
+      {"bmo_threads", {"3", "3"}},
+      {"parallel_min_rows", {"17", "17"}},
+      {"preference_pushdown", {"off", "off"}},
+      {"bnl_window", {"8", "8"}},
+      {"but_only_mode", {"prefilter", "prefilter"}},
+      {"plan_cache", {"off", "off"}},
+      {"auto_parameterize", {"off", "off"}},
+      {"key_cache", {"off", "off"}},
+      {"skyline_cache", {"off", "off"}},
+      {"simd", {"off", "off"}},
+      {"mvcc_gc", {"off", "off"}},
+      {"mvcc_gc_background", {"off", "off"}},
+      {"statement_timeout_ms", {"5000", "5000"}},
+      {"statement_memory_bytes", {"1048576", "1048576"}},
+      {"engine_memory_bytes", {"2097152", "2097152"}},
+  };
+  Connection conn;
+
+  // The unknown-setting message names exactly these knobs.
+  auto unknown = conn.Execute("SET no_such_knob = 1");
+  ASSERT_FALSE(unknown.ok());
+  const std::string message = unknown.status().message();
+  const size_t open = message.find("(known: ");
+  const size_t close = message.rfind(')');
+  ASSERT_NE(open, std::string::npos) << message;
+  ASSERT_NE(close, std::string::npos) << message;
+  std::set<std::string> listed;
+  std::stringstream names(message.substr(open + 8, close - open - 8));
+  for (std::string name; std::getline(names, name, ',');) {
+    listed.insert(name.substr(name.find_first_not_of(' ')));
+  }
+  std::set<std::string> expected;
+  for (const auto& [knob, values] : knobs) expected.insert(knob);
+  EXPECT_EQ(listed, expected);
+  EXPECT_EQ(listed.size(), 17u);
+
+  for (const auto& [knob, values] : knobs) {
+    SCOPED_TRACE(knob);
+    const auto& [value, echo] = values;
+    auto set = conn.Execute("SET " + knob + " = " + value);
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    ASSERT_EQ(set->num_rows(), 1u);
+    EXPECT_EQ(set->at(0, 0).AsText(), knob);
+    EXPECT_EQ(set->at(0, 1).AsText(), echo);
+    auto reset = conn.Execute("SET " + knob + " = default");
+    ASSERT_TRUE(reset.ok()) << reset.status().ToString();
+    EXPECT_NE(reset->at(0, 1).AsText(), echo);
+  }
 }
 
 TEST(EngineSessionTest, AttachKeepsSessionOptionsAndStats) {
@@ -123,10 +194,7 @@ TEST(EngineSessionTest, ConcurrentSessionsMatchSerialReplay) {
         conn.Attach(engine);
         // Mix evaluation strategies across sessions (rewrite mode takes the
         // exclusive path, direct modes the shared one).
-        const char* modes[] = {"rewrite", "bnl", "sfs", "bnl"};
-        if (!conn.Execute("SET evaluation_mode = " +
-                          std::string(modes[id % 4]))
-                 .ok()) {
+        if (!conn.ExecuteScript(kPathSettings[id % 4]).ok()) {
           errors[id] = "SET failed";
           return;
         }
@@ -152,10 +220,7 @@ TEST(EngineSessionTest, ConcurrentSessionsMatchSerialReplay) {
   for (size_t id = 0; id < kSessions; ++id) {
     Connection conn;
     ASSERT_TRUE(GenerateUsedCars(conn.database(), 300, /*seed=*/9).ok());
-    const char* modes[] = {"rewrite", "bnl", "sfs", "bnl"};
-    ASSERT_TRUE(
-        conn.Execute("SET evaluation_mode = " + std::string(modes[id % 4]))
-            .ok());
+    ASSERT_TRUE(conn.ExecuteScript(kPathSettings[id % 4]).ok());
     std::vector<std::multiset<std::string>> serial;
     for (const std::string& sql : script(id)) {
       auto r = conn.Execute(sql);
@@ -208,8 +273,7 @@ TEST(EngineSessionTest, ConcurrentMixedWorkloadOnOneTableStaysConsistent) {
     threads.emplace_back([&, r] {
       Connection conn;
       conn.Attach(engine);
-      const char* mode = r == 0 ? "rewrite" : (r == 1 ? "bnl" : "sfs");
-      if (!conn.Execute("SET evaluation_mode = " + std::string(mode)).ok()) {
+      if (!conn.ExecuteScript(kPathSettings[r]).ok()) {
         failed = true;
         return;
       }

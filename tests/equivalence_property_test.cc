@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/connection.h"
 #include "workload/generators.h"
 
@@ -28,19 +30,26 @@ TEST_P(EquivalencePropertyTest, RewriteAgreesWithAllInEngineAlgorithms) {
   const Case& c = GetParam();
   for (uint64_t seed : {1u, 7u, 99u}) {
     std::vector<std::vector<std::string>> per_mode;
-    for (EvaluationMode mode :
-         {EvaluationMode::kRewrite, EvaluationMode::kBlockNestedLoop,
-          EvaluationMode::kNaiveNestedLoop,
-          EvaluationMode::kSortFilterSkyline}) {
+    for (auto [mode, algorithm] :
+         {std::pair{EvaluationMode::kRewrite,
+                    BmoAlgorithm::kBlockNestedLoop},
+          std::pair{EvaluationMode::kBlockNestedLoop,
+                    BmoAlgorithm::kBlockNestedLoop},
+          std::pair{EvaluationMode::kBlockNestedLoop,
+                    BmoAlgorithm::kNaiveNestedLoop},
+          std::pair{EvaluationMode::kBlockNestedLoop,
+                    BmoAlgorithm::kSortFilterSkyline}}) {
       ConnectionOptions opts;
       opts.mode = mode;
+      opts.bmo_algorithm = algorithm;
       Connection conn(opts);
       ASSERT_TRUE(GenerateUsedCars(conn.database(), 300, seed).ok());
       ASSERT_TRUE(GenerateTrips(conn.database(), 200, seed).ok());
       ASSERT_TRUE(GenerateHotels(conn.database(), 200, seed).ok());
       auto r = conn.Execute(c.query);
       ASSERT_TRUE(r.ok()) << c.name << " mode "
-                          << EvaluationModeToString(mode) << " seed " << seed
+                          << EvaluationModeToString(mode) << "/"
+                          << BmoAlgorithmToString(algorithm) << " seed " << seed
                           << ": " << r.status().ToString();
       per_mode.push_back(SortedRows(*r));
     }

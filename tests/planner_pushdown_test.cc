@@ -206,8 +206,10 @@ TEST(PlannerPushdownTest, RandomizedJoinParityProperty) {
           ('Volkswagen', 'wolfsburg'), ('Fiat', 'turin'), ('BMW', 'berlin');
       )sql");
       ASSERT_TRUE(setup.ok());
-      ASSERT_TRUE(
-          conn.Execute("SET evaluation_mode = " + std::string(mode)).ok());
+      ASSERT_TRUE(conn.ExecuteScript(
+                           "SET evaluation_mode = bnl; SET bmo_algorithm = " +
+                           std::string(mode))
+                      .ok());
 
       std::string sql =
           "SELECT id, city FROM car c JOIN dealer d ON c.make = d.dmake "

@@ -181,19 +181,25 @@ TEST_F(PreparedStatementTest, ReprepareSeesRedefinedStoredPreference) {
   EXPECT_EQ(r2->at(0, 0).AsInt(), 4);  // re-expansion picked up HIGHEST
 }
 
-TEST_F(PreparedStatementTest, KnobChangeRepreparesUnderTheNewFingerprint) {
+TEST_F(PreparedStatementTest, KnobChangeKeepsThePreparation) {
   auto stmt = conn_.Prepare(
       "SELECT id FROM car PREFERRING price AROUND ? ORDER BY id");
   ASSERT_TRUE(stmt.ok());
   ASSERT_TRUE(stmt->Bind(0, Value::Int(15000)).ok());
-  ASSERT_TRUE(stmt->Execute().ok());
+  auto rewritten = stmt->Execute();
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
   EXPECT_TRUE(conn_.last_stats().plan_cache_hit);
+  EXPECT_TRUE(conn_.last_stats().used_rewrite);
 
+  // Only DDL re-prepares; a SET takes effect at the next execution.
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  ASSERT_TRUE(stmt->Execute().ok());
-  EXPECT_FALSE(conn_.last_stats().plan_cache_hit);  // new knob fingerprint
-  ASSERT_TRUE(stmt->Execute().ok());
+  ASSERT_TRUE(conn_.Execute("SET bmo_algorithm = sfs").ok());
+  auto direct = stmt->Execute();
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_TRUE(conn_.last_stats().plan_cache_hit);
+  EXPECT_FALSE(conn_.last_stats().used_rewrite);
+  EXPECT_EQ(conn_.last_stats().bmo_algorithm, "sort-filter-skyline");
+  EXPECT_EQ(rewritten->ToString(), direct->ToString());
 }
 
 TEST_F(PreparedStatementTest, PreparedDmlBindsPerExecution) {

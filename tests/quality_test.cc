@@ -5,16 +5,29 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/connection.h"
 #include "sql/parser.h"
 
 namespace prefsql {
 namespace {
 
-class QualityTest : public ::testing::TestWithParam<EvaluationMode> {
+/// Evaluation path of one parameterized run: "rewrite", or the in-engine
+/// path under the named `bmo_algorithm` ("naive", "bnl", "sfs", "less").
+void ApplyPath(ConnectionOptions& options, const std::string& path) {
+  if (path == "rewrite") {
+    options.mode = EvaluationMode::kRewrite;
+    return;
+  }
+  options.mode = EvaluationMode::kBlockNestedLoop;
+  options.bmo_algorithm = *BmoAlgorithmFromString(path);
+}
+
+class QualityTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
-    conn_.options().mode = GetParam();
+    ApplyPath(conn_.options(), GetParam());
     Run("CREATE TABLE apartments (id INTEGER, area INTEGER, rent INTEGER, "
         "city TEXT)");
     Run("INSERT INTO apartments VALUES "
@@ -123,12 +136,8 @@ TEST_P(QualityTest, QualityFunctionOnUnmentionedColumnFails) {
 
 INSTANTIATE_TEST_SUITE_P(
     BothPaths, QualityTest,
-    ::testing::Values(EvaluationMode::kRewrite,
-                      EvaluationMode::kBlockNestedLoop,
-                      EvaluationMode::kSortFilterSkyline),
-    [](const auto& info) {
-      return std::string(EvaluationModeToString(info.param));
-    });
+    ::testing::Values("rewrite", "bnl", "sfs"),
+    [](const auto& info) { return info.param; });
 
 // BUT ONLY pre- vs post-filter divergence (DESIGN.md): a dominated tuple
 // inside the threshold survives only in pre-filter mode when its dominator

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/connection.h"
 #include "preference/validate.h"
 #include "sql/parser.h"
@@ -132,18 +134,24 @@ TEST_P(RandomPreferenceFuzzTest, AllStrategiesAgree) {
                       " ORDER BY id";
 
   std::vector<std::vector<std::string>> results;
-  for (EvaluationMode mode :
-       {EvaluationMode::kRewrite, EvaluationMode::kBlockNestedLoop,
-        EvaluationMode::kNaiveNestedLoop,
-        EvaluationMode::kSortFilterSkyline}) {
+  for (auto [mode, algorithm] :
+       {std::pair{EvaluationMode::kRewrite, BmoAlgorithm::kBlockNestedLoop},
+        std::pair{EvaluationMode::kBlockNestedLoop,
+                  BmoAlgorithm::kBlockNestedLoop},
+        std::pair{EvaluationMode::kBlockNestedLoop,
+                  BmoAlgorithm::kNaiveNestedLoop},
+        std::pair{EvaluationMode::kBlockNestedLoop,
+                  BmoAlgorithm::kSortFilterSkyline}}) {
     ConnectionOptions opts;
     opts.mode = mode;
+    opts.bmo_algorithm = algorithm;
     opts.bnl_window = seed % 3 == 0 ? 4 : 0;  // exercise bounded windows too
     Connection conn(opts);
     ASSERT_TRUE(conn.ExecuteScript(data).ok());
     auto r = conn.Execute(query);
     ASSERT_TRUE(r.ok()) << "pref: " << pref_text << "\nmode: "
-                        << EvaluationModeToString(mode) << "\n"
+                        << EvaluationModeToString(mode) << "/"
+                        << BmoAlgorithmToString(algorithm) << "\n"
                         << r.status().ToString();
     std::vector<std::string> rows;
     for (size_t i = 0; i < r->num_rows(); ++i) rows.push_back(r->RowToString(i));

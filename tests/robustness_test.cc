@@ -6,6 +6,7 @@
 // (rewrite, serial BNL, parallel BMO, LESS, SFS with pushdown off) so a
 // regression in any one path's interrupt polling fails loudly.
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -97,7 +98,8 @@ const GoldenConfig kGoldenConfigs[] = {
      }},
     {"sfs_pushdown_off",
      [](ConnectionOptions& o) {
-       o.mode = EvaluationMode::kSortFilterSkyline;
+       o.mode = EvaluationMode::kBlockNestedLoop;
+       o.bmo_algorithm = BmoAlgorithm::kSortFilterSkyline;
        o.preference_pushdown = false;
      }},
 };
@@ -201,6 +203,42 @@ TEST(RobustnessTest, StatementMemoryBudgetRefusesWithResourceExhausted) {
     // no residual charge or latch behind.
     ASSERT_TRUE(conn.Execute("SET statement_memory_bytes = 0").ok());
     EXPECT_TRUE(conn.Execute(query).ok());
+  }
+}
+
+TEST(RobustnessTest, FilteredSkylineChargesOnlyItsCandidatesKeys) {
+  // The WHERE pre-selection runs first, so the in-engine path keys only the
+  // 5,365 rows below the price cap — not the 100k-row table — and fits a
+  // budget the rewrite path also fits.
+  auto engine = std::make_shared<Engine>();
+  ASSERT_TRUE(GenerateUsedCars(engine->database(), 100000, /*seed=*/7).ok());
+  const std::string query =
+      "SELECT id FROM car WHERE price < 3000 "
+      "PREFERRING LOWEST(price) AND LOWEST(mileage)";
+  auto sorted_ids = [](const ResultTable& t) {
+    std::vector<int64_t> ids;
+    for (size_t i = 0; i < t.num_rows(); ++i) ids.push_back(t.at(i, 0).AsInt());
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  std::vector<int64_t> expected;
+  for (EvaluationMode mode :
+       {EvaluationMode::kRewrite, EvaluationMode::kBlockNestedLoop}) {
+    SCOPED_TRACE(EvaluationModeToString(mode));
+    Connection conn;
+    conn.Attach(engine);
+    conn.options().mode = mode;
+    ASSERT_TRUE(conn.Execute("SET statement_memory_bytes = 262144").ok());
+    auto result = conn.Execute(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (mode == EvaluationMode::kRewrite) {
+      expected = sorted_ids(*result);
+      EXPECT_EQ(expected.size(), 9u);
+      continue;
+    }
+    EXPECT_EQ(conn.last_stats().candidate_count, 5365u);
+    EXPECT_FALSE(conn.last_stats().key_cache_eligible);
+    EXPECT_EQ(sorted_ids(*result), expected);
   }
 }
 

@@ -71,7 +71,8 @@ constexpr Config kConfigs[] = {
      "SET evaluation_mode = bnl; SET bmo_threads = 4; "
      "SET parallel_min_rows = 1;"},
     {"sfs, pushdown off",
-     "SET evaluation_mode = sfs; SET preference_pushdown = off;"},
+     "SET evaluation_mode = bnl; SET bmo_algorithm = sfs; "
+     "SET preference_pushdown = off;"},
     {"direct less", "SET evaluation_mode = bnl; SET bmo_algorithm = less;"},
 };
 

@@ -8,8 +8,9 @@
 //   prefsql> .mode bnl
 //   prefsql> .quit
 //
-// Dot commands: .help, .tables, .mode rewrite|bnl|naive|sfs, .demo <name>,
-// .quit. Everything else is (Preference) SQL, terminated by ';'.
+// Dot commands: .help, .tables, .mode rewrite|bnl, .demo <name>, .quit.
+// Everything else is (Preference) SQL, terminated by ';' — the in-engine
+// skyline algorithm is `SET bmo_algorithm = naive|bnl|sfs|less;`.
 //
 // The shell drives the driver-style client surface: single SELECT
 // statements stream through a Cursor (rows appear as they are produced,
@@ -171,7 +172,9 @@ void PrintHelp() {
       "commands:\n"
       "  .help                 this text\n"
       "  .tables               list tables\n"
-      "  .mode <m>             evaluation mode: rewrite | bnl | naive | sfs\n"
+      "  .mode <m>             evaluation mode: rewrite | bnl\n"
+      "                        (algorithm: SET bmo_algorithm = naive | bnl |\n"
+      "                        sfs | less;)\n"
       "  .demo <name>          load demo data: oldtimer | cars | usedcars |\n"
       "                        products | trips | hotels | programmers\n"
       "  .import <file> <tbl>  import a CSV file into a (new) table\n"
@@ -198,13 +201,8 @@ bool HandleDotCommand(Connection& conn, const std::string& line) {
       conn.options().mode = EvaluationMode::kRewrite;
     } else if (mode == "bnl") {
       conn.options().mode = EvaluationMode::kBlockNestedLoop;
-    } else if (mode == "naive") {
-      conn.options().mode = EvaluationMode::kNaiveNestedLoop;
-    } else if (mode == "sfs") {
-      conn.options().mode = EvaluationMode::kSortFilterSkyline;
     } else {
-      std::printf("unknown mode '%s' (rewrite | bnl | naive | sfs)\n",
-                  mode.c_str());
+      std::printf("unknown mode '%s' (rewrite | bnl)\n", mode.c_str());
       return true;
     }
     std::printf("evaluation mode: %s\n",
