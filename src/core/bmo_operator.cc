@@ -76,10 +76,14 @@ Status BmoOperator::Open() {
   //     can run over the shared whole-table KeyStore. Any row that is not
   //     a borrowed slot of the heap (or a duplicate) falls the whole run
   //     back to the local un-cached path.
+  //     Both passes poll the deadline: over a large table they run long
+  //     enough that a statement timeout would otherwise fire late.
+  size_t tick = 0;
   if (config_.base_heap != nullptr) {
     bool ok = true;
     positions_.reserve(n);
     for (const RowRef& r : rows_) {
+      PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
       if (!r.is_borrowed()) {
         ok = false;
         break;
@@ -94,6 +98,7 @@ Status BmoOperator::Open() {
     if (ok) {
       local_of_.reserve(n);
       for (size_t i = 0; i < n && ok; ++i) {
+        PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
         ok = local_of_.emplace(positions_[i], i).second;
       }
     }
@@ -128,7 +133,6 @@ Status BmoOperator::Open() {
   }
   if (keys_ == nullptr) {
     using Clock = std::chrono::steady_clock;
-    size_t tick = 0;
     // Charge the key store up front (scores: 8 bytes, explicit ids: 4 bytes
     // per leaf per row) — the single largest allocation of the run. A
     // refused charge surfaces kResourceExhausted before the memory exists.
@@ -160,11 +164,28 @@ Status BmoOperator::Open() {
                                               built.get(), runner_));
       }
     } else {
-      for (const RowRef& r : rows_) {
+      // Candidates that passed a WHERE are scattered over the heap, so the
+      // key build prefetches the plain-column leaf cells of a row a few
+      // candidates ahead.
+      std::vector<size_t> leaf_cols;
+      for (size_t l = 0; l < pref_->num_leaves(); ++l) {
+        const Expr& attr = *pref_->leaf(l).attr;
+        size_t col = 0;
+        if (attr.kind == ExprKind::kColumnRef &&
+            child_->schema().ResolveScoped(attr.qualifier, attr.column,
+                                           &col) ==
+                Schema::ResolveOutcome::kFound) {
+          leaf_cols.push_back(col);
+        }
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (i + kRowPrefetchDistance < n) {
+          const Row& ahead = rows_[i + kRowPrefetchDistance].row();
+          for (size_t col : leaf_cols) PrefetchCell(ahead, col);
+        }
         PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-        PSQL_RETURN_IF_ERROR(
-            pref_->AppendKey(child_->schema(), r.row(), built.get(),
-                             runner_));
+        PSQL_RETURN_IF_ERROR(pref_->AppendKey(child_->schema(), rows_[i].row(),
+                                              built.get(), runner_));
       }
     }
     run_stats_.bmo.key_build_ns = static_cast<uint64_t>(

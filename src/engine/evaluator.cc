@@ -553,7 +553,14 @@ Status EvaluatePredicateBatch(const Expr& expr, const Schema& schema,
     size_t kept = 0;
     switch (fast.kind) {
       case FastConjunct::Kind::kColOpLit:
-        for (uint32_t idx : batch->sel) {
+        // `kept` never passes `j`, so the prefetch reads a selection entry
+        // the compaction has not overwritten.
+        for (size_t j = 0; j < batch->sel.size(); ++j) {
+          const size_t ahead = j + kRowPrefetchDistance;
+          if (ahead < batch->sel.size()) {
+            PrefetchCell(batch->rows[batch->sel[ahead]].row(), fast.col);
+          }
+          const uint32_t idx = batch->sel[j];
           PSQL_ASSIGN_OR_RETURN(
               Value v, EvalComparison(fast.op, batch->rows[idx].row()[fast.col],
                                       *fast.lit));
