@@ -31,6 +31,10 @@ BmoOperator::BmoOperator(OperatorPtr child, const CompiledPreference* pref,
     }
   }
   aug_schema_ = Schema(std::move(aug_cols));
+  leaf_attrs_ = pref_->BindLeaves(child_->schema());
+  if (config_.but_only != nullptr) {
+    but_only_ = BoundExpr(*config_.but_only, aug_schema_, nullptr);
+  }
 }
 
 BmoOperator::~BmoOperator() { FlushStats(); }
@@ -159,7 +163,7 @@ Status BmoOperator::Open() {
           built->CommitRow();
           continue;
         }
-        PSQL_RETURN_IF_ERROR(pref_->AppendKey(child_->schema(),
+        PSQL_RETURN_IF_ERROR(pref_->AppendKey(leaf_attrs_, child_->schema(),
                                               config_.base_heap->row(slot),
                                               built.get(), runner_));
       }
@@ -168,14 +172,9 @@ Status BmoOperator::Open() {
       // key build prefetches the plain-column leaf cells of a row a few
       // candidates ahead.
       std::vector<size_t> leaf_cols;
-      for (size_t l = 0; l < pref_->num_leaves(); ++l) {
-        const Expr& attr = *pref_->leaf(l).attr;
-        size_t col = 0;
-        if (attr.kind == ExprKind::kColumnRef &&
-            child_->schema().ResolveScoped(attr.qualifier, attr.column,
-                                           &col) ==
-                Schema::ResolveOutcome::kFound) {
-          leaf_cols.push_back(col);
+      for (const BoundExpr& attr : leaf_attrs_) {
+        if (attr.input_slot() >= 0) {
+          leaf_cols.push_back(static_cast<size_t>(attr.input_slot()));
         }
       }
       for (size_t i = 0; i < n; ++i) {
@@ -184,8 +183,9 @@ Status BmoOperator::Open() {
           for (size_t col : leaf_cols) PrefetchCell(ahead, col);
         }
         PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-        PSQL_RETURN_IF_ERROR(pref_->AppendKey(child_->schema(), rows_[i].row(),
-                                              built.get(), runner_));
+        PSQL_RETURN_IF_ERROR(pref_->AppendKey(leaf_attrs_, child_->schema(),
+                                              rows_[i].row(), built.get(),
+                                              runner_));
       }
     }
     run_stats_.bmo.key_build_ns = static_cast<uint64_t>(
@@ -371,7 +371,7 @@ Row BmoOperator::BuildAugmentedRow(size_t id) const {
 Result<bool> BmoOperator::PassesButOnly(size_t id) {
   Row aug = BuildAugmentedRow(id);
   EvalContext ctx{&aug_schema_, &aug, nullptr, runner_};
-  return EvaluatePredicate(*config_.but_only, ctx);
+  return EvaluatePredicate(but_only_, ctx);
 }
 
 Result<bool> BmoOperator::NextBatch(RowBatch* out) {

@@ -145,6 +145,8 @@ class BmoOperator : public PhysicalOperator {
   BmoOperatorConfig config_;
   SubqueryRunner* runner_;
   Schema aug_schema_;
+  std::vector<BoundExpr> leaf_attrs_;  // preference leaves, bound to child_
+  BoundExpr but_only_;  // config_.but_only bound to aug_schema_
   std::vector<std::pair<QualityFn, size_t>> quality_slots_;
 
   std::vector<RowRef> rows_;

@@ -783,14 +783,16 @@ Result<std::shared_ptr<SelectStmt>> Engine::ExpandSelect(
 
 Result<std::vector<std::string>> Engine::ProbeBaseColumns(
     const SelectStmt& select) {
-  // Schema probe: run the candidate query with a FALSE predicate; only the
-  // output schema matters.
+  // Schema probe: plan the candidate query with a FALSE predicate and read
+  // the names off the planned schema; nothing is scanned. Planning still
+  // materializes FROM subqueries and views, so their errors surface here.
   auto probe = std::make_shared<SelectStmt>();
   probe->items.push_back({Expr::MakeStar(), ""});
   for (const auto& tr : select.from) probe->from.push_back(tr->Clone());
   probe->where = Expr::MakeLiteral(Value::Bool(false));
-  PSQL_ASSIGN_OR_RETURN(ResultTable rt, db_.ExecuteSelect(*probe));
-  return rt.schema().Names();
+  PSQL_ASSIGN_OR_RETURN(OperatorPtr plan,
+                        db_.executor().PlanSelectOperator(*probe));
+  return plan->schema().Names();
 }
 
 DirectEvalOptions Engine::DirectOptions(const Session& session) {
@@ -1080,9 +1082,10 @@ std::shared_ptr<const SkylineEntry> MaintainEntry(
   const SimdVariant simd = MaintenanceSimd(prog);
   auto keys = std::make_shared<KeyStore>(*entry->keys);
   keys->Reserve(heap_now);
+  const std::vector<BoundExpr> leaves = pref.BindLeaves(table.schema());
   for (size_t slot = dml.heap_before; slot < heap_now; ++slot) {
-    if (!pref.AppendKey(table.schema(), table.heap().row(slot), keys.get(),
-                        nullptr)
+    if (!pref.AppendKey(leaves, table.schema(), table.heap().row(slot),
+                        keys.get(), nullptr)
              .ok()) {
       return nullptr;
     }

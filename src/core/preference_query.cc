@@ -18,10 +18,9 @@ Result<PreferencePlan> BuildPreferencePlan(
     const DirectEvalOptions& options, bool count_stats) {
   const SelectStmt& q = *analyzed.query;
   const CompiledPreference& pref = analyzed.preference();
-  Executor& executor = db.executor();
-  Planner planner(&executor);
-
   PreferencePlan plan;
+  plan.scope = std::make_unique<StatementScope>(&db.executor());
+  Planner planner(plan.scope.get());
   plan.bmo_stats = std::make_unique<BmoRunStats>();
   plan.prefilter_stats = std::make_unique<BmoRunStats>();
 
@@ -62,7 +61,7 @@ Result<PreferencePlan> BuildPreferencePlan(
         c.parallel_min_rows = options.parallel_min_rows;
         c.stats_sink = plan.prefilter_stats.get();
         return OperatorPtr(std::make_unique<BmoOperator>(
-            std::move(input), &pref, std::move(c), &executor));
+            std::move(input), &pref, std::move(c), plan.scope.get()));
       };
     } else {
       report.detail = "no pushdown: preference attribute uses a subquery";
@@ -249,7 +248,8 @@ Result<PreferencePlan> BuildPreferencePlan(
   }
 
   auto bmo = std::make_unique<BmoOperator>(std::move(candidates), &pref,
-                                           std::move(config), &executor);
+                                           std::move(config),
+                                           plan.scope.get());
 
   // 6. Projection tail over the streamed maximal tuples.
   PSQL_ASSIGN_OR_RETURN(

@@ -85,6 +85,9 @@ struct PreferencePlan {
   /// BUT ONLY rewritten against the augmented schema (referenced by the
   /// operators in `root`).
   ExprPtr owned_but_only;
+  /// The statement's scope (view materializations, subquery runner of the
+  /// operators in `root`); declared before the root, which it outlives.
+  std::unique_ptr<StatementScope> scope;
   /// Declared after the sinks it flushes into: destroyed first.
   OperatorPtr root;
 };

@@ -25,12 +25,10 @@ Result<ResultTable> Database::ExecuteScript(const std::string& sql) {
 }
 
 Result<ResultTable> Database::ExecuteStatement(const Statement& stmt) {
-  executor_->ClearStatementCache();
   return executor_->ExecuteStatement(stmt);
 }
 
 Result<ResultTable> Database::ExecuteSelect(const SelectStmt& select) {
-  executor_->ClearStatementCache();
   return executor_->ExecuteSelect(select);
 }
 

@@ -1,12 +1,101 @@
 #include "engine/evaluator.h"
 
 #include <cmath>
+#include <utility>
 
 #include "types/date.h"
 #include "util/string_util.h"
 
 namespace prefsql {
+
+// The binding of one expression node, mirroring the Expr tree. A child is
+// null when nothing in its subtree is bound (it evaluates by name).
+struct BoundNode {
+  // kColumnRef: the row `depth` scopes out (0 = the current row) and the
+  // slot in it.
+  uint32_t depth = 0;
+  uint32_t slot = 0;
+  // kExists: the probe planned on first use. `tried` without a plan means
+  // the runner re-plans per row.
+  struct Probe {
+    bool tried = false;
+    std::unique_ptr<ExistsProbe> plan;
+  };
+  std::unique_ptr<Probe> probe;
+  std::unique_ptr<BoundNode> left, right, lo, hi, case_else;
+  std::vector<std::unique_ptr<BoundNode>> args, in_list, whens, thens;
+};
+
 namespace {
+
+using BoundPtr = std::unique_ptr<BoundNode>;
+
+// Binds the subtree at `e`; null when nothing in it binds. Mirrors
+// ResolveColumn: innermost scope first, an ambiguous name stops the search
+// (left unbound, so evaluation raises the ambiguity), and subqueries are
+// not entered (they bind when they are planned).
+BoundPtr BindNode(const Expr& e, const Schema& schema,
+                  const EvalContext* outer) {
+  auto node = std::make_unique<BoundNode>();
+  switch (e.kind) {
+    case ExprKind::kColumnRef: {
+      const Schema* scope_schema = &schema;
+      const EvalContext* next = outer;
+      for (uint32_t depth = 0;; ++depth) {
+        size_t idx = 0;
+        if (scope_schema != nullptr) {
+          switch (scope_schema->ResolveScoped(e.qualifier, e.column, &idx)) {
+            case Schema::ResolveOutcome::kFound:
+              node->depth = depth;
+              node->slot = static_cast<uint32_t>(idx);
+              return node;
+            case Schema::ResolveOutcome::kAmbiguous:
+              return nullptr;
+            case Schema::ResolveOutcome::kNotFound:
+              break;
+          }
+        }
+        if (next == nullptr) return nullptr;
+        scope_schema = next->schema;
+        next = next->outer;
+      }
+    }
+    case ExprKind::kExists:
+      node->probe = std::make_unique<BoundNode::Probe>();
+      return node;
+    default:
+      break;
+  }
+  bool any = false;
+  auto bind = [&](const ExprPtr& child) {
+    if (child == nullptr) return BoundPtr();
+    BoundPtr b = BindNode(*child, schema, outer);
+    any |= b != nullptr;
+    return b;
+  };
+  node->left = bind(e.left);
+  node->right = bind(e.right);
+  node->lo = bind(e.lo);
+  node->hi = bind(e.hi);
+  node->case_else = bind(e.case_else);
+  for (const auto& a : e.args) node->args.push_back(bind(a));
+  for (const auto& item : e.in_list) node->in_list.push_back(bind(item));
+  for (const auto& cw : e.case_whens) {
+    node->whens.push_back(bind(cw.when));
+    node->thens.push_back(bind(cw.then));
+  }
+  if (!any) return nullptr;
+  return node;
+}
+
+// Child accessors that tolerate an unbound parent.
+const BoundNode* Kid(const BoundNode* b, BoundPtr BoundNode::*field) {
+  return b != nullptr ? (b->*field).get() : nullptr;
+}
+const BoundNode* KidAt(const BoundNode* b,
+                       std::vector<BoundPtr> BoundNode::*field, size_t i) {
+  return b != nullptr ? (b->*field)[i].get() : nullptr;
+}
 
 Value BoolOrNull(std::optional<bool> b) {
   if (!b) return Value::Null();
@@ -73,32 +162,47 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
   }
 }
 
-Result<Value> EvalComparison(BinaryOp op, const Value& l, const Value& r) {
+// SQL truth of `l op r` for a comparison operator (nullopt = UNKNOWN).
+std::optional<bool> CompareTruth(BinaryOp op, const Value& l, const Value& r) {
+  auto negate = [](std::optional<bool> t) -> std::optional<bool> {
+    if (!t) return std::nullopt;
+    return !*t;
+  };
   switch (op) {
     case BinaryOp::kEq:
-      return BoolOrNull(l.SqlEquals(r));
-    case BinaryOp::kNe: {
-      auto eq = l.SqlEquals(r);
-      if (!eq) return Value::Null();
-      return Value::Bool(!*eq);
-    }
+      return l.SqlEquals(r);
+    case BinaryOp::kNe:
+      return negate(l.SqlEquals(r));
     case BinaryOp::kLt:
-      return BoolOrNull(l.SqlLess(r));
+      return l.SqlLess(r);
     case BinaryOp::kGt:
-      return BoolOrNull(r.SqlLess(l));
-    case BinaryOp::kLe: {
-      auto gt = r.SqlLess(l);
-      if (!gt) return Value::Null();
-      return Value::Bool(!*gt);
-    }
-    case BinaryOp::kGe: {
-      auto lt = l.SqlLess(r);
-      if (!lt) return Value::Null();
-      return Value::Bool(!*lt);
-    }
+      return r.SqlLess(l);
+    case BinaryOp::kLe:
+      return negate(r.SqlLess(l));
+    case BinaryOp::kGe:
+      return negate(l.SqlLess(r));
     default:
-      return Status::Internal("not a comparison operator");
+      return std::nullopt;  // not a comparison; callers check IsComparison
   }
+}
+
+bool IsComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      return true;
+    default:
+      return false;
+  }
+}
+
+Result<Value> EvalComparison(BinaryOp op, const Value& l, const Value& r) {
+  if (!IsComparison(op)) return Status::Internal("not a comparison operator");
+  return BoolOrNull(CompareTruth(op, l, r));
 }
 
 std::optional<bool> AsTruth(const Value& v) {
@@ -249,7 +353,43 @@ bool SqlLike(const std::string& text, const std::string& pattern) {
   return p == pattern.size();
 }
 
-Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
+namespace {
+
+// Reads a bound column reference: the slot of the row `depth` scopes out.
+const Value& ReadSlot(const BoundNode& b, const EvalContext& ctx) {
+  const EvalContext* scope = &ctx;
+  for (uint32_t d = b.depth; d > 0; --d) scope = scope->outer;
+  return (*scope->row)[b.slot];
+}
+
+// The value of a bound column reference or a literal, without a copy; null
+// when the operand must be evaluated.
+const Value* InPlace(const Expr& e, const BoundNode* b,
+                     const EvalContext& ctx) {
+  if (e.kind == ExprKind::kColumnRef && b != nullptr) return &ReadSlot(*b, ctx);
+  if (e.kind == ExprKind::kLiteral && !e.literal.is_param()) return &e.literal;
+  return nullptr;
+}
+
+// Runs a bound EXISTS through the probe it keeps: planned on first use (the
+// binding's scope shape is fixed, so the plan stays valid for every later
+// row), and left to SubqueryExists per row when the runner cannot keep a
+// plan.
+Result<bool> RunBoundExists(BoundNode::Probe& probe, const SelectStmt& select,
+                            const EvalContext& ctx) {
+  if (!probe.tried) {
+    PSQL_ASSIGN_OR_RETURN(probe.plan,
+                          ctx.runner->PlanExistsProbe(select, ctx));
+    probe.tried = true;
+  }
+  if (probe.plan == nullptr) return ctx.runner->SubqueryExists(select, &ctx);
+  return probe.plan->Run(ctx);
+}
+
+// The evaluator. `b` is the binding of `e` (null: resolve by name).
+Result<Value> Eval(const Expr& e, const BoundNode* b, const EvalContext& ctx) {
+  const BoundNode* bl = Kid(b, &BoundNode::left);
+  const BoundNode* br = Kid(b, &BoundNode::right);
   switch (e.kind) {
     case ExprKind::kLiteral:
       if (e.literal.is_param()) {
@@ -260,11 +400,12 @@ Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
       }
       return e.literal;
     case ExprKind::kColumnRef:
+      if (b != nullptr) return ReadSlot(*b, ctx);
       return ResolveColumn(e, ctx);
     case ExprKind::kStar:
       return Status::InvalidArgument("'*' is not a scalar expression");
     case ExprKind::kUnary: {
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e.left, ctx));
+      PSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.left, bl, ctx));
       if (e.unary_op == UnaryOp::kNot) {
         auto t = AsTruth(v);
         if (!t) return Value::Null();
@@ -279,42 +420,52 @@ Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
     case ExprKind::kBinary: {
       // AND/OR get three-valued short-circuit treatment.
       if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
-        PSQL_ASSIGN_OR_RETURN(Value lv, Evaluate(*e.left, ctx));
+        PSQL_ASSIGN_OR_RETURN(Value lv, Eval(*e.left, bl, ctx));
         auto lt = AsTruth(lv);
         if (e.binary_op == BinaryOp::kAnd) {
           if (lt && !*lt) return Value::Bool(false);
-          PSQL_ASSIGN_OR_RETURN(Value rv, Evaluate(*e.right, ctx));
+          PSQL_ASSIGN_OR_RETURN(Value rv, Eval(*e.right, br, ctx));
           auto rt = AsTruth(rv);
           if (rt && !*rt) return Value::Bool(false);
           if (!lt || !rt) return Value::Null();
           return Value::Bool(true);
         }
         if (lt && *lt) return Value::Bool(true);
-        PSQL_ASSIGN_OR_RETURN(Value rv, Evaluate(*e.right, ctx));
+        PSQL_ASSIGN_OR_RETURN(Value rv, Eval(*e.right, br, ctx));
         auto rt = AsTruth(rv);
         if (rt && *rt) return Value::Bool(true);
         if (!lt || !rt) return Value::Null();
         return Value::Bool(false);
       }
-      PSQL_ASSIGN_OR_RETURN(Value l, Evaluate(*e.left, ctx));
-      PSQL_ASSIGN_OR_RETURN(Value r, Evaluate(*e.right, ctx));
+      // Bound column and literal operands are read in place, not copied.
+      Value lbuf, rbuf;
+      const Value* l = InPlace(*e.left, bl, ctx);
+      if (l == nullptr) {
+        PSQL_ASSIGN_OR_RETURN(lbuf, Eval(*e.left, bl, ctx));
+        l = &lbuf;
+      }
+      const Value* r = InPlace(*e.right, br, ctx);
+      if (r == nullptr) {
+        PSQL_ASSIGN_OR_RETURN(rbuf, Eval(*e.right, br, ctx));
+        r = &rbuf;
+      }
       switch (e.binary_op) {
         case BinaryOp::kAdd:
         case BinaryOp::kSub:
         case BinaryOp::kMul:
         case BinaryOp::kDiv:
         case BinaryOp::kMod:
-          return EvalArithmetic(e.binary_op, l, r);
+          return EvalArithmetic(e.binary_op, *l, *r);
         case BinaryOp::kConcat: {
-          if (l.is_null() || r.is_null()) return Value::Null();
-          return Value::Text(l.ToString() + r.ToString());
+          if (l->is_null() || r->is_null()) return Value::Null();
+          return Value::Text(l->ToString() + r->ToString());
         }
         default:
-          return EvalComparison(e.binary_op, l, r);
+          return EvalComparison(e.binary_op, *l, *r);
       }
     }
     case ExprKind::kIn: {
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e.left, ctx));
+      PSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.left, bl, ctx));
       if (v.is_null()) return Value::Null();
       bool saw_null = false;
       if (e.subquery) {
@@ -336,8 +487,10 @@ Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
           }
         }
       } else {
-        for (const auto& item : e.in_list) {
-          PSQL_ASSIGN_OR_RETURN(Value c, Evaluate(*item, ctx));
+        for (size_t i = 0; i < e.in_list.size(); ++i) {
+          PSQL_ASSIGN_OR_RETURN(
+              Value c, Eval(*e.in_list[i], KidAt(b, &BoundNode::in_list, i),
+                            ctx));
           auto eq = v.SqlEquals(c);
           if (!eq) {
             saw_null = true;
@@ -350,9 +503,9 @@ Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
       return Value::Bool(e.negated);
     }
     case ExprKind::kBetween: {
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e.left, ctx));
-      PSQL_ASSIGN_OR_RETURN(Value lo, Evaluate(*e.lo, ctx));
-      PSQL_ASSIGN_OR_RETURN(Value hi, Evaluate(*e.hi, ctx));
+      PSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.left, bl, ctx));
+      PSQL_ASSIGN_OR_RETURN(Value lo, Eval(*e.lo, Kid(b, &BoundNode::lo), ctx));
+      PSQL_ASSIGN_OR_RETURN(Value hi, Eval(*e.hi, Kid(b, &BoundNode::hi), ctx));
       auto ge_lo = lo.SqlLess(v);   // lo < v
       auto eq_lo = lo.SqlEquals(v);
       auto le_hi = v.SqlLess(hi);   // v < hi
@@ -362,8 +515,8 @@ Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
       return Value::Bool(e.negated ? !inside : inside);
     }
     case ExprKind::kLike: {
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e.left, ctx));
-      PSQL_ASSIGN_OR_RETURN(Value p, Evaluate(*e.right, ctx));
+      PSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.left, bl, ctx));
+      PSQL_ASSIGN_OR_RETURN(Value p, Eval(*e.right, br, ctx));
       if (v.is_null() || p.is_null()) return Value::Null();
       if (v.type() != ValueType::kText || p.type() != ValueType::kText) {
         return Status::InvalidArgument("LIKE requires text operands");
@@ -372,33 +525,46 @@ Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
       return Value::Bool(e.negated ? !m : m);
     }
     case ExprKind::kIsNull: {
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e.left, ctx));
+      PSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.left, bl, ctx));
       bool is_null = v.is_null();
       return Value::Bool(e.negated ? !is_null : is_null);
     }
     case ExprKind::kCase: {
       if (e.left) {
-        PSQL_ASSIGN_OR_RETURN(Value operand, Evaluate(*e.left, ctx));
-        for (const auto& cw : e.case_whens) {
-          PSQL_ASSIGN_OR_RETURN(Value w, Evaluate(*cw.when, ctx));
+        PSQL_ASSIGN_OR_RETURN(Value operand, Eval(*e.left, bl, ctx));
+        for (size_t i = 0; i < e.case_whens.size(); ++i) {
+          PSQL_ASSIGN_OR_RETURN(Value w, Eval(*e.case_whens[i].when,
+                                              KidAt(b, &BoundNode::whens, i),
+                                              ctx));
           auto eq = operand.SqlEquals(w);
-          if (eq && *eq) return Evaluate(*cw.then, ctx);
+          if (eq && *eq) {
+            return Eval(*e.case_whens[i].then,
+                        KidAt(b, &BoundNode::thens, i), ctx);
+          }
         }
       } else {
-        for (const auto& cw : e.case_whens) {
-          PSQL_ASSIGN_OR_RETURN(Value w, Evaluate(*cw.when, ctx));
+        for (size_t i = 0; i < e.case_whens.size(); ++i) {
+          PSQL_ASSIGN_OR_RETURN(Value w, Eval(*e.case_whens[i].when,
+                                              KidAt(b, &BoundNode::whens, i),
+                                              ctx));
           auto t = AsTruth(w);
-          if (t && *t) return Evaluate(*cw.then, ctx);
+          if (t && *t) {
+            return Eval(*e.case_whens[i].then,
+                        KidAt(b, &BoundNode::thens, i), ctx);
+          }
         }
       }
-      if (e.case_else) return Evaluate(*e.case_else, ctx);
+      if (e.case_else) {
+        return Eval(*e.case_else, Kid(b, &BoundNode::case_else), ctx);
+      }
       return Value::Null();
     }
     case ExprKind::kFunction: {
       std::vector<Value> args;
       args.reserve(e.args.size());
-      for (const auto& a : e.args) {
-        PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*a, ctx));
+      for (size_t i = 0; i < e.args.size(); ++i) {
+        PSQL_ASSIGN_OR_RETURN(
+            Value v, Eval(*e.args[i], KidAt(b, &BoundNode::args, i), ctx));
         args.push_back(std::move(v));
       }
       return EvalScalarFunction(e, ctx, std::move(args));
@@ -407,8 +573,14 @@ Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
       if (ctx.runner == nullptr) {
         return Status::InvalidArgument("subquery not supported here");
       }
-      PSQL_ASSIGN_OR_RETURN(bool exists,
-                            ctx.runner->SubqueryExists(*e.subquery, &ctx));
+      bool exists = false;
+      if (b != nullptr && b->probe != nullptr) {
+        PSQL_ASSIGN_OR_RETURN(exists,
+                              RunBoundExists(*b->probe, *e.subquery, ctx));
+      } else {
+        PSQL_ASSIGN_OR_RETURN(exists,
+                              ctx.runner->SubqueryExists(*e.subquery, &ctx));
+      }
       return Value::Bool(e.negated ? !exists : exists);
     }
     case ExprKind::kSubquery: {
@@ -432,7 +604,39 @@ Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
   return Status::Internal("unreachable expression kind");
 }
 
+}  // namespace
+
+BoundExpr::BoundExpr(const Expr& expr, const Schema& schema,
+                     const EvalContext* outer)
+    : expr_(&expr), root_(BindNode(expr, schema, outer)) {}
+BoundExpr::BoundExpr() = default;
+BoundExpr::BoundExpr(BoundExpr&&) noexcept = default;
+BoundExpr& BoundExpr::operator=(BoundExpr&&) noexcept = default;
+BoundExpr::~BoundExpr() = default;
+
+int64_t BoundExpr::input_slot() const {
+  if (root_ == nullptr || expr_->kind != ExprKind::kColumnRef ||
+      root_->depth != 0) {
+    return -1;
+  }
+  return root_->slot;
+}
+
+Result<Value> Evaluate(const Expr& e, const EvalContext& ctx) {
+  return Eval(e, nullptr, ctx);
+}
+
+Result<Value> Evaluate(const BoundExpr& e, const EvalContext& ctx) {
+  return Eval(*e.expr_, e.root_.get(), ctx);
+}
+
 Result<bool> EvaluatePredicate(const Expr& e, const EvalContext& ctx) {
+  PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(e, ctx));
+  auto t = AsTruth(v);
+  return t && *t;
+}
+
+Result<bool> EvaluatePredicate(const BoundExpr& e, const EvalContext& ctx) {
   PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(e, ctx));
   auto t = AsTruth(v);
   return t && *t;
@@ -468,117 +672,94 @@ BinaryOp MirrorComparisonOp(BinaryOp op) {
   }
 }
 
-// A conjunct shape the batch path can evaluate with one column resolution
-// per batch: `col OP literal` (either operand order) or `col IS [NOT]
-// NULL`. Anything else — outer-scope references (kNotFound here may resolve
-// in an outer scope), ambiguous names, unbound parameters, arbitrary
-// expressions — takes the generic per-row path, which raises the identical
-// error a per-row EvaluatePredicate would.
-struct FastConjunct {
-  enum class Kind { kGeneric, kColOpLit, kIsNull };
-  Kind kind = Kind::kGeneric;
-  size_t col = 0;
-  BinaryOp op = BinaryOp::kEq;
-  const Value* lit = nullptr;
-  bool negated = false;  // IS NOT NULL
-};
-
-FastConjunct ClassifyConjunct(const Expr& e, const Schema& schema) {
-  FastConjunct out;
-  if (e.kind == ExprKind::kIsNull && e.left != nullptr &&
-      e.left->kind == ExprKind::kColumnRef) {
-    size_t idx = 0;
-    if (schema.ResolveScoped(e.left->qualifier, e.left->column, &idx) ==
-        Schema::ResolveOutcome::kFound) {
-      out.kind = FastConjunct::Kind::kIsNull;
-      out.col = idx;
-      out.negated = e.negated;
-    }
-    return out;
-  }
-  if (e.kind != ExprKind::kBinary || e.left == nullptr || e.right == nullptr) {
-    return out;
-  }
-  switch (e.binary_op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      break;
-    default:
-      return out;
-  }
-  const Expr* col = nullptr;
-  const Expr* lit = nullptr;
-  bool flipped = false;
-  if (e.left->kind == ExprKind::kColumnRef &&
-      e.right->kind == ExprKind::kLiteral) {
-    col = e.left.get();
-    lit = e.right.get();
-  } else if (e.left->kind == ExprKind::kLiteral &&
-             e.right->kind == ExprKind::kColumnRef) {
-    lit = e.left.get();
-    col = e.right.get();
-    flipped = true;
-  } else {
-    return out;
-  }
-  if (lit->literal.is_param()) return out;
-  size_t idx = 0;
-  if (schema.ResolveScoped(col->qualifier, col->column, &idx) !=
-      Schema::ResolveOutcome::kFound) {
-    return out;
-  }
-  out.kind = FastConjunct::Kind::kColOpLit;
-  out.col = idx;
-  out.lit = &lit->literal;
-  out.op = flipped ? MirrorComparisonOp(e.binary_op) : e.binary_op;
-  return out;
-}
-
 }  // namespace
 
-Status EvaluatePredicateBatch(const Expr& expr, const Schema& schema,
-                              RowBatch* batch, const EvalContext* outer,
-                              SubqueryRunner* runner) {
-  std::vector<const Expr*> conjuncts;
-  CollectConjuncts(expr, &conjuncts);
-  for (const Expr* c : conjuncts) {
+// A conjunct shape with a direct slot read: `col OP literal` (either operand
+// order) or `col IS [NOT] NULL` with the column in the input schema.
+// Anything else — outer-scope references, ambiguous names, unbound
+// parameters, arbitrary expressions — evaluates per row through its
+// binding, which raises the identical error a per-row EvaluatePredicate
+// would.
+BatchPredicate::BatchPredicate(const Expr& predicate, const Schema& schema,
+                               const EvalContext* outer)
+    : schema_(&schema), outer_(outer) {
+  std::vector<const Expr*> parts;
+  CollectConjuncts(predicate, &parts);
+  conjuncts_.reserve(parts.size());
+  for (const Expr* e : parts) {
+    Conjunct c;
+    size_t idx = 0;
+    auto resolves = [&](const Expr& col) {
+      return schema.ResolveScoped(col.qualifier, col.column, &idx) ==
+             Schema::ResolveOutcome::kFound;
+    };
+    if (e->kind == ExprKind::kIsNull && e->left != nullptr &&
+        e->left->kind == ExprKind::kColumnRef && resolves(*e->left)) {
+      c.kind = Conjunct::Kind::kIsNull;
+      c.col = idx;
+      c.negated = e->negated;
+    } else if (e->kind == ExprKind::kBinary && e->left != nullptr &&
+               e->right != nullptr && IsComparison(e->binary_op)) {
+      const Expr* col = e->left.get();
+      const Expr* lit = e->right.get();
+      bool flipped = false;
+      if (col->kind == ExprKind::kLiteral &&
+          lit->kind == ExprKind::kColumnRef) {
+        std::swap(col, lit);
+        flipped = true;
+      }
+      if (col->kind == ExprKind::kColumnRef &&
+          lit->kind == ExprKind::kLiteral && !lit->literal.is_param() &&
+          resolves(*col)) {
+        c.kind = Conjunct::Kind::kColOpLit;
+        c.col = idx;
+        c.lit = &lit->literal;
+        c.op = flipped ? MirrorComparisonOp(e->binary_op) : e->binary_op;
+      }
+    }
+    if (c.kind == Conjunct::Kind::kGeneric) {
+      c.bound = BoundExpr(*e, schema, outer);
+    }
+    conjuncts_.push_back(std::move(c));
+  }
+}
+
+Status BatchPredicate::Apply(RowBatch* batch, SubqueryRunner* runner) const {
+  for (const Conjunct& c : conjuncts_) {
     // Row semantics: once a conjunct filtered every row out, the remaining
     // conjuncts see no rows and evaluate nothing.
     if (batch->sel.empty()) break;
-    const FastConjunct fast = ClassifyConjunct(*c, schema);
     size_t kept = 0;
-    switch (fast.kind) {
-      case FastConjunct::Kind::kColOpLit:
+    switch (c.kind) {
+      case Conjunct::Kind::kColOpLit: {
+        // Locals, so the selection stores cannot force reloads.
+        const size_t col = c.col;
+        const BinaryOp op = c.op;
+        const Value& lit = *c.lit;
         // `kept` never passes `j`, so the prefetch reads a selection entry
         // the compaction has not overwritten.
         for (size_t j = 0; j < batch->sel.size(); ++j) {
           const size_t ahead = j + kRowPrefetchDistance;
           if (ahead < batch->sel.size()) {
-            PrefetchCell(batch->rows[batch->sel[ahead]].row(), fast.col);
+            PrefetchCell(batch->rows[batch->sel[ahead]].row(), col);
           }
           const uint32_t idx = batch->sel[j];
-          PSQL_ASSIGN_OR_RETURN(
-              Value v, EvalComparison(fast.op, batch->rows[idx].row()[fast.col],
-                                      *fast.lit));
-          auto t = AsTruth(v);
+          auto t = CompareTruth(op, batch->rows[idx].row()[col], lit);
           if (t && *t) batch->sel[kept++] = idx;
         }
         break;
-      case FastConjunct::Kind::kIsNull:
+      }
+      case Conjunct::Kind::kIsNull:
         for (uint32_t idx : batch->sel) {
-          if (batch->rows[idx].row()[fast.col].is_null() != fast.negated) {
+          if (batch->rows[idx].row()[c.col].is_null() != c.negated) {
             batch->sel[kept++] = idx;
           }
         }
         break;
-      case FastConjunct::Kind::kGeneric:
+      case Conjunct::Kind::kGeneric:
         for (uint32_t idx : batch->sel) {
-          EvalContext ctx{&schema, &batch->rows[idx].row(), outer, runner};
-          PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*c, ctx));
+          EvalContext ctx{schema_, &batch->rows[idx].row(), outer_, runner};
+          PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(c.bound, ctx));
           if (pass) batch->sel[kept++] = idx;
         }
         break;

@@ -1,7 +1,18 @@
 // Expression evaluation with SQL three-valued logic and correlated-subquery
 // support.
+//
+// Operators bind their expressions once, at plan time (BoundExpr): every
+// column reference that resolves against the operator's input schema or an
+// outer scope becomes a (scope depth, slot) pair, and evaluation reads the
+// slot. A reference that does not resolve at plan time stays unbound and is
+// resolved by name at evaluation, so unknown/ambiguous-column errors keep
+// their text and surface when (and only if) a row evaluates them. The
+// binding lives beside the AST: cached plans share one SelectStmt across
+// sessions, so nothing is ever written into it.
 
 #pragma once
+
+#include <memory>
 
 #include "sql/ast.h"
 #include "types/result_table.h"
@@ -14,8 +25,17 @@ namespace prefsql {
 
 struct EvalContext;
 
+/// A correlated EXISTS subquery planned once and re-run per outer row.
+class ExistsProbe {
+ public:
+  virtual ~ExistsProbe() = default;
+  /// True iff the subquery yields a row for the outer row of `outer`, whose
+  /// schema and scope chain are the ones the probe was planned against.
+  virtual Result<bool> Run(const EvalContext& outer) = 0;
+};
+
 /// Executes subqueries on behalf of the evaluator (implemented by the
-/// engine's Executor; kept abstract to avoid a dependency cycle).
+/// engine's StatementScope; kept abstract to avoid a dependency cycle).
 class SubqueryRunner {
  public:
   virtual ~SubqueryRunner() = default;
@@ -27,6 +47,14 @@ class SubqueryRunner {
   /// may early-exit at the first matching row.
   virtual Result<bool> SubqueryExists(const SelectStmt& select,
                                       const EvalContext* outer) = 0;
+
+  /// Plans `select` once as an EXISTS probe correlated with `outer`, for a
+  /// bound EXISTS to re-run per outer row. Null when the subquery must be
+  /// planned anew for every row (SubqueryExists then serves it).
+  virtual Result<std::unique_ptr<ExistsProbe>> PlanExistsProbe(
+      const SelectStmt& /*select*/, const EvalContext& /*outer*/) {
+    return std::unique_ptr<ExistsProbe>();
+  }
 };
 
 /// One scope of the evaluation environment: the current row with its schema,
@@ -44,26 +72,80 @@ struct EvalContext {
   }
 };
 
+struct BoundNode;
+
+/// An expression bound at plan time for evaluation over rows of one schema
+/// under one outer scope chain. Column references become slot reads; a
+/// correlated EXISTS keeps the probe plan it builds on first use. Borrows
+/// the expression, which must outlive the binding.
+class BoundExpr {
+ public:
+  BoundExpr();
+  /// Binds `expr` for rows of `schema` (scope depth 0) chained to `outer`
+  /// (depth 1, 2, ...). Never fails: what does not resolve stays unbound.
+  BoundExpr(const Expr& expr, const Schema& schema, const EvalContext* outer);
+  BoundExpr(BoundExpr&&) noexcept;
+  BoundExpr& operator=(BoundExpr&&) noexcept;
+  ~BoundExpr();
+
+  /// The input slot when the expression is a column reference bound to the
+  /// current row (depth 0); -1 otherwise.
+  int64_t input_slot() const;
+
+ private:
+  friend Result<Value> Evaluate(const BoundExpr& expr, const EvalContext& ctx);
+
+  const Expr* expr_ = nullptr;
+  std::unique_ptr<BoundNode> root_;  // null: nothing bound
+};
+
 /// Evaluates `expr` in `ctx`. Comparison/logic operators return BOOL or NULL
-/// (UNKNOWN); arithmetic on NULL yields NULL.
+/// (UNKNOWN); arithmetic on NULL yields NULL. Every column reference
+/// resolves by name.
 Result<Value> Evaluate(const Expr& expr, const EvalContext& ctx);
+
+/// Evaluates a bound expression; `ctx` must carry the schema and outer
+/// chain it was bound against.
+Result<Value> Evaluate(const BoundExpr& expr, const EvalContext& ctx);
 
 /// Evaluates `expr` as a predicate: true iff the result is BOOL TRUE
 /// (NULL/UNKNOWN filters out, as in a WHERE clause).
 Result<bool> EvaluatePredicate(const Expr& expr, const EvalContext& ctx);
+Result<bool> EvaluatePredicate(const BoundExpr& expr, const EvalContext& ctx);
 
-/// Batch predicate evaluation: compacts `batch->sel` in place to the rows
-/// where `expr` is TRUE. Top-level AND conjuncts run left-to-right over the
-/// surviving selection (the batch form of the row path's short-circuit
-/// AND), and `column OP literal` / `column IS [NOT] NULL` conjuncts resolve
-/// the column index once per batch instead of once per row. Everything else
-/// falls back to per-row EvaluatePredicate with `outer`/`runner` providing
-/// the correlated scope chain, so results match per-row evaluation
-/// exactly; only the order in which multiple *erroring* rows surface may
-/// differ (a conjunct sees rows already filtered by its left siblings).
-Status EvaluatePredicateBatch(const Expr& expr, const Schema& schema,
-                              RowBatch* batch, const EvalContext* outer,
-                              SubqueryRunner* runner);
+/// A predicate compiled once for batch evaluation over one input schema.
+/// Top-level AND conjuncts run left-to-right over the surviving selection
+/// (the batch form of the row path's short-circuit AND), and `column OP
+/// literal` / `column IS [NOT] NULL` conjuncts read their column slot
+/// directly. Everything else evaluates per row through its binding, so
+/// results match per-row evaluation exactly; only the order in which
+/// multiple *erroring* rows surface may differ (a conjunct sees rows already
+/// filtered by its left siblings).
+class BatchPredicate {
+ public:
+  /// Classifies and binds the conjuncts of `predicate` (borrowed) for rows
+  /// of `schema` (borrowed) under `outer`.
+  BatchPredicate(const Expr& predicate, const Schema& schema,
+                 const EvalContext* outer);
+
+  /// Compacts `batch->sel` in place to the rows where the predicate is TRUE.
+  Status Apply(RowBatch* batch, SubqueryRunner* runner) const;
+
+ private:
+  struct Conjunct {
+    enum class Kind { kGeneric, kColOpLit, kIsNull };
+    Kind kind = Kind::kGeneric;
+    size_t col = 0;
+    BinaryOp op = BinaryOp::kEq;
+    const Value* lit = nullptr;
+    bool negated = false;  // IS NOT NULL
+    BoundExpr bound;       // kGeneric
+  };
+
+  const Schema* schema_;
+  const EvalContext* outer_;
+  std::vector<Conjunct> conjuncts_;
+};
 
 /// Evaluates a constant expression (no column refs); used for INSERT VALUES.
 Result<Value> EvaluateConstant(const Expr& expr);

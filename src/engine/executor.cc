@@ -82,41 +82,49 @@ Result<ResultTable> Executor::ExecuteStatement(const Statement& stmt) {
 // SELECT facade over the operator pipeline
 // ===========================================================================
 
-Result<ResultTable> Executor::ExecuteSelect(const SelectStmt& select,
-                                            const EvalContext* outer) {
-  PSQL_ASSIGN_OR_RETURN(OperatorPtr plan, PlanSelectOperator(select, outer));
+namespace {
+
+// The root of a top-level plan: owns the statement's scope, declared before
+// the tree so every operator (and the probe plans and view rows they hold)
+// is gone before the scope is.
+class ScopedPlanOperator final : public PhysicalOperator {
+ public:
+  ScopedPlanOperator(std::unique_ptr<StatementScope> scope, OperatorPtr child)
+      : scope_(std::move(scope)), child_(std::move(child)) {}
+
+  const Schema& schema() const override { return child_->schema(); }
+  Status Open() override { return child_->Open(); }
+  Result<bool> NextBatch(RowBatch* out) override {
+    return child_->NextBatch(out);
+  }
+  void Close() override { child_->Close(); }
+
+ private:
+  std::unique_ptr<StatementScope> scope_;
+  OperatorPtr child_;
+};
+
+}  // namespace
+
+Result<ResultTable> Executor::ExecuteSelect(const SelectStmt& select) {
+  PSQL_ASSIGN_OR_RETURN(OperatorPtr plan, PlanSelectOperator(select));
   return DrainToTable(*plan);
 }
 
-Result<OperatorPtr> Executor::PlanSelectOperator(const SelectStmt& select,
-                                                 const EvalContext* outer) {
-  Planner planner(this);
-  return planner.PlanSelect(select, outer);
+Result<OperatorPtr> Executor::PlanSelectOperator(const SelectStmt& select) {
+  auto scope = std::make_unique<StatementScope>(this);
+  Planner planner(scope.get());
+  PSQL_ASSIGN_OR_RETURN(OperatorPtr plan, planner.PlanSelect(select, nullptr));
+  return OperatorPtr(
+      std::make_unique<ScopedPlanOperator>(std::move(scope), std::move(plan)));
 }
 
 Result<ResultTable> Executor::MaterializeCandidates(const SelectStmt& select) {
-  Planner planner(this);
+  StatementScope scope(this);
+  Planner planner(&scope);
   PSQL_ASSIGN_OR_RETURN(OperatorPtr plan,
                         planner.PlanCandidates(select, nullptr));
   return DrainToTable(*plan);
-}
-
-Result<std::shared_ptr<ResultTable>> Executor::MaterializeViewCached(
-    const std::string& name) {
-  std::string key = ToLower(name);
-  {
-    std::lock_guard<std::mutex> lock(view_cache_mutex_);
-    auto it = view_cache_.find(key);
-    if (it != view_cache_.end()) return it->second;
-  }
-  // Materialize outside the lock: nested views re-enter this function, and
-  // duplicated work between two concurrent readers is harmless.
-  PSQL_ASSIGN_OR_RETURN(auto def, catalog_->GetView(name));
-  PSQL_ASSIGN_OR_RETURN(ResultTable rt, ExecuteSelect(*def, nullptr));
-  auto materialized = std::make_shared<ResultTable>(std::move(rt));
-  std::lock_guard<std::mutex> lock(view_cache_mutex_);
-  view_cache_[key] = materialized;
-  return materialized;
 }
 
 namespace {
@@ -192,54 +200,125 @@ Result<ResultTable> Executor::InsertTable(const std::string& table,
 }
 
 // ===========================================================================
-// Subqueries
+// Statement scope: views and subqueries
 // ===========================================================================
 
-Result<ResultTable> Executor::RunSubquery(const SelectStmt& select,
-                                          const EvalContext* outer) {
-  return ExecuteSelect(select, outer);
+StatementScope::~StatementScope() {
+  if (probe_runs_ > 0 || probe_plans_ > 0) {
+    executor_->CountProbes(probe_runs_, probe_plans_);
+  }
 }
 
-Result<bool> Executor::SubqueryExists(const SelectStmt& select,
-                                      const EvalContext* outer) {
-  // Fast path: plain SELECT without grouping/limit machinery can stop at the
-  // first row the streamed FROM/WHERE pipeline produces. This is what makes
-  // the rewritten NOT EXISTS dominance query tractable (§3.2). Scan counters
-  // stay untouched (probes would drown the per-statement counts).
-  bool plain = select.group_by.empty() && select.having == nullptr &&
-               !select.limit && !select.offset && !select.preferring &&
-               !select.from.empty();
-  if (plain) {
-    for (const auto& item : select.items) {
-      if (item.expr->kind != ExprKind::kStar &&
-          ContainsAggregate(*item.expr)) {
-        plain = false;
-        break;
-      }
+Result<std::shared_ptr<ResultTable>> StatementScope::MaterializeView(
+    const std::string& name) {
+  std::string key = ToLower(name);
+  auto it = views_.find(key);
+  if (it != views_.end()) return it->second;
+  PSQL_ASSIGN_OR_RETURN(auto def, executor_->catalog()->GetView(name));
+  PSQL_ASSIGN_OR_RETURN(ResultTable rt, RunSubquery(*def, nullptr));
+  auto materialized = std::make_shared<ResultTable>(std::move(rt));
+  views_[key] = materialized;
+  return materialized;
+}
+
+Result<ResultTable> StatementScope::RunSubquery(const SelectStmt& select,
+                                                const EvalContext* outer) {
+  Planner planner(this);
+  PSQL_ASSIGN_OR_RETURN(OperatorPtr plan, planner.PlanSelect(select, outer));
+  return DrainToTable(*plan);
+}
+
+namespace {
+
+// A plain SELECT (no grouping/limit machinery) can stop at the first row the
+// streamed FROM/WHERE pipeline produces. This is what makes the rewritten
+// NOT EXISTS dominance query tractable (§3.2).
+bool IsPlainProbe(const SelectStmt& select) {
+  if (!select.group_by.empty() || select.having != nullptr || select.limit ||
+      select.offset || select.preferring || select.from.empty()) {
+    return false;
+  }
+  for (const auto& item : select.items) {
+    if (item.expr->kind != ExprKind::kStar && ContainsAggregate(*item.expr)) {
+      return false;
     }
   }
-  if (!plain) {
-    PSQL_ASSIGN_OR_RETURN(ResultTable rt, ExecuteSelect(select, outer));
+  return true;
+}
+
+// Pulls one row through a planned probe. A 1-row target: the scan hands
+// over one row per pull and the filter above it evaluates only that row, so
+// the probe stops at its first match instead of scanning and testing a
+// whole batch. Scan counters stay untouched (probes would drown the
+// per-statement counts).
+Result<bool> PullFirstRow(PhysicalOperator& plan, RowBatch* batch) {
+  Status open = plan.Open();
+  if (!open.ok()) {
+    plan.Close();
+    return open;
+  }
+  batch->capacity = 1;
+  auto more = plan.NextBatch(batch);
+  plan.Close();
+  return more;
+}
+
+// An EXISTS probe planned once per statement. Its plan reads the outer row
+// through `scope_`, which each run points at the current outer row before
+// re-opening the plan.
+class RetainedExistsProbe final : public ExistsProbe {
+ public:
+  RetainedExistsProbe(StatementScope* statement, const EvalContext& outer)
+      : statement_(statement), scope_(outer) {}
+
+  Status Plan(const SelectStmt& select) {
+    Planner planner(statement_);
+    PSQL_ASSIGN_OR_RETURN(plan_, planner.PlanCandidates(
+                                     select, &scope_, /*count_stats=*/false));
+    return Status::OK();
+  }
+
+  Result<bool> Run(const EvalContext& outer) override {
+    statement_->CountProbeRun();
+    scope_.row = outer.row;
+    return PullFirstRow(*plan_, &batch_);
+  }
+
+ private:
+  StatementScope* statement_;
+  EvalContext scope_;
+  OperatorPtr plan_;
+  RowBatch batch_;
+};
+
+}  // namespace
+
+Result<bool> StatementScope::SubqueryExists(const SelectStmt& select,
+                                            const EvalContext* outer) {
+  ++probe_runs_;
+  ++probe_plans_;
+  if (!IsPlainProbe(select)) {
+    PSQL_ASSIGN_OR_RETURN(ResultTable rt, RunSubquery(select, outer));
     return rt.num_rows() > 0;
   }
   Planner planner(this);
   PSQL_ASSIGN_OR_RETURN(
       OperatorPtr plan,
       planner.PlanCandidates(select, outer, /*count_stats=*/false));
-  Status open = plan->Open();
-  if (!open.ok()) {
-    plan->Close();
-    return open;
-  }
-  // A 1-row target: the scan hands over one row per pull and the filter
-  // above it evaluates only that row, so the probe stops at its first
-  // match instead of scanning and testing a whole batch.
   RowBatch batch;
-  batch.capacity = 1;
-  auto more = plan->NextBatch(&batch);
-  plan->Close();
-  PSQL_RETURN_IF_ERROR(more.status());
-  return *more;
+  return PullFirstRow(*plan, &batch);
+}
+
+Result<std::unique_ptr<ExistsProbe>> StatementScope::PlanExistsProbe(
+    const SelectStmt& select, const EvalContext& outer) {
+  if (!IsPlainProbe(select)) return std::unique_ptr<ExistsProbe>();
+  for (const auto& tr : select.from) {
+    if (RefContainsSubquery(*tr)) return std::unique_ptr<ExistsProbe>();
+  }
+  auto probe = std::make_unique<RetainedExistsProbe>(this, outer);
+  PSQL_RETURN_IF_ERROR(probe->Plan(select));
+  ++probe_plans_;
+  return std::unique_ptr<ExistsProbe>(std::move(probe));
 }
 
 // ===========================================================================
@@ -315,6 +394,8 @@ Result<ResultTable> Executor::ExecuteInsert(const Statement& stmt) {
 }
 
 Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
+  // The subquery runner of the statement's WHERE and SET expressions.
+  StatementScope statement(this);
   PSQL_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.name));
   DmlEffect& dml = BeginDml(DmlEffect::Kind::kUpdate, stmt.name, *table);
   uint64_t read_epoch = AmbientSnapshotOr(table->epochs().current());
@@ -337,7 +418,7 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
     if (!heap.VisibleAt(slot, read_epoch)) continue;
     const Row& row = heap.row(slot);
     if (stmt.where != nullptr) {
-      EvalContext ctx{&schema, &row, nullptr, this};
+      EvalContext ctx{&schema, &row, nullptr, &statement};
       PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*stmt.where, ctx));
       if (!pass) continue;
     }
@@ -345,7 +426,7 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
     // version: end-stamp the old slot, append the replacement.
     std::vector<Value> new_values;
     for (const auto& [col, e] : stmt.assignments) {
-      EvalContext ctx{&schema, &row, nullptr, this};
+      EvalContext ctx{&schema, &row, nullptr, &statement};
       PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e, ctx));
       new_values.push_back(std::move(v));
     }
@@ -369,6 +450,8 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
 }
 
 Result<ResultTable> Executor::ExecuteDelete(const Statement& stmt) {
+  // The subquery runner of the statement's WHERE.
+  StatementScope statement(this);
   PSQL_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.name));
   DmlEffect& dml = BeginDml(DmlEffect::Kind::kDelete, stmt.name, *table);
   uint64_t read_epoch = AmbientSnapshotOr(table->epochs().current());
@@ -382,7 +465,7 @@ Result<ResultTable> Executor::ExecuteDelete(const Statement& stmt) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
     if (!heap.VisibleAt(slot, read_epoch)) continue;
     if (stmt.where != nullptr) {
-      EvalContext ctx{&schema, &heap.row(slot), nullptr, this};
+      EvalContext ctx{&schema, &heap.row(slot), nullptr, &statement};
       PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*stmt.where, ctx));
       if (!pass) continue;
     }

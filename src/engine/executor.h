@@ -2,15 +2,17 @@
 // operator tree (engine/planner.h + engine/operators/) and stream row views
 // instead of materializing every stage; DML and DDL execute here directly.
 //
-// Views referenced several times inside one statement (the rewriter's Aux
-// view appears as A1 and A2) are materialized once per top-level statement
-// via a cache.
+// Every top-level statement runs in its own StatementScope: the subquery
+// runner of all its expressions, and the owner of its view
+// materializations. Views referenced several times inside one statement
+// (the rewriter's Aux view appears as A1 and A2) are materialized once, at
+// the statement's snapshot, and die with the statement's plan — a
+// concurrent session's statement never sees or replaces them.
 
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,8 +27,55 @@
 
 namespace prefsql {
 
+class Executor;
+
+/// The execution state of one top-level statement, shared by every subquery
+/// planned inside it. Owned by the statement's plan (or by the DML
+/// statement's dispatch) and, like the operator tree, used from one thread
+/// at a time.
+class StatementScope final : public SubqueryRunner {
+ public:
+  explicit StatementScope(Executor* executor) : executor_(executor) {}
+  ~StatementScope() override;
+
+  StatementScope(const StatementScope&) = delete;
+  StatementScope& operator=(const StatementScope&) = delete;
+
+  Executor* executor() const { return executor_; }
+
+  /// Materializes a view once per statement (planner access path).
+  Result<std::shared_ptr<ResultTable>> MaterializeView(
+      const std::string& name);
+
+  /// Plans and drains `select` with `outer` as the correlated scope chain.
+  Result<ResultTable> RunSubquery(const SelectStmt& select,
+                                  const EvalContext* outer) override;
+
+  /// Early-exit EXISTS probe, planned for this one call: pulls a single row
+  /// from the streamed FROM/WHERE pipeline when the subquery has no
+  /// grouping/limit machinery.
+  Result<bool> SubqueryExists(const SelectStmt& select,
+                              const EvalContext* outer) override;
+
+  /// The same probe planned once for re-runs against new outer rows; null
+  /// when the subquery has grouping/limit machinery or a FROM subquery
+  /// (which may read the outer row while it is planned).
+  Result<std::unique_ptr<ExistsProbe>> PlanExistsProbe(
+      const SelectStmt& select, const EvalContext& outer) override;
+
+  /// Counts one EXISTS probe run (flushed into Executor::Stats when the
+  /// scope ends).
+  void CountProbeRun() { ++probe_runs_; }
+
+ private:
+  Executor* executor_;
+  std::unordered_map<std::string, std::shared_ptr<ResultTable>> views_;
+  uint64_t probe_runs_ = 0;
+  uint64_t probe_plans_ = 0;
+};
+
 /// Executes parsed statements against a catalog.
-class Executor : public SubqueryRunner {
+class Executor {
  public:
   explicit Executor(Catalog* catalog) : catalog_(catalog) {}
 
@@ -34,26 +83,15 @@ class Executor : public SubqueryRunner {
   /// one-cell table [rows_affected]; DDL returns an empty table.
   Result<ResultTable> ExecuteStatement(const Statement& stmt);
 
-  /// Runs a SELECT: plans the operator tree and drains it (used by the
-  /// preference layer which builds ASTs directly).
-  Result<ResultTable> ExecuteSelect(const SelectStmt& select,
-                                    const EvalContext* outer = nullptr);
+  /// Runs a top-level SELECT: plans the operator tree and drains it (used
+  /// by the preference layer which builds ASTs directly).
+  Result<ResultTable> ExecuteSelect(const SelectStmt& select);
 
-  /// Compiles a SELECT into an unopened operator tree without draining it —
-  /// the streaming-cursor entry point (core/cursor.h). The tree borrows
-  /// from `select` and the catalog; both must outlive it.
-  Result<OperatorPtr> PlanSelectOperator(const SelectStmt& select,
-                                         const EvalContext* outer = nullptr);
-
-  /// SubqueryRunner: correlated subqueries re-enter the executor with the
-  /// outer scope chained.
-  Result<ResultTable> RunSubquery(const SelectStmt& select,
-                                  const EvalContext* outer) override;
-
-  /// Early-exit EXISTS probe: pulls a single row from the streamed
-  /// FROM/WHERE pipeline when the subquery has no grouping/limit machinery.
-  Result<bool> SubqueryExists(const SelectStmt& select,
-                              const EvalContext* outer) override;
+  /// Compiles a top-level SELECT into an unopened operator tree without
+  /// draining it — the streaming-cursor entry point (core/cursor.h). The
+  /// root owns the statement's scope. The tree borrows from `select` and
+  /// the catalog; both must outlive it.
+  Result<OperatorPtr> PlanSelectOperator(const SelectStmt& select);
 
   /// Materializes `FROM ... WHERE ...` of `select`, preserving column
   /// qualifiers (unlike SELECT *). Kept as a thin facade over
@@ -67,17 +105,6 @@ class Executor : public SubqueryRunner {
   Result<ResultTable> InsertTable(const std::string& table,
                                   const std::vector<std::string>& columns,
                                   const ResultTable& data);
-
-  /// Materializes a view once per top-level statement (planner access path).
-  Result<std::shared_ptr<ResultTable>> MaterializeViewCached(
-      const std::string& name);
-
-  /// Drops per-statement caches (view materializations). Called by the
-  /// Database facade between top-level statements.
-  void ClearStatementCache() {
-    std::lock_guard<std::mutex> lock(view_cache_mutex_);
-    view_cache_.clear();
-  }
 
   Catalog* catalog() { return catalog_; }
 
@@ -113,11 +140,21 @@ class Executor : public SubqueryRunner {
     std::atomic<uint64_t> full_scans{0};   ///< WHEREs evaluated by full scan
     MvccScanCounters mvcc;                 ///< visibility filter traffic
     std::atomic<uint64_t> gc_cleared{0};   ///< version payloads reclaimed
+    /// EXISTS probes run, and the probe plans built for them: a correlated
+    /// probe over tables and views is planned once per statement.
+    std::atomic<uint64_t> exists_probes{0};
+    std::atomic<uint64_t> exists_plans{0};
   };
   const Stats& stats() const { return stats_; }
   MvccScanCounters* mvcc_counters() { return &stats_.mvcc; }
   void CountGarbageCollected(uint64_t n) {
     stats_.gc_cleared.fetch_add(n, std::memory_order_relaxed);
+  }
+
+  /// Adds one statement's EXISTS probe counts (StatementScope only).
+  void CountProbes(uint64_t runs, uint64_t plans) {
+    stats_.exists_probes.fetch_add(runs, std::memory_order_relaxed);
+    stats_.exists_plans.fetch_add(plans, std::memory_order_relaxed);
   }
 
   /// Records the access-path choice of one planned WHERE (planner only).
@@ -140,10 +177,6 @@ class Executor : public SubqueryRunner {
 
   Catalog* catalog_;
   DmlEffect last_dml_;
-  /// Guards view_cache_ against concurrent reader sessions; entries are
-  /// shared_ptr so a concurrent clear never invalidates an in-flight read.
-  std::mutex view_cache_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<ResultTable>> view_cache_;
   Stats stats_;
 };
 

@@ -10,11 +10,20 @@ AggregateOperator::AggregateOperator(OperatorPtr child, Schema out_schema,
                                      SubqueryRunner* runner)
     : child_(std::move(child)),
       schema_(std::move(out_schema)),
-      group_by_(std::move(group_by)),
       aggs_(std::move(aggs)),
       kinds_(std::move(kinds)),
       outer_(outer),
-      runner_(runner) {}
+      runner_(runner) {
+  for (const Expr* g : group_by) {
+    group_by_.emplace_back(*g, child_->schema(), outer);
+  }
+  for (size_t j = 0; j < aggs_.size(); ++j) {
+    agg_args_.push_back(kinds_[j] == AggregateKind::kCountStar
+                            ? BoundExpr()
+                            : BoundExpr(*aggs_[j]->args[0], child_->schema(),
+                                        outer));
+  }
+}
 
 Status AggregateOperator::Open() {
   PSQL_RETURN_IF_ERROR(child_->Open());
@@ -52,8 +61,8 @@ Status AggregateOperator::Open() {
                       runner_};
       Row key;
       key.reserve(group_by_.size());
-      for (const Expr* g : group_by_) {
-        PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*g, ctx));
+      for (const BoundExpr& g : group_by_) {
+        PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(g, ctx));
         key.push_back(std::move(v));
       }
       size_t h = HashRow(key);
@@ -72,7 +81,7 @@ Status AggregateOperator::Open() {
       for (size_t j = 0; j < aggs_.size(); ++j) {
         Value arg;  // NULL placeholder for COUNT(*)
         if (kinds_[j] != AggregateKind::kCountStar) {
-          PSQL_ASSIGN_OR_RETURN(arg, Evaluate(*aggs_[j]->args[0], ctx));
+          PSQL_ASSIGN_OR_RETURN(arg, Evaluate(agg_args_[j], ctx));
         }
         PSQL_RETURN_IF_ERROR(groups[gidx].accs[j].Add(arg));
       }

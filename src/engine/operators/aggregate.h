@@ -34,9 +34,12 @@ class AggregateOperator : public PhysicalOperator {
  private:
   OperatorPtr child_;
   Schema schema_;
-  std::vector<const Expr*> group_by_;
   std::vector<const Expr*> aggs_;
   std::vector<AggregateKind> kinds_;
+  // Group keys and aggregate arguments, bound to the child schema (an
+  // unbound argument for COUNT(*)).
+  std::vector<BoundExpr> group_by_;
+  std::vector<BoundExpr> agg_args_;
   const EvalContext* outer_;
   SubqueryRunner* runner_;
 

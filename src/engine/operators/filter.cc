@@ -6,8 +6,7 @@ FilterOperator::FilterOperator(OperatorPtr child, const Expr* predicate,
                                const EvalContext* outer,
                                SubqueryRunner* runner)
     : child_(std::move(child)),
-      predicate_(predicate),
-      outer_(outer),
+      predicate_(*predicate, child_->schema(), outer),
       runner_(runner) {}
 
 FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate,
@@ -15,8 +14,7 @@ FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate,
                                SubqueryRunner* runner)
     : child_(std::move(child)),
       owned_predicate_(std::move(predicate)),
-      predicate_(owned_predicate_.get()),
-      outer_(outer),
+      predicate_(*owned_predicate_, child_->schema(), outer),
       runner_(runner) {}
 
 Result<bool> FilterOperator::NextBatch(RowBatch* out) {
@@ -30,8 +28,7 @@ Result<bool> FilterOperator::NextBatch(RowBatch* out) {
     }
     PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
     if (!more) return false;
-    PSQL_RETURN_IF_ERROR(EvaluatePredicateBatch(
-        *predicate_, child_->schema(), out, outer_, runner_));
+    PSQL_RETURN_IF_ERROR(predicate_.Apply(out, runner_));
     if (!out->sel.empty()) return true;
   }
 }

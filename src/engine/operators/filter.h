@@ -1,5 +1,7 @@
 // Streaming selection: forwards child rows whose predicate evaluates to
-// TRUE (SQL three-valued logic; NULL/UNKNOWN drops the row).
+// TRUE (SQL three-valued logic; NULL/UNKNOWN drops the row). The predicate
+// is split into conjuncts, classified and bound once, when the operator is
+// built.
 
 #pragma once
 
@@ -28,8 +30,7 @@ class FilterOperator : public PhysicalOperator {
  private:
   OperatorPtr child_;
   ExprPtr owned_predicate_;
-  const Expr* predicate_;
-  const EvalContext* outer_;
+  BatchPredicate predicate_;
   SubqueryRunner* runner_;
 };
 

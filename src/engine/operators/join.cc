@@ -53,10 +53,11 @@ HashJoinOperator::HashJoinOperator(OperatorPtr left, OperatorPtr right,
       schema_(left_->schema().Concat(right_->schema())),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      residual_(std::move(residual)),
       left_join_(left_join),
       outer_(outer),
-      runner_(runner) {}
+      runner_(runner) {
+  for (const Expr* e : residual) residual_.emplace_back(*e, schema_, outer);
+}
 
 Status HashJoinOperator::Open() {
   PSQL_RETURN_IF_ERROR(left_->Open());
@@ -118,8 +119,8 @@ Result<bool> HashJoinOperator::NextBatch(RowBatch* out) {
         Row combined = ConcatRows(*left_row_, right_row);
         bool pass = true;
         EvalContext ctx{&schema_, &combined, outer_, runner_};
-        for (const Expr* e : residual_) {
-          PSQL_ASSIGN_OR_RETURN(pass, EvaluatePredicate(*e, ctx));
+        for (const BoundExpr& e : residual_) {
+          PSQL_ASSIGN_OR_RETURN(pass, EvaluatePredicate(e, ctx));
           if (!pass) break;
         }
         if (pass) {
@@ -163,7 +164,9 @@ NestedLoopJoinOperator::NestedLoopJoinOperator(OperatorPtr left,
       join_on_(join_on),
       left_join_(left_join),
       outer_(outer),
-      runner_(runner) {}
+      runner_(runner) {
+  if (join_on_ != nullptr) bound_on_ = BoundExpr(*join_on_, schema_, outer);
+}
 
 Status NestedLoopJoinOperator::Open() {
   PSQL_RETURN_IF_ERROR(left_->Open());
@@ -204,7 +207,7 @@ Result<bool> NestedLoopJoinOperator::NextBatch(RowBatch* out) {
       bool pass = true;
       if (join_on_ != nullptr) {
         EvalContext ctx{&schema_, &combined, outer_, runner_};
-        PSQL_ASSIGN_OR_RETURN(pass, EvaluatePredicate(*join_on_, ctx));
+        PSQL_ASSIGN_OR_RETURN(pass, EvaluatePredicate(bound_on_, ctx));
       }
       if (pass) {
         left_matched_ = true;

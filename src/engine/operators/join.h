@@ -57,7 +57,7 @@ class HashJoinOperator : public PhysicalOperator {
   Schema schema_;
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
-  std::vector<const Expr*> residual_;
+  std::vector<BoundExpr> residual_;  // bound to the combined schema
   bool left_join_;
   const EvalContext* outer_;
   SubqueryRunner* runner_;
@@ -96,6 +96,7 @@ class NestedLoopJoinOperator : public PhysicalOperator {
   OperatorPtr right_;
   Schema schema_;
   const Expr* join_on_;
+  BoundExpr bound_on_;  // join_on_ bound to the combined schema
   bool left_join_;
   const EvalContext* outer_;
   SubqueryRunner* runner_;

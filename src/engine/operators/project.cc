@@ -10,20 +10,33 @@ ProjectOperator::ProjectOperator(OperatorPtr child, Schema out_schema,
       schema_(std::move(out_schema)),
       exprs_(std::move(exprs)),
       outer_(outer),
-      runner_(runner) {}
+      runner_(runner) {
+  identity_ = exprs_.size() == child_->schema().num_columns();
+  bound_.reserve(exprs_.size());
+  slots_.reserve(exprs_.size());
+  for (size_t i = 0; i < exprs_.size(); ++i) {
+    bound_.emplace_back(*exprs_[i], child_->schema(), outer);
+    slots_.push_back(bound_.back().input_slot());
+    identity_ &= slots_.back() == static_cast<int64_t>(i);
+  }
+}
 
 Result<bool> ProjectOperator::NextBatch(RowBatch* out) {
   PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
-  if (!more) return false;
+  if (!more || identity_) return more;
   for (uint32_t idx : out->sel) {
     // Build the output row fully before overwriting the slot: the eval
     // context reads the input row living there.
-    EvalContext ctx{&child_->schema(), &out->rows[idx].row(), outer_,
-                    runner_};
+    const Row& in = out->rows[idx].row();
+    EvalContext ctx{&child_->schema(), &in, outer_, runner_};
     Row row;
-    row.reserve(exprs_.size());
-    for (const ExprPtr& e : exprs_) {
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e, ctx));
+    row.reserve(bound_.size());
+    for (size_t i = 0; i < bound_.size(); ++i) {
+      if (slots_[i] >= 0) {
+        row.push_back(in[static_cast<size_t>(slots_[i])]);
+        continue;
+      }
+      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(bound_[i], ctx));
       row.push_back(std::move(v));
     }
     out->rows[idx] = RowRef::Owned(std::move(row));

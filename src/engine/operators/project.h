@@ -15,7 +15,10 @@ namespace prefsql {
 
 /// Evaluates one expression per output column against each child row. Owns
 /// the expressions (the planner synthesizes star expansions, GROUP BY
-/// rewrites and hidden ORDER BY keys).
+/// rewrites and hidden ORDER BY keys) and binds them when built: a bare
+/// column reference of the child row copies its slot without evaluation,
+/// and a projection that reproduces the child row slot for slot forwards
+/// the child's batch untouched.
 class ProjectOperator : public PhysicalOperator {
  public:
   ProjectOperator(OperatorPtr child, Schema out_schema,
@@ -31,6 +34,10 @@ class ProjectOperator : public PhysicalOperator {
   OperatorPtr child_;
   Schema schema_;
   std::vector<ExprPtr> exprs_;
+  std::vector<BoundExpr> bound_;
+  /// Per output column: the child slot it copies, or -1 to evaluate.
+  std::vector<int64_t> slots_;
+  bool identity_ = false;
   const EvalContext* outer_;
   SubqueryRunner* runner_;
 };

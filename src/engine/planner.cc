@@ -208,21 +208,6 @@ bool CollectRefsNoSubquery(const Expr& e, std::vector<const Expr*>* refs) {
   return true;
 }
 
-// True when planning the table ref would execute a subquery (planning twice
-// for a rejected pushdown attempt must stay side-effect free).
-bool RefContainsSubquery(const TableRef& tr) {
-  switch (tr.kind) {
-    case TableRef::Kind::kTable:
-      return false;
-    case TableRef::Kind::kSubquery:
-      return true;
-    case TableRef::Kind::kJoin:
-      return RefContainsSubquery(*tr.join_left) ||
-             RefContainsSubquery(*tr.join_right);
-  }
-  return true;
-}
-
 std::vector<SelectItem> CloneItems(const std::vector<SelectItem>& items) {
   std::vector<SelectItem> out;
   out.reserve(items.size());
@@ -302,9 +287,25 @@ ExprPtr RewriteForGroups(const Expr& e, const std::vector<ExprPtr>& group_by,
 
 }  // namespace
 
+bool RefContainsSubquery(const TableRef& tr) {
+  switch (tr.kind) {
+    case TableRef::Kind::kTable:
+      return false;
+    case TableRef::Kind::kSubquery:
+      return true;
+    case TableRef::Kind::kJoin:
+      return RefContainsSubquery(*tr.join_left) ||
+             RefContainsSubquery(*tr.join_right);
+  }
+  return true;
+}
+
 // ===========================================================================
 // SELECT planning
 // ===========================================================================
+
+Planner::Planner(StatementScope* scope)
+    : scope_(scope), executor_(scope->executor()) {}
 
 Result<OperatorPtr> Planner::PlanSelect(const SelectStmt& select,
                                         const EvalContext* outer) {
@@ -320,7 +321,7 @@ Result<OperatorPtr> Planner::PlanSelect(const SelectStmt& select,
     input = std::make_unique<OneRowOperator>();
     if (select.where != nullptr) {
       input = std::make_unique<FilterOperator>(
-          std::move(input), select.where.get(), outer, executor_);
+          std::move(input), select.where.get(), outer, scope_);
     }
   } else {
     PSQL_ASSIGN_OR_RETURN(input,
@@ -383,7 +384,7 @@ Result<OperatorPtr> Planner::PlanTableRef(const TableRef& tr,
       }
       if (catalog->HasView(tr.table_name)) {
         PSQL_ASSIGN_OR_RETURN(auto materialized,
-                              executor_->MaterializeViewCached(tr.table_name));
+                              scope_->MaterializeView(tr.table_name));
         return OperatorPtr(std::make_unique<SeqScanOperator>(
             materialized->schema().WithQualifier(visible),
             &materialized->rows(), materialized));
@@ -392,7 +393,7 @@ Result<OperatorPtr> Planner::PlanTableRef(const TableRef& tr,
     }
     case TableRef::Kind::kSubquery: {
       PSQL_ASSIGN_OR_RETURN(ResultTable rt,
-                            executor_->ExecuteSelect(*tr.subquery, outer));
+                            scope_->RunSubquery(*tr.subquery, outer));
       Schema schema = rt.schema().WithQualifier(tr.alias);
       return OperatorPtr(std::make_unique<SeqScanOperator>(std::move(schema),
                                                            std::move(rt)));
@@ -424,11 +425,11 @@ Result<OperatorPtr> Planner::PlanJoin(const TableRef& tr,
     }
     return OperatorPtr(std::make_unique<HashJoinOperator>(
         std::move(left), std::move(right), std::move(lcols), std::move(rcols),
-        std::move(residual), left_join, outer, executor_));
+        std::move(residual), left_join, outer, scope_));
   }
   return OperatorPtr(std::make_unique<NestedLoopJoinOperator>(
       std::move(left), std::move(right), tr.join_on.get(), left_join, outer,
-      executor_));
+      scope_));
 }
 
 Result<OperatorPtr> Planner::PlanFromWhere(const SelectStmt& select,
@@ -460,7 +461,7 @@ Result<OperatorPtr> Planner::PlanFromWhere(const SelectStmt& select,
           executor_->mvcc_counters());
       // Re-apply the full WHERE (residual predicates, over-approximation).
       return OperatorPtr(std::make_unique<FilterOperator>(
-          std::move(scan), select.where.get(), outer, executor_));
+          std::move(scan), select.where.get(), outer, scope_));
     }
   }
 
@@ -472,12 +473,12 @@ Result<OperatorPtr> Planner::PlanFromWhere(const SelectStmt& select,
                           PlanTableRef(*select.from[i], outer));
     acc = std::make_unique<NestedLoopJoinOperator>(
         std::move(acc), std::move(next), nullptr, /*left_join=*/false, outer,
-        executor_);
+        scope_);
   }
   if (select.where == nullptr) return acc;
   if (count_stats) executor_->CountScan(/*used_index=*/false);
   return OperatorPtr(std::make_unique<FilterOperator>(
-      std::move(acc), select.where.get(), outer, executor_));
+      std::move(acc), select.where.get(), outer, scope_));
 }
 
 // ===========================================================================
@@ -502,6 +503,7 @@ Result<std::optional<OperatorPtr>> Planner::TryPlanPushdown(
     return reject("FROM is not a single join");
   }
   const TableRef& tr = *select.from[0];
+  // Planning twice for a rejected attempt must stay side-effect free.
   if (RefContainsSubquery(tr)) {
     return reject("join side contains a subquery");
   }
@@ -628,7 +630,7 @@ Result<std::optional<OperatorPtr>> Planner::TryPlanPushdown(
   if (!below.empty()) {
     side = std::make_unique<FilterOperator>(std::move(side),
                                             conjunction(below), outer,
-                                            executor_);
+                                            scope_);
   }
   std::string detail = "pushdown: bmo prefilter below " +
                        std::string(join_kind) + " join, side=" +
@@ -657,15 +659,15 @@ Result<std::optional<OperatorPtr>> Planner::TryPlanPushdown(
     }
     op = std::make_unique<HashJoinOperator>(
         std::move(left), std::move(right), std::move(lcols), std::move(rcols),
-        std::vector<const Expr*>{}, left_join, outer, executor_);
+        std::vector<const Expr*>{}, left_join, outer, scope_);
   } else {
     op = std::make_unique<NestedLoopJoinOperator>(
         std::move(left), std::move(right), nullptr, /*left_join=*/false,
-        outer, executor_);
+        outer, scope_);
   }
   if (!above.empty()) {
     op = std::make_unique<FilterOperator>(std::move(op), conjunction(above),
-                                          outer, executor_);
+                                          outer, scope_);
   }
   // Mirror PlanFromWhere: a WHERE-driven scan counts once, never indexed.
   if (count_stats && select.where != nullptr) {
@@ -825,7 +827,7 @@ Result<OperatorPtr> Planner::PlanTail(std::vector<SelectItem> items,
 
   OperatorPtr op = std::make_unique<ProjectOperator>(
       std::move(child), Schema(std::move(all_cols)), std::move(exprs), outer,
-      executor_);
+      scope_);
   if (distinct) {
     op = std::make_unique<DistinctOperator>(std::move(op), n_visible);
   }
@@ -899,13 +901,13 @@ Result<OperatorPtr> Planner::PlanAggregate(const SelectStmt& select,
 
   OperatorPtr op = std::make_unique<AggregateOperator>(
       std::move(input), Schema(std::move(cols)), std::move(group_ptrs), aggs,
-      agg_kinds, outer, executor_);
+      agg_kinds, outer, scope_);
 
   if (select.having != nullptr) {
     ExprPtr having = RewriteForGroups(*select.having, select.group_by,
                                       group_names, aggs, agg_names);
     op = std::make_unique<FilterOperator>(std::move(op), std::move(having),
-                                          outer, executor_);
+                                          outer, scope_);
   }
 
   // Rewrite items / ORDER BY against the synthetic schema.

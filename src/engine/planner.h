@@ -24,6 +24,7 @@
 namespace prefsql {
 
 class Executor;
+class StatementScope;
 
 /// Builds the preference layer's semi-skyline pre-filter over `input`,
 /// computing per-partition maximal tuples; `partition_cols` are positions in
@@ -52,11 +53,16 @@ struct PushdownReport {
   std::string detail;
 };
 
+/// True when planning the table ref executes a subquery (a FROM subquery
+/// is materialized at plan time and may read the outer row).
+bool RefContainsSubquery(const TableRef& tr);
+
 class Planner {
  public:
-  /// The executor provides the catalog, the per-statement view cache, scan
-  /// counters, and subquery execution.
-  explicit Planner(Executor* executor) : executor_(executor) {}
+  /// Plans inside `scope`: the statement's view materializations and the
+  /// subquery runner of every operator built; its executor provides the
+  /// catalog and scan counters.
+  explicit Planner(StatementScope* scope);
 
   /// Plans a full (non-preference) SELECT pipeline.
   Result<OperatorPtr> PlanSelect(const SelectStmt& select,
@@ -115,6 +121,7 @@ class Planner {
       const std::string& table_name, const std::string& visible_alias,
       const Expr& where);
 
+  StatementScope* scope_;
   Executor* executor_;
 };
 

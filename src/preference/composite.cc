@@ -147,21 +147,38 @@ Result<PrefKey> CompiledPreference::MakeKey(const Schema& schema,
   return key;
 }
 
-Status CompiledPreference::AppendKey(const Schema& schema, const Row& row,
+std::vector<BoundExpr> CompiledPreference::BindLeaves(
+    const Schema& schema) const {
+  std::vector<BoundExpr> out;
+  out.reserve(leaves_.size());
+  for (const auto& leaf : leaves_) {
+    out.emplace_back(*leaf.attr, schema, nullptr);
+  }
+  return out;
+}
+
+Status CompiledPreference::AppendKey(const std::vector<BoundExpr>& leaves,
+                                     const Schema& schema, const Row& row,
                                      KeyStore* store,
                                      SubqueryRunner* runner) const {
   EvalContext ctx{&schema, &row, nullptr, runner};
-  for (const auto& leaf : leaves_) {
-    auto v = Evaluate(*leaf.attr, ctx);
+  for (size_t l = 0; l < leaves_.size(); ++l) {
+    auto v = Evaluate(leaves[l], ctx);
     if (!v.ok()) {
       store->RollbackRow();
       return v.status();
     }
-    LeafKey k = leaf.pref->MakeKey(*v);
+    LeafKey k = leaves_[l].pref->MakeKey(*v);
     store->PushLeaf(k.score, k.explicit_id);
   }
   store->CommitRow();
   return Status::OK();
+}
+
+Status CompiledPreference::AppendKey(const Schema& schema, const Row& row,
+                                     KeyStore* store,
+                                     SubqueryRunner* runner) const {
+  return AppendKey(BindLeaves(schema), schema, row, store, runner);
 }
 
 Rel CompiledPreference::CompareNode(const PrefNode& node, const PrefKey& a,

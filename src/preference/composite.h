@@ -56,9 +56,19 @@ class CompiledPreference {
   Result<PrefKey> MakeKey(const Schema& schema, const Row& row,
                           SubqueryRunner* runner = nullptr) const;
 
-  /// Evaluates the leaf attribute expressions for `row` and appends the key
-  /// to `store` (which must be bound to num_leaves() leaves) — the packed
-  /// equivalent of MakeKey, with no per-tuple allocation.
+  /// The leaf attribute expressions, in leaf order, bound for rows of
+  /// `schema` (engine/evaluator.h): what a key build evaluates per row.
+  std::vector<BoundExpr> BindLeaves(const Schema& schema) const;
+
+  /// Evaluates the bound leaf attribute expressions for `row` (a row of the
+  /// schema `leaves` were bound for) and appends the key to `store` (which
+  /// must be bound to num_leaves() leaves) — the packed equivalent of
+  /// MakeKey, with no per-tuple allocation.
+  Status AppendKey(const std::vector<BoundExpr>& leaves, const Schema& schema,
+                   const Row& row, KeyStore* store,
+                   SubqueryRunner* runner = nullptr) const;
+
+  /// AppendKey with the leaves bound for this one row.
   Status AppendKey(const Schema& schema, const Row& row, KeyStore* store,
                    SubqueryRunner* runner = nullptr) const;
 

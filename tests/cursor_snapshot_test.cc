@@ -166,5 +166,47 @@ TEST(CursorSnapshotTest, PlainScanCursorIsSnapshotStable) {
   EXPECT_NE(after->ToString(1000), before->ToString(1000));
 }
 
+TEST(CursorSnapshotTest, ViewMaterializationsStayWithTheirStatement) {
+  // A view a statement materializes belongs to that statement's plan, at
+  // its snapshot. Another session's statement over the same view — run
+  // after a write, at a newer snapshot — must neither replace nor clear
+  // it while the first statement's cursor is still streaming.
+  auto engine = std::make_shared<Engine>();
+  Connection a;
+  a.Attach(engine);
+  ASSERT_TRUE(a.Execute("CREATE TABLE t (id INTEGER)").ok());
+  std::string insert = "INSERT INTO t VALUES (0)";
+  for (int i = 1; i < 3000; ++i) insert += ", (" + std::to_string(i) + ")";
+  ASSERT_TRUE(a.Execute(insert).ok());
+  ASSERT_TRUE(a.Execute("CREATE VIEW v AS SELECT id FROM t").ok());
+
+  // The scalar subquery re-runs for every row of t; each run must find the
+  // view as the cursor's snapshot saw it.
+  auto cursor =
+      a.OpenCursor("SELECT id FROM t WHERE (SELECT COUNT(*) FROM v) = 3000");
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  size_t rows = 0;
+  for (; rows < 10; ++rows) {
+    auto row = cursor->Next();
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_TRUE(row->has_value());
+  }
+
+  Connection b;
+  b.Attach(engine);
+  ASSERT_TRUE(b.Execute("INSERT INTO t VALUES (99999)").ok());
+  auto count = b.Execute("SELECT COUNT(*) FROM v");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->at(0, 0).AsInt(), 3001);
+
+  for (;;) {
+    auto row = cursor->Next();
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    if (!row->has_value()) break;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 3000u);
+}
+
 }  // namespace
 }  // namespace prefsql

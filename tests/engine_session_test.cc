@@ -235,6 +235,109 @@ TEST(EngineSessionTest, ConcurrentSessionsMatchSerialReplay) {
   }
 }
 
+// Cached plans share one AST across sessions, and every execution binds it
+// anew beside the AST: four sessions running the same prepared correlated
+// anti-join and the same filtered direct-mode preference query, with
+// different parameters interleaved, each get exactly the serial answers.
+TEST(EngineSessionTest, ConcurrentPreparedCorrelatedQueriesMatchSerialAnswers) {
+  constexpr size_t kSessions = 4;
+  constexpr int kRuns = 200;
+  constexpr const char* kAntiJoin =
+      "SELECT id FROM item i1 WHERE i1.price < ? AND NOT EXISTS "
+      "(SELECT 1 FROM item i2 WHERE i2.price <= i1.price AND "
+      "i2.mileage <= i1.mileage AND (i2.price < i1.price OR "
+      "i2.mileage < i1.mileage))";
+  constexpr const char* kPreferring =
+      "SELECT id FROM item WHERE price < ? "
+      "PREFERRING LOWEST(price) AND LOWEST(mileage)";
+  const std::vector<int64_t> caps = {15, 25, 40, 55, 70};
+
+  auto engine = std::make_shared<Engine>();
+  {
+    Connection setup;
+    setup.Attach(engine);
+    std::string insert = "INSERT INTO item VALUES ";
+    for (int i = 0; i < 48; ++i) {
+      if (i > 0) insert += ", ";
+      insert += "(" + std::to_string(i) + ", " +
+                std::to_string(10 + (i * 37) % 61) + ", " +
+                std::to_string(10 + (i * 53) % 47) + ")";
+    }
+    ASSERT_TRUE(setup
+                    .ExecuteScript("CREATE TABLE item (id INTEGER, price "
+                                   "INTEGER, mileage INTEGER);" +
+                                   insert)
+                    .ok());
+  }
+
+  // Serial answers, one per query and parameter.
+  std::map<std::pair<int, int64_t>, std::multiset<std::string>> serial;
+  {
+    Connection conn;
+    conn.Attach(engine);
+    ASSERT_TRUE(conn.Execute("SET evaluation_mode = bnl").ok());
+    for (int q = 0; q < 2; ++q) {
+      auto stmt = conn.Prepare(q == 0 ? kAntiJoin : kPreferring);
+      ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+      for (int64_t cap : caps) {
+        ASSERT_TRUE(stmt->Bind(0, Value::Int(cap)).ok());
+        auto r = stmt->Execute();
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        serial[{q, cap}] = ResultIds(*r);
+      }
+    }
+  }
+  // The two queries agree: the anti-join is the skyline's §3.2 shape.
+  for (int64_t cap : caps) {
+    EXPECT_EQ(serial[std::make_pair(0, cap)], serial[std::make_pair(1, cap)]);
+  }
+
+  std::vector<std::string> errors(kSessions);
+  std::vector<int> mismatches(kSessions, 0);
+  std::vector<int> answered(kSessions, 0);
+  std::vector<std::thread> threads;
+  for (size_t id = 0; id < kSessions; ++id) {
+    threads.emplace_back([&, id] {
+      Connection conn;
+      conn.Attach(engine);
+      if (!conn.Execute("SET evaluation_mode = bnl").ok()) {
+        errors[id] = "SET failed";
+        return;
+      }
+      auto anti = conn.Prepare(kAntiJoin);
+      auto pref = conn.Prepare(kPreferring);
+      if (!anti.ok() || !pref.ok()) {
+        errors[id] = "prepare failed";
+        return;
+      }
+      for (int run = 0; run < kRuns; ++run) {
+        const int64_t cap = caps[(id * 3 + static_cast<size_t>(run)) %
+                                 caps.size()];
+        for (int q = 0; q < 2; ++q) {
+          PreparedStatement& stmt = q == 0 ? *anti : *pref;
+          if (!stmt.Bind(0, Value::Int(cap)).ok()) {
+            errors[id] = "bind failed";
+            return;
+          }
+          auto r = stmt.Execute();
+          if (!r.ok()) {
+            errors[id] = r.status().ToString();
+            return;
+          }
+          ++answered[id];
+          if (ResultIds(*r) != serial.at({q, cap})) ++mismatches[id];
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (size_t id = 0; id < kSessions; ++id) {
+    EXPECT_TRUE(errors[id].empty()) << "session " << id << ": " << errors[id];
+    EXPECT_EQ(answered[id], 2 * kRuns) << "session " << id;
+    EXPECT_EQ(mismatches[id], 0) << "session " << id;
+  }
+}
+
 // Writers and readers hammering the *same* table: results must always be a
 // consistent snapshot (here: the skyline of x over pairs inserted
 // atomically, so x and its partner are either both present or both absent).

@@ -167,6 +167,44 @@ TEST(EvaluatorTest, OuterScopeResolution) {
   EXPECT_EQ(v->AsInt(), 43);
 }
 
+// A bound expression reads the same cells the name path resolves: inner
+// names shadow outer ones, qualifiers pick the scope, and a name that does
+// not resolve (or resolves ambiguously) keeps the name path and its error.
+TEST(EvaluatorTest, BoundExpressionsMatchTheNamePath) {
+  Schema outer_schema = Schema::FromNames({"x", "z"}).WithQualifier("o");
+  Row outer_row{Value::Int(42), Value::Int(7)};
+  EvalContext outer = EvalContext::For(outer_schema, outer_row);
+  Schema inner_schema(
+      std::vector<ColumnInfo>{{"i", "x"}, {"i", "y"}, {"j", "y"}});
+  Row inner_row{Value::Int(1), Value::Int(2), Value::Int(3)};
+  EvalContext inner{&inner_schema, &inner_row, &outer, nullptr};
+  const char* cases[] = {
+      "x", "o.x", "i.x", "z", "o.z + i.y * 10", "j.y", "x + o.x",
+      "CASE WHEN x < o.x THEN i.y ELSE j.y END", "COALESCE(NULL, z)",
+      "x IN (1, o.z)", "o.x BETWEEN x AND 100",
+      "y", "nope", "o.y", "q.x"};
+  for (const char* text : cases) {
+    SCOPED_TRACE(text);
+    auto e = ParseExpression(text);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    auto by_name = Evaluate(**e, inner);
+    BoundExpr bound(**e, inner_schema, &outer);
+    auto by_slot = Evaluate(bound, inner);
+    ASSERT_EQ(by_name.ok(), by_slot.ok());
+    if (by_name.ok()) {
+      EXPECT_EQ(by_name->ToString(), by_slot->ToString());
+    } else {
+      EXPECT_EQ(by_name.status().ToString(), by_slot.status().ToString());
+    }
+  }
+  // Only references of the current row are plain slot copies.
+  auto x = ParseExpression("x");
+  auto ox = ParseExpression("o.x");
+  ASSERT_TRUE(x.ok() && ox.ok());
+  EXPECT_EQ(BoundExpr(**x, inner_schema, &outer).input_slot(), 0);
+  EXPECT_EQ(BoundExpr(**ox, inner_schema, &outer).input_slot(), -1);
+}
+
 TEST(EvaluatorTest, ContainsAggregateDetector) {
   auto plain = ParseExpression("a + 1");
   auto agg = ParseExpression("1 + SUM(a)");

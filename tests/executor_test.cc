@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/connection.h"
 #include "engine/database.h"
 #include "engine/operators/filter.h"
 #include "engine/operators/scan.h"
@@ -314,18 +315,6 @@ TEST(BatchTargetTest, FilterEvaluatesOnlyTheRowsThePullAsksFor) {
   filter.Close();
 }
 
-// Counts the EXISTS probes the executor runs, nested ones included.
-class CountingExecutor : public Executor {
- public:
-  using Executor::Executor;
-  Result<bool> SubqueryExists(const SelectStmt& select,
-                              const EvalContext* outer) override {
-    ++exists_calls;
-    return Executor::SubqueryExists(select, outer);
-  }
-  size_t exists_calls = 0;
-};
-
 // The §3.2 rewrite's NOT EXISTS probe stops at the first row of its
 // FROM/WHERE pipeline: the probe pulls with a 1-row target, so the WHERE
 // clause below it runs on that row alone, not on a whole batch.
@@ -334,7 +323,7 @@ TEST_F(ExecutorTest, ExistsProbeEvaluatesOneRowBeforeItsFirstMatch) {
   std::string insert = "INSERT INTO many VALUES (0)";
   for (int i = 1; i < 3000; ++i) insert += ", (" + std::to_string(i) + ")";
   Run(insert);
-  CountingExecutor exec(&db_.catalog());
+  Executor exec(&db_.catalog());
   auto stmt = ParseStatement(
       "SELECT 1 WHERE EXISTS (SELECT x FROM many WHERE EXISTS (SELECT 1))");
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
@@ -342,7 +331,222 @@ TEST_F(ExecutorTest, ExistsProbeEvaluatesOneRowBeforeItsFirstMatch) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_rows(), 1u);
   // The outer probe, plus one nested probe for the single row it pulled.
-  EXPECT_EQ(exec.exists_calls, 2u);
+  EXPECT_EQ(exec.stats().exists_probes.load(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Plan-time binding and per-statement probe plans
+// ---------------------------------------------------------------------------
+
+// Three relations sharing their column names (c serves depth-2 probes), and
+// one (d) whose names no other relation has.
+class BindingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Run("CREATE TABLE a (id INTEGER, x INTEGER)");
+    Run("INSERT INTO a VALUES (1, 10), (2, 20), (3, 30), (4, 40)");
+    Run("CREATE TABLE b (id INTEGER, x INTEGER)");
+    Run("INSERT INTO b VALUES (1, 5), (2, 25), (3, 30), (5, 50)");
+    Run("CREATE TABLE c (id INTEGER, x INTEGER)");
+    Run("INSERT INTO c VALUES (2, 20), (3, 99)");
+    Run("CREATE TABLE d (did INTEGER, dx INTEGER)");
+    Run("INSERT INTO d VALUES (1, 15), (2, 5)");
+  }
+
+  ResultTable Run(const std::string& sql) {
+    auto r = db_.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+    return r.ok() ? std::move(r).value() : ResultTable();
+  }
+
+  // First-column integers of a query's rows, in order.
+  std::vector<int64_t> Ids(const std::string& sql) {
+    std::vector<int64_t> out;
+    ResultTable t = Run(sql);
+    for (size_t i = 0; i < t.num_rows(); ++i) out.push_back(t.at(i, 0).AsInt());
+    return out;
+  }
+
+  uint64_t ProbePlans() {
+    return db_.executor().stats().exists_plans.load();
+  }
+  uint64_t ProbeRuns() {
+    return db_.executor().stats().exists_probes.load();
+  }
+
+  Database db_;
+};
+
+TEST_F(BindingTest, InnerNamesShadowOuterOnesQualifiedAndUnqualified) {
+  // Unqualified `x` and `id` inside the probe are b's; a.x reaches out.
+  EXPECT_EQ(Ids("SELECT id FROM a WHERE EXISTS "
+                "(SELECT 1 FROM b WHERE id = a.id AND x > a.x) ORDER BY id"),
+            (std::vector<int64_t>{2}));
+  EXPECT_EQ(Ids("SELECT a.id FROM a WHERE EXISTS "
+                "(SELECT 1 FROM b WHERE b.x = a.x) ORDER BY a.id"),
+            (std::vector<int64_t>{3}));
+  // The same table on both sides, told apart by alias only.
+  EXPECT_EQ(Ids("SELECT id FROM a a1 WHERE NOT EXISTS "
+                "(SELECT 1 FROM a a2 WHERE a2.x > a1.x)"),
+            (std::vector<int64_t>{4}));
+  // Unqualified `x` is the probe's own a2.x, never c.x ...
+  EXPECT_EQ(Ids("SELECT id FROM c WHERE EXISTS "
+                "(SELECT 1 FROM a a2 WHERE a2.x < x) ORDER BY id"),
+            (std::vector<int64_t>{}));
+  // ... while a name only the outer scope has resolves there.
+  EXPECT_EQ(Ids("SELECT did FROM d WHERE EXISTS "
+                "(SELECT 1 FROM a WHERE a.x < dx) ORDER BY did"),
+            (std::vector<int64_t>{1}));
+  // Projections mix copied slots, outer reads and evaluated expressions.
+  ResultTable t = Run(
+      "SELECT id, x * 2, (SELECT MAX(b.x) FROM b WHERE b.id <= a.id) "
+      "FROM a ORDER BY id");
+  ASSERT_EQ(t.num_rows(), 4u);
+  EXPECT_EQ(t.at(1, 1).AsInt(), 40);
+  EXPECT_EQ(t.at(1, 2).AsInt(), 25);
+  EXPECT_EQ(t.at(3, 2).AsInt(), 30);
+}
+
+TEST_F(BindingTest, CorrelatedProbeIsPlannedOncePerStatement) {
+  const uint64_t plans = ProbePlans();
+  const uint64_t runs = ProbeRuns();
+  EXPECT_EQ(Ids("SELECT id FROM a WHERE NOT EXISTS "
+                "(SELECT 1 FROM b WHERE b.x > a.x) ORDER BY id"),
+            (std::vector<int64_t>{}));
+  EXPECT_EQ(ProbeRuns() - runs, 4u);   // one run per outer row
+  EXPECT_EQ(ProbePlans() - plans, 1u);  // one plan for all of them
+}
+
+TEST_F(BindingTest, NestedExistsAtDepthTwo) {
+  const uint64_t plans = ProbePlans();
+  // c.x = a.x reaches two scopes out, c.id = b.id one.
+  EXPECT_EQ(Ids("SELECT id FROM a WHERE EXISTS (SELECT 1 FROM b WHERE "
+                "b.id = a.id AND EXISTS (SELECT 1 FROM c WHERE "
+                "c.id = b.id AND c.x = a.x)) ORDER BY id"),
+            (std::vector<int64_t>{2}));
+  EXPECT_EQ(Ids("SELECT id FROM a WHERE NOT EXISTS (SELECT 1 FROM b WHERE "
+                "b.id = a.id AND NOT EXISTS (SELECT 1 FROM c WHERE "
+                "c.x >= b.x - 5 AND c.x <= a.x)) ORDER BY id"),
+            (std::vector<int64_t>{2, 4}));
+  // Each statement plans its outer probe once and the nested probe once,
+  // inside the outer probe's plan.
+  EXPECT_EQ(ProbePlans() - plans, 4u);
+}
+
+TEST_F(BindingTest, ProbeWithACorrelatedFromSubqueryReplansPerRow) {
+  const uint64_t plans = ProbePlans();
+  // The derived table reads a.x while it is planned, so a plan kept from
+  // the previous outer row would answer for the wrong row.
+  EXPECT_EQ(Ids("SELECT id FROM a WHERE EXISTS (SELECT 1 FROM "
+                "(SELECT id FROM b WHERE b.x > a.x) s WHERE s.id > a.id) "
+                "ORDER BY id"),
+            (std::vector<int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(Ids("SELECT id FROM a WHERE NOT EXISTS (SELECT 1 FROM "
+                "(SELECT x FROM b WHERE b.x > a.x + 15) s) ORDER BY id"),
+            (std::vector<int64_t>{4}));
+  EXPECT_EQ(ProbePlans() - plans, 8u);  // once per outer row, per statement
+}
+
+TEST_F(BindingTest, UnresolvedColumnsKeepTheirErrors) {
+  auto error = [&](const std::string& sql) {
+    auto r = db_.Execute(sql);
+    EXPECT_FALSE(r.ok()) << sql;
+    return r.ok() ? std::string() : r.status().message();
+  };
+  EXPECT_EQ(error("SELECT nope FROM a"),
+            "unknown column: nope");
+  EXPECT_EQ(error("SELECT id FROM a WHERE a.nope = 1"),
+            "unknown column: a.nope");
+  EXPECT_EQ(error("SELECT id FROM a, b"),
+            "ambiguous column: id");
+  EXPECT_EQ(error("SELECT a.id FROM a WHERE EXISTS "
+                  "(SELECT 1 FROM b, c WHERE x = 1)"),
+            "ambiguous column: x");
+  EXPECT_EQ(error("SELECT id FROM a WHERE NOT EXISTS "
+                  "(SELECT 1 FROM b WHERE b.x > a.nope)"),
+            "unknown column: a.nope");
+  EXPECT_EQ(error("SELECT COUNT(*) FROM a GROUP BY nope"),
+            "unknown column: nope");
+  // A row that never evaluates the reference never raises it.
+  Run("CREATE TABLE empty_t (id INTEGER)");
+  EXPECT_EQ(Run("SELECT nope FROM empty_t").num_rows(), 0u);
+  EXPECT_EQ(Run("SELECT id FROM empty_t WHERE nope > 1").num_rows(), 0u);
+  EXPECT_EQ(Run("SELECT id FROM a WHERE EXISTS "
+                "(SELECT 1 FROM empty_t WHERE nope = a.id)")
+                .num_rows(),
+            0u);
+  EXPECT_EQ(Run("SELECT id FROM a WHERE id > 100 AND nope = 1").num_rows(),
+            0u);
+}
+
+// Prepared and cached plans share one AST across executions and cursors;
+// binding writes nothing into it.
+class PreparedBindingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(conn_.ExecuteScript(
+                         "CREATE TABLE a (id INTEGER, x INTEGER);"
+                         "INSERT INTO a VALUES (1, 10), (2, 20), (3, 30), "
+                         "(4, 40), (5, 25)")
+                    .ok());
+  }
+
+  static std::vector<int64_t> Ids(const ResultTable& t) {
+    std::vector<int64_t> out;
+    for (size_t i = 0; i < t.num_rows(); ++i) out.push_back(t.at(i, 0).AsInt());
+    return out;
+  }
+
+  // Rows of `a` that no row beats by more than `margin`.
+  static constexpr const char* kQuery =
+      "SELECT id FROM a a1 WHERE NOT EXISTS "
+      "(SELECT 1 FROM a a2 WHERE a2.x > a1.x + ?) ORDER BY id";
+
+  Connection conn_;
+};
+
+TEST_F(PreparedBindingTest, CorrelatedStatementReExecutesWithNewParameters) {
+  auto stmt = conn_.Prepare(kQuery);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  const std::pair<int64_t, std::vector<int64_t>> cases[] = {
+      {0, {4}}, {10, {3, 4}}, {15, {3, 4, 5}}, {100, {1, 2, 3, 4, 5}},
+      {0, {4}}};
+  for (const auto& [margin, expected] : cases) {
+    SCOPED_TRACE(margin);
+    ASSERT_TRUE(stmt->Bind(0, Value::Int(margin)).ok());
+    auto r = stmt->Execute();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(Ids(*r), expected);
+  }
+}
+
+TEST_F(PreparedBindingTest, InterleavedCursorsOverOnePreparedStatement) {
+  auto stmt = conn_.Prepare(kQuery);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_TRUE(stmt->Bind(0, Value::Int(100)).ok());
+  auto wide = stmt->Open();
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  ASSERT_TRUE(stmt->Bind(0, Value::Int(10)).ok());
+  auto narrow = stmt->Open();
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+  std::vector<int64_t> got_wide, got_narrow;
+  bool wide_done = false, narrow_done = false;
+  while (!wide_done || !narrow_done) {
+    for (auto [cursor, got, done] :
+         {std::tuple(&*wide, &got_wide, &wide_done),
+          std::tuple(&*narrow, &got_narrow, &narrow_done)}) {
+      if (*done) continue;
+      auto row = cursor->Next();
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      if (!row->has_value()) {
+        *done = true;
+        continue;
+      }
+      got->push_back((**row).row()[0].AsInt());
+    }
+  }
+  EXPECT_EQ(got_wide, (std::vector<int64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(got_narrow, (std::vector<int64_t>{3, 4}));
 }
 
 }  // namespace
