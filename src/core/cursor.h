@@ -11,16 +11,16 @@
 //   cursor->Close();                             // optional; ~Cursor closes
 //
 // Two shapes share the interface:
-//   * streaming — direct-path preference queries and plain SELECTs hold the
-//     open operator tree, the engine's shared DDL lock, and a pinned MVCC
-//     snapshot, and pull rows on demand: skyline/top-k results reach the
-//     client without a ResultTable materialization. Close() (or
+//   * streaming — every SELECT (plain, §3.2-rewritten, or evaluated
+//     in-engine) holds the open operator tree, the engine's shared DDL
+//     lock, and a pinned MVCC snapshot, and pulls rows on demand:
+//     skyline/top-k results reach the client without a ResultTable
+//     materialization. Close() (or
 //     end-of-stream, or an error) closes the operator tree — flushing the
 //     BMO statistics into the session's last_stats even when the client
 //     stopped early — and releases the snapshot pin and the lock promptly.
-//   * materialized — rewrite-mode preference queries (their Aux views need
-//     an exclusive critical section), EXPLAIN, and DML results are computed
-//     eagerly and replayed row by row; no lock or pin is held.
+//   * materialized — EXPLAIN and DML results are computed eagerly and
+//     replayed row by row; no lock or pin is held.
 //
 // Snapshot stability: a streaming cursor's rows are exactly the versions
 // visible at its open-time epoch. Concurrent DML appends new row versions

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -31,20 +32,20 @@ const char* EvaluationModeToString(EvaluationMode m) {
 
 namespace {
 
-// Restores catalog version bumps when the rewrite path exits (including on
-// error) after suppressing them around its transient Aux views.
-class ScopedVersionBumpSuppression {
- public:
-  explicit ScopedVersionBumpSuppression(Catalog* catalog) : catalog_(catalog) {
-    catalog_->set_suppress_version_bumps(true);
-  }
-  ~ScopedVersionBumpSuppression() {
-    catalog_->set_suppress_version_bumps(false);
-  }
+// Name under which an executed rewrite binds its Aux view (and the BUT
+// ONLY pre-filter view, this name + "_f") as statement-local views. It holds
+// a double quote, which no identifier the lexer produces can, so no user
+// object collides with it or is shadowed by it.
+constexpr char kLocalAuxName[] = "\"aux\"";
 
- private:
-  Catalog* catalog_;
-};
+// The rewrite's CREATE VIEW setup as statement-local views of its query.
+LocalViews LocalViewsOf(const RewriteOutput& rewritten) {
+  LocalViews views;
+  for (const Statement& st : rewritten.setup) {
+    views.emplace_back(st.name, st.select);
+  }
+  return views;
+}
 
 bool IsCacheableKind(StatementKind kind) {
   return kind == StatementKind::kSelect || kind == StatementKind::kExplain;
@@ -411,36 +412,6 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
                            /*auto_parameterized=*/false);
   }
 
-  // INSERT ... SELECT with a PREFERRING clause (§2.2.5): evaluate the
-  // preference query, then bulk-insert the BMO rows — one exclusive
-  // critical section for the whole statement.
-  if (stmt.kind == StatementKind::kInsert && stmt.select != nullptr &&
-      stmt.select->IsPreferenceQuery()) {
-    session.mutable_last_stats().was_preference_query = true;
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    PSQL_ASSIGN_OR_RETURN(auto expanded, ExpandSelect(*stmt.select));
-    PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*expanded));
-    Result<ResultTable> rows = [&]() -> Result<ResultTable> {
-      if (session.options().mode == EvaluationMode::kRewrite) {
-        auto result = ExecuteViaRewrite(session, *expanded, analyzed.pref);
-        if (result.ok() || !result.status().IsNotImplemented()) return result;
-        // Rewriter refused (e.g. non-weak-order EXPLICIT): fall back.
-        session.mutable_last_stats().rewrite_fallback = true;
-      }
-      return ExecuteDirect(session, *expanded, analyzed.pref);
-    }();
-    PSQL_RETURN_IF_ERROR(rows.status());
-    FlushBatchExecStats(qctx.get(), session.mutable_last_stats());
-    auto result =
-        db_.executor().InsertTable(stmt.name, stmt.insert_columns, *rows);
-    MaintainSkylineCaches();
-    SweepCaches();
-    SnapshotCacheCounters(session);
-    lock.unlock();
-    TryCollectGarbage(session);
-    return result;
-  }
-
   // DML appends row versions: it runs under the *shared* DDL lock (readers
   // streaming at pinned snapshots are never blocked) with DML statements
   // serialized against each other — and with the cache maintenance/sweep
@@ -455,7 +426,20 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
       // pre-statement snapshot while this writer is queued.
       PSQL_FAILPOINT_STATUS("writer_handoff");
       std::lock_guard<std::mutex> writer(writer_mutex_);
-      auto r = db_.ExecuteStatement(stmt);
+      // INSERT ... SELECT with a PREFERRING clause (§2.2.5): evaluate the
+      // preference query at the current epoch, which no other writer can
+      // move now, then bulk-insert the BMO rows. A failed evaluation has
+      // written nothing, so there is nothing to maintain.
+      std::optional<ResultTable> rows;
+      if (stmt.kind == StatementKind::kInsert && stmt.select != nullptr &&
+          stmt.select->IsPreferenceQuery()) {
+        PSQL_ASSIGN_OR_RETURN(rows,
+                              ExecuteInsertSource(session, *stmt.select));
+        FlushBatchExecStats(qctx.get(), session.mutable_last_stats());
+      }
+      auto r = rows.has_value() ? db_.executor().InsertTable(
+                                      stmt.name, stmt.insert_columns, *rows)
+                                : db_.ExecuteStatement(stmt);
       MaintainSkylineCaches();
       SweepCaches();
       return r;
@@ -638,64 +622,68 @@ Result<Cursor> Engine::OpenPreparedCursor(
                               std::move(keepalive));
   }
 
-  if (plan->select->IsPreferenceQuery()) {
-    stats.was_preference_query = true;
-    if (session.options().mode == EvaluationMode::kRewrite) {
-      // The rewrite strategy creates and drops Aux views in the shared
-      // catalog, so it is a writer; it materializes inside one exclusive
-      // critical section and the cursor replays the rows.
-      Result<ResultTable> result = [&]() -> Result<ResultTable> {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        PSQL_ASSIGN_OR_RETURN(ExecutionView view,
-                              BindForExecutionLocked(*plan, params, widths));
-        return ExecuteViaRewrite(session, *view.select, view.preference);
-      }();
-      if (result.ok()) {
-        FlushBatchExecStats(qctx.get(), stats);
-        SnapshotCacheCounters(session);
-        return MaterializedCursor(std::move(*result), &session,
-                                  std::move(keepalive));
-      }
-      if (!result.status().IsNotImplemented()) return result.status();
-      // Rewriter refused (e.g. non-weak-order EXPLICIT): stream via BNL.
-      stats.rewrite_fallback = true;
-    }
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    // Pin the snapshot under the shared DDL lock (pins are only ever taken
-    // while it is held, which is what lets the GC's exclusive acquisition
-    // conclude "no pins, no readers"). The ambient scope makes binding,
-    // planning, and Open all read at the pinned epoch.
-    SnapshotPin pin(&db_.catalog().epochs());
-    stats.pinned_epoch = pin.snapshot();
-    ScopedSnapshot ambient(pin.snapshot());
-    PSQL_ASSIGN_OR_RETURN(ExecutionView view,
-                          BindForExecutionLocked(*plan, params, widths));
-    Result<Cursor> cursor =
-        OpenDirectCursor(session, std::move(view), std::move(lock),
-                         std::move(pin), std::move(plan), qctx,
-                         std::move(keepalive));
-    if (cursor.ok()) clear_guard.Release();
-    return cursor;
-  }
-
-  // Plain SELECT: stream straight out of the operator pipeline under the
-  // shared DDL lock at a pinned snapshot.
+  // Every SELECT streams under the shared DDL lock at a snapshot pinned
+  // under it (pins are only ever taken while it is held, which is what lets
+  // the GC's exclusive acquisition conclude "no pins, no readers"). The
+  // ambient scope makes binding, rewriting, planning, and Open all read at
+  // the pinned epoch.
+  const bool is_pref = plan->select->IsPreferenceQuery();
+  stats.was_preference_query = is_pref;
   std::shared_lock<std::shared_mutex> lock(mutex_);
   SnapshotPin pin(&db_.catalog().epochs());
   stats.pinned_epoch = pin.snapshot();
   ScopedSnapshot ambient(pin.snapshot());
   PSQL_ASSIGN_OR_RETURN(ExecutionView view,
                         BindForExecutionLocked(*plan, params, widths));
-  PSQL_ASSIGN_OR_RETURN(OperatorPtr root,
-                        db_.executor().PlanSelectOperator(*view.select));
+  std::shared_ptr<const SelectStmt> query = view.select;
+  LocalViews local_views;
+  if (is_pref && session.options().mode == EvaluationMode::kRewrite) {
+    Result<RewriteOutput> rewritten =
+        RewriteForExecution(session, *view.select, view.preference);
+    if (rewritten.ok()) {
+      // The cursor keeps the rewritten query alive and the plan's scope
+      // the Aux definitions: the operator tree borrows both.
+      stats.used_rewrite = true;
+      query = rewritten->query;
+      local_views = LocalViewsOf(*rewritten);
+    } else if (rewritten.status().IsNotImplemented()) {
+      // Rewriter refused (e.g. non-weak-order EXPLICIT): stream via BNL.
+      stats.rewrite_fallback = true;
+    } else {
+      return rewritten.status();
+    }
+  }
   auto impl = std::make_unique<Cursor::Impl>();
-  impl->plain_root = std::move(root);
-  impl->root = impl->plain_root.get();
+  if (is_pref && !stats.used_rewrite) {
+    // In-engine BMO over the streamed candidates.
+    AnalyzedPreferenceQuery analyzed(view.select.get(), view.preference);
+    const DirectEvalOptions options = DirectOptions(session);
+    PSQL_ASSIGN_OR_RETURN(impl->pref_plan,
+                          BuildPreferencePlan(db_, analyzed, options));
+    const PreferencePlan& pplan = impl->pref_plan;
+    stats.bmo_algorithm = BmoAlgorithmToString(options.bmo.algorithm);
+    stats.bmo_kernel =
+        DominanceKernelToString(analyzed.preference().program().kernel());
+    stats.used_pushdown = pplan.used_pushdown;
+    stats.pushdown_detail = pplan.pushdown_detail;
+    stats.key_cache_eligible = pplan.key_cache_eligible;
+    stats.key_cache_detail = pplan.key_cache_detail;
+    stats.skyline_cache_hit = pplan.skyline_cache_hit;
+    stats.skyline_cache_detail = pplan.skyline_cache_detail;
+    impl->root = pplan.root.get();
+    impl->pref_keepalive = std::move(view.preference);
+  } else {
+    // A plain SELECT or a §3.2 rewrite: the standard SQL pipeline.
+    PSQL_ASSIGN_OR_RETURN(
+        impl->plain_root,
+        db_.executor().PlanSelectOperator(*query, std::move(local_views)));
+    impl->root = impl->plain_root.get();
+  }
   impl->lock = std::move(lock);
   impl->snapshot = pin.snapshot();
   impl->pin = std::move(pin);
   impl->ctx = qctx;
-  impl->select_keepalive = view.select;
+  impl->select_keepalive = std::move(query);
   impl->plan_keepalive = std::move(plan);
   impl->engine_keepalive = std::move(keepalive);
   impl->engine = this;
@@ -703,57 +691,8 @@ Result<Cursor> Engine::OpenPreparedCursor(
   impl->stats = stats;
   impl->stats_epoch = session.stats_epoch();
   impl->schema = impl->root->schema();
-  Status open = impl->root->Open();
-  Cursor cursor(std::move(impl));
-  if (!open.ok()) {
-    cursor.Close();
-    return open;
-  }
-  clear_guard.Release();
-  return cursor;
-}
-
-Result<Cursor> Engine::OpenDirectCursor(Session& session, ExecutionView view,
-                                        std::shared_lock<std::shared_mutex>
-                                            lock,
-                                        SnapshotPin pin,
-                                        std::shared_ptr<const CachedPlan>
-                                            plan,
-                                        std::shared_ptr<QueryContext> qctx,
-                                        std::shared_ptr<Engine> keepalive) {
-  PreferenceQueryStats& stats = session.mutable_last_stats();
-  AnalyzedPreferenceQuery analyzed(view.select.get(), view.preference);
-  const DirectEvalOptions options = DirectOptions(session);
-  PSQL_ASSIGN_OR_RETURN(PreferencePlan pplan,
-                        BuildPreferencePlan(db_, analyzed, options));
-  stats.bmo_algorithm = BmoAlgorithmToString(options.bmo.algorithm);
-  stats.bmo_kernel =
-      DominanceKernelToString(analyzed.preference().program().kernel());
-  stats.used_pushdown = pplan.used_pushdown;
-  stats.pushdown_detail = pplan.pushdown_detail;
-  stats.key_cache_eligible = pplan.key_cache_eligible;
-  stats.key_cache_detail = pplan.key_cache_detail;
-  stats.skyline_cache_hit = pplan.skyline_cache_hit;
-  stats.skyline_cache_detail = pplan.skyline_cache_detail;
-
-  auto impl = std::make_unique<Cursor::Impl>();
-  impl->pref_plan = std::move(pplan);
-  impl->root = impl->pref_plan.root.get();
-  impl->lock = std::move(lock);
-  impl->snapshot = pin.snapshot();
-  impl->pin = std::move(pin);
-  impl->ctx = std::move(qctx);
-  impl->select_keepalive = std::move(view.select);
-  impl->pref_keepalive = std::move(view.preference);
-  impl->plan_keepalive = std::move(plan);
-  impl->engine_keepalive = std::move(keepalive);
-  impl->engine = this;
-  impl->session = &session;
-  impl->stats = stats;
-  impl->stats_epoch = session.stats_epoch();
-  impl->schema = impl->root->schema();
-  // Open consumes the candidate stream (the BMO block is a pipeline
-  // breaker); afterwards rows stream out on demand.
+  // Open consumes the input of any pipeline breaker (a BMO block, a sort);
+  // afterwards rows stream out on demand.
   Status open = impl->root->Open();
   Cursor cursor(std::move(impl));
   if (!open.ok()) {
@@ -762,6 +701,7 @@ Result<Cursor> Engine::OpenDirectCursor(Session& session, ExecutionView view,
     cursor.Close();
     return open;
   }
+  clear_guard.Release();
   return cursor;
 }
 
@@ -810,36 +750,44 @@ DirectEvalOptions Engine::DirectOptions(const Session& session) {
   return direct;
 }
 
-Result<ResultTable> Engine::ExecuteViaRewrite(
+Result<RewriteOutput> Engine::RewriteForExecution(
     Session& session, const SelectStmt& select,
     const std::shared_ptr<const CompiledPreference>& pref) {
-  PreferenceQueryStats& stats = session.mutable_last_stats();
   AnalyzedPreferenceQuery analyzed(&select, pref);
   PSQL_ASSIGN_OR_RETURN(auto base_columns, ProbeBaseColumns(select));
   PSQL_RETURN_IF_ERROR(
       ValidatePreferenceColumns(analyzed.preference(), base_columns));
-  std::string aux_name =
-      "_prefsql_aux_" + std::to_string(aux_counter_.fetch_add(1) + 1);
+  return RewritePreferenceQuery(analyzed, base_columns,
+                                session.options().but_only_mode,
+                                kLocalAuxName);
+}
+
+Result<ResultTable> Engine::ExecuteViaRewrite(
+    Session& session, const SelectStmt& select,
+    const std::shared_ptr<const CompiledPreference>& pref) {
+  PSQL_ASSIGN_OR_RETURN(RewriteOutput rewritten,
+                        RewriteForExecution(session, select, pref));
   PSQL_ASSIGN_OR_RETURN(
-      RewriteOutput rewritten,
-      RewritePreferenceQuery(analyzed, base_columns,
-                             session.options().but_only_mode, aux_name));
-  // The transient Aux views must not churn the catalog version — cached
-  // preparations do not depend on them.
-  ScopedVersionBumpSuppression suppress(&db_.catalog());
-  for (const auto& st : rewritten.setup) {
-    PSQL_ASSIGN_OR_RETURN(ResultTable ignored, db_.ExecuteStatement(st));
-    (void)ignored;
-  }
-  auto result = db_.ExecuteSelect(*rewritten.query);
-  for (const auto& st : rewritten.teardown) {
-    auto drop = db_.ExecuteStatement(st);
-    if (!drop.ok() && result.ok()) return drop.status();
-  }
-  PSQL_RETURN_IF_ERROR(result.status());
+      ResultTable result,
+      db_.executor().ExecuteSelect(*rewritten.query, LocalViewsOf(rewritten)));
+  PreferenceQueryStats& stats = session.mutable_last_stats();
   stats.used_rewrite = true;
-  stats.result_count = result->num_rows();
+  stats.result_count = result.num_rows();
   return result;
+}
+
+Result<ResultTable> Engine::ExecuteInsertSource(Session& session,
+                                                const SelectStmt& select) {
+  session.mutable_last_stats().was_preference_query = true;
+  PSQL_ASSIGN_OR_RETURN(auto expanded, ExpandSelect(select));
+  PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*expanded));
+  if (session.options().mode == EvaluationMode::kRewrite) {
+    auto result = ExecuteViaRewrite(session, *expanded, analyzed.pref);
+    if (result.ok() || !result.status().IsNotImplemented()) return result;
+    // Rewriter refused (e.g. non-weak-order EXPLICIT): fall back.
+    session.mutable_last_stats().rewrite_fallback = true;
+  }
+  return ExecuteDirect(session, *expanded, analyzed.pref);
 }
 
 Result<ResultTable> Engine::ExecuteDirect(
@@ -998,7 +946,7 @@ void Engine::SnapshotCacheCounters(Session& session) {
 namespace {
 
 // Maintenance reuses the block dominance kernels at full dispatch width
-// (it runs under the exclusive statement lock, so there is no per-session
+// (it serves every session's cached entries, so there is no per-session
 // simd knob to honor).
 SimdVariant MaintenanceSimd(const DominanceProgram& prog) {
   return prog.kernel() == DominanceKernel::kGeneric ? SimdVariant::kScalar

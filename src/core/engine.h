@@ -14,11 +14,10 @@
 // current epoch when its statement or streaming Cursor opens and filters
 // scans by visibility at that snapshot. Two locks coordinate the rest:
 //
-//   * `mutex_` (shared_mutex) — the DDL lock. Readers AND DML writers hold
-//     it shared; only structural statements take it exclusively: DDL
-//     (CREATE/DROP move the catalog), rewrite-mode preference queries
-//     (transient Aux views), INSERT ... SELECT PREFERRING, and the
-//     opportunistic version GC (which must observe no active pins).
+//   * `mutex_` (shared_mutex) — the DDL lock. Readers (in every evaluation
+//     mode) AND DML writers (INSERT ... SELECT PREFERRING included) hold it
+//     shared; only DDL (CREATE/DROP move the catalog) and the version GC
+//     (which must observe no active pins) take it exclusively.
 //   * `writer_mutex_` (mutex) — serializes DML statements and the
 //     post-statement cache maintenance/sweep that runs with them.
 //
@@ -87,6 +86,7 @@
 #include "core/plan_cache.h"
 #include "core/preference_query.h"
 #include "core/prepared_statement.h"
+#include "core/rewriter.h"
 #include "core/session.h"
 #include "engine/database.h"
 #include "preference/key_cache.h"
@@ -114,10 +114,9 @@ class Engine {
   Result<ResultTable> Execute(Session& session, const std::string& sql);
 
   /// Opens a streaming cursor over one statement (see core/cursor.h).
-  /// Direct-path preference queries and plain SELECTs stream; rewrite-mode
-  /// preference queries, EXPLAIN, and write statements replay a
-  /// materialized result. `keepalive`, when supplied, is retained by the
-  /// cursor so it cannot outlive the engine.
+  /// SELECTs stream, preference queries in either evaluation mode; EXPLAIN
+  /// and write statements replay a materialized result. `keepalive`, when
+  /// supplied, is retained by the cursor so it cannot outlive the engine.
   Result<Cursor> OpenCursor(Session& session, const std::string& sql,
                             std::shared_ptr<Engine> keepalive = nullptr);
 
@@ -218,9 +217,9 @@ class Engine {
                                       const std::vector<uint32_t>* widths =
                                           nullptr);
 
-  /// Opens a cursor over a prepared SELECT/EXPLAIN: streaming for the
-  /// direct path and plain SELECTs, materialized for EXPLAIN and the
-  /// rewrite strategy.
+  /// Opens a cursor over a prepared SELECT/EXPLAIN: streaming for every
+  /// SELECT (plain, rewritten, or evaluated in-engine), materialized for
+  /// EXPLAIN.
   Result<Cursor> OpenPreparedCursor(Session& session,
                                     std::shared_ptr<const CachedPlan> plan,
                                     bool plan_cache_hit,
@@ -247,28 +246,34 @@ class Engine {
       const CachedPlan& plan, const std::vector<Value>* params,
       const std::vector<uint32_t>* widths = nullptr);
 
-  /// Preference SELECT via the §3.2 rewrite strategy; caller must hold the
-  /// lock exclusively (the Aux views are created in the shared catalog).
+  /// The §3.2 rewrite of a bound preference SELECT, its Aux views named to
+  /// be bound as statement-local views (LocalViewsOf) rather than created
+  /// in the catalog. NotImplemented when the rewriter refuses the
+  /// preference. Caller must hold the lock (schema probe).
+  Result<RewriteOutput> RewriteForExecution(
+      Session& session, const SelectStmt& select,
+      const std::shared_ptr<const CompiledPreference>& pref);
+
+  /// Materialized preference SELECT via the §3.2 rewrite strategy: rewrite,
+  /// then run the rewritten query with the Aux views bound statement-local.
+  /// Used by INSERT ... SELECT PREFERRING; cursors stream the rewrite
+  /// instead. Caller must hold the lock.
   Result<ResultTable> ExecuteViaRewrite(
       Session& session, const SelectStmt& select,
       const std::shared_ptr<const CompiledPreference>& pref);
 
-  /// Materialized direct evaluation for exclusive-lock contexts
-  /// (INSERT ... SELECT PREFERRING); the shared-lock path streams through
-  /// OpenDirectCursor instead.
+  /// Evaluates the PREFERRING source query of an INSERT ... SELECT in the
+  /// session's evaluation mode (rewrite, falling back to in-engine BMO).
+  /// Caller must hold the shared lock and writer_mutex_.
+  Result<ResultTable> ExecuteInsertSource(Session& session,
+                                          const SelectStmt& select);
+
+  /// Materialized direct evaluation for INSERT ... SELECT PREFERRING (run
+  /// under the shared lock and writer_mutex_); cursors stream the BMO plan
+  /// instead.
   Result<ResultTable> ExecuteDirect(
       Session& session, const SelectStmt& select,
       const std::shared_ptr<const CompiledPreference>& pref);
-
-  /// Builds and opens the streaming operator pipeline of a direct-path
-  /// preference query; the returned cursor owns `lock` and `pin` (its
-  /// snapshot for the cursor's lifetime).
-  Result<Cursor> OpenDirectCursor(Session& session, ExecutionView view,
-                                  std::shared_lock<std::shared_mutex> lock,
-                                  SnapshotPin pin,
-                                  std::shared_ptr<const CachedPlan> plan,
-                                  std::shared_ptr<QueryContext> qctx,
-                                  std::shared_ptr<Engine> keepalive);
 
   Result<ResultTable> ExecuteExplain(Session& session, const CachedPlan& plan,
                                      const std::vector<Value>* params,
@@ -296,8 +301,8 @@ class Engine {
   /// Carries skyline-cache entries of the table the last DML statement
   /// touched to its new version (incremental maintenance; see the file
   /// comment). Runs before SweepCaches so the maintained entries are keyed
-  /// live when the sweep reclaims their predecessors. Caller must hold the
-  /// lock exclusively.
+  /// live when the sweep reclaims their predecessors. Caller must hold
+  /// writer_mutex_ or the DDL lock exclusively.
   void MaintainSkylineCaches();
 
   /// Reclaims cache entries no active or future snapshot can reach: an
@@ -341,14 +346,13 @@ class Engine {
   std::shared_ptr<QueryContext> ArmStatementContext(Session& session);
 
   Database db_;
-  /// The DDL lock: readers and DML writers share it, structural statements
-  /// and GC take it exclusively; see file comment.
+  /// The DDL lock: readers and DML writers share it, DDL and GC take it
+  /// exclusively; see file comment.
   std::shared_mutex mutex_;
   /// Serializes DML statements and their cache maintenance/sweep.
   std::mutex writer_mutex_;
   PlanCache plan_cache_;
   SkylineCache key_cache_;
-  std::atomic<uint64_t> aux_counter_{0};
 
   /// Engine-wide statement-buffer budget (`SET engine_memory_bytes`).
   MemoryBudget engine_budget_;

@@ -106,13 +106,17 @@ class ScopedPlanOperator final : public PhysicalOperator {
 
 }  // namespace
 
-Result<ResultTable> Executor::ExecuteSelect(const SelectStmt& select) {
-  PSQL_ASSIGN_OR_RETURN(OperatorPtr plan, PlanSelectOperator(select));
+Result<ResultTable> Executor::ExecuteSelect(const SelectStmt& select,
+                                            LocalViews local_views) {
+  PSQL_ASSIGN_OR_RETURN(OperatorPtr plan,
+                        PlanSelectOperator(select, std::move(local_views)));
   return DrainToTable(*plan);
 }
 
-Result<OperatorPtr> Executor::PlanSelectOperator(const SelectStmt& select) {
-  auto scope = std::make_unique<StatementScope>(this);
+Result<OperatorPtr> Executor::PlanSelectOperator(const SelectStmt& select,
+                                                 LocalViews local_views) {
+  auto scope =
+      std::make_unique<StatementScope>(this, std::move(local_views));
   Planner planner(scope.get());
   PSQL_ASSIGN_OR_RETURN(OperatorPtr plan, planner.PlanSelect(select, nullptr));
   return OperatorPtr(
@@ -203,10 +207,21 @@ Result<ResultTable> Executor::InsertTable(const std::string& table,
 // Statement scope: views and subqueries
 // ===========================================================================
 
+StatementScope::StatementScope(Executor* executor, LocalViews local_views)
+    : executor_(executor) {
+  for (auto& [name, def] : local_views) {
+    local_views_[ToLower(name)] = std::move(def);
+  }
+}
+
 StatementScope::~StatementScope() {
   if (probe_runs_ > 0 || probe_plans_ > 0) {
     executor_->CountProbes(probe_runs_, probe_plans_);
   }
+}
+
+bool StatementScope::HasLocalView(const std::string& name) const {
+  return local_views_.count(ToLower(name)) > 0;
 }
 
 Result<std::shared_ptr<ResultTable>> StatementScope::MaterializeView(
@@ -214,7 +229,12 @@ Result<std::shared_ptr<ResultTable>> StatementScope::MaterializeView(
   std::string key = ToLower(name);
   auto it = views_.find(key);
   if (it != views_.end()) return it->second;
-  PSQL_ASSIGN_OR_RETURN(auto def, executor_->catalog()->GetView(name));
+  std::shared_ptr<const SelectStmt> def;
+  if (auto local = local_views_.find(key); local != local_views_.end()) {
+    def = local->second;
+  } else {
+    PSQL_ASSIGN_OR_RETURN(def, executor_->catalog()->GetView(name));
+  }
   PSQL_ASSIGN_OR_RETURN(ResultTable rt, RunSubquery(*def, nullptr));
   auto materialized = std::make_shared<ResultTable>(std::move(rt));
   views_[key] = materialized;

@@ -7,7 +7,10 @@
 // materializations. Views referenced several times inside one statement
 // (the rewriter's Aux view appears as A1 and A2) are materialized once, at
 // the statement's snapshot, and die with the statement's plan — a
-// concurrent session's statement never sees or replaces them.
+// concurrent session's statement never sees or replaces them. A statement
+// may also bind statement-local views: named definitions visible only to
+// it, looked up before the catalog (the rewriter's Aux, §3.2, without the
+// CREATE VIEW/DROP VIEW round trip).
 
 #pragma once
 
@@ -15,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/evaluator.h"
@@ -29,13 +33,18 @@ namespace prefsql {
 
 class Executor;
 
+/// Statement-local views: (name, definition) pairs bound into one
+/// statement's scope only.
+using LocalViews =
+    std::vector<std::pair<std::string, std::shared_ptr<const SelectStmt>>>;
+
 /// The execution state of one top-level statement, shared by every subquery
 /// planned inside it. Owned by the statement's plan (or by the DML
 /// statement's dispatch) and, like the operator tree, used from one thread
 /// at a time.
 class StatementScope final : public SubqueryRunner {
  public:
-  explicit StatementScope(Executor* executor) : executor_(executor) {}
+  explicit StatementScope(Executor* executor, LocalViews local_views = {});
   ~StatementScope() override;
 
   StatementScope(const StatementScope&) = delete;
@@ -43,7 +52,12 @@ class StatementScope final : public SubqueryRunner {
 
   Executor* executor() const { return executor_; }
 
-  /// Materializes a view once per statement (planner access path).
+  /// True when `name` is one of the statement's local views (they shadow
+  /// the catalog).
+  bool HasLocalView(const std::string& name) const;
+
+  /// Materializes a local or catalog view once per statement (planner
+  /// access path).
   Result<std::shared_ptr<ResultTable>> MaterializeView(
       const std::string& name);
 
@@ -69,6 +83,9 @@ class StatementScope final : public SubqueryRunner {
 
  private:
   Executor* executor_;
+  /// Keyed by lower-cased name, like the catalog.
+  std::unordered_map<std::string, std::shared_ptr<const SelectStmt>>
+      local_views_;
   std::unordered_map<std::string, std::shared_ptr<ResultTable>> views_;
   uint64_t probe_runs_ = 0;
   uint64_t probe_plans_ = 0;
@@ -84,14 +101,17 @@ class Executor {
   Result<ResultTable> ExecuteStatement(const Statement& stmt);
 
   /// Runs a top-level SELECT: plans the operator tree and drains it (used
-  /// by the preference layer which builds ASTs directly).
-  Result<ResultTable> ExecuteSelect(const SelectStmt& select);
+  /// by the preference layer which builds ASTs directly). `local_views`
+  /// are bound into the statement's scope.
+  Result<ResultTable> ExecuteSelect(const SelectStmt& select,
+                                    LocalViews local_views = {});
 
   /// Compiles a top-level SELECT into an unopened operator tree without
   /// draining it — the streaming-cursor entry point (core/cursor.h). The
-  /// root owns the statement's scope. The tree borrows from `select` and
-  /// the catalog; both must outlive it.
-  Result<OperatorPtr> PlanSelectOperator(const SelectStmt& select);
+  /// root owns the statement's scope, including `local_views`. The tree
+  /// borrows from `select` and the catalog; both must outlive it.
+  Result<OperatorPtr> PlanSelectOperator(const SelectStmt& select,
+                                         LocalViews local_views = {});
 
   /// Materializes `FROM ... WHERE ...` of `select`, preserving column
   /// qualifiers (unlike SELECT *). Kept as a thin facade over

@@ -372,7 +372,8 @@ Result<OperatorPtr> Planner::PlanTableRef(const TableRef& tr,
     case TableRef::Kind::kTable: {
       std::string visible = tr.alias.empty() ? tr.table_name : tr.alias;
       Catalog* catalog = executor_->catalog();
-      if (catalog->HasTable(tr.table_name)) {
+      const bool local = scope_->HasLocalView(tr.table_name);
+      if (!local && catalog->HasTable(tr.table_name)) {
         PSQL_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(tr.table_name));
         // Scan the version heap at the statement's snapshot; the slot bound
         // is the heap size that snapshot's table version sealed, so rows a
@@ -382,7 +383,7 @@ Result<OperatorPtr> Planner::PlanTableRef(const TableRef& tr,
             table->schema().WithQualifier(visible), &table->heap(),
             table->HeapSizeAt(snap), snap, executor_->mvcc_counters()));
       }
-      if (catalog->HasView(tr.table_name)) {
+      if (local || catalog->HasView(tr.table_name)) {
         PSQL_ASSIGN_OR_RETURN(auto materialized,
                               scope_->MaterializeView(tr.table_name));
         return OperatorPtr(std::make_unique<SeqScanOperator>(

@@ -76,10 +76,10 @@ class Catalog {
   /// engine reads it for cache keying before taking the statement lock.
   uint64_t version() const { return version_.load(std::memory_order_relaxed); }
 
-  /// Suppresses version bumps while set. The engine uses this around the
-  /// transient rewrite Aux views it creates and drops per query — they can
-  /// never affect a cached preparation, and bumping for them would flush
-  /// the plan cache on every rewrite-mode preference query.
+  /// Suppresses version bumps while set. The engine never sets it (its
+  /// rewrite binds Aux views statement-locally, without DDL); the only
+  /// caller is perfbench's trace replay, which re-runs the rewrite's
+  /// CREATE VIEW/DROP VIEW script to time it.
   void set_suppress_version_bumps(bool on) { suppress_version_bumps_ = on; }
 
  private:

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "workload/generators.h"
 
@@ -34,16 +36,47 @@ TEST(ConnectionTest, PreferenceQueryViaRewriteByDefault) {
   EXPECT_EQ(conn.last_stats().result_count, 1u);
 }
 
-TEST(ConnectionTest, AuxViewsAreCleanedUp) {
+TEST(ConnectionTest, RewriteAuxViewsNeverTouchTheCatalog) {
+  // The rewrite binds its Aux views statement-locally: user objects named
+  // like any Aux the engine could pick neither collide with nor shadow
+  // them, and no DDL reaches the catalog.
   Connection conn;
   ASSERT_TRUE(LoadOldtimer(conn.database()).ok());
-  ASSERT_TRUE(
-      conn.Execute("SELECT ident FROM oldtimer PREFERRING age AROUND 40")
-          .ok());
-  // No _prefsql_aux view remains.
-  auto names = conn.database().catalog().TableNames();
-  EXPECT_EQ(names.size(), 1u);
-  EXPECT_FALSE(conn.database().catalog().HasView("_prefsql_aux_1"));
+  ASSERT_TRUE(conn.ExecuteScript("CREATE TABLE _prefsql_aux_1 (x INTEGER);"
+                                 "CREATE TABLE _prefsql_aux_2_f (x INTEGER);"
+                                 "CREATE TABLE Aux (x INTEGER)")
+                  .ok());
+  const Catalog& catalog = conn.database().catalog();
+  const uint64_t version = catalog.version();
+  const std::vector<std::string> names = catalog.TableNames();
+
+  constexpr const char* kPreferring =
+      "SELECT ident FROM oldtimer PREFERRING age AROUND 40 ORDER BY ident";
+  constexpr const char* kButOnly =
+      "SELECT ident, DISTANCE(age) FROM oldtimer PREFERRING LOWEST(age) "
+      "BUT ONLY DISTANCE(age) <= 20 ORDER BY ident";
+  ASSERT_TRUE(conn.Execute("SET but_only_mode = prefilter").ok());
+  const Executor::Stats& xstats = conn.database().executor().stats();
+  std::vector<std::string> rewritten;
+  for (const char* sql : {kPreferring, kButOnly}) {
+    const uint64_t plans = xstats.exists_plans.load();
+    auto r = conn.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    EXPECT_TRUE(conn.last_stats().used_rewrite) << sql;
+    // The NOT EXISTS over the local A2 is planned once per statement.
+    EXPECT_EQ(xstats.exists_plans.load() - plans, 1u) << sql;
+    rewritten.push_back(r->ToString(100));
+  }
+  EXPECT_EQ(catalog.version(), version);
+  EXPECT_EQ(catalog.TableNames(), names);
+
+  ASSERT_TRUE(conn.Execute("SET evaluation_mode = bnl").ok());
+  for (size_t i = 0; i < rewritten.size(); ++i) {
+    const char* sql = i == 0 ? kPreferring : kButOnly;
+    auto r = conn.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    EXPECT_EQ(rewritten[i], r->ToString(100)) << sql;
+  }
 }
 
 TEST(ConnectionTest, NonRewritableExplicitFallsBackToBnl) {
@@ -188,7 +221,7 @@ TEST(ConnectionTest, ErrorsFromPreferenceLayer) {
                   .IsInvalidArgument());  // cycle
 }
 
-TEST(ConnectionTest, SequentialPreferenceQueriesGetFreshAuxNames) {
+TEST(ConnectionTest, RepeatedRewriteQueriesRebindTheirAux) {
   Connection conn;
   ASSERT_TRUE(LoadOldtimer(conn.database()).ok());
   for (int i = 0; i < 3; ++i) {

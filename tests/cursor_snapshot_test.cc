@@ -7,9 +7,10 @@
 // writers under MVCC, the concurrent DML itself must finish while the
 // cursor is still open — asserted with a hard timeout, not a sleep.
 //
-// The matrix mirrors the sql_golden_test variants: rewrite (materialized),
-// direct serial, direct parallel, sfs with pushdown off, and the LESS
-// algorithm — the snapshot contract is plan-independent.
+// The matrix mirrors the sql_golden_test variants: rewrite (statement-local
+// Aux views), direct serial, direct parallel, sfs with pushdown off, and the
+// LESS algorithm — the snapshot contract is plan-independent: every variant
+// streams from a pinned snapshot.
 
 #include <gtest/gtest.h>
 
@@ -112,6 +113,9 @@ TEST(CursorSnapshotTest, RowsMatchOpenTimeSnapshotUnderConcurrentDml) {
       if (!row->has_value()) break;
       rows.push_back(std::move(**row).IntoRow());
     }
+
+    // The cursor streamed from a pinned snapshot.
+    EXPECT_GT(reader.last_stats().pinned_epoch, 0u);
 
     // Byte-identical to the open-time snapshot.
     const ResultTable streamed(before->schema(), std::move(rows));

@@ -78,9 +78,9 @@ TEST_F(CursorTest, StreamsPreferenceQueriesInEveryDirectMode) {
   }
 }
 
-TEST_F(CursorTest, RewriteModeRepaysMaterializedRows) {
-  // The rewrite strategy cannot hold its exclusive Aux-view section open;
-  // the cursor replays the materialized rows instead — same interface.
+TEST_F(CursorTest, RewriteModeStreamsFromAPinnedSnapshot) {
+  // The rewritten query streams like any SELECT, its Aux view bound
+  // statement-locally: same rows as the one-shot Execute.
   const std::string q =
       "SELECT id FROM pts PREFERRING x AROUND 9 ORDER BY id";
   auto materialized = conn_.Execute(q);
@@ -91,6 +91,8 @@ TEST_F(CursorTest, RewriteModeRepaysMaterializedRows) {
   auto table = DrainCursor(*cursor);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->ToString(), materialized->ToString());
+  EXPECT_TRUE(conn_.last_stats().used_rewrite);
+  EXPECT_GT(conn_.last_stats().pinned_epoch, 0u);
 }
 
 TEST_F(CursorTest, EarlyCloseReleasesTheStatementLockAndFlushesStats) {
