@@ -1,6 +1,5 @@
 #include "core/cursor.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -87,29 +86,10 @@ void Cursor::Close() {
     // Closing the tree flushes the BMO operators' counters into the plan's
     // stats sinks — correct even when the client stopped pulling early.
     impl.root->Close();
-    if (impl.session != nullptr &&
+    if (impl.session != nullptr && impl.engine != nullptr &&
         impl.session->stats_epoch() == impl.stats_epoch) {
-      PreferenceQueryStats& stats = impl.stats;
-      if (stats.was_preference_query && impl.pref_plan.bmo_stats != nullptr) {
-        const BmoRunStats& bmo = *impl.pref_plan.bmo_stats;
-        const BmoRunStats& pre = *impl.pref_plan.prefilter_stats;
-        stats.candidate_count = bmo.candidate_count;
-        stats.bmo_comparisons = bmo.bmo.comparisons + pre.bmo.comparisons;
-        stats.bmo_partitions = bmo.partitions;
-        stats.bmo_threads_used = std::max(bmo.threads_used, pre.threads_used);
-        stats.bmo_key_build_ns = bmo.bmo.key_build_ns;
-        stats.bmo_kernel = DominanceKernelToString(bmo.bmo.kernel);
-        stats.bmo_simd = SimdVariantToString(bmo.bmo.simd);
-        stats.key_cache_hit = bmo.key_cache_hit;
-        stats.prefilter_candidate_count = pre.candidate_count;
-        stats.prefilter_result_count = pre.result_count;
-      }
-      stats.result_count = impl.streamed;
-      FlushBatchExecStats(impl.ctx.get(), stats);
-      impl.session->mutable_last_stats() = stats;
-      if (impl.engine != nullptr) {
-        impl.engine->SnapshotCacheCounters(*impl.session);
-      }
+      impl.engine->FlushStats(*impl.session, impl.stats, impl.pref_plan,
+                              impl.streamed, impl.ctx.get());
     }
     // Destroy the operator tree before releasing the lock: scans borrow
     // from catalog storage that writers may mutate once the lock is free.

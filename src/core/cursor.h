@@ -91,10 +91,12 @@ class Cursor {
 
   /// Everything one open statement needs to stay alive while the client
   /// pulls: the operator tree, the statement lock, and the shared artifacts
-  /// the operators reference (ASTs, compiled preference, cached plan).
+  /// the operators reference (ASTs, cached plan).
   struct Impl {
     // -- streaming (engaged when root != nullptr) --
-    PreferencePlan pref_plan;    ///< owns root for preference queries
+    /// Owns root for preference queries (rewritten or in-engine) along
+    /// with the ASTs it borrows.
+    PreferencePlan pref_plan;
     OperatorPtr plain_root;      ///< owns root for plain SELECTs
     PhysicalOperator* root = nullptr;
     std::shared_lock<std::shared_mutex> lock;
@@ -109,9 +111,8 @@ class Cursor {
     /// it as the ambient context per pull; Close() retires it from the
     /// session.
     std::shared_ptr<QueryContext> ctx;
-    std::shared_ptr<const SelectStmt> select_keepalive;
+    std::shared_ptr<const SelectStmt> select_keepalive;  ///< plain SELECTs
     std::shared_ptr<const CachedPlan> plan_keepalive;
-    std::shared_ptr<const CompiledPreference> pref_keepalive;
     std::shared_ptr<Engine> engine_keepalive;
     Engine* engine = nullptr;
     Session* session = nullptr;

@@ -38,6 +38,9 @@ namespace {
 // object collides with it or is shadowed by it.
 constexpr char kLocalAuxName[] = "\"aux\"";
 
+// Name of the Aux view in the script EXPLAIN and RewriteToSql print.
+constexpr char kPrintedAuxName[] = "Aux";
+
 // The rewrite's CREATE VIEW setup as statement-local views of its query.
 LocalViews LocalViewsOf(const RewriteOutput& rewritten) {
   LocalViews views;
@@ -372,25 +375,12 @@ Status Engine::ExecuteScript(Session& session, const std::string& sql,
 
 Result<ResultTable> Engine::ExecuteStatement(Session& session,
                                              const Statement& stmt) {
-  session.ResetStatsForNewStatement();
   // Pre-parsed statements bypass the binding layer; reject holes before
   // one reaches an operator (drivers get a stable kBindError).
   if (StatementHasParameters(stmt)) return UnboundParametersError();
-  if (stmt.kind == StatementKind::kSet) {
-    return ExecuteSet(session, stmt);
-  }
-
-  // Arm the statement's deadline/cancel/budget context. Cacheable
-  // SELECT/EXPLAIN statements re-arm a fresh context in OpenPreparedCursor
-  // (which replaces this one in the session — the scopes nest and the
-  // identity-checked clears compose); the DML, DDL and
-  // INSERT..SELECT PREFERRING paths below run under this one, so writes
-  // honor the deadline and CancelCurrent too.
-  std::shared_ptr<QueryContext> qctx = ArmStatementContext(session);
-  ScopedQueryContext qscope(qctx.get());
-  SessionContextClearGuard clear_guard(&session, qctx);
 
   if (IsCacheableKind(stmt.kind) && stmt.select != nullptr) {
+    // OpenPreparedCursor resets the stats and arms the statement's context.
     // Pre-parsed statements skip the parse already, so the cache only pays
     // off where preparation still does real work: PDL expansion and
     // preference compilation. Plain SELECT/EXPLAIN skip the print+lookup.
@@ -412,6 +402,18 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
                            /*auto_parameterized=*/false);
   }
 
+  session.ResetStatsForNewStatement();
+  if (stmt.kind == StatementKind::kSet) {
+    return ExecuteSet(session, stmt);
+  }
+
+  // Arm the statement's deadline/cancel/budget context: the DML, DDL and
+  // INSERT ... SELECT PREFERRING paths below run under it, so writes honor
+  // the deadline and CancelCurrent too.
+  std::shared_ptr<QueryContext> qctx = ArmStatementContext(session);
+  ScopedQueryContext qscope(qctx.get());
+  SessionContextClearGuard clear_guard(&session, qctx);
+
   // DML appends row versions: it runs under the *shared* DDL lock (readers
   // streaming at pinned snapshots are never blocked) with DML statements
   // serialized against each other — and with the cache maintenance/sweep
@@ -426,16 +428,26 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
       // pre-statement snapshot while this writer is queued.
       PSQL_FAILPOINT_STATUS("writer_handoff");
       std::lock_guard<std::mutex> writer(writer_mutex_);
-      // INSERT ... SELECT with a PREFERRING clause (§2.2.5): evaluate the
-      // preference query at the current epoch, which no other writer can
+      // INSERT ... SELECT with a PREFERRING clause (§2.2.5): drain the
+      // preference plan at the current epoch, which no other writer can
       // move now, then bulk-insert the BMO rows. A failed evaluation has
       // written nothing, so there is nothing to maintain.
       std::optional<ResultTable> rows;
       if (stmt.kind == StatementKind::kInsert && stmt.select != nullptr &&
           stmt.select->IsPreferenceQuery()) {
-        PSQL_ASSIGN_OR_RETURN(rows,
-                              ExecuteInsertSource(session, *stmt.select));
-        FlushBatchExecStats(qctx.get(), session.mutable_last_stats());
+        PreferenceQueryStats& stats = session.mutable_last_stats();
+        stats.was_preference_query = true;
+        PSQL_ASSIGN_OR_RETURN(auto expanded, ExpandSelect(*stmt.select));
+        PSQL_ASSIGN_OR_RETURN(auto analyzed,
+                              AnalyzePreferenceQuery(*expanded));
+        PSQL_ASSIGN_OR_RETURN(
+            PreferencePlan plan,
+            PlanPreferenceLocked(session, {std::move(expanded), analyzed.pref},
+                                 stats));
+        Result<ResultTable> drained = DrainToTable(*plan.root);
+        FlushStats(session, stats, plan, drained.ok() ? drained->num_rows() : 0,
+                   qctx.get());
+        PSQL_ASSIGN_OR_RETURN(rows, std::move(drained));
       }
       auto r = rows.has_value() ? db_.executor().InsertTable(
                                       stmt.name, stmt.insert_columns, *rows)
@@ -635,55 +647,22 @@ Result<Cursor> Engine::OpenPreparedCursor(
   ScopedSnapshot ambient(pin.snapshot());
   PSQL_ASSIGN_OR_RETURN(ExecutionView view,
                         BindForExecutionLocked(*plan, params, widths));
-  std::shared_ptr<const SelectStmt> query = view.select;
-  LocalViews local_views;
-  if (is_pref && session.options().mode == EvaluationMode::kRewrite) {
-    Result<RewriteOutput> rewritten =
-        RewriteForExecution(session, *view.select, view.preference);
-    if (rewritten.ok()) {
-      // The cursor keeps the rewritten query alive and the plan's scope
-      // the Aux definitions: the operator tree borrows both.
-      stats.used_rewrite = true;
-      query = rewritten->query;
-      local_views = LocalViewsOf(*rewritten);
-    } else if (rewritten.status().IsNotImplemented()) {
-      // Rewriter refused (e.g. non-weak-order EXPLICIT): stream via BNL.
-      stats.rewrite_fallback = true;
-    } else {
-      return rewritten.status();
-    }
-  }
   auto impl = std::make_unique<Cursor::Impl>();
-  if (is_pref && !stats.used_rewrite) {
-    // In-engine BMO over the streamed candidates.
-    AnalyzedPreferenceQuery analyzed(view.select.get(), view.preference);
-    const DirectEvalOptions options = DirectOptions(session);
-    PSQL_ASSIGN_OR_RETURN(impl->pref_plan,
-                          BuildPreferencePlan(db_, analyzed, options));
-    const PreferencePlan& pplan = impl->pref_plan;
-    stats.bmo_algorithm = BmoAlgorithmToString(options.bmo.algorithm);
-    stats.bmo_kernel =
-        DominanceKernelToString(analyzed.preference().program().kernel());
-    stats.used_pushdown = pplan.used_pushdown;
-    stats.pushdown_detail = pplan.pushdown_detail;
-    stats.key_cache_eligible = pplan.key_cache_eligible;
-    stats.key_cache_detail = pplan.key_cache_detail;
-    stats.skyline_cache_hit = pplan.skyline_cache_hit;
-    stats.skyline_cache_detail = pplan.skyline_cache_detail;
-    impl->root = pplan.root.get();
-    impl->pref_keepalive = std::move(view.preference);
-  } else {
-    // A plain SELECT or a §3.2 rewrite: the standard SQL pipeline.
+  if (is_pref) {
     PSQL_ASSIGN_OR_RETURN(
-        impl->plain_root,
-        db_.executor().PlanSelectOperator(*query, std::move(local_views)));
+        impl->pref_plan,
+        PlanPreferenceLocked(session, std::move(view), stats));
+    impl->root = impl->pref_plan.root.get();
+  } else {
+    PSQL_ASSIGN_OR_RETURN(impl->plain_root,
+                          db_.executor().PlanSelectOperator(*view.select));
     impl->root = impl->plain_root.get();
+    impl->select_keepalive = std::move(view.select);
   }
   impl->lock = std::move(lock);
   impl->snapshot = pin.snapshot();
   impl->pin = std::move(pin);
   impl->ctx = qctx;
-  impl->select_keepalive = std::move(query);
   impl->plan_keepalive = std::move(plan);
   impl->engine_keepalive = std::move(keepalive);
   impl->engine = this;
@@ -706,7 +685,7 @@ Result<Cursor> Engine::OpenPreparedCursor(
 }
 
 // ===========================================================================
-// Preference strategies (materialized halves)
+// Preference planning: rewrite or in-engine BMO
 // ===========================================================================
 
 Result<std::shared_ptr<SelectStmt>> Engine::ExpandSelect(
@@ -735,93 +714,78 @@ Result<std::vector<std::string>> Engine::ProbeBaseColumns(
   return plan->schema().Names();
 }
 
-DirectEvalOptions Engine::DirectOptions(const Session& session) {
-  const ConnectionOptions& options = session.options();
-  DirectEvalOptions direct;
-  direct.but_only_mode = options.but_only_mode;
-  direct.bmo.bnl_window = options.bnl_window;
-  direct.threads = options.bmo_threads;
-  direct.parallel_min_rows = options.parallel_min_rows;
-  direct.pushdown = options.preference_pushdown;
-  direct.bmo.simd = options.simd;
-  direct.key_cache = options.key_cache ? &key_cache_ : nullptr;
-  direct.skyline_cache = options.skyline_cache;
-  direct.bmo.algorithm = options.bmo_algorithm;
-  return direct;
-}
-
-Result<RewriteOutput> Engine::RewriteForExecution(
-    Session& session, const SelectStmt& select,
-    const std::shared_ptr<const CompiledPreference>& pref) {
+Result<RewriteOutput> Engine::RewriteLocked(
+    const Session& session, const SelectStmt& select,
+    const std::shared_ptr<const CompiledPreference>& pref,
+    const std::string& aux_name) {
   AnalyzedPreferenceQuery analyzed(&select, pref);
   PSQL_ASSIGN_OR_RETURN(auto base_columns, ProbeBaseColumns(select));
   PSQL_RETURN_IF_ERROR(
       ValidatePreferenceColumns(analyzed.preference(), base_columns));
   return RewritePreferenceQuery(analyzed, base_columns,
-                                session.options().but_only_mode,
-                                kLocalAuxName);
+                                session.options().but_only_mode, aux_name);
 }
 
-Result<ResultTable> Engine::ExecuteViaRewrite(
-    Session& session, const SelectStmt& select,
-    const std::shared_ptr<const CompiledPreference>& pref) {
-  PSQL_ASSIGN_OR_RETURN(RewriteOutput rewritten,
-                        RewriteForExecution(session, select, pref));
-  PSQL_ASSIGN_OR_RETURN(
-      ResultTable result,
-      db_.executor().ExecuteSelect(*rewritten.query, LocalViewsOf(rewritten)));
-  PreferenceQueryStats& stats = session.mutable_last_stats();
-  stats.used_rewrite = true;
-  stats.result_count = result.num_rows();
-  return result;
-}
-
-Result<ResultTable> Engine::ExecuteInsertSource(Session& session,
-                                                const SelectStmt& select) {
-  session.mutable_last_stats().was_preference_query = true;
-  PSQL_ASSIGN_OR_RETURN(auto expanded, ExpandSelect(select));
-  PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*expanded));
-  if (session.options().mode == EvaluationMode::kRewrite) {
-    auto result = ExecuteViaRewrite(session, *expanded, analyzed.pref);
-    if (result.ok() || !result.status().IsNotImplemented()) return result;
-    // Rewriter refused (e.g. non-weak-order EXPLICIT): fall back.
-    session.mutable_last_stats().rewrite_fallback = true;
+Result<PreferencePlan> Engine::PlanPreferenceLocked(
+    Session& session, ExecutionView view, PreferenceQueryStats& stats) {
+  const ConnectionOptions& options = session.options();
+  if (options.mode == EvaluationMode::kRewrite) {
+    Result<RewriteOutput> rewritten =
+        RewriteLocked(session, *view.select, view.preference, kLocalAuxName);
+    if (rewritten.ok()) {
+      // The standard SQL pipeline over the rewritten query, with the Aux
+      // views bound statement-local; the plan keeps the query alive.
+      stats.used_rewrite = true;
+      PreferencePlan plan;
+      PSQL_ASSIGN_OR_RETURN(plan.root,
+                            db_.executor().PlanSelectOperator(
+                                *rewritten->query, LocalViewsOf(*rewritten)));
+      plan.query = std::move(rewritten->query);
+      return plan;
+    }
+    if (!rewritten.status().IsNotImplemented()) return rewritten.status();
+    // Rewriter refused (e.g. non-weak-order EXPLICIT): evaluate in-engine.
+    stats.rewrite_fallback = true;
   }
-  return ExecuteDirect(session, *expanded, analyzed.pref);
+  // In-engine BMO over the streamed candidates.
+  AnalyzedPreferenceQuery analyzed(view.select.get(), view.preference);
+  PSQL_ASSIGN_OR_RETURN(PreferencePlan plan,
+                        BuildPreferencePlan(db_, analyzed, options,
+                                            &key_cache_));
+  stats.bmo_algorithm = BmoAlgorithmToString(options.bmo_algorithm);
+  stats.bmo_kernel =
+      DominanceKernelToString(analyzed.preference().program().kernel());
+  stats.used_pushdown = plan.used_pushdown;
+  stats.pushdown_detail = plan.pushdown_detail;
+  stats.key_cache_eligible = plan.key_cache_eligible;
+  stats.key_cache_detail = plan.key_cache_detail;
+  stats.skyline_cache_hit = plan.skyline_cache_hit;
+  stats.skyline_cache_detail = plan.skyline_cache_detail;
+  plan.query = std::move(view.select);
+  return plan;
 }
 
-Result<ResultTable> Engine::ExecuteDirect(
-    Session& session, const SelectStmt& select,
-    const std::shared_ptr<const CompiledPreference>& pref) {
-  PreferenceQueryStats& stats = session.mutable_last_stats();
-  AnalyzedPreferenceQuery analyzed(&select, pref);
-  DirectEvalStats direct_stats;
-  const DirectEvalOptions direct_options = DirectOptions(session);
-  auto result = ExecutePreferenceQueryDirect(db_, analyzed, direct_options,
-                                             &direct_stats);
-  // The BMO operators flush their counters on Close, so the stats are
-  // meaningful even when the drain failed partway.
-  stats.candidate_count = direct_stats.candidate_count;
-  stats.bmo_comparisons = direct_stats.bmo.comparisons;
-  stats.bmo_partitions = direct_stats.partitions;
-  stats.bmo_threads_used = direct_stats.threads_used;
-  stats.bmo_algorithm = BmoAlgorithmToString(direct_options.bmo.algorithm);
-  stats.bmo_kernel = DominanceKernelToString(direct_stats.bmo.kernel);
-  stats.bmo_simd = SimdVariantToString(direct_stats.bmo.simd);
-  stats.bmo_key_build_ns = direct_stats.bmo.key_build_ns;
-  stats.used_pushdown = direct_stats.used_pushdown;
-  stats.pushdown_detail = direct_stats.pushdown_detail;
-  stats.prefilter_candidate_count = direct_stats.prefilter.candidate_count;
-  stats.prefilter_result_count = direct_stats.prefilter.result_count;
-  stats.key_cache_eligible = direct_stats.key_cache_eligible;
-  stats.key_cache_hit = direct_stats.key_cache_hit;
-  stats.key_cache_detail = direct_stats.key_cache_detail;
-  stats.skyline_cache_hit = direct_stats.skyline_cache_hit;
-  stats.skyline_cache_detail = direct_stats.skyline_cache_detail;
-  if (result.ok()) {
-    stats.result_count = result->num_rows();
+void Engine::FlushStats(Session& session, PreferenceQueryStats stats,
+                        const PreferencePlan& plan, size_t result_count,
+                        const QueryContext* ctx) {
+  if (plan.bmo_stats != nullptr) {
+    const BmoRunStats& bmo = *plan.bmo_stats;
+    const BmoRunStats& pre = *plan.prefilter_stats;
+    stats.candidate_count = bmo.candidate_count;
+    stats.bmo_comparisons = bmo.bmo.comparisons + pre.bmo.comparisons;
+    stats.bmo_partitions = bmo.partitions;
+    stats.bmo_threads_used = std::max(bmo.threads_used, pre.threads_used);
+    stats.bmo_key_build_ns = bmo.bmo.key_build_ns;
+    stats.bmo_kernel = DominanceKernelToString(bmo.bmo.kernel);
+    stats.bmo_simd = SimdVariantToString(bmo.bmo.simd);
+    stats.key_cache_hit = bmo.key_cache_hit;
+    stats.prefilter_candidate_count = pre.candidate_count;
+    stats.prefilter_result_count = pre.result_count;
   }
-  return result;
+  stats.result_count = result_count;
+  FlushBatchExecStats(ctx, stats);
+  session.mutable_last_stats() = std::move(stats);
+  SnapshotCacheCounters(session);
 }
 
 Result<ResultTable> Engine::ExecuteExplain(
@@ -846,25 +810,25 @@ Result<ResultTable> Engine::ExecuteExplain(
       std::string("-- plan cache: ") +
       (session.last_stats().plan_cache_hit ? "hit" : "miss") +
       " (catalog version " + std::to_string(db_.catalog().version()) + ")";
+  const ConnectionOptions& options = session.options();
   AnalyzedPreferenceQuery analyzed(&select, view.preference);
-  if (session.options().mode != EvaluationMode::kRewrite) {
+  if (options.mode != EvaluationMode::kRewrite) {
     // Direct path: describe the physical decisions (pushdown placement,
     // skyline algorithm, parallelism, cache keying) by compiling the plan
     // without draining it.
-    DirectEvalOptions direct = DirectOptions(session);
-    PSQL_ASSIGN_OR_RETURN(
-        PreferencePlan pplan,
-        BuildPreferencePlan(db_, analyzed, direct, /*count_stats=*/false));
+    PSQL_ASSIGN_OR_RETURN(PreferencePlan pplan,
+                          BuildPreferencePlan(db_, analyzed, options,
+                                              &key_cache_,
+                                              /*count_stats=*/false));
     add("-- direct evaluation (mode=" +
-        std::string(EvaluationModeToString(session.options().mode)) +
-        ", algorithm=" +
-        std::string(BmoAlgorithmToString(direct.bmo.algorithm)) +
+        std::string(EvaluationModeToString(options.mode)) + ", algorithm=" +
+        std::string(BmoAlgorithmToString(options.bmo_algorithm)) +
         ", kernel=" +
         std::string(DominanceKernelToString(
             analyzed.preference().program().kernel())) +
-        ", bmo_threads=" + std::to_string(direct.threads) + ", simd=" +
+        ", bmo_threads=" + std::to_string(options.bmo_threads) + ", simd=" +
         std::string(SimdVariantToString(
-            direct.bmo.simd &&
+            options.simd &&
                     analyzed.preference().program().kernel() !=
                         DominanceKernel::kGeneric
                 ? DispatchedSimdVariant()
@@ -883,10 +847,8 @@ Result<ResultTable> Engine::ExecuteExplain(
     add(SelectToSql(select));
     return ResultTable(std::move(schema), std::move(lines));
   }
-  PSQL_ASSIGN_OR_RETURN(auto base_columns, ProbeBaseColumns(select));
   auto rewritten =
-      RewritePreferenceQuery(analyzed, base_columns,
-                             session.options().but_only_mode, "Aux");
+      RewriteLocked(session, select, view.preference, kPrintedAuxName);
   if (!rewritten.ok()) {
     if (rewritten.status().IsNotImplemented()) {
       add("-- preference is not expressible as level columns; evaluated "
@@ -914,14 +876,12 @@ Result<std::string> Engine::RewriteToSql(Session& session,
         "RewriteToSql expects a query with a PREFERRING clause");
   }
   if (StatementHasParameters(stmt)) return UnboundParametersError();
-  PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*stmt.select));
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  PSQL_ASSIGN_OR_RETURN(auto base_columns, ProbeBaseColumns(*stmt.select));
-  std::string aux_name = "Aux";
+  PSQL_ASSIGN_OR_RETURN(auto expanded, ExpandSelect(*stmt.select));
+  PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*expanded));
   PSQL_ASSIGN_OR_RETURN(
       RewriteOutput rewritten,
-      RewritePreferenceQuery(analyzed, base_columns,
-                             session.options().but_only_mode, aux_name));
+      RewriteLocked(session, *expanded, analyzed.pref, kPrintedAuxName));
   return rewritten.ToScript();
 }
 

@@ -246,34 +246,34 @@ class Engine {
       const CachedPlan& plan, const std::vector<Value>* params,
       const std::vector<uint32_t>* widths = nullptr);
 
-  /// The §3.2 rewrite of a bound preference SELECT, its Aux views named to
-  /// be bound as statement-local views (LocalViewsOf) rather than created
-  /// in the catalog. NotImplemented when the rewriter refuses the
-  /// preference. Caller must hold the lock (schema probe).
-  Result<RewriteOutput> RewriteForExecution(
-      Session& session, const SelectStmt& select,
-      const std::shared_ptr<const CompiledPreference>& pref);
+  /// The §3.2 rewrite of a bound preference SELECT with its Aux view named
+  /// `aux_name`: probes the base columns, validates the preference against
+  /// them, and rewrites. The one caller of the rewriter — execution passes
+  /// the statement-local name, EXPLAIN and RewriteToSql the printed "Aux",
+  /// so all three validate alike. NotImplemented when the rewriter refuses
+  /// the preference. Caller must hold the lock (schema probe).
+  Result<RewriteOutput> RewriteLocked(
+      const Session& session, const SelectStmt& select,
+      const std::shared_ptr<const CompiledPreference>& pref,
+      const std::string& aux_name);
 
-  /// Materialized preference SELECT via the §3.2 rewrite strategy: rewrite,
-  /// then run the rewritten query with the Aux views bound statement-local.
-  /// Used by INSERT ... SELECT PREFERRING; cursors stream the rewrite
-  /// instead. Caller must hold the lock.
-  Result<ResultTable> ExecuteViaRewrite(
-      Session& session, const SelectStmt& select,
-      const std::shared_ptr<const CompiledPreference>& pref);
+  /// Plans a bound preference SELECT the one way every statement runs it
+  /// (cursors stream the plan, INSERT ... SELECT drains it): the §3.2
+  /// rewrite in rewrite mode, the in-engine BMO plan in bnl mode or when
+  /// the rewriter refuses. Records the decision in `stats`. Caller must
+  /// hold the lock.
+  Result<PreferencePlan> PlanPreferenceLocked(Session& session,
+                                              ExecutionView view,
+                                              PreferenceQueryStats& stats);
 
-  /// Evaluates the PREFERRING source query of an INSERT ... SELECT in the
-  /// session's evaluation mode (rewrite, falling back to in-engine BMO).
-  /// Caller must hold the shared lock and writer_mutex_.
-  Result<ResultTable> ExecuteInsertSource(Session& session,
-                                          const SelectStmt& select);
-
-  /// Materialized direct evaluation for INSERT ... SELECT PREFERRING (run
-  /// under the shared lock and writer_mutex_); cursors stream the BMO plan
-  /// instead.
-  Result<ResultTable> ExecuteDirect(
-      Session& session, const SelectStmt& select,
-      const std::shared_ptr<const CompiledPreference>& pref);
+  /// The one stats flush of an executed SELECT (Cursor::Close, the
+  /// INSERT ... SELECT drain): completes `stats` with the counters `plan`'s
+  /// BMO operators flushed on Close (an in-engine plan only), the result
+  /// size and the statement's batch counters, and publishes it as
+  /// `session`'s last_stats.
+  void FlushStats(Session& session, PreferenceQueryStats stats,
+                  const PreferencePlan& plan, size_t result_count,
+                  const QueryContext* ctx);
 
   Result<ResultTable> ExecuteExplain(Session& session, const CachedPlan& plan,
                                      const std::vector<Value>* params,
@@ -282,9 +282,6 @@ class Engine {
 
   /// SET <knob> = <value>: run-time access to the session's options.
   Result<ResultTable> ExecuteSet(Session& session, const Statement& stmt);
-
-  /// The direct-path options `session`'s ConnectionOptions imply.
-  DirectEvalOptions DirectOptions(const Session& session);
 
   /// Returns `select` with stored PREFERENCE references expanded (clones
   /// only when needed). Caller must hold the lock (catalog read).

@@ -1,6 +1,5 @@
 #include "core/preference_query.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -15,10 +14,17 @@ namespace prefsql {
 
 Result<PreferencePlan> BuildPreferencePlan(
     Database& db, const AnalyzedPreferenceQuery& analyzed,
-    const DirectEvalOptions& options, bool count_stats) {
+    const ConnectionOptions& options, SkylineCache* key_cache,
+    bool count_stats) {
   const SelectStmt& q = *analyzed.query;
   const CompiledPreference& pref = analyzed.preference();
+  if (!options.key_cache) key_cache = nullptr;
+  BmoOptions bmo_options;
+  bmo_options.algorithm = options.bmo_algorithm;
+  bmo_options.bnl_window = options.bnl_window;
+  bmo_options.simd = options.simd;
   PreferencePlan plan;
+  plan.preference = analyzed.pref;
   plan.scope = std::make_unique<StatementScope>(&db.executor());
   Planner planner(plan.scope.get());
   plan.bmo_stats = std::make_unique<BmoRunStats>();
@@ -46,7 +52,8 @@ Result<PreferencePlan> BuildPreferencePlan(
   report.detail = "no pushdown: not attempted";
   OperatorPtr candidates;
   std::optional<PreferencePushdown> pd;
-  if (options.pushdown && q.but_only == nullptr && !quality_projected) {
+  if (options.preference_pushdown && q.but_only == nullptr &&
+      !quality_projected) {
     auto pref_columns = PreferenceColumnRefs(pref);
     if (pref_columns.has_value()) {
       pd.emplace();
@@ -55,9 +62,9 @@ Result<PreferencePlan> BuildPreferencePlan(
       pd->make_prefilter = [&](OperatorPtr input,
                                std::vector<size_t> partition_cols) {
         BmoOperatorConfig c;
-        c.bmo = options.bmo;
+        c.bmo = bmo_options;
         c.grouping_cols = std::move(partition_cols);
-        c.threads = options.threads;
+        c.threads = options.bmo_threads;
         c.parallel_min_rows = options.parallel_min_rows;
         c.stats_sink = plan.prefilter_stats.get();
         return OperatorPtr(std::make_unique<BmoOperator>(
@@ -66,7 +73,7 @@ Result<PreferencePlan> BuildPreferencePlan(
     } else {
       report.detail = "no pushdown: preference attribute uses a subquery";
     }
-  } else if (options.pushdown) {
+  } else if (options.preference_pushdown) {
     report.detail =
         "no pushdown: BUT ONLY / quality functions depend on the full "
         "candidate set";
@@ -138,12 +145,12 @@ Result<PreferencePlan> BuildPreferencePlan(
   //    GROUPING / DISTINCT) in sort-filter mode runs the progressive top-k
   //    variant and stops the filter pass at the k-th maximal tuple.
   BmoOperatorConfig config;
-  config.bmo = options.bmo;
+  config.bmo = bmo_options;
   config.grouping_cols = std::move(grouping_cols);
   config.but_only = plan.owned_but_only.get();
   config.but_only_mode = options.but_only_mode;
   config.emit_quality_columns = quality_projected;
-  config.threads = options.threads;
+  config.threads = options.bmo_threads;
   config.parallel_min_rows = options.parallel_min_rows;
   config.stats_sink = plan.bmo_stats.get();
 
@@ -155,7 +162,7 @@ Result<PreferencePlan> BuildPreferencePlan(
   // its mutation version, so a match is provably the same keys. A filtered
   // query applies its hard selection first (§2.2) and keys only the
   // surviving candidates, locally and uncached.
-  if (options.key_cache == nullptr) {
+  if (key_cache == nullptr) {
     plan.key_cache_detail = "key cache: disabled";
   } else if (q.where != nullptr) {
     plan.key_cache_detail =
@@ -178,7 +185,7 @@ Result<PreferencePlan> BuildPreferencePlan(
     const uint64_t snap =
         AmbientSnapshotOr(db.catalog().epochs().current());
     const uint64_t snap_version = table->VersionAt(snap);
-    config.key_cache = options.key_cache;
+    config.key_cache = key_cache;
     config.key_cache_key =
         KeyCacheKey{pref.Fingerprint(), PrefTermToSql(pref.term()),
                     table->id(), snap_version};
@@ -198,7 +205,7 @@ Result<PreferencePlan> BuildPreferencePlan(
   bool progressive_topk =
       q.limit.has_value() && *q.limit >= 0 && !q.offset && q.order_by.empty() &&
       q.grouping.empty() && q.but_only == nullptr && !q.distinct &&
-      options.bmo.algorithm == BmoAlgorithm::kSortFilterSkyline;
+      bmo_options.algorithm == BmoAlgorithm::kSortFilterSkyline;
   if (progressive_topk) config.top_k = static_cast<size_t>(*q.limit);
 
   // Skyline-cache serving and publication: a cached position list IS the
@@ -223,7 +230,7 @@ Result<PreferencePlan> BuildPreferencePlan(
     plan.skyline_cache_detail =
         "skyline cache: publish only (quality columns are computed per run)";
   } else {
-    auto cached = options.key_cache->Lookup(config.key_cache_key);
+    auto cached = key_cache->Lookup(config.key_cache_key);
     if (cached != nullptr && cached->skyline.has_value() &&
         cached->keys != nullptr && cached->keys->size() == config.key_rows) {
       plan.skyline_cache_hit = true;
@@ -257,33 +264,6 @@ Result<PreferencePlan> BuildPreferencePlan(
       planner.PlanTail(std::move(items), q.distinct, std::move(order_by),
                        q.limit, q.offset, std::move(bmo), nullptr));
   return plan;
-}
-
-Result<ResultTable> ExecutePreferenceQueryDirect(
-    Database& db, const AnalyzedPreferenceQuery& analyzed,
-    const DirectEvalOptions& options, DirectEvalStats* stats) {
-  PSQL_ASSIGN_OR_RETURN(PreferencePlan plan,
-                        BuildPreferencePlan(db, analyzed, options));
-  auto result = DrainToTable(*plan.root);
-  if (stats != nullptr) {
-    // The sinks were flushed by Close (DrainToTable closes even on error),
-    // so the counters are valid for partial runs too.
-    stats->bmo = plan.bmo_stats->bmo;
-    stats->bmo.comparisons += plan.prefilter_stats->bmo.comparisons;
-    stats->candidate_count = plan.bmo_stats->candidate_count;
-    stats->partitions = plan.bmo_stats->partitions;
-    stats->threads_used = std::max(plan.bmo_stats->threads_used,
-                                   plan.prefilter_stats->threads_used);
-    stats->used_pushdown = plan.used_pushdown;
-    stats->pushdown_detail = plan.pushdown_detail;
-    stats->prefilter = *plan.prefilter_stats;
-    stats->key_cache_eligible = plan.key_cache_eligible;
-    stats->key_cache_hit = plan.bmo_stats->key_cache_hit;
-    stats->key_cache_detail = plan.key_cache_detail;
-    stats->skyline_cache_hit = plan.skyline_cache_hit;
-    stats->skyline_cache_detail = plan.skyline_cache_detail;
-  }
-  return result;
 }
 
 }  // namespace prefsql

@@ -1,4 +1,4 @@
-// Direct (in-engine) evaluation of a preference query through the operator
+// In-engine evaluation of a preference query through the operator
 // pipeline: the planner streams `FROM ... WHERE` candidates into a
 // BmoOperator (skyline algorithm + GROUPING + BUT ONLY + quality columns),
 // and the projection tail streams the maximal tuples out — no whole-relation
@@ -13,9 +13,10 @@
 //     and block-partitioned chunks evaluated on a thread pool.
 //
 // This path implements the same BMO semantics as the §3.2 rewrite but keeps
-// everything inside the engine — it is both the fallback for preferences the
-// rewriter cannot express (non-weak-order EXPLICIT) and the baseline the
-// algorithm benchmarks compare against.
+// everything inside the engine. It runs in `evaluation_mode = bnl` and as
+// the fallback for preferences the rewriter cannot express (non-weak-order
+// EXPLICIT); the engine picks between the two in one routine
+// (Engine::PlanPreferenceLocked) for cursors and INSERT ... SELECT alike.
 
 #pragma once
 
@@ -26,51 +27,16 @@
 #include "core/bmo.h"
 #include "core/bmo_operator.h"
 #include "core/quality.h"
+#include "core/session.h"
 #include "engine/database.h"
-#include "types/result_table.h"
 #include "util/status.h"
 
 namespace prefsql {
 
-/// Options of the direct evaluation path.
-struct DirectEvalOptions {
-  BmoOptions bmo;
-  ButOnlyMode but_only_mode = ButOnlyMode::kPostFilter;
-  /// Worker threads for the parallel partitioned BMO; 0/1 = serial.
-  size_t threads = 0;
-  /// Minimum candidate rows before worker threads spin up.
-  size_t parallel_min_rows = 4096;
-  /// Attempt the algebraic preference pushdown below joins.
-  bool pushdown = true;
-  /// Engine skyline/key cache (not owned; nullptr = off). Consulted when
-  /// the candidate stream is a bare scan of one base table (no WHERE) —
-  /// the packed keys are then a pure function of (preference, table
-  /// contents) and are reused across queries and sessions.
-  SkylineCache* key_cache = nullptr;
-  /// Serve eligible bare-table queries straight from a cached skyline
-  /// position list, and publish computed skylines into the cache.
-  bool skyline_cache = true;
-};
-
-/// Observability of one direct evaluation (benches, Connection stats).
-struct DirectEvalStats {
-  BmoStats bmo;                ///< dominance tests, BMO block + pre-filter
-  size_t candidate_count = 0;  ///< rows after WHERE, before the BMO block
-  size_t partitions = 0;       ///< GROUPING partitions of the BMO block
-  size_t threads_used = 1;     ///< parallel pool width (1 = serial)
-  bool used_pushdown = false;  ///< semi-skyline pre-filter below the join
-  std::string pushdown_detail; ///< placement / rejection reason
-  BmoRunStats prefilter;       ///< counters of the pushed-down pre-filter
-  bool key_cache_eligible = false;  ///< run was keyed against the key cache
-  bool key_cache_hit = false;  ///< packed keys reused from the key cache
-  std::string key_cache_detail;  ///< eligibility / rejection reason
-  bool skyline_cache_hit = false;  ///< served from cached skyline positions
-  std::string skyline_cache_detail;  ///< serve eligibility / rejection
-};
-
-/// A compiled direct-evaluation plan: the operator tree plus the stats
-/// sinks its BMO operators flush on Close (valid even when the drain stops
-/// early or fails).
+/// A compiled plan of a preference query — the in-engine BMO plan or the
+/// §3.2 rewrite planned as a standard SELECT: the operator tree, the ASTs
+/// it borrows, and (in-engine only) the stats sinks its BMO operators
+/// flush on Close (valid even when the drain stops early or fails).
 struct PreferencePlan {
   std::unique_ptr<BmoRunStats> bmo_stats;        ///< BMO block counters
   std::unique_ptr<BmoRunStats> prefilter_stats;  ///< pushdown pre-filter
@@ -85,6 +51,11 @@ struct PreferencePlan {
   /// BUT ONLY rewritten against the augmented schema (referenced by the
   /// operators in `root`).
   ExprPtr owned_but_only;
+  /// The query the operators in `root` were planned from (the bound query,
+  /// or its §3.2 rewrite) and the compiled preference they read; declared
+  /// before the root, which they outlive.
+  std::shared_ptr<const SelectStmt> query;
+  std::shared_ptr<const CompiledPreference> preference;
   /// The statement's scope (view materializations, subquery runner of the
   /// operators in `root`); declared before the root, which it outlives.
   std::unique_ptr<StatementScope> scope;
@@ -92,18 +63,13 @@ struct PreferencePlan {
   OperatorPtr root;
 };
 
-/// Compiles `analyzed` into an executable plan without draining it
-/// (EXPLAIN uses this to describe the pushdown decision, with
-/// `count_stats` false so describing a plan leaves the executor's scan
-/// counters untouched).
+/// Compiles `analyzed` into an in-engine plan without draining it, under
+/// the session knobs in `options`; `key_cache` is consulted when
+/// `options.key_cache` is on. EXPLAIN passes `count_stats` false so
+/// describing a plan leaves the executor's scan counters untouched.
 Result<PreferencePlan> BuildPreferencePlan(
     Database& db, const AnalyzedPreferenceQuery& analyzed,
-    const DirectEvalOptions& options = {}, bool count_stats = true);
-
-/// Executes `analyzed` against `db` and returns the BMO result. `stats` is
-/// populated even when execution fails partway.
-Result<ResultTable> ExecutePreferenceQueryDirect(
-    Database& db, const AnalyzedPreferenceQuery& analyzed,
-    const DirectEvalOptions& options = {}, DirectEvalStats* stats = nullptr);
+    const ConnectionOptions& options, SkylineCache* key_cache,
+    bool count_stats = true);
 
 }  // namespace prefsql

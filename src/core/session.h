@@ -147,8 +147,8 @@ struct PreferenceQueryStats {
 };
 
 /// Copies the statement context's batch-execution counters into `stats`
-/// (called where a statement's stats are finalized: cursor close, the
-/// materialized execution paths).
+/// (called where a statement's stats are finalized: Engine::FlushStats and
+/// EXPLAIN).
 inline void FlushBatchExecStats(const QueryContext* ctx,
                                 PreferenceQueryStats& stats) {
   if (ctx == nullptr) return;

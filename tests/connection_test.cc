@@ -119,6 +119,109 @@ TEST(ConnectionTest, RewriteToSqlRejectsPlainQueries) {
   EXPECT_TRUE(conn.RewriteToSql("SELECT 1").status().IsInvalidArgument());
 }
 
+TEST(ConnectionTest, ExplainAndRewriteToSqlRejectUnknownPreferenceColumns) {
+  // EXPLAIN and RewriteToSql validate the preference exactly as execution
+  // does, in either evaluation mode.
+  constexpr const char* kQuery =
+      "SELECT id FROM t PREFERRING LOWEST(nosuch)";
+  Connection conn;
+  ASSERT_TRUE(conn.ExecuteScript("CREATE TABLE t (id INTEGER, x INTEGER);"
+                                 "INSERT INTO t VALUES (1, 2)")
+                  .ok());
+  auto executed = conn.Execute(kQuery);
+  ASSERT_TRUE(executed.status().IsInvalidArgument())
+      << executed.status().ToString();
+
+  auto explained = conn.Execute(std::string("EXPLAIN ") + kQuery);
+  EXPECT_TRUE(explained.status().IsInvalidArgument())
+      << "rewrite-mode EXPLAIN: " << explained.status().ToString();
+  auto script = conn.RewriteToSql(kQuery);
+  EXPECT_TRUE(script.status().IsInvalidArgument())
+      << "RewriteToSql: " << script.status().ToString();
+
+  ASSERT_TRUE(conn.Execute("SET evaluation_mode = bnl").ok());
+  explained = conn.Execute(std::string("EXPLAIN ") + kQuery);
+  EXPECT_TRUE(explained.status().IsInvalidArgument())
+      << "bnl-mode EXPLAIN: " << explained.status().ToString();
+}
+
+TEST(ConnectionTest, RewriteToSqlExpandsStoredPreferences) {
+  // A stored PREFERENCE that execution and EXPLAIN expand is expanded by
+  // RewriteToSql too.
+  Connection conn;
+  ASSERT_TRUE(conn.ExecuteScript("CREATE TABLE t (id INTEGER, age INTEGER);"
+                                 "INSERT INTO t VALUES (1, 35), (2, 41);"
+                                 "CREATE PREFERENCE near40 AS age AROUND 40")
+                  .ok());
+  auto script =
+      conn.RewriteToSql("SELECT id FROM t PREFERRING PREFERENCE near40");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  EXPECT_NE(script->find("CREATE VIEW Aux"), std::string::npos);
+}
+
+TEST(ConnectionTest, InsertSelectPreferringPlansLikeASelect) {
+  // INSERT ... SELECT PREFERRING (§2.2.5) plans its source through the same
+  // rewrite-or-BMO decision as a SELECT: the rewrite where the rewriter can
+  // express the preference, the in-engine BMO where it cannot or in bnl
+  // mode. Both modes insert the same rows.
+  struct Insert {
+    const char* target;
+    const char* sql;
+    bool rewritable;
+    size_t rows;
+  };
+  const Insert kInserts[] = {
+      // EXPLICIT values that do not form one chain: the rewriter refuses.
+      {"pick",
+       "INSERT INTO pick SELECT * FROM t PREFERRING c EXPLICIT "
+       "('a' BETTER THAN 'b', 'x' BETTER THAN 'y') AND LOWEST(p)",
+       false, 3},
+      {"grouped",
+       "INSERT INTO grouped SELECT * FROM t "
+       "PREFERRING LOWEST(p) GROUPING c",
+       true, 5},
+      {"near",
+       "INSERT INTO near SELECT * FROM t PREFERRING p AROUND 12 "
+       "BUT ONLY DISTANCE(p) <= 2",
+       true, 2},
+  };
+  std::vector<std::vector<std::string>> targets;
+  for (EvaluationMode mode :
+       {EvaluationMode::kRewrite, EvaluationMode::kBlockNestedLoop}) {
+    ConnectionOptions opts;
+    opts.mode = mode;
+    Connection conn(opts);
+    ASSERT_TRUE(conn.ExecuteScript(
+                        "CREATE TABLE t (c TEXT, p INTEGER);"
+                        "INSERT INTO t VALUES ('a', 10), ('b', 5), "
+                        "('x', 11), ('y', 20), ('a', 13), ('other', 30);"
+                        "CREATE TABLE pick (c TEXT, p INTEGER);"
+                        "CREATE TABLE grouped (c TEXT, p INTEGER);"
+                        "CREATE TABLE near (c TEXT, p INTEGER)")
+                    .ok());
+    std::vector<std::string> rows;
+    for (const Insert& insert : kInserts) {
+      const bool rewrite = mode == EvaluationMode::kRewrite;
+      auto r = conn.Execute(insert.sql);
+      ASSERT_TRUE(r.ok()) << insert.sql << ": " << r.status().ToString();
+      const PreferenceQueryStats& stats = conn.last_stats();
+      EXPECT_TRUE(stats.was_preference_query) << insert.sql;
+      EXPECT_EQ(stats.used_rewrite, rewrite && insert.rewritable)
+          << insert.sql;
+      EXPECT_EQ(stats.rewrite_fallback, rewrite && !insert.rewritable)
+          << insert.sql;
+      EXPECT_EQ(stats.result_count, insert.rows) << insert.sql;
+      auto target = conn.Execute(std::string("SELECT c, p FROM ") +
+                                 insert.target + " ORDER BY c, p");
+      ASSERT_TRUE(target.ok()) << target.status().ToString();
+      EXPECT_EQ(target->num_rows(), insert.rows) << insert.sql;
+      rows.push_back(target->ToString(100));
+    }
+    targets.push_back(std::move(rows));
+  }
+  EXPECT_EQ(targets[0], targets[1]);
+}
+
 TEST(ConnectionTest, AllModesAgreeOnUsedCars) {
   // Cross-mode equivalence on a richer generated dataset.
   std::vector<std::vector<std::string>> results;
