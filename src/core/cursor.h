@@ -12,15 +12,16 @@
 //
 // Two shapes share the interface:
 //   * streaming — every SELECT (plain, §3.2-rewritten, or evaluated
-//     in-engine) holds the open operator tree, the engine's shared DDL
-//     lock, and a pinned MVCC snapshot, and pulls rows on demand:
-//     skyline/top-k results reach the client without a ResultTable
-//     materialization. Close() (or
-//     end-of-stream, or an error) closes the operator tree — flushing the
-//     BMO statistics into the session's last_stats even when the client
-//     stopped early — and releases the snapshot pin and the lock promptly.
-//   * materialized — EXPLAIN and DML results are computed eagerly and
-//     replayed row by row; no lock or pin is held.
+//     in-engine; plan cache on or off; opened from text, a prepared
+//     statement or a parsed statement) holds the open operator tree, the
+//     engine's shared DDL lock, and a pinned MVCC snapshot, and pulls rows
+//     on demand: skyline/top-k results reach the client without a
+//     ResultTable materialization. Close() (or end-of-stream, or an error)
+//     closes the operator tree — flushing the BMO statistics into the
+//     session's last_stats even when the client stopped early — and
+//     releases the snapshot pin and the lock promptly.
+//   * materialized — EXPLAIN, SET, DML and DDL results are computed
+//     eagerly and replayed row by row; no lock or pin is held.
 //
 // Snapshot stability: a streaming cursor's rows are exactly the versions
 // visible at its open-time epoch. Concurrent DML appends new row versions

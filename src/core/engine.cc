@@ -195,10 +195,6 @@ std::shared_ptr<QueryContext> Engine::ArmStatementContext(Session& session) {
   return ctx;
 }
 
-PlanCacheKey Engine::CacheKey(std::string text) {
-  return PlanCacheKey{std::move(text), db_.catalog().version()};
-}
-
 // ===========================================================================
 // Text entry points: Execute / OpenCursor / Prepare / ExecuteScript
 // ===========================================================================
@@ -210,132 +206,46 @@ Result<ResultTable> Engine::Execute(Session& session, const std::string& sql) {
 
 Result<Cursor> Engine::OpenCursor(Session& session, const std::string& sql,
                                   std::shared_ptr<Engine> keepalive) {
-  if (session.options().plan_cache) {
-    // Probe the plan cache before paying for the parse; only SELECT/EXPLAIN
-    // are cached (cheap prefix test). With auto-parameterization on, the
-    // key text is the canonical form with literals lifted into `?` holes —
-    // repetitions differing only in literal values hit the same entry, and
-    // the lifted values are re-injected below.
-    std::string text = NormalizeSql(sql);
-    if (StartsWithKeyword(text, "select") ||
-        StartsWithKeyword(text, "explain")) {
-      std::string key_text = std::move(text);
-      std::vector<Value> lifted;
-      std::vector<uint32_t> lifted_widths;
-      const std::vector<Value>* params = nullptr;
-      const std::vector<uint32_t>* widths = nullptr;
-      bool auto_par = false;
-      const std::string* parse_text = &sql;
-      if (session.options().auto_parameterize) {
-        // IN lists collapse to one arity-normalized placeholder here (the
-        // text path re-expands at bind time); PREPARE keeps placeholders
-        // 1:1 with values, so only this path asks for collapsing.
-        ParameterizedSql p = ParameterizeSql(sql, /*collapse_in_lists=*/true);
-        if (p.parameterized) {
-          key_text = std::move(p.text);
-          lifted = std::move(p.values);
-          lifted_widths = std::move(p.widths);
-          params = &lifted;
-          widths = &lifted_widths;
-          auto_par = true;
-          parse_text = &key_text;
-        }
-      }
-      PlanCacheKey key = CacheKey(key_text);
-      if (auto cached = plan_cache_.Lookup(key)) {
-        return OpenPreparedCursor(session, std::move(cached),
-                                  /*plan_cache_hit=*/true, params, auto_par,
-                                  std::move(keepalive), widths);
-      }
-      auto parsed = ParseStatement(*parse_text);
-      if (!parsed.ok() && auto_par) {
-        // Safety hatch: the canonical parameterized text should re-parse by
-        // construction; if it does not, run the original text uncached.
-        PSQL_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-        PSQL_ASSIGN_OR_RETURN(ResultTable result,
-                              ExecuteStatement(session, stmt));
-        return MaterializedCursor(std::move(result), &session,
-                                  std::move(keepalive));
-      }
-      PSQL_RETURN_IF_ERROR(parsed.status());
-      Statement stmt = std::move(*parsed);
-      if (IsCacheableKind(stmt.kind) && stmt.select != nullptr) {
-        PSQL_ASSIGN_OR_RETURN(auto prepared,
-                              BuildPreparation(stmt.kind, stmt.select));
-        if (!auto_par && prepared->params.count() > 0) {
-          return UnboundParametersError();
-        }
-        plan_cache_.Insert(key, prepared);
-        return OpenPreparedCursor(session, std::move(prepared),
-                                  /*plan_cache_hit=*/false, params, auto_par,
-                                  std::move(keepalive), widths);
-      }
-      PSQL_ASSIGN_OR_RETURN(ResultTable result,
-                            ExecuteStatement(session, stmt));
-      return MaterializedCursor(std::move(result), &session,
-                                std::move(keepalive));
-    }
+  // IN lists collapse to one arity-normalized placeholder here (re-expanded
+  // at bind time); Prepare keeps placeholders 1:1 with values.
+  PSQL_ASSIGN_OR_RETURN(PreparedText text,
+                        PrepareText(session, sql, /*collapse_in_lists=*/true));
+  if (text.plan != nullptr) {
+    return OpenPreparedCursor(session, std::move(text.plan),
+                              text.plan_cache_hit, &text.values,
+                              text.auto_parameterized, std::move(keepalive),
+                              &text.widths);
   }
-  PSQL_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  PSQL_ASSIGN_OR_RETURN(ResultTable result, ExecuteStatement(session, stmt));
+  PSQL_ASSIGN_OR_RETURN(ResultTable result,
+                        ExecuteStatement(session, *text.stmt));
   return MaterializedCursor(std::move(result), &session, std::move(keepalive));
 }
 
 Result<PreparedStatement> Engine::Prepare(Session& session,
                                           const std::string& sql,
                                           std::shared_ptr<Engine> keepalive) {
-  std::string normalized = NormalizeSql(sql);
-  std::shared_ptr<const Statement> stmt;
-  std::string key_text;
-  std::vector<Value> lifted;
-  bool auto_par = false;
-  if (StartsWithKeyword(normalized, "select") ||
-      StartsWithKeyword(normalized, "explain")) {
-    if (session.options().auto_parameterize) {
-      ParameterizedSql p = ParameterizeSql(sql);
-      if (p.parameterized) {
-        PSQL_ASSIGN_OR_RETURN(Statement parsed, ParseStatement(p.text));
-        stmt = std::make_shared<const Statement>(std::move(parsed));
-        key_text = std::move(p.text);
-        lifted = std::move(p.values);
-        auto_par = true;
-      }
-    }
-    if (stmt == nullptr) {
-      PSQL_ASSIGN_OR_RETURN(Statement parsed, ParseStatement(sql));
-      stmt = std::make_shared<const Statement>(std::move(parsed));
-      key_text = std::move(normalized);
-    }
-    if (IsCacheableKind(stmt->kind) && stmt->select != nullptr) {
-      // Publish the preparation now: the very first Execute is warm, and
-      // parse/analyze errors surface at Prepare time, as a driver expects.
-      bool hit = false;
-      auto prepared = LookupOrPrepare(session, key_text, stmt->kind,
-                                      stmt->select, &hit);
-      PSQL_RETURN_IF_ERROR(prepared.status());
-    } else {
-      key_text.clear();
-    }
-  } else {
-    PSQL_ASSIGN_OR_RETURN(Statement parsed, ParseStatement(sql));
-    stmt = std::make_shared<const Statement>(std::move(parsed));
-  }
-  ParameterSignature signature = CollectParameters(*stmt);
+  // Publish the preparation now: the very first Execute is warm, and
+  // parse/analyze errors surface at Prepare time, as a driver expects.
+  PSQL_ASSIGN_OR_RETURN(PreparedText text,
+                        PrepareText(session, sql, /*collapse_in_lists=*/false));
+  ParameterSignature signature = text.plan != nullptr
+                                     ? text.plan->params
+                                     : CollectParameters(*text.stmt);
   PreparedStatement prepared(this, std::move(keepalive), &session,
-                             std::move(stmt), std::move(key_text),
-                             std::move(signature));
-  if (auto_par) {
-    if (lifted.size() != prepared.signature_.count()) {
+                             std::move(text.stmt), std::move(text.plan),
+                             std::move(text.key_text), std::move(signature));
+  if (text.auto_parameterized) {
+    if (text.values.size() != prepared.signature_.count()) {
       return Status::Internal("auto-parameterization arity mismatch");
     }
     // Pre-bind the lifted literals: executing without further Bind calls
     // runs the statement exactly as written. Constraint violations report
     // as parse errors — the value came from the statement text itself.
-    for (size_t i = 0; i < lifted.size(); ++i) {
+    for (size_t i = 0; i < text.values.size(); ++i) {
       PSQL_RETURN_IF_ERROR(CheckParamConstraint(
-          lifted[i], prepared.signature_.constraints[i], i,
+          text.values[i], prepared.signature_.constraints[i], i,
           /*parse_errors=*/true));
-      prepared.values_[i] = std::move(lifted[i]);
+      prepared.values_[i] = std::move(text.values[i]);
       prepared.bound_[i] = true;
     }
     prepared.auto_parameterized_ = true;
@@ -380,26 +290,17 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
   if (StatementHasParameters(stmt)) return UnboundParametersError();
 
   if (IsCacheableKind(stmt.kind) && stmt.select != nullptr) {
-    // OpenPreparedCursor resets the stats and arms the statement's context.
-    // Pre-parsed statements skip the parse already, so the cache only pays
-    // off where preparation still does real work: PDL expansion and
-    // preference compilation. Plain SELECT/EXPLAIN skip the print+lookup.
-    if (session.options().plan_cache && stmt.select->IsPreferenceQuery()) {
-      // The printed text keys identically across repetitions of this AST.
-      bool hit = false;
-      PSQL_ASSIGN_OR_RETURN(
-          auto prepared,
-          LookupOrPrepare(session, NormalizeSql(StatementToSql(stmt)),
-                          stmt.kind, stmt.select, &hit));
-      return ExecutePrepared(session, std::move(prepared), hit,
-                             /*params=*/nullptr,
-                             /*auto_parameterized=*/false);
-    }
+    // A pre-parsed statement has no text to key by: prepare it afresh and
+    // drain the cursor (which resets the stats and arms the context).
     PSQL_ASSIGN_OR_RETURN(auto prepared,
                           BuildPreparation(stmt.kind, stmt.select));
-    return ExecutePrepared(session, std::move(prepared),
+    PSQL_ASSIGN_OR_RETURN(
+        Cursor cursor,
+        OpenPreparedCursor(session, std::move(prepared),
                            /*plan_cache_hit=*/false, /*params=*/nullptr,
-                           /*auto_parameterized=*/false);
+                           /*auto_parameterized=*/false,
+                           /*keepalive=*/nullptr));
+    return DrainCursor(cursor);
   }
 
   session.ResetStatsForNewStatement();
@@ -502,21 +403,76 @@ Result<std::shared_ptr<const CachedPlan>> Engine::BuildPreparation(
 }
 
 Result<std::shared_ptr<const CachedPlan>> Engine::LookupOrPrepare(
-    Session& session, const std::string& key_text, StatementKind kind,
-    std::shared_ptr<const SelectStmt> select, bool* hit) {
+    Session& session, const std::string& key_text,
+    const std::function<Result<std::shared_ptr<const CachedPlan>>()>& build,
+    bool* hit) {
   *hit = false;
-  if (!session.options().plan_cache || !IsCacheableKind(kind) ||
-      select == nullptr) {
-    return BuildPreparation(kind, std::move(select));
-  }
-  PlanCacheKey key = CacheKey(key_text);
+  if (!session.options().plan_cache) return build();
+  PlanCacheKey key{key_text, db_.catalog().version()};
   if (auto cached = plan_cache_.Lookup(key)) {
     *hit = true;
     return cached;
   }
-  PSQL_ASSIGN_OR_RETURN(auto prepared, BuildPreparation(kind, select));
-  plan_cache_.Insert(std::move(key), prepared);
+  PSQL_ASSIGN_OR_RETURN(auto prepared, build());
+  plan_cache_.Insert(key, prepared);
   return prepared;
+}
+
+Result<Engine::PreparedText> Engine::PrepareText(Session& session,
+                                                 const std::string& sql,
+                                                 bool collapse_in_lists) {
+  PreparedText out;
+  // Only SELECT/EXPLAIN are prepared through the cache (cheap prefix test
+  // on the normalized text); every other statement is just parsed.
+  std::string normalized = NormalizeSql(sql);
+  if (!StartsWithKeyword(normalized, "select") &&
+      !StartsWithKeyword(normalized, "explain")) {
+    PSQL_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+    out.stmt = std::make_shared<const Statement>(std::move(stmt));
+    return out;
+  }
+  // With auto-parameterization on, the key text is the canonical form with
+  // literals lifted into `?` holes: repetitions differing only in literal
+  // values share one entry, and the lifted values are bound per execution.
+  out.key_text = std::move(normalized);
+  if (session.options().auto_parameterize) {
+    ParameterizedSql p = ParameterizeSql(sql, collapse_in_lists);
+    if (p.parameterized) {
+      out.key_text = std::move(p.text);
+      out.values = std::move(p.values);
+      out.widths = std::move(p.widths);
+      out.auto_parameterized = true;
+    }
+  }
+  bool parse_failed = false;
+  auto plan = LookupOrPrepare(
+      session, out.key_text,
+      [&]() -> Result<std::shared_ptr<const CachedPlan>> {
+        // Unlifted, parse the client's own text: its error offsets are the
+        // ones the client can read.
+        Result<Statement> stmt =
+            ParseStatement(out.auto_parameterized ? out.key_text : sql);
+        if (!stmt.ok()) {
+          parse_failed = true;
+          return stmt.status();
+        }
+        return BuildPreparation(stmt->kind, stmt->select);
+      },
+      &out.plan_cache_hit);
+  if (!plan.ok() && parse_failed && out.auto_parameterized) {
+    // The lifted text failed to parse: report the client text's error, at
+    // offsets into what the client sent. (Should the client's text parse
+    // after all, run it as written, unlifted and uncached.)
+    PSQL_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+    PSQL_ASSIGN_OR_RETURN(out.plan, BuildPreparation(stmt.kind, stmt.select));
+    out.key_text = NormalizeSql(sql);
+    out.auto_parameterized = false;
+    out.values.clear();
+    out.widths.clear();
+    return out;
+  }
+  PSQL_ASSIGN_OR_RETURN(out.plan, std::move(plan));
+  return out;
 }
 
 Result<Engine::ExecutionView> Engine::BindForExecutionLocked(
@@ -576,17 +532,6 @@ Cursor Engine::MaterializedCursor(ResultTable result, Session* session,
   impl->engine = this;
   impl->engine_keepalive = std::move(keepalive);
   return Cursor(std::move(impl));
-}
-
-Result<ResultTable> Engine::ExecutePrepared(
-    Session& session, std::shared_ptr<const CachedPlan> plan,
-    bool plan_cache_hit, const std::vector<Value>* params,
-    bool auto_parameterized, const std::vector<uint32_t>* widths) {
-  PSQL_ASSIGN_OR_RETURN(
-      Cursor cursor,
-      OpenPreparedCursor(session, std::move(plan), plan_cache_hit, params,
-                         auto_parameterized, nullptr, widths));
-  return DrainCursor(cursor);
 }
 
 Result<Cursor> Engine::OpenPreparedCursor(
@@ -1135,207 +1080,130 @@ Result<bool> SetValueAsBool(const Value& v, const std::string& knob) {
   return Status::InvalidArgument("SET " + knob + " expects on or off");
 }
 
+Result<EvaluationMode> SetValueAsMode(const Value& v, const std::string&) {
+  const std::string m = v.type() == ValueType::kText ? ToLower(v.AsText()) : "";
+  if (m == "rewrite") return EvaluationMode::kRewrite;
+  if (m == "bnl") return EvaluationMode::kBlockNestedLoop;
+  return Status::InvalidArgument("SET evaluation_mode expects rewrite or bnl");
+}
+
+Result<BmoAlgorithm> SetValueAsAlgorithm(const Value& v, const std::string&) {
+  if (v.type() == ValueType::kText) {
+    return BmoAlgorithmFromString(ToLower(v.AsText()));
+  }
+  return Status::InvalidArgument(
+      "SET bmo_algorithm expects naive, bnl, sfs, less or default");
+}
+
+Result<ButOnlyMode> SetValueAsButOnly(const Value& v, const std::string&) {
+  const std::string m = v.type() == ValueType::kText ? ToLower(v.AsText()) : "";
+  if (m == "prefilter") return ButOnlyMode::kPreFilter;
+  if (m == "postfilter") return ButOnlyMode::kPostFilter;
+  return Status::InvalidArgument(
+      "SET but_only_mode expects prefilter or postfilter");
+}
+
+std::string EchoSize(uint64_t n) { return std::to_string(n); }
+std::string EchoBool(bool b) { return b ? "on" : "off"; }
+std::string EchoButOnly(ButOnlyMode m) {
+  return m == ButOnlyMode::kPreFilter ? "prefilter" : "postfilter";
+}
+
+// One SET knob: the session option it names, how a value parses into it
+// (`set`), how `SET <knob> = default` restores it (`reset`), and the
+// effective value SET echoes back (`echo`).
+struct Knob {
+  const char* name;
+  Status (*set)(ConnectionOptions& options, const Value& v,
+                const std::string& knob);
+  void (*reset)(ConnectionOptions& options);
+  std::string (*echo)(const ConnectionOptions& options);
+};
+
+template <auto Field, auto Parse, auto Echo>
+Knob MakeKnob(const char* name) {
+  return Knob{
+      name,
+      [](ConnectionOptions& o, const Value& v, const std::string& knob) {
+        auto parsed = Parse(v, knob);
+        if (parsed.ok()) o.*Field = *parsed;
+        return parsed.status();
+      },
+      [](ConnectionOptions& o) { o.*Field = ConnectionOptions{}.*Field; },
+      [](const ConnectionOptions& o) { return std::string(Echo(o.*Field)); }};
+}
+
+using O = ConnectionOptions;
+
+// Every knob, in the order the unknown-setting message lists them.
+const Knob kKnobs[] = {
+    MakeKnob<&O::mode, SetValueAsMode, EvaluationModeToString>(
+        "evaluation_mode"),
+    MakeKnob<&O::bmo_algorithm, SetValueAsAlgorithm, BmoAlgorithmToString>(
+        "bmo_algorithm"),
+    MakeKnob<&O::bmo_threads, SetValueAsSize, EchoSize>("bmo_threads"),
+    MakeKnob<&O::parallel_min_rows, SetValueAsSize, EchoSize>(
+        "parallel_min_rows"),
+    MakeKnob<&O::preference_pushdown, SetValueAsBool, EchoBool>(
+        "preference_pushdown"),
+    MakeKnob<&O::bnl_window, SetValueAsSize, EchoSize>("bnl_window"),
+    MakeKnob<&O::but_only_mode, SetValueAsButOnly, EchoButOnly>(
+        "but_only_mode"),
+    MakeKnob<&O::plan_cache, SetValueAsBool, EchoBool>("plan_cache"),
+    MakeKnob<&O::auto_parameterize, SetValueAsBool, EchoBool>(
+        "auto_parameterize"),
+    MakeKnob<&O::key_cache, SetValueAsBool, EchoBool>("key_cache"),
+    MakeKnob<&O::skyline_cache, SetValueAsBool, EchoBool>("skyline_cache"),
+    MakeKnob<&O::simd, SetValueAsBool, EchoBool>("simd"),
+    MakeKnob<&O::mvcc_gc, SetValueAsBool, EchoBool>("mvcc_gc"),
+    MakeKnob<&O::mvcc_gc_background, SetValueAsBool, EchoBool>(
+        "mvcc_gc_background"),
+    MakeKnob<&O::statement_timeout_ms, SetValueAsSize, EchoSize>(
+        "statement_timeout_ms"),
+    MakeKnob<&O::statement_memory_bytes, SetValueAsSize, EchoSize>(
+        "statement_memory_bytes"),
+    MakeKnob<&O::engine_memory_bytes, SetValueAsSize, EchoSize>(
+        "engine_memory_bytes"),
+};
+
 }  // namespace
 
 Result<ResultTable> Engine::ExecuteSet(Session& session,
                                        const Statement& stmt) {
   ConnectionOptions& options = session.options();
-  const std::string knob = ToLower(stmt.name);
+  const std::string name = ToLower(stmt.name);
+  const Knob* knob = nullptr;
+  std::string known;
+  for (const Knob& k : kKnobs) {
+    if (name == k.name) knob = &k;
+    known += (known.empty() ? "" : ", ") + std::string(k.name);
+  }
+  if (knob == nullptr) {
+    return Status::InvalidArgument("unknown setting '" + stmt.name +
+                                   "' (known: " + known + ")");
+  }
   const Value& v = stmt.set_value;
-  const ConnectionOptions defaults;
-  const bool reset = v.type() == ValueType::kNull ||
-                     (v.type() == ValueType::kText &&
-                      ToLower(v.AsText()) == "default");
-  if (knob == "bmo_threads") {
-    if (reset) {
-      options.bmo_threads = defaults.bmo_threads;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.bmo_threads, SetValueAsSize(v, knob));
-    }
-  } else if (knob == "parallel_min_rows") {
-    if (reset) {
-      options.parallel_min_rows = defaults.parallel_min_rows;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.parallel_min_rows,
-                            SetValueAsSize(v, knob));
-    }
-  } else if (knob == "bnl_window") {
-    if (reset) {
-      options.bnl_window = defaults.bnl_window;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.bnl_window, SetValueAsSize(v, knob));
-    }
-  } else if (knob == "preference_pushdown") {
-    if (reset) {
-      options.preference_pushdown = defaults.preference_pushdown;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.preference_pushdown,
-                            SetValueAsBool(v, knob));
-    }
-  } else if (knob == "plan_cache") {
-    if (reset) {
-      options.plan_cache = defaults.plan_cache;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.plan_cache, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "auto_parameterize") {
-    if (reset) {
-      options.auto_parameterize = defaults.auto_parameterize;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.auto_parameterize,
-                            SetValueAsBool(v, knob));
-    }
-  } else if (knob == "key_cache") {
-    if (reset) {
-      options.key_cache = defaults.key_cache;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.key_cache, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "skyline_cache") {
-    if (reset) {
-      options.skyline_cache = defaults.skyline_cache;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.skyline_cache, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "simd") {
-    if (reset) {
-      options.simd = defaults.simd;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.simd, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "mvcc_gc") {
-    if (reset) {
-      options.mvcc_gc = defaults.mvcc_gc;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.mvcc_gc, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "mvcc_gc_background") {
-    if (reset) {
-      options.mvcc_gc_background = defaults.mvcc_gc_background;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.mvcc_gc_background,
-                            SetValueAsBool(v, knob));
-    }
+  if (v.type() == ValueType::kNull ||
+      (v.type() == ValueType::kText && ToLower(v.AsText()) == "default")) {
+    knob->reset(options);
+  } else {
+    PSQL_RETURN_IF_ERROR(knob->set(options, v, name));
+  }
+  if (name == "mvcc_gc_background") {
     // Engine-wide effect: pauses/resumes the background reclaimer thread
     // for every session sharing this engine.
     gc_background_enabled_.store(options.mvcc_gc_background,
                                  std::memory_order_relaxed);
     gc_cv_.notify_one();
-  } else if (knob == "statement_timeout_ms") {
-    if (reset) {
-      options.statement_timeout_ms = defaults.statement_timeout_ms;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.statement_timeout_ms,
-                            SetValueAsSize(v, knob));
-    }
-  } else if (knob == "statement_memory_bytes") {
-    if (reset) {
-      options.statement_memory_bytes = defaults.statement_memory_bytes;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.statement_memory_bytes,
-                            SetValueAsSize(v, knob));
-    }
-  } else if (knob == "engine_memory_bytes") {
-    if (reset) {
-      options.engine_memory_bytes = defaults.engine_memory_bytes;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.engine_memory_bytes,
-                            SetValueAsSize(v, knob));
-    }
+  } else if (name == "engine_memory_bytes") {
     // Engine-wide effect: the budget is shared by all sessions' statements.
     engine_budget_.set_limit(options.engine_memory_bytes);
-  } else if (knob == "evaluation_mode") {
-    if (reset) {
-      options.mode = defaults.mode;
-    } else if (v.type() == ValueType::kText) {
-      const std::string m = ToLower(v.AsText());
-      if (m == "rewrite") {
-        options.mode = EvaluationMode::kRewrite;
-      } else if (m == "bnl") {
-        options.mode = EvaluationMode::kBlockNestedLoop;
-      } else {
-        return Status::InvalidArgument(
-            "SET evaluation_mode expects rewrite or bnl");
-      }
-    } else {
-      return Status::InvalidArgument(
-          "SET evaluation_mode expects rewrite or bnl");
-    }
-  } else if (knob == "bmo_algorithm") {
-    if (reset) {
-      options.bmo_algorithm = defaults.bmo_algorithm;
-    } else if (v.type() == ValueType::kText) {
-      PSQL_ASSIGN_OR_RETURN(options.bmo_algorithm,
-                            BmoAlgorithmFromString(ToLower(v.AsText())));
-    } else {
-      return Status::InvalidArgument(
-          "SET bmo_algorithm expects naive, bnl, sfs, less or default");
-    }
-  } else if (knob == "but_only_mode") {
-    const std::string m =
-        v.type() == ValueType::kText ? ToLower(v.AsText()) : "";
-    if (reset) {
-      options.but_only_mode = defaults.but_only_mode;
-    } else if (m == "prefilter") {
-      options.but_only_mode = ButOnlyMode::kPreFilter;
-    } else if (m == "postfilter") {
-      options.but_only_mode = ButOnlyMode::kPostFilter;
-    } else {
-      return Status::InvalidArgument(
-          "SET but_only_mode expects prefilter or postfilter");
-    }
-  } else {
-    return Status::InvalidArgument(
-        "unknown setting '" + stmt.name +
-        "' (known: evaluation_mode, bmo_algorithm, bmo_threads, "
-        "parallel_min_rows, preference_pushdown, bnl_window, but_only_mode, "
-        "plan_cache, auto_parameterize, key_cache, skyline_cache, simd, "
-        "mvcc_gc, mvcc_gc_background, statement_timeout_ms, "
-        "statement_memory_bytes, engine_memory_bytes)");
   }
 
   // Echo the effective value so scripts/shell users see what stuck.
-  std::string effective;
-  if (knob == "bmo_threads") {
-    effective = std::to_string(options.bmo_threads);
-  } else if (knob == "parallel_min_rows") {
-    effective = std::to_string(options.parallel_min_rows);
-  } else if (knob == "bnl_window") {
-    effective = std::to_string(options.bnl_window);
-  } else if (knob == "preference_pushdown") {
-    effective = options.preference_pushdown ? "on" : "off";
-  } else if (knob == "plan_cache") {
-    effective = options.plan_cache ? "on" : "off";
-  } else if (knob == "auto_parameterize") {
-    effective = options.auto_parameterize ? "on" : "off";
-  } else if (knob == "key_cache") {
-    effective = options.key_cache ? "on" : "off";
-  } else if (knob == "skyline_cache") {
-    effective = options.skyline_cache ? "on" : "off";
-  } else if (knob == "simd") {
-    effective = options.simd ? "on" : "off";
-  } else if (knob == "mvcc_gc") {
-    effective = options.mvcc_gc ? "on" : "off";
-  } else if (knob == "mvcc_gc_background") {
-    effective = options.mvcc_gc_background ? "on" : "off";
-  } else if (knob == "statement_timeout_ms") {
-    effective = std::to_string(options.statement_timeout_ms);
-  } else if (knob == "statement_memory_bytes") {
-    effective = std::to_string(options.statement_memory_bytes);
-  } else if (knob == "engine_memory_bytes") {
-    effective = std::to_string(options.engine_memory_bytes);
-  } else if (knob == "evaluation_mode") {
-    effective = EvaluationModeToString(options.mode);
-  } else if (knob == "bmo_algorithm") {
-    effective = BmoAlgorithmToString(options.bmo_algorithm);
-  } else if (knob == "but_only_mode") {
-    effective = options.but_only_mode == ButOnlyMode::kPreFilter
-                    ? "prefilter"
-                    : "postfilter";
-  }
   Schema schema = Schema::FromNames({"setting", "value"});
   std::vector<Row> rows;
-  rows.push_back({Value::Text(knob), Value::Text(effective)});
+  rows.push_back({Value::Text(name), Value::Text(knob->echo(options))});
   return ResultTable(std::move(schema), std::move(rows));
 }
 

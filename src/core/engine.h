@@ -66,6 +66,15 @@
 //   * OpenCursor(text)   — streams rows through the pull pipeline without
 //                          materializing a ResultTable (core/cursor.h).
 //
+// Only the text entry points consult the plan cache: OpenCursor (and so
+// Execute) and Prepare share one preparation routine, PrepareText, and
+// PreparedStatement re-validates through the same LookupOrPrepare.
+// Pre-parsed statements (ExecuteStatement, and so ExecuteScript) are
+// prepared afresh and never touch the cache. `SET plan_cache = off` only
+// skips the lookup and insert: every SELECT, from every entry point,
+// streams through OpenPreparedCursor; only SET, DML, DDL and EXPLAIN
+// results are materialized.
+//
 // Per-session state (knobs, last_stats) lives in Session objects
 // (core/session.h); the Connection facade (core/connection.h) bundles one
 // Session with an engine reference for the classic embedded API.
@@ -107,14 +116,15 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Parses and executes one statement on behalf of `session`. Repeated
-  /// SELECT/EXPLAIN texts skip the parse through the plan cache —
-  /// including repetitions that differ only in literal values
+  /// Parses and executes one statement on behalf of `session` by draining
+  /// OpenCursor. Repeated SELECT/EXPLAIN texts skip the parse through the
+  /// plan cache — including repetitions that differ only in literal values
   /// (auto-parameterization).
   Result<ResultTable> Execute(Session& session, const std::string& sql);
 
-  /// Opens a streaming cursor over one statement (see core/cursor.h).
-  /// SELECTs stream, preference queries in either evaluation mode; EXPLAIN
+  /// Opens a cursor over one statement text (see core/cursor.h), prepared
+  /// through the plan cache by PrepareText with IN lists collapsed. Every
+  /// SELECT streams, preference queries in either evaluation mode; EXPLAIN
   /// and write statements replay a materialized result. `keepalive`, when
   /// supplied, is retained by the cursor so it cannot outlive the engine.
   Result<Cursor> OpenCursor(Session& session, const std::string& sql,
@@ -122,10 +132,11 @@ class Engine {
 
   /// Prepares one statement for repeated execution: parse once, bind
   /// per request (PreparedStatement::Bind), execute/stream at will. For
-  /// SELECT/EXPLAIN the preparation is published into the plan cache and
-  /// re-validated per execution, so DDL between executions triggers a
-  /// transparent re-prepare (no re-parse). Statements without placeholders
-  /// are auto-parameterized: their literals become pre-bound parameters.
+  /// SELECT/EXPLAIN the preparation comes from PrepareText (placeholders
+  /// 1:1 with values), is published into the plan cache and re-validated
+  /// per execution, so DDL between executions triggers a transparent
+  /// re-prepare (no re-parse). Statements without placeholders are
+  /// auto-parameterized: their literals become pre-bound parameters.
   Result<PreparedStatement> Prepare(Session& session, const std::string& sql,
                                     std::shared_ptr<Engine> keepalive =
                                         nullptr);
@@ -149,8 +160,9 @@ class Engine {
   /// (returns the optimizer's standard-SQL translation as a one-column
   /// table), INSERT whose SELECT has a PREFERRING clause (§2.2.5), SET
   /// (session knobs), and expansion of stored PREFERENCE references (PDL).
-  /// Statements containing unbound parameters are rejected with a
-  /// kBindError (use Prepare).
+  /// A SELECT/EXPLAIN is prepared afresh (never through the plan cache)
+  /// and drained from OpenPreparedCursor. Statements containing unbound
+  /// parameters are rejected with a kBindError (use Prepare).
   Result<ResultTable> ExecuteStatement(Session& session,
                                        const Statement& stmt);
 
@@ -189,37 +201,50 @@ class Engine {
   Result<std::shared_ptr<const CachedPlan>> BuildPreparation(
       StatementKind kind, std::shared_ptr<const SelectStmt> select);
 
-  /// Key under which a preparation of `text` is cached at the current
-  /// catalog version.
-  PlanCacheKey CacheKey(std::string text);
-
   /// Wraps an eagerly computed result into a (replay) cursor.
   Cursor MaterializedCursor(ResultTable result, Session* session,
                             std::shared_ptr<Engine> keepalive);
 
-  /// Looks up / builds-and-publishes the preparation for (`key_text`,
-  /// current catalog version); `select` is the parsed form
-  /// used on a miss (no re-parse). Honors the session's plan_cache knob.
+  /// The one place the plan cache is looked up and filled: returns the
+  /// preparation cached under (`key_text`, current catalog version), or
+  /// runs `build` on a miss and publishes its result. With the session's
+  /// plan_cache knob off it only runs `build`. `build` must yield the
+  /// preparation `key_text` parses to — a key names exactly one plan.
   Result<std::shared_ptr<const CachedPlan>> LookupOrPrepare(
-      Session& session, const std::string& key_text, StatementKind kind,
-      std::shared_ptr<const SelectStmt> select, bool* hit);
+      Session& session, const std::string& key_text,
+      const std::function<Result<std::shared_ptr<const CachedPlan>>()>&
+          build,
+      bool* hit);
 
-  /// Executes a prepared SELECT/EXPLAIN by draining a cursor over it.
-  /// `params` are the values for the plan's parameter holes (nullptr when
-  /// the statement has none); `auto_parameterized` tags the stats.
-  /// `widths`, when non-null, maps IN-list-collapsed placeholders to the
-  /// number of flat values each consumes (see ParameterizeSql).
-  Result<ResultTable> ExecutePrepared(Session& session,
-                                      std::shared_ptr<const CachedPlan> plan,
-                                      bool plan_cache_hit,
-                                      const std::vector<Value>* params,
-                                      bool auto_parameterized,
-                                      const std::vector<uint32_t>* widths =
-                                          nullptr);
+  /// A statement text made ready to run (PrepareText): the preparation of
+  /// a SELECT/EXPLAIN, or the parsed statement of any other kind.
+  struct PreparedText {
+    std::shared_ptr<const CachedPlan> plan;  ///< SELECT/EXPLAIN, else null
+    std::shared_ptr<const Statement> stmt;   ///< every other kind
+    std::string key_text;                    ///< plan-cache key of `plan`
+    bool plan_cache_hit = false;
+    /// Literals were lifted into `plan`'s holes; `values` holds them and
+    /// `widths` says how many values each hole consumes (IN-list collapse).
+    bool auto_parameterized = false;
+    std::vector<Value> values;
+    std::vector<uint32_t> widths;
+  };
+
+  /// Turns a statement text into a preparation through the plan cache:
+  /// normalizes it, lifts its literals when auto_parameterize is on
+  /// (collapsing IN lists when asked — the text path — or keeping
+  /// placeholders 1:1 with values — Prepare), and on a miss parses the
+  /// lifted text. Parse errors always point into the client's `sql`.
+  Result<PreparedText> PrepareText(Session& session, const std::string& sql,
+                                   bool collapse_in_lists);
 
   /// Opens a cursor over a prepared SELECT/EXPLAIN: streaming for every
   /// SELECT (plain, rewritten, or evaluated in-engine), materialized for
-  /// EXPLAIN.
+  /// EXPLAIN. `params` are the values for the plan's parameter holes
+  /// (nullptr or empty when the statement has none); `auto_parameterized`
+  /// tags the stats. `widths`, when non-empty, maps IN-list-collapsed
+  /// placeholders to the number of flat values each consumes (see
+  /// ParameterizeSql).
   Result<Cursor> OpenPreparedCursor(Session& session,
                                     std::shared_ptr<const CachedPlan> plan,
                                     bool plan_cache_hit,

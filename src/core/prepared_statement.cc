@@ -10,12 +10,14 @@ PreparedStatement::PreparedStatement(Engine* engine,
                                      std::shared_ptr<Engine> keepalive,
                                      Session* session,
                                      std::shared_ptr<const Statement> stmt,
+                                     std::shared_ptr<const CachedPlan> plan,
                                      std::string key_text,
                                      ParameterSignature signature)
     : engine_(engine),
       keepalive_(std::move(keepalive)),
       session_(session),
       stmt_(std::move(stmt)),
+      plan_(std::move(plan)),
       key_text_(std::move(key_text)),
       signature_(std::move(signature)),
       values_(signature_.count()),
@@ -82,19 +84,24 @@ Result<ResultTable> PreparedStatement::Execute() {
 }
 
 Result<Cursor> PreparedStatement::Open() {
-  if (engine_ == nullptr || stmt_ == nullptr) {
+  if (engine_ == nullptr || (stmt_ == nullptr && plan_ == nullptr)) {
     return Status::ExecutionError("prepared statement is empty");
   }
   PSQL_RETURN_IF_ERROR(CheckFullyBound());
-  if (!key_text_.empty() && stmt_->select != nullptr) {
-    // Plan-cached SELECT/EXPLAIN: re-validate the key against the current
-    // catalog version. A miss (DDL in between, or an LRU eviction)
-    // rebuilds the preparation from the retained AST — the transparent
-    // re-prepare — and re-publishes it.
+  if (plan_ != nullptr) {
+    // SELECT/EXPLAIN: re-validate the key against the current catalog
+    // version. A miss (DDL in between, or an LRU eviction) rebuilds the
+    // preparation from the retained AST — the transparent re-prepare — and
+    // re-publishes it.
     bool hit = false;
     PSQL_ASSIGN_OR_RETURN(
-        auto plan, engine_->LookupOrPrepare(*session_, key_text_,
-                                            stmt_->kind, stmt_->select, &hit));
+        auto plan,
+        engine_->LookupOrPrepare(
+            *session_, key_text_,
+            [this] {
+              return engine_->BuildPreparation(plan_->kind, plan_->select);
+            },
+            &hit));
     return engine_->OpenPreparedCursor(*session_, std::move(plan), hit,
                                        BoundValues(), auto_parameterized_,
                                        keepalive_);

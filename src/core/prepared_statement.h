@@ -17,13 +17,13 @@
 // all share one plan-cache entry (named `$t` templates are their own
 // canonical text and key separately).
 //
-// The statement holds the parsed AST and the plan-cache key text. Every
-// Execute/Open re-validates the key against the current catalog version:
-// DDL triggers a transparent re-prepare from the retained AST — never a
-// re-parse. A SET does not: preparation reads no session knob, and the
-// knobs take effect at execution. Binding errors (index/name out of range,
-// values violating a slot's grammar constraint, executing with unbound
-// parameters) report StatusCode::kBindError.
+// A SELECT/EXPLAIN holds its preparation (parsed AST included) and the
+// plan-cache key text. Every Execute/Open re-validates the key against the
+// current catalog version: DDL triggers a transparent re-prepare from the
+// retained AST — never a re-parse. A SET does not: preparation reads no
+// session knob, and the knobs take effect at execution. Binding errors
+// (index/name out of range, values violating a slot's grammar constraint,
+// executing with unbound parameters) report StatusCode::kBindError.
 //
 // A PreparedStatement borrows its Session (and, unless a keepalive was
 // supplied by Connection::Prepare, its Engine): it must not outlive the
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/cursor.h"
+#include "core/plan_cache.h"
 #include "core/session.h"
 #include "sql/ast.h"
 #include "sql/parameters.h"
@@ -96,6 +97,7 @@ class PreparedStatement {
 
   PreparedStatement(Engine* engine, std::shared_ptr<Engine> keepalive,
                     Session* session, std::shared_ptr<const Statement> stmt,
+                    std::shared_ptr<const CachedPlan> plan,
                     std::string key_text, ParameterSignature signature);
 
   /// kBindError naming every unbound slot, or OK.
@@ -109,7 +111,10 @@ class PreparedStatement {
   Engine* engine_ = nullptr;
   std::shared_ptr<Engine> keepalive_;
   Session* session_ = nullptr;
+  /// The parsed statement of a DML/DDL/SET; null for SELECT/EXPLAIN.
   std::shared_ptr<const Statement> stmt_;
+  /// The preparation of a SELECT/EXPLAIN; null for every other kind.
+  std::shared_ptr<const CachedPlan> plan_;
   std::string key_text_;  ///< empty = not plan-cached
   ParameterSignature signature_;
   std::vector<Value> values_;

@@ -95,6 +95,48 @@ TEST_F(CursorTest, RewriteModeStreamsFromAPinnedSnapshot) {
   EXPECT_GT(conn_.last_stats().pinned_epoch, 0u);
 }
 
+TEST_F(CursorTest, CursorsStreamWithThePlanCacheOff) {
+  // The plan_cache knob only decides whether the cache is consulted: every
+  // SELECT still streams. A streaming cursor publishes its result count on
+  // Close; one drained at open would report it after the first Next.
+  const std::string queries[] = {
+      "SELECT id, x FROM pts WHERE x > 5 ORDER BY id",
+      "SELECT id, x, y FROM pts PREFERRING LOWEST(x) AND LOWEST(y) "
+      "ORDER BY id",
+  };
+  auto stream = [&](const std::string& q, bool check_streaming) {
+    auto cursor = conn_.OpenCursor(q);
+    EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+    if (!cursor.ok()) return std::string();
+    std::vector<Row> rows;
+    for (;;) {
+      auto row = cursor->Next();
+      EXPECT_TRUE(row.ok()) << row.status().ToString();
+      if (!row.ok() || !row->has_value()) break;
+      rows.push_back(std::move(**row).IntoRow());
+      if (check_streaming && rows.size() == 1) {
+        EXPECT_EQ(conn_.last_stats().result_count, 0u);
+        EXPECT_GT(conn_.last_stats().pinned_epoch, 0u);
+      }
+    }
+    EXPECT_GT(rows.size(), 1u);
+    return ResultTable(cursor->columns(), std::move(rows)).ToString();
+  };
+  for (const char* mode : {"rewrite", "bnl"}) {
+    for (const std::string& q : queries) {
+      SCOPED_TRACE(std::string(mode) + ": " + q);
+      ASSERT_TRUE(conn_.ExecuteScript("SET plan_cache = on; "
+                                      "SET evaluation_mode = " +
+                                      std::string(mode))
+                      .ok());
+      const std::string cached = stream(q, /*check_streaming=*/false);
+      ASSERT_TRUE(conn_.Execute("SET plan_cache = off").ok());
+      EXPECT_EQ(stream(q, /*check_streaming=*/true), cached);
+      EXPECT_FALSE(conn_.last_stats().plan_cache_hit);
+    }
+  }
+}
+
 TEST_F(CursorTest, EarlyCloseReleasesTheStatementLockAndFlushesStats) {
   // LIMIT-k client stop: pull a handful of rows from a streaming skyline,
   // close, and the engine must accept a writer immediately (the shared

@@ -310,6 +310,31 @@ TEST_F(PreparedStatementTest, AutoParameterizationCanBeDisabled) {
   EXPECT_TRUE(conn_.last_stats().plan_cache_hit);
 }
 
+TEST_F(PreparedStatementTest, ParseErrorsPointIntoTheClientsText) {
+  // Auto-parameterization parses the lifted canonical text, whose offsets
+  // differ from what the client sent (collapsed whitespace, `?` for each
+  // literal); every entry point must report the error in the client's text.
+  const std::string texts[] = {
+      "select   a FROM t WHERE a = 123456789 AND AND b = 1",
+      "SELECT id FROM car WHERE color = 'a long literal'  AND AND price > 1",
+  };
+  for (const std::string& sql : texts) {
+    SCOPED_TRACE(sql);
+    auto executed = conn_.Execute(sql);
+    ASSERT_FALSE(executed.ok());
+    EXPECT_TRUE(executed.status().IsParseError());
+    auto cursor = conn_.OpenCursor(sql);
+    ASSERT_FALSE(cursor.ok());
+    EXPECT_EQ(cursor.status().message(), executed.status().message());
+    auto prepared = conn_.Prepare(sql);
+    ASSERT_FALSE(prepared.ok());
+    EXPECT_EQ(prepared.status().message(), executed.status().message());
+  }
+  auto first = conn_.Prepare(texts[0]);
+  EXPECT_NE(first.status().message().find("offset 42"), std::string::npos)
+      << first.status().ToString();
+}
+
 TEST_F(PreparedStatementTest, SelectListLiteralsKeepTheirHeaders) {
   // Literals in the select list must not be lifted — they derive result
   // headers.

@@ -9,10 +9,12 @@
 //
 // Each script is additionally re-run under direct evaluation (serial),
 // direct evaluation with the parallel partitioned BMO forced on,
-// sort-filter mode with the preference pushdown disabled, and direct
-// evaluation with the LESS skyline algorithm — all five configurations
-// must produce byte-identical output, pinning the cross-path/
-// cross-parallelism/cross-algorithm equivalence the engine promises.
+// sort-filter mode with the preference pushdown disabled, direct
+// evaluation with the LESS skyline algorithm, and with the plan cache off
+// (every statement prepared afresh, still streamed) — all six
+// configurations must produce byte-identical output, pinning the
+// cross-path/cross-parallelism/cross-algorithm/cached-vs-uncached
+// equivalence the engine promises.
 //
 // Regenerate the .expected files with: PREFSQL_GOLDEN_REGEN=1 ctest -R
 // sql_golden (then review the diff like any other code change).
@@ -81,6 +83,7 @@ constexpr Variant kVariants[] = {
      "SET preference_pushdown = off;"},
     {"direct less",
      "SET evaluation_mode = bnl; SET bmo_algorithm = less;"},
+    {"plan cache off", "SET plan_cache = off;"},
 };
 
 /// Splits a script into statement texts on top-level semicolons (string
