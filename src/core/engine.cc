@@ -751,9 +751,12 @@ Result<ResultTable> Engine::ExecuteExplain(
     add(SelectToSql(select));
     return ResultTable(std::move(schema), std::move(lines));
   }
+  const char* plan_cache_state =
+      !session.options().plan_cache          ? "off"
+      : session.last_stats().plan_cache_hit ? "hit"
+                                            : "miss";
   const std::string plan_cache_line =
-      std::string("-- plan cache: ") +
-      (session.last_stats().plan_cache_hit ? "hit" : "miss") +
+      std::string("-- plan cache: ") + plan_cache_state +
       " (catalog version " + std::to_string(db_.catalog().version()) + ")";
   const ConnectionOptions& options = session.options();
   AnalyzedPreferenceQuery analyzed(&select, view.preference);

@@ -642,8 +642,6 @@ Result<bool> EvaluatePredicate(const BoundExpr& e, const EvalContext& ctx) {
   return t && *t;
 }
 
-namespace {
-
 // Top-level AND chains split into conjuncts; each conjunct filters the
 // selection left-to-right, which is the batch form of the row path's
 // short-circuit AND (a row false under conjunct k never evaluates k+1).
@@ -656,6 +654,8 @@ void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out) {
   }
   out->push_back(&e);
 }
+
+namespace {
 
 BinaryOp MirrorComparisonOp(BinaryOp op) {
   switch (op) {
@@ -674,52 +674,68 @@ BinaryOp MirrorComparisonOp(BinaryOp op) {
 
 }  // namespace
 
-// A conjunct shape with a direct slot read: `col OP literal` (either operand
-// order) or `col IS [NOT] NULL` with the column in the input schema.
-// Anything else — outer-scope references, ambiguous names, unbound
-// parameters, arbitrary expressions — evaluates per row through its
+bool DirectConjunct::Test(const Value& cell) const {
+  if (kind == Kind::kIsNull) return cell.is_null() != negated;
+  auto t = CompareTruth(op, cell, *lit);
+  return t && *t;
+}
+
+// Anything that is not direct — outer-scope references, ambiguous names,
+// unbound parameters, arbitrary expressions — evaluates per row through its
 // binding, which raises the identical error a per-row EvaluatePredicate
 // would.
+std::optional<DirectConjunct> ClassifyDirect(const Expr& e,
+                                             const Schema& schema) {
+  DirectConjunct c;
+  auto resolves = [&](const Expr& col) {
+    return schema.ResolveScoped(col.qualifier, col.column, &c.col) ==
+           Schema::ResolveOutcome::kFound;
+  };
+  if (e.kind == ExprKind::kIsNull && e.left != nullptr &&
+      e.left->kind == ExprKind::kColumnRef && resolves(*e.left)) {
+    c.kind = DirectConjunct::Kind::kIsNull;
+    c.negated = e.negated;
+    return c;
+  }
+  if (e.kind != ExprKind::kBinary || e.left == nullptr ||
+      e.right == nullptr || !IsComparison(e.binary_op)) {
+    return std::nullopt;
+  }
+  const Expr* col = e.left.get();
+  const Expr* lit = e.right.get();
+  bool flipped = false;
+  if (col->kind == ExprKind::kLiteral && lit->kind == ExprKind::kColumnRef) {
+    std::swap(col, lit);
+    flipped = true;
+  }
+  if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral ||
+      lit->literal.is_param() || !resolves(*col)) {
+    return std::nullopt;
+  }
+  c.kind = DirectConjunct::Kind::kColOpLit;
+  c.lit = &lit->literal;
+  c.op = flipped ? MirrorComparisonOp(e.binary_op) : e.binary_op;
+  return c;
+}
+
 BatchPredicate::BatchPredicate(const Expr& predicate, const Schema& schema,
                                const EvalContext* outer)
+    : BatchPredicate(
+          [&] {
+            std::vector<const Expr*> parts;
+            CollectConjuncts(predicate, &parts);
+            return parts;
+          }(),
+          schema, outer) {}
+
+BatchPredicate::BatchPredicate(const std::vector<const Expr*>& conjuncts,
+                               const Schema& schema, const EvalContext* outer)
     : schema_(&schema), outer_(outer) {
-  std::vector<const Expr*> parts;
-  CollectConjuncts(predicate, &parts);
-  conjuncts_.reserve(parts.size());
-  for (const Expr* e : parts) {
+  conjuncts_.reserve(conjuncts.size());
+  for (const Expr* e : conjuncts) {
     Conjunct c;
-    size_t idx = 0;
-    auto resolves = [&](const Expr& col) {
-      return schema.ResolveScoped(col.qualifier, col.column, &idx) ==
-             Schema::ResolveOutcome::kFound;
-    };
-    if (e->kind == ExprKind::kIsNull && e->left != nullptr &&
-        e->left->kind == ExprKind::kColumnRef && resolves(*e->left)) {
-      c.kind = Conjunct::Kind::kIsNull;
-      c.col = idx;
-      c.negated = e->negated;
-    } else if (e->kind == ExprKind::kBinary && e->left != nullptr &&
-               e->right != nullptr && IsComparison(e->binary_op)) {
-      const Expr* col = e->left.get();
-      const Expr* lit = e->right.get();
-      bool flipped = false;
-      if (col->kind == ExprKind::kLiteral &&
-          lit->kind == ExprKind::kColumnRef) {
-        std::swap(col, lit);
-        flipped = true;
-      }
-      if (col->kind == ExprKind::kColumnRef &&
-          lit->kind == ExprKind::kLiteral && !lit->literal.is_param() &&
-          resolves(*col)) {
-        c.kind = Conjunct::Kind::kColOpLit;
-        c.col = idx;
-        c.lit = &lit->literal;
-        c.op = flipped ? MirrorComparisonOp(e->binary_op) : e->binary_op;
-      }
-    }
-    if (c.kind == Conjunct::Kind::kGeneric) {
-      c.bound = BoundExpr(*e, schema, outer);
-    }
+    c.direct = ClassifyDirect(*e, schema);
+    if (!c.direct) c.bound = BoundExpr(*e, schema, outer);
     conjuncts_.push_back(std::move(c));
   }
 }
@@ -730,39 +746,25 @@ Status BatchPredicate::Apply(RowBatch* batch, SubqueryRunner* runner) const {
     // conjuncts see no rows and evaluate nothing.
     if (batch->sel.empty()) break;
     size_t kept = 0;
-    switch (c.kind) {
-      case Conjunct::Kind::kColOpLit: {
-        // Locals, so the selection stores cannot force reloads.
-        const size_t col = c.col;
-        const BinaryOp op = c.op;
-        const Value& lit = *c.lit;
-        // `kept` never passes `j`, so the prefetch reads a selection entry
-        // the compaction has not overwritten.
-        for (size_t j = 0; j < batch->sel.size(); ++j) {
-          const size_t ahead = j + kRowPrefetchDistance;
-          if (ahead < batch->sel.size()) {
-            PrefetchCell(batch->rows[batch->sel[ahead]].row(), col);
-          }
-          const uint32_t idx = batch->sel[j];
-          auto t = CompareTruth(op, batch->rows[idx].row()[col], lit);
-          if (t && *t) batch->sel[kept++] = idx;
+    if (c.direct) {
+      // A local copy, so the selection stores cannot force reloads.
+      const DirectConjunct d = *c.direct;
+      // `kept` never passes `j`, so the prefetch reads a selection entry
+      // the compaction has not overwritten.
+      for (size_t j = 0; j < batch->sel.size(); ++j) {
+        const size_t ahead = j + kRowPrefetchDistance;
+        if (ahead < batch->sel.size()) {
+          PrefetchCell(batch->rows[batch->sel[ahead]].row(), d.col);
         }
-        break;
+        const uint32_t idx = batch->sel[j];
+        if (d.Test(batch->rows[idx].row()[d.col])) batch->sel[kept++] = idx;
       }
-      case Conjunct::Kind::kIsNull:
-        for (uint32_t idx : batch->sel) {
-          if (batch->rows[idx].row()[c.col].is_null() != c.negated) {
-            batch->sel[kept++] = idx;
-          }
-        }
-        break;
-      case Conjunct::Kind::kGeneric:
-        for (uint32_t idx : batch->sel) {
-          EvalContext ctx{schema_, &batch->rows[idx].row(), outer_, runner};
-          PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(c.bound, ctx));
-          if (pass) batch->sel[kept++] = idx;
-        }
-        break;
+    } else {
+      for (uint32_t idx : batch->sel) {
+        EvalContext ctx{schema_, &batch->rows[idx].row(), outer_, runner};
+        PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(c.bound, ctx));
+        if (pass) batch->sel[kept++] = idx;
+      }
     }
     batch->sel.resize(kept);
   }

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "sql/ast.h"
 #include "types/result_table.h"
@@ -113,14 +115,41 @@ Result<Value> Evaluate(const BoundExpr& expr, const EvalContext& ctx);
 Result<bool> EvaluatePredicate(const Expr& expr, const EvalContext& ctx);
 Result<bool> EvaluatePredicate(const BoundExpr& expr, const EvalContext& ctx);
 
+/// Appends the top-level AND conjuncts of `e` to `out`, left to right.
+void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out);
+
+/// A conjunct decided by one cell of the input row: `column OP literal`
+/// (either operand order; `op` is mirrored so the column reads on the left)
+/// or `column IS [NOT] NULL`. It never fails, and its truth is a function of
+/// that cell's value alone, which is what lets a heap scan decide it once
+/// per dictionary value instead of once per row.
+struct DirectConjunct {
+  enum class Kind { kColOpLit, kIsNull };
+  Kind kind = Kind::kColOpLit;
+  size_t col = 0;
+  BinaryOp op = BinaryOp::kEq;
+  const Value* lit = nullptr;  // borrowed from the conjunct's expression
+  bool negated = false;        // IS NOT NULL
+
+  /// True iff the conjunct is TRUE for a row whose cell `col` is `cell`
+  /// (the row path's CompareTruth / IS NULL test).
+  bool Test(const Value& cell) const;
+};
+
+/// `conjunct` as a DirectConjunct over rows of `schema`, or nullopt when it
+/// has another shape, its column does not resolve in `schema`, or its
+/// literal is an unbound parameter.
+std::optional<DirectConjunct> ClassifyDirect(const Expr& conjunct,
+                                             const Schema& schema);
+
 /// A predicate compiled once for batch evaluation over one input schema.
 /// Top-level AND conjuncts run left-to-right over the surviving selection
-/// (the batch form of the row path's short-circuit AND), and `column OP
-/// literal` / `column IS [NOT] NULL` conjuncts read their column slot
-/// directly. Everything else evaluates per row through its binding, so
-/// results match per-row evaluation exactly; only the order in which
-/// multiple *erroring* rows surface may differ (a conjunct sees rows already
-/// filtered by its left siblings).
+/// (the batch form of the row path's short-circuit AND), and direct
+/// conjuncts (ClassifyDirect) read their column slot directly. Everything
+/// else evaluates per row through its binding, so results match per-row
+/// evaluation exactly; only the order in which multiple *erroring* rows
+/// surface may differ (a conjunct sees rows already filtered by its left
+/// siblings).
 class BatchPredicate {
  public:
   /// Classifies and binds the conjuncts of `predicate` (borrowed) for rows
@@ -128,18 +157,18 @@ class BatchPredicate {
   BatchPredicate(const Expr& predicate, const Schema& schema,
                  const EvalContext* outer);
 
+  /// The same over an explicit conjunct list (each borrowed), ANDed left
+  /// to right.
+  BatchPredicate(const std::vector<const Expr*>& conjuncts,
+                 const Schema& schema, const EvalContext* outer);
+
   /// Compacts `batch->sel` in place to the rows where the predicate is TRUE.
   Status Apply(RowBatch* batch, SubqueryRunner* runner) const;
 
  private:
   struct Conjunct {
-    enum class Kind { kGeneric, kColOpLit, kIsNull };
-    Kind kind = Kind::kGeneric;
-    size_t col = 0;
-    BinaryOp op = BinaryOp::kEq;
-    const Value* lit = nullptr;
-    bool negated = false;  // IS NOT NULL
-    BoundExpr bound;       // kGeneric
+    std::optional<DirectConjunct> direct;
+    BoundExpr bound;  // when not direct
   };
 
   const Schema* schema_;

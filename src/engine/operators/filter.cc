@@ -9,6 +9,14 @@ FilterOperator::FilterOperator(OperatorPtr child, const Expr* predicate,
       predicate_(*predicate, child_->schema(), outer),
       runner_(runner) {}
 
+FilterOperator::FilterOperator(OperatorPtr child,
+                               const std::vector<const Expr*>& conjuncts,
+                               const EvalContext* outer,
+                               SubqueryRunner* runner)
+    : child_(std::move(child)),
+      predicate_(conjuncts, child_->schema(), outer),
+      runner_(runner) {}
+
 FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate,
                                const EvalContext* outer,
                                SubqueryRunner* runner)

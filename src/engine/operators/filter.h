@@ -5,6 +5,8 @@
 
 #pragma once
 
+#include <vector>
+
 #include "core/query_context.h"
 #include "engine/evaluator.h"
 #include "engine/operators/operator.h"
@@ -16,6 +18,11 @@ class FilterOperator : public PhysicalOperator {
  public:
   /// Filters on `predicate` (not owned; must outlive the plan).
   FilterOperator(OperatorPtr child, const Expr* predicate,
+                 const EvalContext* outer, SubqueryRunner* runner);
+
+  /// Filters on the AND of `conjuncts` (each borrowed; must outlive the
+  /// plan): the part of a WHERE the child scan does not apply itself.
+  FilterOperator(OperatorPtr child, const std::vector<const Expr*>& conjuncts,
                  const EvalContext* outer, SubqueryRunner* runner);
 
   /// Filters on an expression the planner synthesized (HAVING rewrites).

@@ -66,12 +66,15 @@ void PositionScanOperator::Close() {}
 
 HeapScanOperator::HeapScanOperator(Schema schema, const RowHeap* heap,
                                    size_t limit, uint64_t snapshot,
-                                   MvccScanCounters* counters)
+                                   MvccScanCounters* counters,
+                                   std::vector<CodedFilter> coded)
     : schema_(std::move(schema)),
       heap_(heap),
       limit_(limit),
       snapshot_(snapshot),
-      counters_(counters) {}
+      counters_(counters),
+      coded_(std::move(coded)),
+      runs_(coded_.size()) {}
 
 Status HeapScanOperator::Open() {
   pos_ = 0;
@@ -81,14 +84,41 @@ Status HeapScanOperator::Open() {
   return Status::OK();
 }
 
+size_t HeapScanOperator::NextCodeMatch(size_t pos, size_t end) {
+  const uint8_t* first = coded_[0].truth.data();
+  while (pos < end) {
+    size_t len = 0;
+    for (size_t f = 0; f < coded_.size(); ++f) {
+      runs_[f] = coded_[f].codes->Run(pos, &len);
+    }
+    len = std::min(len, end - pos);
+    const uint16_t* codes = runs_[0];
+    for (size_t i = 0; i < len; ++i) {
+      if (!first[codes[i]]) continue;
+      size_t f = 1;
+      while (f < coded_.size() && coded_[f].truth[runs_[f][i]]) ++f;
+      if (f == coded_.size()) return pos + i;
+    }
+    pos += len;
+  }
+  return end;
+}
+
 Result<bool> HeapScanOperator::NextBatch(RowBatch* out) {
+  // Slots a code test rejects between two interrupt polls.
+  constexpr size_t kCodeStretch = 4096;
   out->Clear();
-  // One visibility sweep fills the whole batch. A run of dead versions
+  // One sweep fills the whole batch. A run of rejected or dead versions
   // keeps sweeping (the slot range is sealed, so this terminates) rather
-  // than hand back an empty batch; the stride poll keeps a
-  // dead-version-heavy sweep interruptible mid-batch.
+  // than hand back an empty batch; the stride poll keeps such a sweep
+  // interruptible mid-batch.
   while (pos_ < limit_ && !out->full()) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
+    if (!coded_.empty()) {
+      const size_t end = std::min(limit_, pos_ + kCodeStretch);
+      pos_ = NextCodeMatch(pos_, end);
+      if (pos_ == end) continue;
+    }
     size_t slot = pos_++;
     ++scanned_;
     if (!heap_->VisibleAt(slot, snapshot_)) {

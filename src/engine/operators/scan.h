@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "engine/operators/operator.h"
+#include "storage/column_codes.h"
 #include "storage/row_heap.h"
 
 namespace prefsql {
@@ -69,10 +70,22 @@ class PositionScanOperator : public PhysicalOperator {
 /// `snapshot`. `limit` bounds the slot range (the heap size the snapshot's
 /// table version sealed), so the scan is deterministic even while writers
 /// append concurrently.
+///
+/// Each of `coded` is a column's dictionary codes with a truth table the
+/// planner decided from the leading run of the WHERE's direct conjuncts
+/// (Table::CodesFor). The scan tests the per-slot codes first and
+/// visibility second, and emits a row only when every truth table passes;
+/// `versions_scanned` counts the slots that reached the visibility test.
 class HeapScanOperator : public PhysicalOperator {
  public:
+  struct CodedFilter {
+    const ColumnCodes* codes;
+    std::vector<uint8_t> truth;  // one byte per dictionary code
+  };
+
   HeapScanOperator(Schema schema, const RowHeap* heap, size_t limit,
-                   uint64_t snapshot, MvccScanCounters* counters = nullptr);
+                   uint64_t snapshot, MvccScanCounters* counters,
+                   std::vector<CodedFilter> coded = {});
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
@@ -80,11 +93,17 @@ class HeapScanOperator : public PhysicalOperator {
   void Close() override;
 
  private:
+  /// The first slot in [pos, end) whose codes pass every coded filter, or
+  /// `end`.
+  size_t NextCodeMatch(size_t pos, size_t end);
+
   Schema schema_;
   const RowHeap* heap_;
   size_t limit_;
   uint64_t snapshot_;
   MvccScanCounters* counters_;
+  std::vector<CodedFilter> coded_;
+  std::vector<const uint16_t*> runs_;  // per coded filter, NextCodeMatch
   size_t pos_ = 0;
   size_t tick_ = 0;
   uint64_t scanned_ = 0;

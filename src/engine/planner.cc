@@ -371,19 +371,11 @@ Result<OperatorPtr> Planner::PlanTableRef(const TableRef& tr,
   switch (tr.kind) {
     case TableRef::Kind::kTable: {
       std::string visible = tr.alias.empty() ? tr.table_name : tr.alias;
-      Catalog* catalog = executor_->catalog();
-      const bool local = scope_->HasLocalView(tr.table_name);
-      if (!local && catalog->HasTable(tr.table_name)) {
-        PSQL_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(tr.table_name));
-        // Scan the version heap at the statement's snapshot; the slot bound
-        // is the heap size that snapshot's table version sealed, so rows a
-        // concurrent writer appends later are out of range by construction.
-        uint64_t snap = AmbientSnapshotOr(table->epochs().current());
-        return OperatorPtr(std::make_unique<HeapScanOperator>(
-            table->schema().WithQualifier(visible), &table->heap(),
-            table->HeapSizeAt(snap), snap, executor_->mvcc_counters()));
+      if (Table* table = ScannedTable(tr)) {
+        return PlanHeapScan(*table, table->schema().WithQualifier(visible));
       }
-      if (local || catalog->HasView(tr.table_name)) {
+      if (scope_->HasLocalView(tr.table_name) ||
+          executor_->catalog()->HasView(tr.table_name)) {
         PSQL_ASSIGN_OR_RETURN(auto materialized,
                               scope_->MaterializeView(tr.table_name));
         return OperatorPtr(std::make_unique<SeqScanOperator>(
@@ -403,6 +395,61 @@ Result<OperatorPtr> Planner::PlanTableRef(const TableRef& tr,
       return PlanJoin(tr, outer);
   }
   return Status::Internal("unreachable table ref kind");
+}
+
+Table* Planner::ScannedTable(const TableRef& tr) {
+  if (tr.kind != TableRef::Kind::kTable ||
+      scope_->HasLocalView(tr.table_name)) {
+    return nullptr;
+  }
+  auto table = executor_->catalog()->GetTable(tr.table_name);
+  return table.ok() ? *table : nullptr;
+}
+
+OperatorPtr Planner::PlanHeapScan(const Table& table, Schema schema,
+                                  std::vector<const Expr*>* conjuncts) {
+  // Scan the version heap at the statement's snapshot; the slot bound is
+  // the heap size that snapshot's table version sealed, so rows a
+  // concurrent writer appends later are out of range by construction.
+  const uint64_t snap = AmbientSnapshotOr(table.epochs().current());
+  const size_t limit = table.HeapSizeAt(snap);
+  std::vector<HeapScanOperator::CodedFilter> coded;
+  if (conjuncts != nullptr) {
+    std::vector<DirectConjunct> run;
+    while (run.size() < conjuncts->size()) {
+      auto direct = ClassifyDirect(*(*conjuncts)[run.size()], schema);
+      if (!direct) break;
+      run.push_back(*direct);
+    }
+    // Conjuncts on one column share a truth table (their AND). Those on a
+    // refused column lead the remainder; direct conjuncts never raise, so
+    // moving them keeps every row's answer and error.
+    std::vector<const Expr*> rest;
+    std::vector<bool> decided(run.size(), false);
+    for (size_t i = 0; i < run.size(); ++i) {
+      if (decided[i]) continue;
+      const size_t col = run[i].col;
+      auto test = [&](const Value& v) {
+        for (const DirectConjunct& c : run) {
+          if (c.col == col && !c.Test(v)) return false;
+        }
+        return true;
+      };
+      HeapScanOperator::CodedFilter f;
+      f.codes = table.CodesFor(col, limit, test, &f.truth);
+      for (size_t j = i; j < run.size(); ++j) {
+        if (run[j].col != col) continue;
+        decided[j] = true;
+        if (f.codes == nullptr) rest.push_back((*conjuncts)[j]);
+      }
+      if (f.codes != nullptr) coded.push_back(std::move(f));
+    }
+    rest.insert(rest.end(), conjuncts->begin() + run.size(), conjuncts->end());
+    *conjuncts = std::move(rest);
+  }
+  return std::make_unique<HeapScanOperator>(
+      std::move(schema), &table.heap(), limit, snap,
+      executor_->mvcc_counters(), std::move(coded));
 }
 
 Result<OperatorPtr> Planner::PlanJoin(const TableRef& tr,
@@ -463,6 +510,27 @@ Result<OperatorPtr> Planner::PlanFromWhere(const SelectStmt& select,
       // Re-apply the full WHERE (residual predicates, over-approximation).
       return OperatorPtr(std::make_unique<FilterOperator>(
           std::move(scan), select.where.get(), outer, scope_));
+    }
+  }
+
+  // One base table: the scan applies the leading run of direct conjuncts
+  // on the table's column codes. Only the leading run moves into the scan,
+  // so a generic conjunct still sees exactly the rows (and raises exactly
+  // the errors) it would under a filter on the whole WHERE.
+  if (select.where != nullptr && select.from.size() == 1) {
+    if (Table* table = ScannedTable(*select.from[0])) {
+      const TableRef& tr = *select.from[0];
+      std::vector<const Expr*> conjuncts;
+      CollectConjuncts(*select.where, &conjuncts);
+      if (count_stats) executor_->CountScan(/*used_index=*/false);
+      OperatorPtr scan = PlanHeapScan(
+          *table,
+          table->schema().WithQualifier(tr.alias.empty() ? tr.table_name
+                                                         : tr.alias),
+          &conjuncts);
+      if (conjuncts.empty()) return scan;
+      return OperatorPtr(std::make_unique<FilterOperator>(
+          std::move(scan), conjuncts, outer, scope_));
     }
   }
 

@@ -19,12 +19,14 @@
 #include "engine/evaluator.h"
 #include "engine/operators/operator.h"
 #include "sql/ast.h"
+#include "types/schema.h"
 #include "util/status.h"
 
 namespace prefsql {
 
 class Executor;
 class StatementScope;
+class Table;
 
 /// Builds the preference layer's semi-skyline pre-filter over `input`,
 /// computing per-partition maximal tuples; `partition_cols` are positions in
@@ -101,6 +103,16 @@ class Planner {
  private:
   Result<OperatorPtr> PlanTableRef(const TableRef& tr,
                                    const EvalContext* outer);
+  /// The base table `tr` scans, or null when it names a statement-local or
+  /// catalog view, a subquery or a join.
+  Table* ScannedTable(const TableRef& tr);
+  /// Scans `table` (rows of `schema`) at the statement's snapshot. Given
+  /// `conjuncts` (a WHERE's, left to right), the scan tests their leading
+  /// run of direct conjuncts on the table's column codes, and `conjuncts`
+  /// keeps what a filter must still test: the run's conjuncts on refused
+  /// columns, then the rest.
+  OperatorPtr PlanHeapScan(const Table& table, Schema schema,
+                           std::vector<const Expr*>* conjuncts = nullptr);
   Result<OperatorPtr> PlanJoin(const TableRef& tr, const EvalContext* outer);
   /// The pushdown plan described at PlanCandidates, or nullopt (with the
   /// rejection reason in `report`) when a soundness condition fails.

@@ -141,9 +141,8 @@ class RowHeap {
     return freed;
   }
 
- private:
-  // Bucket b holds kFirstBucketSize << b slots; cumulative capacity before
-  // bucket b is kFirstBucketSize * (2^b - 1).
+  /// Bucket b holds kFirstBucketSize << b slots; cumulative capacity before
+  /// bucket b is kFirstBucketSize * (2^b - 1). Column codes share the layout.
   static void Locate(size_t pos, size_t* bucket, size_t* offset) {
     size_t q = pos / kFirstBucketSize + 1;
     size_t b = 0;
@@ -155,6 +154,7 @@ class RowHeap {
     *offset = pos - kFirstBucketSize * ((size_t{1} << b) - 1);
   }
 
+ private:
   const Slot& slot(size_t pos) const {
     size_t b, off;
     Locate(pos, &b, &off);

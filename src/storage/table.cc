@@ -28,6 +28,7 @@ Table::Table(std::string name, std::vector<ColumnDef> columns,
   for (const auto& c : columns_) infos.push_back({"", c.name});
   schema_ = Schema(std::move(infos));
   seals_.push_back({0, 0, 0});
+  codes_.resize(columns_.size());
 }
 
 Result<size_t> Table::ColumnIndex(const std::string& column) const {
@@ -138,6 +139,20 @@ size_t Table::NumVisibleAt(uint64_t snapshot) const {
     if (heap_.VisibleAt(pos, snapshot)) ++visible;
   }
   return visible;
+}
+
+const ColumnCodes* Table::CodesFor(
+    size_t col, size_t limit, const std::function<bool(const Value&)>& test,
+    std::vector<uint8_t>* truth) const {
+  std::lock_guard<std::mutex> g(codes_mu_);
+  std::unique_ptr<ColumnCodes>& codes = codes_[col];
+  if (codes == nullptr) codes = std::make_unique<ColumnCodes>();
+  if (codes->covered() < limit) codes->Extend(heap_, col, limit);
+  if (codes->refused()) return nullptr;
+  truth->clear();
+  truth->reserve(codes->values().size());
+  for (const Value& v : codes->values()) truth->push_back(test(v) ? 1 : 0);
+  return codes.get();
 }
 
 size_t Table::CollectGarbage(uint64_t horizon) {

@@ -14,12 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "sql/ast.h"
+#include "storage/column_codes.h"
 #include "storage/epoch.h"
 #include "storage/row_heap.h"
 #include "types/schema.h"
@@ -108,6 +110,18 @@ class Table {
   /// that snapshot computes caches over (deterministic per version).
   size_t HeapSizeAt(uint64_t snapshot) const;
 
+  /// The dictionary codes of column `col` covering at least slots
+  /// [0, limit), extended under the table's code mutex when a reader needs
+  /// more (`limit` <= heap_size(); a snapshot reader passes its
+  /// HeapSizeAt). `truth` receives one byte per dictionary code, `test` of
+  /// that code's value, decided under the same mutex; every code below
+  /// `limit` indexes it. Null when the column is refused (more than
+  /// ColumnCodes::kMaxDistinct distinct values). The codes live as long as
+  /// the table.
+  const ColumnCodes* CodesFor(size_t col, size_t limit,
+                              const std::function<bool(const Value&)>& test,
+                              std::vector<uint8_t>* truth) const;
+
   /// Frees payloads of versions invisible to every snapshot >= `horizon`
   /// and trims version history below it. The engine calls this only while
   /// it holds the catalog lock exclusively (no active readers) with
@@ -146,6 +160,11 @@ class Table {
   // but readers binary-search concurrently).
   mutable std::mutex seal_mu_;
   std::vector<Seal> seals_;
+
+  // One per column, created on first use. Leaf lock: held only while a
+  // reader creates or extends codes and decides a truth table.
+  mutable std::mutex codes_mu_;
+  mutable std::vector<std::unique_ptr<ColumnCodes>> codes_;
 };
 
 }  // namespace prefsql

@@ -282,6 +282,34 @@ TEST_F(EngineCacheTest, ExplainReportsCacheState) {
       << plan->ToString();
 }
 
+// A single EXPLAIN opened as a cursor (how the shell sends it) reuses its
+// preparation on repeat, and with the cache off the line says so.
+TEST_F(EngineCacheTest, ExplainPlanCacheLineThroughCursorsAndWhenOff) {
+  auto explain_text = [&]() -> std::string {
+    auto cursor = conn_.OpenCursor("EXPLAIN " + kQuery);
+    EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+    if (!cursor.ok()) return "";
+    std::string text;
+    for (;;) {
+      auto row = cursor->Next();
+      EXPECT_TRUE(row.ok()) << row.status().ToString();
+      if (!row.ok() || !row->has_value()) break;
+      text += (**row).row()[0].ToString() + "\n";
+    }
+    return text;
+  };
+  std::string text = explain_text();
+  EXPECT_NE(text.find("plan cache: miss"), std::string::npos) << text;
+  text = explain_text();
+  EXPECT_NE(text.find("plan cache: hit"), std::string::npos) << text;
+
+  ASSERT_TRUE(conn_.Execute("SET plan_cache = off").ok());
+  for (int i = 0; i < 2; ++i) {
+    text = explain_text();
+    EXPECT_NE(text.find("plan cache: off"), std::string::npos) << text;
+  }
+}
+
 TEST(NormalizeSqlTest, CanonicalizesWhitespaceButNotCaseOrLiterals) {
   EXPECT_EQ(NormalizeSql("SELECT  *\nFROM T;"), "SELECT * FROM T");
   EXPECT_EQ(NormalizeSql("select 'A  B' from t"), "select 'A  B' from t");

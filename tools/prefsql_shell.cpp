@@ -133,8 +133,9 @@ void PrintResult(const prefsql::ResultTable& result) {
   }
 }
 
-/// Streams a single SELECT through the Cursor API, printing rows as they
-/// arrive (the driver surface the paper's ODBC client would use).
+/// Streams a single SELECT (or EXPLAIN) through the Cursor API, printing
+/// rows as they arrive (the driver surface the paper's ODBC client would
+/// use).
 void RunStreaming(Connection& conn, const std::string& sql) {
   const auto t0 = std::chrono::steady_clock::now();
   auto cursor = conn.OpenCursor(sql);
@@ -430,7 +431,10 @@ int main(int argc, char** argv) {
     if (line.empty() || line.back() != ';') continue;
     std::string sql;
     sql.swap(buffer);
-    if (IsSingleStatement(sql) && prefsql::FirstSqlWord(sql) == "SELECT") {
+    // A single SELECT or EXPLAIN opens through the plan cache, so a
+    // repeated statement reuses its preparation.
+    if (IsSingleStatement(sql) && (prefsql::FirstSqlWord(sql) == "SELECT" ||
+                                   prefsql::FirstSqlWord(sql) == "EXPLAIN")) {
       RunStreaming(conn, sql);
       continue;
     }
