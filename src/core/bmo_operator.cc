@@ -6,6 +6,7 @@
 
 #include "core/bmo_parallel.h"
 #include "core/query_context.h"
+#include "core/slot_keys.h"
 
 namespace prefsql {
 
@@ -45,7 +46,7 @@ Status BmoOperator::Open() {
   keys_.reset();
   survivors_.clear();
   use_positions_ = false;
-  positions_.clear();
+  slots_.clear();
   local_of_.clear();
   pos_ = 0;
   run_stats_ = BmoRunStats{};
@@ -63,58 +64,47 @@ Status BmoOperator::Open() {
   //    copies between scan and BMO). The scan/filter subtree hands over ~1k
   //    rows per virtual call — one MVCC visibility sweep and one interrupt
   //    check per batch — so the key build and the SIMD dominance kernels
-  //    below see the candidates at feed, not pull, speed.
+  //    below see the candidates at feed, not pull, speed. A heap scan's
+  //    batches also carry each row's slot; one batch without them (or a
+  //    slot outside the snapshot's range) falls the run back to keying rows.
   RowBatch batch;
+  bool have_slots = config_.table != nullptr;
   while (true) {
     PSQL_ASSIGN_OR_RETURN(bool more, PullBatch(*child_, &batch));
     if (!more) break;
     run_stats_.candidate_count += batch.sel.size();
+    have_slots = have_slots && batch.slots.size() == batch.rows.size();
     for (uint32_t idx : batch.sel) {
       rows_.push_back(std::move(batch.rows[idx]));
+      if (have_slots) {
+        have_slots = batch.slots[idx] < config_.key_rows;
+        slots_.push_back(batch.slots[idx]);
+      }
     }
   }
+  if (!have_slots) slots_.clear();
   const size_t n = rows_.size();
 
-  // 1b. Position mode: recover each pulled row's heap slot by pointer
-  //     identity against the table's version heap, so the dominance pass
-  //     can run over the shared whole-table KeyStore. Any row that is not
-  //     a borrowed slot of the heap (or a duplicate) falls the whole run
-  //     back to the local un-cached path.
-  //     Both passes poll the deadline: over a large table they run long
-  //     enough that a statement timeout would otherwise fire late.
+  // 1b. Position mode: a cache-keyed run (config_.key_cache set) over heap
+  //     slots keys the whole table by slot, so the dominance pass runs over
+  //     the shared whole-table KeyStore. Without slots, or with a duplicate
+  //     slot, the run falls back to the local un-cached path. The pass
+  //     polls the deadline: over a large table it runs long enough that a
+  //     statement timeout would otherwise fire late.
   size_t tick = 0;
-  if (config_.base_heap != nullptr) {
+  if (config_.key_cache != nullptr && have_slots) {
     bool ok = true;
-    positions_.reserve(n);
-    for (const RowRef& r : rows_) {
+    local_of_.reserve(n);
+    for (size_t i = 0; i < n && ok; ++i) {
       PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-      if (!r.is_borrowed()) {
-        ok = false;
-        break;
-      }
-      auto slot = config_.base_heap->PositionOf(&r.row());
-      if (!slot.has_value() || *slot >= config_.key_rows) {
-        ok = false;
-        break;
-      }
-      positions_.push_back(*slot);
+      ok = local_of_.emplace(slots_[i], i).second;
     }
-    if (ok) {
-      local_of_.reserve(n);
-      for (size_t i = 0; i < n && ok; ++i) {
-        PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-        ok = local_of_.emplace(positions_[i], i).second;
-      }
-    }
-    if (!ok) {
-      positions_.clear();
-      local_of_.clear();
-    }
+    if (!ok) local_of_.clear();
     use_positions_ = ok;
   }
   // Candidate id of pulled row i: its heap slot in position mode (an index
   // into the whole-table KeyStore), the pulled index otherwise.
-  auto id_of = [&](size_t i) { return use_positions_ ? positions_[i] : i; };
+  auto id_of = [&](size_t i) { return use_positions_ ? slots_[i] : i; };
   const size_t key_rows = use_positions_ ? config_.key_rows : n;
 
   // 2. Packed keys: an engine cache hit reuses the whole store (the cached
@@ -124,9 +114,7 @@ Status BmoOperator::Open() {
   //    and publish it when this run is cache-keyed. In position mode the
   //    store covers every heap slot of the snapshot, so later readers of
   //    the same table version share it by slot.
-  const bool cache_keyed = config_.key_cache != nullptr &&
-                           (config_.base_heap == nullptr || use_positions_);
-  if (cache_keyed) {
+  if (use_positions_) {
     auto cached = config_.key_cache->Lookup(config_.key_cache_key);
     if (cached != nullptr && cached->keys != nullptr &&
         cached->keys->size() == key_rows &&
@@ -148,40 +136,39 @@ Status BmoOperator::Open() {
     auto built = std::make_shared<KeyStore>(pref_->num_leaves());
     built->Reserve(key_rows);
     const auto t0 = Clock::now();
-    if (use_positions_) {
-      // Key every slot of the snapshot's key space, dead versions included
-      // (slot = key row). GC-cleared payloads can no longer be evaluated;
-      // they get neutral worst-score keys, which is sound because cleared
-      // slots are invisible at every servable snapshot and dominance only
-      // ever runs over candidate (visible) ids.
-      for (size_t slot = 0; slot < config_.key_rows; ++slot) {
-        PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-        if (config_.base_heap->payload_cleared(slot)) {
-          for (size_t l = 0; l < pref_->num_leaves(); ++l) {
-            built->PushLeaf(kWorstScore, -1);
+    if (have_slots) {
+      PSQL_ASSIGN_OR_RETURN(
+          const SlotKeys slot_keys,
+          SlotKeys::Make(*pref_, leaf_attrs_, child_->schema(),
+                         *config_.table, config_.key_rows, runner_));
+      run_stats_.vector_leaves = slot_keys.vector_leaves();
+      if (use_positions_) {
+        // Key every slot of the snapshot's key space, dead versions
+        // included (slot = key row). GC-cleared payloads can no longer be
+        // evaluated; they get neutral worst-score keys, which is sound
+        // because cleared slots are invisible at every servable snapshot
+        // and dominance only ever runs over candidate (visible) ids.
+        const RowHeap& heap = config_.table->heap();
+        for (size_t slot = 0; slot < key_rows; ++slot) {
+          PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
+          if (heap.payload_cleared(slot)) {
+            for (size_t l = 0; l < pref_->num_leaves(); ++l) {
+              built->PushLeaf(kWorstScore, -1);
+            }
+            built->CommitRow();
+            continue;
           }
-          built->CommitRow();
-          continue;
+          PSQL_RETURN_IF_ERROR(slot_keys.Append(slot, built.get()));
         }
-        PSQL_RETURN_IF_ERROR(pref_->AppendKey(leaf_attrs_, child_->schema(),
-                                              config_.base_heap->row(slot),
-                                              built.get(), runner_));
+      } else {
+        // Candidates are visible versions, so their payloads are live.
+        for (size_t slot : slots_) {
+          PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
+          PSQL_RETURN_IF_ERROR(slot_keys.Append(slot, built.get()));
+        }
       }
     } else {
-      // Candidates that passed a WHERE are scattered over the heap, so the
-      // key build prefetches the plain-column leaf cells of a row a few
-      // candidates ahead.
-      std::vector<size_t> leaf_cols;
-      for (const BoundExpr& attr : leaf_attrs_) {
-        if (attr.input_slot() >= 0) {
-          leaf_cols.push_back(static_cast<size_t>(attr.input_slot()));
-        }
-      }
       for (size_t i = 0; i < n; ++i) {
-        if (i + kRowPrefetchDistance < n) {
-          const Row& ahead = rows_[i + kRowPrefetchDistance].row();
-          for (size_t col : leaf_cols) PrefetchCell(ahead, col);
-        }
         PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
         PSQL_RETURN_IF_ERROR(pref_->AppendKey(leaf_attrs_, child_->schema(),
                                               rows_[i].row(), built.get(),
@@ -193,7 +180,7 @@ Status BmoOperator::Open() {
                                                              t0)
             .count());
     keys_ = std::move(built);
-    if (cache_keyed) {
+    if (use_positions_) {
       if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
       auto entry = std::make_shared<SkylineEntry>();
       entry->keys = keys_;
@@ -322,7 +309,7 @@ Status BmoOperator::Open() {
   // 8. Publish the skyline position list when this run computed the bare
   //    whole-table skyline (survivors_ is then heap slots of the maximal
   //    visible versions), upgrading the keys-only entry published above.
-  if (cache_keyed && use_positions_ && config_.publish_skyline &&
+  if (use_positions_ && config_.publish_skyline &&
       keys_->size() == key_rows) {
     if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
     auto entry = std::make_shared<SkylineEntry>();
@@ -398,7 +385,7 @@ void BmoOperator::Close() {
   keys_.reset();
   stmt_charge_.Reset();
   engine_charge_.Reset();
-  positions_.clear();
+  slots_.clear();
   local_of_.clear();
   partition_of_.clear();
   min_scores_.clear();

@@ -31,7 +31,7 @@
 #include "engine/operators/operator.h"
 #include "preference/composite.h"
 #include "preference/key_cache.h"
-#include "storage/row_heap.h"
+#include "storage/table.h"
 
 namespace prefsql {
 
@@ -51,6 +51,9 @@ struct BmoRunStats {
   /// The packed keys came from the engine key cache (key build skipped;
   /// bmo.key_build_ns stays 0).
   bool key_cache_hit = false;
+  /// Preference leaves the key build read from column vectors by slot
+  /// (core/slot_keys.h); 0 when it evaluated rows only.
+  size_t vector_leaves = 0;
 };
 
 /// Configuration of one BmoOperator instance.
@@ -77,9 +80,9 @@ struct BmoOperatorConfig {
   BmoRunStats* stats_sink = nullptr;
   /// Engine skyline/key cache to consult/fill for this run (not owned;
   /// nullptr = off). The planner sets it only when the candidate child is a
-  /// bare scan of one base table (no WHERE); `key_cache_key` carries the
-  /// (preference fingerprint, table id, table version) identity of the
-  /// whole-table key store.
+  /// bare scan of `table` (no WHERE), and the run uses it only in position
+  /// mode; `key_cache_key` carries the (preference fingerprint, table id,
+  /// table version) identity of the whole-table key store.
   SkylineCache* key_cache = nullptr;
   KeyCacheKey key_cache_key;
   /// Shared ownership of the compiled preference, stored into published
@@ -90,21 +93,20 @@ struct BmoOperatorConfig {
   /// (planner sets this only when the result equals the bare skyline: full
   /// scan, no GROUPING / BUT ONLY / top-k truncation).
   bool publish_skyline = false;
-  /// Position mode (cache-eligible bare scan of one base table): the
-  /// table's version heap, used to recover each pulled row's heap slot via
-  /// pointer identity and to build whole-table keys on a cache miss. The
-  /// dominance pass then runs over slot positions into the shared
-  /// whole-table KeyStore. Under MVCC every cache-eligible run is position
-  /// mode — slot positions, not pulled indices, are the stable id space a
-  /// published entry shares with later readers. nullptr = candidates are
-  /// not a base-table scan (keys are pulled-index local).
-  const RowHeap* base_heap = nullptr;
-  /// Snapshot epoch of this run (position mode).
-  uint64_t snapshot = 0;
-  /// Slot count sealed by the snapshot's table version: the key space of
-  /// the shared KeyStore (position mode). Slots holding versions invisible
-  /// at the snapshot still occupy a key row — GC-cleared payloads get
-  /// neutral keys, sound because dominance only runs over candidate ids.
+  /// The base table whose heap scan (with or without WHERE, full or index
+  /// path) is the candidate stream; nullptr otherwise. Its batches then
+  /// carry each row's heap slot (RowBatch::slots), and the key build reads
+  /// the table's column vectors by slot (core/slot_keys.h). A cache-eligible
+  /// run (`key_cache` set) also runs in position mode: the dominance pass
+  /// runs over slot positions into a whole-table KeyStore — slot positions,
+  /// not pulled indices, are the stable id space a published entry shares
+  /// with later snapshot readers.
+  const Table* table = nullptr;
+  /// Slot count sealed by the snapshot's table version (`table` set): the
+  /// range the column vectors cover and the key space of the position-mode
+  /// KeyStore. Slots holding versions invisible at the snapshot still
+  /// occupy a key row — GC-cleared payloads get neutral keys, sound because
+  /// dominance only runs over candidate ids.
   size_t key_rows = 0;
 };
 
@@ -154,10 +156,12 @@ class BmoOperator : public PhysicalOperator {
   /// borrowed wholesale from the engine key cache (immutable either way).
   /// Indexed by candidate id (storage positions in position mode).
   std::shared_ptr<const KeyStore> keys_;
-  /// Position mode engaged at runtime: config_.base_heap is set and every
-  /// pulled row's heap slot was recovered.
+  /// Position mode engaged at runtime: the run is cache-keyed, config_.table
+  /// is set and every pulled row came with its distinct heap slot.
   bool use_positions_ = false;
-  std::vector<size_t> positions_;  // pulled index -> storage position
+  /// Pulled index -> heap slot; empty unless config_.table is set and every
+  /// batch carried slots.
+  std::vector<size_t> slots_;
   std::unordered_map<size_t, size_t> local_of_;  // storage pos -> pulled
   std::vector<size_t> partition_of_;  // by pulled index
   std::vector<std::vector<double>> min_scores_;  // per partition per leaf

@@ -11,6 +11,7 @@
 
 #include "core/analyzer.h"
 #include "core/rewriter.h"
+#include "core/slot_keys.h"
 #include "sql/normalize.h"
 #include "sql/parameters.h"
 #include "sql/parser.h"
@@ -724,6 +725,7 @@ void Engine::FlushStats(Session& session, PreferenceQueryStats stats,
     stats.bmo_kernel = DominanceKernelToString(bmo.bmo.kernel);
     stats.bmo_simd = SimdVariantToString(bmo.bmo.simd);
     stats.key_cache_hit = bmo.key_cache_hit;
+    stats.bmo_vector_leaves = bmo.vector_leaves;
     stats.prefilter_candidate_count = pre.candidate_count;
     stats.prefilter_result_count = pre.result_count;
   }
@@ -939,12 +941,11 @@ std::shared_ptr<const SkylineEntry> MaintainEntry(
   auto keys = std::make_shared<KeyStore>(*entry->keys);
   keys->Reserve(heap_now);
   const std::vector<BoundExpr> leaves = pref.BindLeaves(table.schema());
+  auto slot_keys =
+      SlotKeys::Make(pref, leaves, table.schema(), table, heap_now, nullptr);
+  if (!slot_keys.ok()) return nullptr;
   for (size_t slot = dml.heap_before; slot < heap_now; ++slot) {
-    if (!pref.AppendKey(leaves, table.schema(), table.heap().row(slot),
-                        keys.get(), nullptr)
-             .ok()) {
-      return nullptr;
-    }
+    if (!slot_keys->Append(slot, keys.get()).ok()) return nullptr;
   }
   if (keys->size() != heap_now) return nullptr;
   auto out = std::make_shared<SkylineEntry>();

@@ -154,6 +154,17 @@ Result<PreferencePlan> BuildPreferencePlan(
   config.parallel_min_rows = options.parallel_min_rows;
   config.stats_sink = plan.bmo_stats.get();
 
+  // A heap scan of one base table (with or without WHERE, full or index
+  // path) hands the BMO each candidate's slot, and the key build reads the
+  // table's column vectors over the slots the snapshot's version sealed.
+  const uint64_t snap = AmbientSnapshotOr(db.catalog().epochs().current());
+  if (!plan.used_pushdown && q.from.size() == 1) {
+    if (const Table* table = planner.ScannedTable(*q.from[0])) {
+      config.table = table;
+      config.key_rows = table->HeapSizeAt(snap);
+    }
+  }
+
   // Key-cache eligibility: the packed keys are a pure function of
   // (preference, table contents) only when the candidate stream is a bare
   // scan of one base table — no WHERE, not a view or join, no pushed-down
@@ -171,31 +182,22 @@ Result<PreferencePlan> BuildPreferencePlan(
              q.from[0]->kind != TableRef::Kind::kTable) {
     plan.key_cache_detail =
         "key cache: not eligible (candidates are not a base-table scan)";
-  } else if (!db.catalog().HasTable(q.from[0]->table_name)) {
+  } else if (config.table == nullptr) {
     plan.key_cache_detail = "key cache: not eligible (view or missing table)";
   } else if (!PreferenceColumnRefs(pref).has_value()) {
     plan.key_cache_detail =
         "key cache: not eligible (preference attribute uses a subquery)";
   } else {
-    PSQL_ASSIGN_OR_RETURN(Table * table,
-                          db.catalog().GetTable(q.from[0]->table_name));
+    const Table* table = config.table;
     // Cache identity is the table version *this reader's snapshot* sees —
     // not the latest — so a pinned reader still keys (and can serve) the
     // superseded entry its epoch corresponds to while writers race ahead.
-    const uint64_t snap =
-        AmbientSnapshotOr(db.catalog().epochs().current());
     const uint64_t snap_version = table->VersionAt(snap);
     config.key_cache = key_cache;
     config.key_cache_key =
         KeyCacheKey{pref.Fingerprint(), PrefTermToSql(pref.term()),
                     table->id(), snap_version};
     config.cache_pref = analyzed.pref;
-    // Position mode for every cache-eligible run: heap slots are the
-    // stable id space shared between the published KeyStore and later
-    // snapshot readers.
-    config.base_heap = &table->heap();
-    config.snapshot = snap;
-    config.key_rows = table->HeapSizeAt(snap);
     plan.key_cache_eligible = true;
     plan.key_cache_detail = "key cache: eligible (table " +
                             q.from[0]->table_name + ", version " +
@@ -243,7 +245,7 @@ Result<PreferencePlan> BuildPreferencePlan(
       plan.bmo_stats->result_count = cached->skyline->size();
       plan.bmo_stats->bmo.kernel = pref.program().kernel();
       auto scan = std::make_unique<HeapPositionScanOperator>(
-          cand_schema, config.base_heap, *cached->skyline, config.snapshot,
+          cand_schema, &config.table->heap(), *cached->skyline, snap,
           /*check_visibility=*/false);
       PSQL_ASSIGN_OR_RETURN(
           plan.root,

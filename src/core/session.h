@@ -112,6 +112,7 @@ struct PreferenceQueryStats {
   std::string bmo_kernel;         // dominance kernel (packed vs generic)
   std::string bmo_simd;           // block-walk variant (scalar/unrolled4/avx2)
   uint64_t bmo_key_build_ns = 0;  // packed key construction time
+  size_t bmo_vector_leaves = 0;   // leaves keyed from column vectors
   bool used_pushdown = false;     // BMO prefilter pushed below the join
   std::string pushdown_detail;    // placement / rejection reason
   size_t prefilter_candidate_count = 0;  // rows into the pushed prefilter

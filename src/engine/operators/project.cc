@@ -41,6 +41,7 @@ Result<bool> ProjectOperator::NextBatch(RowBatch* out) {
     }
     out->rows[idx] = RowRef::Owned(std::move(row));
   }
+  out->slots.clear();
   return true;
 }
 
@@ -106,6 +107,7 @@ Result<bool> PrefixOperator::NextBatch(RowBatch* out) {
     row.resize(schema_.num_columns());
     out->rows[idx] = RowRef::Owned(std::move(row));
   }
+  out->slots.clear();
   return true;
 }
 

@@ -125,7 +125,7 @@ Result<bool> HeapScanOperator::NextBatch(RowBatch* out) {
       ++skipped_;
       continue;
     }
-    out->PushRow(RowRef::Borrowed(&heap_->row(slot)));
+    out->PushSlotRow(&heap_->row(slot), slot);
   }
   return !out->rows.empty();
 }
@@ -167,7 +167,7 @@ Result<bool> HeapPositionScanOperator::NextBatch(RowBatch* out) {
       ++skipped_;
       continue;
     }
-    out->PushRow(RowRef::Borrowed(&heap_->row(slot)));
+    out->PushSlotRow(&heap_->row(slot), slot);
   }
   return !out->rows.empty();
 }

@@ -100,12 +100,13 @@ class Planner {
                                std::optional<int64_t> offset,
                                OperatorPtr child, const EvalContext* outer);
 
- private:
-  Result<OperatorPtr> PlanTableRef(const TableRef& tr,
-                                   const EvalContext* outer);
   /// The base table `tr` scans, or null when it names a statement-local or
   /// catalog view, a subquery or a join.
   Table* ScannedTable(const TableRef& tr);
+
+ private:
+  Result<OperatorPtr> PlanTableRef(const TableRef& tr,
+                                   const EvalContext* outer);
   /// Scans `table` (rows of `schema`) at the statement's snapshot. Given
   /// `conjuncts` (a WHERE's, left to right), the scan tests their leading
   /// run of direct conjuncts on the table's column codes, and `conjuncts`

@@ -37,6 +37,12 @@ class DualBasePreference : public BasePreference {
 
   double Score(const Value& v) const override { return -inner_->Score(v); }
 
+  std::optional<NumericScore> numeric_score() const override {
+    std::optional<NumericScore> s = inner_->numeric_score();
+    if (s.has_value()) s->dual = !s->dual;
+    return s;
+  }
+
   int32_t ExplicitId(const Value& v) const override {
     return inner_->ExplicitId(v);
   }

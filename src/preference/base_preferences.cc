@@ -1,14 +1,9 @@
 #include "preference/base_preferences.h"
 
-#include <cmath>
-
 #include "util/string_util.h"
 
 namespace prefsql {
 namespace {
-
-// Numeric view of a value or nullopt (NULL / non-numeric text).
-std::optional<double> Num(const Value& v) { return v.ToNumeric(); }
 
 // COALESCE(expr, kWorstScore): makes the SQL score column rank NULLs worst,
 // exactly like the in-engine Score() functions.
@@ -37,20 +32,15 @@ ExprPtr InList(const Expr& attr, const std::vector<Value>& values) {
 // ---------------------------------------------------------------------------
 
 uint64_t AroundPreference::Fingerprint() const {
-  return FingerprintDouble(BasePreference::Fingerprint(), target_);
-}
-
-double AroundPreference::Score(const Value& v) const {
-  auto n = Num(v);
-  if (!n) return kWorstScore;
-  return std::fabs(*n - target_);
+  return FingerprintDouble(BasePreference::Fingerprint(), score_.low);
 }
 
 Result<ExprPtr> AroundPreference::ScoreExpr(const Expr& attr) const {
   // ABS(attr - target)
   std::vector<ExprPtr> args;
-  args.push_back(Expr::MakeBinary(BinaryOp::kSub, attr.Clone(),
-                                  Expr::MakeLiteral(Value::Double(target_))));
+  args.push_back(
+      Expr::MakeBinary(BinaryOp::kSub, attr.Clone(),
+                       Expr::MakeLiteral(Value::Double(score_.low))));
   return WrapNullWorst(Expr::MakeFunction("abs", std::move(args)));
 }
 
@@ -59,16 +49,9 @@ Result<ExprPtr> AroundPreference::ScoreExpr(const Expr& attr) const {
 // ---------------------------------------------------------------------------
 
 uint64_t BetweenPreference::Fingerprint() const {
-  return FingerprintDouble(FingerprintDouble(BasePreference::Fingerprint(), low_),
-                           high_);
-}
-
-double BetweenPreference::Score(const Value& v) const {
-  auto n = Num(v);
-  if (!n) return kWorstScore;
-  if (*n < low_) return low_ - *n;
-  if (*n > high_) return *n - high_;
-  return 0.0;
+  return FingerprintDouble(
+      FingerprintDouble(BasePreference::Fingerprint(), score_.low),
+      score_.high);
 }
 
 Result<ExprPtr> BetweenPreference::ScoreExpr(const Expr& attr) const {
@@ -82,24 +65,24 @@ Result<ExprPtr> BetweenPreference::ScoreExpr(const Expr& attr) const {
   e->kind = ExprKind::kCase;
   CaseWhen below;
   below.when = Expr::MakeBinary(BinaryOp::kLt, attr.Clone(),
-                                Expr::MakeLiteral(Value::Double(low_)));
+                                Expr::MakeLiteral(Value::Double(score_.low)));
   below.then = Expr::MakeBinary(BinaryOp::kSub,
-                                Expr::MakeLiteral(Value::Double(low_)),
+                                Expr::MakeLiteral(Value::Double(score_.low)),
                                 attr.Clone());
   e->case_whens.push_back(std::move(below));
   CaseWhen above;
   above.when = Expr::MakeBinary(BinaryOp::kGt, attr.Clone(),
-                                Expr::MakeLiteral(Value::Double(high_)));
+                                Expr::MakeLiteral(Value::Double(score_.high)));
   above.then = Expr::MakeBinary(BinaryOp::kSub, attr.Clone(),
-                                Expr::MakeLiteral(Value::Double(high_)));
+                                Expr::MakeLiteral(Value::Double(score_.high)));
   e->case_whens.push_back(std::move(above));
   CaseWhen inside;
   inside.when = Expr::MakeBinary(
       BinaryOp::kAnd,
       Expr::MakeBinary(BinaryOp::kGe, attr.Clone(),
-                       Expr::MakeLiteral(Value::Double(low_))),
+                       Expr::MakeLiteral(Value::Double(score_.low))),
       Expr::MakeBinary(BinaryOp::kLe, attr.Clone(),
-                       Expr::MakeLiteral(Value::Double(high_))));
+                       Expr::MakeLiteral(Value::Double(score_.high))));
   inside.then = Expr::MakeLiteral(Value::Double(0.0));
   e->case_whens.push_back(std::move(inside));
   e->case_else = Expr::MakeLiteral(Value::Double(kWorstScore));
@@ -110,23 +93,11 @@ Result<ExprPtr> BetweenPreference::ScoreExpr(const Expr& attr) const {
 // LOWEST / HIGHEST
 // ---------------------------------------------------------------------------
 
-double LowestPreference::Score(const Value& v) const {
-  auto n = Num(v);
-  if (!n) return kWorstScore;
-  return *n;
-}
-
 Result<ExprPtr> LowestPreference::ScoreExpr(const Expr& attr) const {
   // attr + 0 forces the numeric coercion (TEXT garbage becomes NULL and
   // COALESCE then ranks it worst, like Score()).
   return WrapNullWorst(Expr::MakeBinary(BinaryOp::kAdd, attr.Clone(),
                                         Expr::MakeLiteral(Value::Double(0.0))));
-}
-
-double HighestPreference::Score(const Value& v) const {
-  auto n = Num(v);
-  if (!n) return kWorstScore;
-  return -*n;
 }
 
 Result<ExprPtr> HighestPreference::ScoreExpr(const Expr& attr) const {

@@ -13,54 +13,74 @@ namespace prefsql {
 /// AROUND z: values closer to the target z are better (score = |v - z|).
 class AroundPreference : public BasePreference {
  public:
-  explicit AroundPreference(double target) : target_(target) {}
+  explicit AroundPreference(double target)
+      : score_{NumericScore::Kind::kAround, target} {}
   const char* TypeName() const override { return "AROUND"; }
   uint64_t Fingerprint() const override;
-  double Score(const Value& v) const override;
+  double Score(const Value& v) const override { return score_.Of(v); }
+  std::optional<NumericScore> numeric_score() const override {
+    return score_;
+  }
   Result<ExprPtr> ScoreExpr(const Expr& attr) const override;
   bool IsCategorical() const override { return false; }
   std::optional<double> QualityOffset() const override { return 0.0; }
-  double target() const { return target_; }
+  double target() const { return score_.low; }
 
  private:
-  double target_;
+  NumericScore score_;
 };
 
 /// BETWEEN [low, up]: values inside the interval are best; outside, closer
 /// to the nearer limit is better (score = max(0, low - v, v - up)).
 class BetweenPreference : public BasePreference {
  public:
-  BetweenPreference(double low, double high) : low_(low), high_(high) {}
+  BetweenPreference(double low, double high)
+      : score_{NumericScore::Kind::kBetween, low, high} {}
   const char* TypeName() const override { return "BETWEEN"; }
   uint64_t Fingerprint() const override;
-  double Score(const Value& v) const override;
+  double Score(const Value& v) const override { return score_.Of(v); }
+  std::optional<NumericScore> numeric_score() const override {
+    return score_;
+  }
   Result<ExprPtr> ScoreExpr(const Expr& attr) const override;
   bool IsCategorical() const override { return false; }
   std::optional<double> QualityOffset() const override { return 0.0; }
 
  private:
-  double low_, high_;
+  NumericScore score_;
 };
 
 /// LOWEST: smaller values are better (score = v).
 class LowestPreference : public BasePreference {
  public:
   const char* TypeName() const override { return "LOWEST"; }
-  double Score(const Value& v) const override;
+  double Score(const Value& v) const override { return kScore.Of(v); }
+  std::optional<NumericScore> numeric_score() const override {
+    return kScore;
+  }
   Result<ExprPtr> ScoreExpr(const Expr& attr) const override;
   bool IsCategorical() const override { return false; }
   /// DISTANCE is measured from the observed minimum (§2.2.3).
   std::optional<double> QualityOffset() const override { return std::nullopt; }
+
+ private:
+  static constexpr NumericScore kScore{NumericScore::Kind::kLowest};
 };
 
 /// HIGHEST: larger values are better (score = -v).
 class HighestPreference : public BasePreference {
  public:
   const char* TypeName() const override { return "HIGHEST"; }
-  double Score(const Value& v) const override;
+  double Score(const Value& v) const override { return kScore.Of(v); }
+  std::optional<NumericScore> numeric_score() const override {
+    return kScore;
+  }
   Result<ExprPtr> ScoreExpr(const Expr& attr) const override;
   bool IsCategorical() const override { return false; }
   std::optional<double> QualityOffset() const override { return std::nullopt; }
+
+ private:
+  static constexpr NumericScore kScore{NumericScore::Kind::kHighest};
 };
 
 /// Discrete-level preference over value sets; the shared machinery behind

@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -66,6 +67,47 @@ struct LeafKey {
   int32_t explicit_id = -1;
 };
 
+/// The score of a numeric base preference (AROUND, BETWEEN, LOWEST, HIGHEST,
+/// or the DUAL of one) as a function of the attribute's Value::ToNumeric().
+/// It is the one definition behind their Score(const Value&) and behind the
+/// key build that reads a table's numeric column vectors by slot
+/// (core/slot_keys.h), so the two cannot diverge. A NULL or non-numeric
+/// value scores kWorstScore, which DUAL then negates like every score.
+struct NumericScore {
+  enum class Kind : uint8_t { kAround, kBetween, kLowest, kHighest };
+  Kind kind = Kind::kLowest;
+  double low = 0.0;   ///< AROUND target; BETWEEN lower bound
+  double high = 0.0;  ///< BETWEEN upper bound
+  bool dual = false;
+
+  /// The score of a value whose numeric view is `n` when `valid`; `n` is
+  /// ignored otherwise.
+  double Of(bool valid, double n) const {
+    double s = kWorstScore;
+    if (valid) {
+      switch (kind) {
+        case Kind::kAround:
+          s = std::fabs(n - low);
+          break;
+        case Kind::kBetween:
+          s = n < low ? low - n : n > high ? n - high : 0.0;
+          break;
+        case Kind::kLowest:
+          s = n;
+          break;
+        case Kind::kHighest:
+          s = -n;
+          break;
+      }
+    }
+    return dual ? -s : s;
+  }
+  double Of(const Value& v) const {
+    const std::optional<double> n = v.ToNumeric();
+    return Of(n.has_value(), n.value_or(0.0));
+  }
+};
+
 /// A base preference: a strict partial order on a single attribute domain.
 ///
 /// All built-in types except EXPLICIT are weak orders: tuples compare by a
@@ -93,6 +135,13 @@ class BasePreference {
   /// linear extension of the order: Better(a, b) implies
   /// Score(a) < Score(b). (This is what makes the SFS presort correct.)
   virtual double Score(const Value& v) const = 0;
+
+  /// The score as a function of the value's numeric view, when Score is
+  /// one (AROUND, BETWEEN, LOWEST, HIGHEST and their DUAL); nullopt for
+  /// categorical and EXPLICIT preferences.
+  virtual std::optional<NumericScore> numeric_score() const {
+    return std::nullopt;
+  }
 
   /// EXPLICIT only: dictionary id of a mentioned value (-1 otherwise).
   virtual int32_t ExplicitId(const Value& v) const {

@@ -26,9 +26,9 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "storage/epoch.h"
@@ -98,30 +98,6 @@ class RowHeap {
            snapshot < s.end.load(std::memory_order_acquire);
   }
 
-  /// Recovers the slot position of a row borrowed from this heap (the BMO
-  /// prefilter hands survivor Row pointers back for position-keyed cache
-  /// lookups). Linear in the number of buckets (~log of heap size), O(1)
-  /// within the matching bucket. Returns nullopt for foreign pointers.
-  std::optional<size_t> PositionOf(const Row* r) const {
-    size_t n = size();
-    size_t base = 0;
-    const char* p = reinterpret_cast<const char*>(r);
-    for (size_t b = 0; b < kNumBuckets && base < n; ++b) {
-      size_t cap = kFirstBucketSize << b;
-      const Slot* bucket = buckets_[b].load(std::memory_order_acquire);
-      if (bucket == nullptr) break;
-      const char* lo = reinterpret_cast<const char*>(bucket);
-      const char* hi = reinterpret_cast<const char*>(bucket + cap);
-      if (p >= lo && p < hi) {
-        size_t pos = base + static_cast<size_t>(p - lo) / sizeof(Slot);
-        if (pos < n && &bucket[pos - base].row == r) return pos;
-        return std::nullopt;
-      }
-      base += cap;
-    }
-    return std::nullopt;
-  }
-
   /// Frees payloads of versions dead at or before `horizon` (end <= horizon
   /// means no snapshot >= horizon can see them; the caller guarantees no
   /// older snapshot is pinned and no readers are active). Slot headers are
@@ -142,14 +118,11 @@ class RowHeap {
   }
 
   /// Bucket b holds kFirstBucketSize << b slots; cumulative capacity before
-  /// bucket b is kFirstBucketSize * (2^b - 1). Column codes share the layout.
+  /// bucket b is kFirstBucketSize * (2^b - 1). Column codes and numeric
+  /// vectors share the layout.
   static void Locate(size_t pos, size_t* bucket, size_t* offset) {
-    size_t q = pos / kFirstBucketSize + 1;
-    size_t b = 0;
-    while ((q >> 1) != 0) {
-      q >>= 1;
-      ++b;
-    }
+    const size_t b =
+        static_cast<size_t>(std::bit_width(pos / kFirstBucketSize + 1)) - 1;
     *bucket = b;
     *offset = pos - kFirstBucketSize * ((size_t{1} << b) - 1);
   }

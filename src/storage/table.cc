@@ -29,6 +29,7 @@ Table::Table(std::string name, std::vector<ColumnDef> columns,
   schema_ = Schema(std::move(infos));
   seals_.push_back({0, 0, 0});
   codes_.resize(columns_.size());
+  numbers_.resize(columns_.size());
 }
 
 Result<size_t> Table::ColumnIndex(const std::string& column) const {
@@ -153,6 +154,14 @@ const ColumnCodes* Table::CodesFor(
   truth->reserve(codes->values().size());
   for (const Value& v : codes->values()) truth->push_back(test(v) ? 1 : 0);
   return codes.get();
+}
+
+const NumericColumn& Table::NumbersFor(size_t col, size_t limit) const {
+  std::lock_guard<std::mutex> g(codes_mu_);
+  std::unique_ptr<NumericColumn>& numbers = numbers_[col];
+  if (numbers == nullptr) numbers = std::make_unique<NumericColumn>();
+  if (numbers->covered() < limit) numbers->Extend(heap_, col, limit);
+  return *numbers;
 }
 
 size_t Table::CollectGarbage(uint64_t horizon) {

@@ -23,6 +23,7 @@
 #include "sql/ast.h"
 #include "storage/column_codes.h"
 #include "storage/epoch.h"
+#include "storage/numeric_column.h"
 #include "storage/row_heap.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -122,6 +123,12 @@ class Table {
                               const std::function<bool(const Value&)>& test,
                               std::vector<uint8_t>* truth) const;
 
+  /// The numeric vector of column `col` covering at least slots [0, limit)
+  /// (storage/numeric_column.h), extended under the table's code mutex
+  /// when a reader needs more (`limit` <= heap_size(); a snapshot reader
+  /// passes its HeapSizeAt). The vector lives as long as the table.
+  const NumericColumn& NumbersFor(size_t col, size_t limit) const;
+
   /// Frees payloads of versions invisible to every snapshot >= `horizon`
   /// and trims version history below it. The engine calls this only while
   /// it holds the catalog lock exclusively (no active readers) with
@@ -161,10 +168,12 @@ class Table {
   mutable std::mutex seal_mu_;
   std::vector<Seal> seals_;
 
-  // One per column, created on first use. Leaf lock: held only while a
-  // reader creates or extends codes and decides a truth table.
+  // One of each per column, created on first use. Leaf lock: held only
+  // while a reader creates or extends codes or numbers and decides a truth
+  // table.
   mutable std::mutex codes_mu_;
   mutable std::vector<std::unique_ptr<ColumnCodes>> codes_;
+  mutable std::vector<std::unique_ptr<NumericColumn>> numbers_;
 };
 
 }  // namespace prefsql

@@ -8,6 +8,10 @@
 //     the live rows. Filters never move row data; they compact `sel` in
 //     place, so a predicate pass over 1024 rows costs one column-index
 //     resolution and zero row copies.
+//   * `slots` — the heap slot of each entry of `rows` when a base-table
+//     heap scan produced the batch (same length as `rows`); empty
+//     otherwise. Filters keep it aligned; an operator that replaces rows
+//     clears it. The BMO key build reads column vectors by these slots.
 //   * `capacity` — the row target the consumer sets. Batch producers (scans,
 //     sort, aggregate, join, BMO output) fill at most this many rows;
 //     pass-through operators (filter, project, distinct, prefix, limit) hand
@@ -39,6 +43,7 @@ inline constexpr size_t kRowBatchCapacity = 1024;
 struct RowBatch {
   std::vector<RowRef> rows;
   std::vector<uint32_t> sel;
+  std::vector<size_t> slots;
   /// Row target of each pull; survives Clear().
   size_t capacity = kRowBatchCapacity;
 
@@ -48,12 +53,19 @@ struct RowBatch {
     rows.push_back(std::move(ref));
   }
 
+  /// Appends a borrowed heap row and its slot as selected (heap scans).
+  void PushSlotRow(const Row* row, size_t slot) {
+    PushRow(RowRef::Borrowed(row));
+    slots.push_back(slot);
+  }
+
   /// Whether a producer may append another row.
   bool full() const { return rows.size() >= capacity; }
 
   void Clear() {
     rows.clear();
     sel.clear();
+    slots.clear();
   }
 
   size_t selected() const { return sel.size(); }

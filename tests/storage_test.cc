@@ -142,17 +142,25 @@ TEST(RowHeapTest, AppendAcrossBucketsKeepsPositionsStable) {
     borrowed.push_back(&heap.row(i));
   }
   EXPECT_EQ(heap.size(), kRows);
-  // Rows never move: pointers taken at append time stay valid and
-  // PositionOf recovers each slot from its pointer.
+  // Rows never move: pointers taken at append time stay valid.
   for (size_t i = 0; i < kRows; i += 97) {
     EXPECT_EQ(&heap.row(i), borrowed[i]);
     EXPECT_EQ(heap.row(i)[0].AsInt(), static_cast<int64_t>(i));
-    auto pos = heap.PositionOf(borrowed[i]);
-    ASSERT_TRUE(pos.has_value());
-    EXPECT_EQ(*pos, i);
   }
-  Row foreign{Value::Int(-1)};
-  EXPECT_FALSE(heap.PositionOf(&foreign).has_value());
+  // Locate walks the geometric buckets: 512, 1024, 2048, ... slots.
+  size_t bucket = 0, offset = 0;
+  for (size_t pos = 0; pos < kRows; ++pos) {
+    size_t b, off;
+    RowHeap::Locate(pos, &b, &off);
+    if (offset == (RowHeap::kFirstBucketSize << bucket)) {
+      ++bucket;
+      offset = 0;
+    }
+    ASSERT_EQ(b, bucket) << pos;
+    ASSERT_EQ(off, offset) << pos;
+    ++offset;
+  }
+  EXPECT_EQ(bucket, 2u);
 }
 
 TEST(RowHeapTest, VisibilityWindow) {
