@@ -143,7 +143,7 @@ void Engine::BackgroundGcLoop() {
       // timer retries.
       std::unique_lock<std::shared_mutex> lock(mutex_, std::try_to_lock);
       if (lock.owns_lock()) {
-        CollectGarbageAllTablesLocked();
+        CollectGarbageLocked(nullptr);
         background_gc_passes_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -151,17 +151,22 @@ void Engine::BackgroundGcLoop() {
   }
 }
 
-uint64_t Engine::CollectGarbageAllTablesLocked() {
+uint64_t Engine::CollectGarbageLocked(Table* only) {
 #if defined(PREFSQL_FAILPOINTS_ENABLED)
-  // Injected fault: the horizon computation "fails" — skip this sweep.
+  // Injected fault: the horizon computation "fails" — skip this sweep (the
+  // background reclaimer or a later write retries).
   if (!failpoint::Evaluate("gc_horizon").ok()) return 0;
 #endif
   EpochManager& epochs = db_.catalog().epochs();
   const uint64_t horizon = epochs.MinPinnedOr(epochs.current());
   uint64_t freed = 0;
-  for (const auto& name : db_.catalog().TableNames()) {
-    auto table = db_.catalog().GetTable(name);
-    if (table.ok()) freed += (*table)->CollectGarbage(horizon);
+  if (only != nullptr) {
+    freed = only->CollectGarbage(horizon);
+  } else {
+    for (const auto& name : db_.catalog().TableNames()) {
+      auto table = db_.catalog().GetTable(name);
+      if (table.ok()) freed += (*table)->CollectGarbage(horizon);
+    }
   }
   if (freed > 0) db_.executor().CountGarbageCollected(freed);
   return freed;
@@ -1046,19 +1051,11 @@ void Engine::TryCollectGarbage(Session& session) {
   // write retries.
   std::unique_lock<std::shared_mutex> lock(mutex_, std::try_to_lock);
   if (!lock.owns_lock()) return;
-  // Injected fault: the horizon computation "fails" — skip this sweep (the
-  // background reclaimer or a later write retries).
-  PSQL_FAILPOINT_VOID("gc_horizon");
   const Executor::DmlEffect& dml = db_.executor().last_dml();
   if (dml.kind == Executor::DmlEffect::Kind::kNone) return;
   auto table = db_.catalog().GetTable(dml.table);
   if (!table.ok() || (*table)->id() != dml.table_id) return;
-  EpochManager& epochs = db_.catalog().epochs();
-  const uint64_t horizon = epochs.MinPinnedOr(epochs.current());
-  const size_t freed = (*table)->CollectGarbage(horizon);
-  if (freed > 0) {
-    db_.executor().CountGarbageCollected(freed);
-  }
+  CollectGarbageLocked(*table);
 }
 
 namespace {

@@ -349,9 +349,10 @@ class Engine {
   /// readers usually hold the lock at commit time.
   void BackgroundGcLoop();
 
-  /// Frees superseded row-version payloads of every catalog table. Caller
+  /// The one GC sweep: frees superseded row-version payloads of `only`, or
+  /// of every catalog table when null, below the pin-aware horizon. Caller
   /// must hold `mutex_` exclusively. Returns payloads reclaimed.
-  uint64_t CollectGarbageAllTablesLocked();
+  uint64_t CollectGarbageLocked(Table* only);
 
   /// Engine-budget pressure relief (installed into each statement's
   /// QueryContext): sheds cold plan/skyline-cache entries — freeing

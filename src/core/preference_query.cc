@@ -244,9 +244,9 @@ Result<PreferencePlan> BuildPreferencePlan(
       plan.bmo_stats->key_cache_hit = true;
       plan.bmo_stats->result_count = cached->skyline->size();
       plan.bmo_stats->bmo.kernel = pref.program().kernel();
-      auto scan = std::make_unique<HeapPositionScanOperator>(
+      auto scan = std::make_unique<HeapScanOperator>(
           cand_schema, &config.table->heap(), *cached->skyline, snap,
-          /*check_visibility=*/false);
+          /*counters=*/nullptr);
       PSQL_ASSIGN_OR_RETURN(
           plan.root,
           planner.PlanTail(std::move(items), q.distinct, std::move(order_by),

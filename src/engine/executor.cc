@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/query_context.h"
 #include "engine/planner.h"
@@ -129,78 +130,6 @@ Result<ResultTable> Executor::MaterializeCandidates(const SelectStmt& select) {
   PSQL_ASSIGN_OR_RETURN(OperatorPtr plan,
                         planner.PlanCandidates(select, nullptr));
   return DrainToTable(*plan);
-}
-
-namespace {
-
-// One DML statement = one commit epoch. The writer allocates the epoch up
-// front, stamps every change with it, and this guard seals + publishes on
-// scope exit if anything was stamped — also on mid-statement error, because
-// this storage layer has no rollback and already-stamped versions must
-// become durable rather than ghosts under an unpublished epoch.
-class DmlCommit {
- public:
-  DmlCommit(Table* table, Executor::DmlEffect* dml)
-      : table_(table), dml_(dml), epoch_(table->epochs().BeginWrite()) {}
-  ~DmlCommit() {
-    if (mutated_) {
-      // Fault-injection site (delay-only — a destructor cannot propagate a
-      // status): stretches the window between the last stamped change and
-      // the epoch becoming visible, the exact interval concurrent readers
-      // and cache maintenance must tolerate.
-      PSQL_FAILPOINT("epoch_publish");
-      table_->SealVersion(epoch_);
-      table_->epochs().Publish(epoch_);
-      dml_->commit_epoch = epoch_;
-    }
-  }
-  uint64_t epoch() const { return epoch_; }
-  void MarkMutated() { mutated_ = true; }
-
- private:
-  Table* table_;
-  Executor::DmlEffect* dml_;
-  uint64_t epoch_;
-  bool mutated_ = false;
-};
-
-}  // namespace
-
-Result<ResultTable> Executor::InsertTable(const std::string& table,
-                                          const std::vector<std::string>& columns,
-                                          const ResultTable& data) {
-  PSQL_ASSIGN_OR_RETURN(Table * target, catalog_->GetTable(table));
-  DmlEffect& dml = BeginDml(DmlEffect::Kind::kInsert, table, *target);
-  std::vector<size_t> positions;
-  if (columns.empty()) {
-    for (size_t i = 0; i < target->columns().size(); ++i) {
-      positions.push_back(i);
-    }
-  } else {
-    for (const auto& c : columns) {
-      PSQL_ASSIGN_OR_RETURN(size_t idx, target->ColumnIndex(c));
-      positions.push_back(idx);
-    }
-  }
-  if (data.num_columns() != positions.size()) {
-    return Status::InvalidArgument(
-        "INSERT expects " + std::to_string(positions.size()) +
-        " values, got " + std::to_string(data.num_columns()));
-  }
-  DmlCommit commit(target, &dml);
-  int64_t affected = 0;
-  for (const Row& src : data.rows()) {
-    Row row(target->columns().size());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      row[positions[i]] = src[i];
-    }
-    PSQL_ASSIGN_OR_RETURN(row, target->CoerceRow(std::move(row)));
-    target->AppendVersion(std::move(row), commit.epoch());
-    commit.MarkMutated();
-    ++affected;
-  }
-  return ResultTable(Schema::FromNames({"rows_affected"}),
-                     {Row{Value::Int(affected)}});
 }
 
 // ===========================================================================
@@ -344,73 +273,125 @@ Result<std::unique_ptr<ExistsProbe>> StatementScope::PlanExistsProbe(
 // ===========================================================================
 // DML
 // ===========================================================================
+//
+// A DML statement computes every change before it stamps any: the rows to
+// insert, coerced; the target slots of UPDATE and DELETE, read through the
+// planner's base-table scan; the replacement rows of UPDATE, evaluated and
+// coerced. An error, an interrupt or the budget therefore fails the
+// statement with the table unchanged — no stamp, no seal, no version bump.
 
-Result<ResultTable> Executor::ExecuteInsert(const Statement& stmt) {
-  PSQL_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.name));
-  DmlEffect& dml = BeginDml(DmlEffect::Kind::kInsert, stmt.name, *table);
-  // Reads inside the statement (INSERT ... SELECT, subqueries) see the
-  // pre-statement snapshot; appended versions carry the commit epoch, so a
-  // self-referencing source can never re-read its own inserts (Halloween).
-  ScopedSnapshot scope(AmbientSnapshotOr(table->epochs().current()));
-  // Column position mapping.
+namespace {
+
+// One DML statement = one commit epoch: allocates it, stamps every change
+// with it (`stamp`), then seals the table version and publishes the epoch,
+// so readers see all of the statement or none. A statement that changes
+// no row never calls this and seals nothing.
+void CommitDml(Table* table, Executor::DmlEffect* dml,
+               const std::function<void(uint64_t epoch)>& stamp) {
+  const uint64_t epoch = table->epochs().BeginWrite();
+  stamp(epoch);
+  // Fault-injection site (delay-only): stretches the window between the
+  // last stamped change and the epoch becoming visible, the exact interval
+  // concurrent readers and cache maintenance must tolerate.
+  PSQL_FAILPOINT("epoch_publish");
+  table->SealVersion(epoch);
+  table->epochs().Publish(epoch);
+  dml->commit_epoch = epoch;
+}
+
+ResultTable RowsAffected(size_t n) {
+  return ResultTable(Schema::FromNames({"rows_affected"}),
+                     {Row{Value::Int(static_cast<int64_t>(n))}});
+}
+
+}  // namespace
+
+Result<ResultTable> Executor::InsertTable(const std::string& table,
+                                          const std::vector<std::string>& columns,
+                                          const ResultTable& data) {
+  PSQL_ASSIGN_OR_RETURN(Table * target, catalog_->GetTable(table));
+  return InsertRows(target, table, columns, data.rows());
+}
+
+Result<ResultTable> Executor::InsertRows(Table* table, const std::string& name,
+                                         const std::vector<std::string>& columns,
+                                         std::vector<Row> values) {
+  DmlEffect& dml = BeginDml(DmlEffect::Kind::kInsert, name, *table);
   std::vector<size_t> positions;
-  if (stmt.insert_columns.empty()) {
+  if (columns.empty()) {
     for (size_t i = 0; i < table->columns().size(); ++i) positions.push_back(i);
   } else {
-    for (const auto& c : stmt.insert_columns) {
+    for (const auto& c : columns) {
       PSQL_ASSIGN_OR_RETURN(size_t idx, table->ColumnIndex(c));
       positions.push_back(idx);
     }
   }
-
-  DmlCommit commit(table, &dml);
-  // Cooperative interrupt + RowHeap-growth accounting. A mid-statement
-  // interrupt commits the rows already stamped (this storage layer has no
-  // rollback — the DmlCommit guard publishes partial effects by design);
-  // the budget bounds one statement's ingest spike and releases when the
-  // statement finishes.
+  // Cooperative interrupt + RowHeap-growth accounting; the budget bounds
+  // one statement's ingest spike and releases when the statement finishes.
   BufferCharge charge;
   size_t tick = 0;
-  auto insert_values = [&](std::vector<Value> values) -> Status {
+  std::vector<Row> rows;
+  rows.reserve(values.size());
+  for (Row& src : values) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-    if (values.size() != positions.size()) {
+    if (src.size() != positions.size()) {
       return Status::InvalidArgument(
           "INSERT expects " + std::to_string(positions.size()) +
-          " values, got " + std::to_string(values.size()));
+          " values, got " + std::to_string(src.size()));
     }
     Row row(table->columns().size());  // missing columns default to NULL
     for (size_t i = 0; i < positions.size(); ++i) {
-      row[positions[i]] = std::move(values[i]);
+      row[positions[i]] = std::move(src[i]);
     }
     PSQL_ASSIGN_OR_RETURN(row, table->CoerceRow(std::move(row)));
     PSQL_RETURN_IF_ERROR(charge.Add(sizeof(Row) + row.size() * sizeof(Value)));
-    table->AppendVersion(std::move(row), commit.epoch());
-    commit.MarkMutated();
-    return Status::OK();
-  };
+    rows.push_back(std::move(row));
+  }
+  if (!rows.empty()) {
+    CommitDml(table, &dml, [&](uint64_t epoch) {
+      for (Row& row : rows) table->AppendVersion(std::move(row), epoch);
+    });
+  }
+  return RowsAffected(rows.size());
+}
 
-  int64_t affected = 0;
+Result<ResultTable> Executor::ExecuteInsert(const Statement& stmt) {
+  PSQL_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.name));
+  // Reads inside the statement (INSERT ... SELECT, subqueries) see the
+  // pre-statement snapshot, and the source is drained before anything is
+  // appended, so a self-referencing source never re-reads its own inserts
+  // (Halloween).
+  ScopedSnapshot scope(AmbientSnapshotOr(table->epochs().current()));
+  std::vector<Row> values;
   if (stmt.select) {
     PSQL_ASSIGN_OR_RETURN(ResultTable rt, ExecuteSelect(*stmt.select));
-    for (auto& row : rt.rows()) {
-      PSQL_RETURN_IF_ERROR(insert_values(std::move(row)));
-      ++affected;
-    }
+    values = std::move(rt.rows());
   } else {
     for (const auto& row_exprs : stmt.insert_rows) {
-      std::vector<Value> values;
-      values.reserve(row_exprs.size());
+      Row row;
+      row.reserve(row_exprs.size());
       for (const auto& e : row_exprs) {
         PSQL_ASSIGN_OR_RETURN(Value v, EvaluateConstant(*e));
-        values.push_back(std::move(v));
+        row.push_back(std::move(v));
       }
-      PSQL_RETURN_IF_ERROR(insert_values(std::move(values)));
-      ++affected;
+      values.push_back(std::move(row));
     }
   }
-  ResultTable out(Schema::FromNames({"rows_affected"}),
-                  {Row{Value::Int(affected)}});
-  return out;
+  return InsertRows(table, stmt.name, stmt.insert_columns, std::move(values));
+}
+
+Result<std::vector<size_t>> Executor::TargetSlots(StatementScope* statement,
+                                                  const Table& table,
+                                                  const Schema& schema,
+                                                  const Expr* where) {
+  Planner planner(statement);
+  OperatorPtr scan = planner.PlanTableScan(table, schema, where, nullptr,
+                                           /*count_stats=*/true);
+  std::vector<size_t> slots;
+  PSQL_RETURN_IF_ERROR(Drain(*scan, [&](RowBatch& batch) {
+    for (uint32_t idx : batch.sel) slots.push_back(batch.slots[idx]);
+  }));
+  return slots;
 }
 
 Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
@@ -418,55 +399,53 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
   StatementScope statement(this);
   PSQL_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.name));
   DmlEffect& dml = BeginDml(DmlEffect::Kind::kUpdate, stmt.name, *table);
-  uint64_t read_epoch = AmbientSnapshotOr(table->epochs().current());
-  ScopedSnapshot scope(read_epoch);
+  ScopedSnapshot scope(AmbientSnapshotOr(table->epochs().current()));
+  const Schema schema = table->schema().WithQualifier(stmt.name);
   std::vector<size_t> target_cols;
+  std::vector<BoundExpr> set_values;
   for (const auto& [col, e] : stmt.assignments) {
     PSQL_ASSIGN_OR_RETURN(size_t idx, table->ColumnIndex(col));
     target_cols.push_back(idx);
+    set_values.emplace_back(*e, schema, nullptr);
   }
-  const Schema& schema = table->schema();
-  const RowHeap& heap = table->heap();
-  DmlCommit commit(table, &dml);
+  PSQL_ASSIGN_OR_RETURN(
+      std::vector<size_t> slots,
+      TargetSlots(&statement, *table, schema, stmt.where.get()));
   BufferCharge charge;
   size_t tick = 0;
-  int64_t affected = 0;
-  // Only slots that existed at statement start: our own appended versions
-  // land above heap_before and must not be revisited.
-  for (size_t slot = 0; slot < dml.heap_before; ++slot) {
+  std::vector<Row> updated;
+  updated.reserve(slots.size());
+  std::vector<Value> new_values(target_cols.size());
+  for (size_t slot : slots) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-    if (!heap.VisibleAt(slot, read_epoch)) continue;
-    const Row& row = heap.row(slot);
-    if (stmt.where != nullptr) {
-      EvalContext ctx{&schema, &row, nullptr, &statement};
-      PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*stmt.where, ctx));
-      if (!pass) continue;
+    // Evaluate all assignments against the OLD row, then coerce them into
+    // the replacement version.
+    const Row& row = table->heap().row(slot);
+    EvalContext ctx{&schema, &row, nullptr, &statement};
+    for (size_t i = 0; i < set_values.size(); ++i) {
+      PSQL_ASSIGN_OR_RETURN(new_values[i], Evaluate(set_values[i], ctx));
     }
-    // Evaluate all assignments against the OLD row, then build the new
-    // version: end-stamp the old slot, append the replacement.
-    std::vector<Value> new_values;
-    for (const auto& [col, e] : stmt.assignments) {
-      EvalContext ctx{&schema, &row, nullptr, &statement};
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*e, ctx));
-      new_values.push_back(std::move(v));
-    }
-    Row updated = row;
+    Row next = row;
     for (size_t i = 0; i < target_cols.size(); ++i) {
       PSQL_ASSIGN_OR_RETURN(
-          updated[target_cols[i]],
+          next[target_cols[i]],
           table->CoerceToColumn(target_cols[i], std::move(new_values[i])));
     }
     // Each touched row appends a replacement version (RowHeap growth).
-    PSQL_RETURN_IF_ERROR(
-        charge.Add(sizeof(Row) + updated.size() * sizeof(Value)));
-    table->MarkDeleted(slot, commit.epoch());
-    table->AppendVersion(std::move(updated), commit.epoch());
-    commit.MarkMutated();
-    dml.dead.push_back(static_cast<uint32_t>(slot));
-    ++affected;
+    PSQL_RETURN_IF_ERROR(charge.Add(sizeof(Row) + next.size() * sizeof(Value)));
+    updated.push_back(std::move(next));
   }
-  return ResultTable(Schema::FromNames({"rows_affected"}),
-                     {Row{Value::Int(affected)}});
+  if (!slots.empty()) {
+    // End-stamp each old slot and append its replacement.
+    CommitDml(table, &dml, [&](uint64_t epoch) {
+      for (size_t i = 0; i < slots.size(); ++i) {
+        table->MarkDeleted(slots[i], epoch);
+        table->AppendVersion(std::move(updated[i]), epoch);
+        dml.dead.push_back(static_cast<uint32_t>(slots[i]));
+      }
+    });
+  }
+  return RowsAffected(slots.size());
 }
 
 Result<ResultTable> Executor::ExecuteDelete(const Statement& stmt) {
@@ -474,28 +453,20 @@ Result<ResultTable> Executor::ExecuteDelete(const Statement& stmt) {
   StatementScope statement(this);
   PSQL_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.name));
   DmlEffect& dml = BeginDml(DmlEffect::Kind::kDelete, stmt.name, *table);
-  uint64_t read_epoch = AmbientSnapshotOr(table->epochs().current());
-  ScopedSnapshot scope(read_epoch);
-  const Schema& schema = table->schema();
-  const RowHeap& heap = table->heap();
-  DmlCommit commit(table, &dml);
-  size_t tick = 0;
-  int64_t deleted = 0;
-  for (size_t slot = 0; slot < dml.heap_before; ++slot) {
-    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-    if (!heap.VisibleAt(slot, read_epoch)) continue;
-    if (stmt.where != nullptr) {
-      EvalContext ctx{&schema, &heap.row(slot), nullptr, &statement};
-      PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*stmt.where, ctx));
-      if (!pass) continue;
-    }
-    table->MarkDeleted(slot, commit.epoch());
-    commit.MarkMutated();
-    dml.dead.push_back(static_cast<uint32_t>(slot));
-    ++deleted;
+  ScopedSnapshot scope(AmbientSnapshotOr(table->epochs().current()));
+  PSQL_ASSIGN_OR_RETURN(
+      std::vector<size_t> slots,
+      TargetSlots(&statement, *table,
+                  table->schema().WithQualifier(stmt.name), stmt.where.get()));
+  if (!slots.empty()) {
+    CommitDml(table, &dml, [&](uint64_t epoch) {
+      for (size_t slot : slots) {
+        table->MarkDeleted(slot, epoch);
+        dml.dead.push_back(static_cast<uint32_t>(slot));
+      }
+    });
   }
-  return ResultTable(Schema::FromNames({"rows_affected"}),
-                     {Row{Value::Int(deleted)}});
+  return RowsAffected(slots.size());
 }
 
 }  // namespace prefsql

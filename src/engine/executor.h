@@ -1,6 +1,7 @@
 // Statement execution facade. SELECTs compile into a pull-based physical
 // operator tree (engine/planner.h + engine/operators/) and stream row views
-// instead of materializing every stage; DML and DDL execute here directly.
+// instead of materializing every stage; DML and DDL execute here, with
+// UPDATE and DELETE reading their targets through the planner's scan.
 //
 // Every top-level statement runs in its own StatementScope: the subquery
 // runner of all its expressions, and the owner of its view
@@ -119,9 +120,9 @@ class Executor {
   Result<ResultTable> MaterializeCandidates(const SelectStmt& select);
 
   /// Inserts all rows of `data` into `table` (column mapping as in INSERT;
-  /// empty `columns` = positional). Returns [rows_affected]. Public so the
-  /// Preference SQL layer can execute INSERT statements whose SELECT has a
-  /// PREFERRING clause (§2.2.5).
+  /// empty `columns` = positional), all or none. Returns [rows_affected].
+  /// Public so the Preference SQL layer can execute INSERT statements whose
+  /// SELECT has a PREFERRING clause (§2.2.5).
   Result<ResultTable> InsertTable(const std::string& table,
                                   const std::vector<std::string>& columns,
                                   const ResultTable& data);
@@ -131,9 +132,8 @@ class Executor {
   /// What the last DML statement did to its target table, at heap-slot
   /// granularity — the input of the engine's incremental skyline-cache
   /// maintenance (core/engine.cc). Reset at every statement dispatch and by
-  /// InsertTable; filled as the mutation proceeds, so after a mid-statement
-  /// error it reflects exactly the versions actually stamped (this storage
-  /// layer has no rollback — partial effects are sealed and published).
+  /// InsertTable. A failing statement stamps nothing, so it leaves
+  /// `commit_epoch` 0 and `dead` empty.
   ///
   /// MVCC shape: slots never move, so the appended versions of an
   /// INSERT/UPDATE are implicit as [heap_before, table->heap_size()), and
@@ -190,6 +190,22 @@ class Executor {
   Result<ResultTable> ExecuteInsert(const Statement& stmt);
   Result<ResultTable> ExecuteUpdate(const Statement& stmt);
   Result<ResultTable> ExecuteDelete(const Statement& stmt);
+
+  /// Maps `values` onto `columns` of `table` (named `name` by the
+  /// statement), coerces every row, and only then appends them all under
+  /// one commit epoch.
+  Result<ResultTable> InsertRows(Table* table, const std::string& name,
+                                 const std::vector<std::string>& columns,
+                                 std::vector<Row> values);
+
+  /// The ascending heap slots of the rows of `table` (read as rows of
+  /// `schema`, the table's qualified by the statement's name for it) that
+  /// `where` (may be null) selects at the statement's snapshot: the target
+  /// scan of UPDATE and DELETE, planned by Planner::PlanTableScan.
+  Result<std::vector<size_t>> TargetSlots(StatementScope* statement,
+                                          const Table& table,
+                                          const Schema& schema,
+                                          const Expr* where);
 
   /// Stamps `last_dml_` with the pre-statement identity of `table`.
   DmlEffect& BeginDml(DmlEffect::Kind kind, const std::string& name,

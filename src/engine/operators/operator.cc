@@ -14,26 +14,27 @@ Result<bool> PullBatch(PhysicalOperator& op, RowBatch* batch) {
   return more;
 }
 
-Result<ResultTable> DrainToTable(PhysicalOperator& op) {
-  Status open = op.Open();
-  if (!open.ok()) {
-    op.Close();
-    return open;
-  }
-  std::vector<Row> rows;
+Status Drain(PhysicalOperator& op,
+             const std::function<void(RowBatch& batch)>& consume) {
+  Status status = op.Open();
   RowBatch batch;
-  while (true) {
+  while (status.ok()) {
     auto more = PullBatch(op, &batch);
-    if (!more.ok()) {
-      op.Close();
-      return more.status();
-    }
-    if (!*more) break;
+    if (!more.ok()) status = more.status();
+    if (!status.ok() || !*more) break;
+    consume(batch);
+  }
+  op.Close();
+  return status;
+}
+
+Result<ResultTable> DrainToTable(PhysicalOperator& op) {
+  std::vector<Row> rows;
+  PSQL_RETURN_IF_ERROR(Drain(op, [&](RowBatch& batch) {
     for (uint32_t idx : batch.sel) {
       rows.push_back(std::move(batch.rows[idx]).IntoRow());
     }
-  }
-  op.Close();
+  }));
   return ResultTable(op.schema(), std::move(rows));
 }
 

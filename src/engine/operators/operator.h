@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "types/result_table.h"
@@ -53,7 +54,11 @@ using OperatorPtr = std::unique_ptr<PhysicalOperator>;
 /// counts it in the statement's batch stats.
 Result<bool> PullBatch(PhysicalOperator& op, RowBatch* batch);
 
-/// Opens, fully drains and closes `op`, materializing a ResultTable.
+/// Opens, fully drains and closes `op`, handing each batch to `consume`.
+Status Drain(PhysicalOperator& op,
+             const std::function<void(RowBatch& batch)>& consume);
+
+/// Drains `op`, materializing a ResultTable.
 Result<ResultTable> DrainToTable(PhysicalOperator& op);
 
 }  // namespace prefsql

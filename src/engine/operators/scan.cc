@@ -37,33 +37,6 @@ Result<bool> SeqScanOperator::NextBatch(RowBatch* out) {
 
 void SeqScanOperator::Close() {}
 
-PositionScanOperator::PositionScanOperator(Schema schema,
-                                           const std::vector<Row>* rows,
-                                           std::vector<size_t> positions)
-    : schema_(std::move(schema)),
-      rows_(rows),
-      positions_(std::move(positions)) {}
-
-Status PositionScanOperator::Open() {
-  pos_ = 0;
-  return Status::OK();
-}
-
-Result<bool> PositionScanOperator::NextBatch(RowBatch* out) {
-  out->Clear();
-  if (pos_ >= positions_.size()) return false;
-  const size_t take = std::min(out->capacity, positions_.size() - pos_);
-  out->rows.reserve(take);
-  out->sel.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    out->PushRow(RowRef::Borrowed(&(*rows_)[positions_[pos_ + i]]));
-  }
-  pos_ += take;
-  return true;
-}
-
-void PositionScanOperator::Close() {}
-
 HeapScanOperator::HeapScanOperator(Schema schema, const RowHeap* heap,
                                    size_t limit, uint64_t snapshot,
                                    MvccScanCounters* counters,
@@ -75,6 +48,18 @@ HeapScanOperator::HeapScanOperator(Schema schema, const RowHeap* heap,
       counters_(counters),
       coded_(std::move(coded)),
       runs_(coded_.size()) {}
+
+HeapScanOperator::HeapScanOperator(Schema schema, const RowHeap* heap,
+                                   std::vector<size_t> slots,
+                                   uint64_t snapshot,
+                                   MvccScanCounters* counters)
+    : schema_(std::move(schema)),
+      heap_(heap),
+      limit_(slots.size()),
+      snapshot_(snapshot),
+      counters_(counters),
+      list_mode_(true),
+      slots_(std::move(slots)) {}
 
 Status HeapScanOperator::Open() {
   pos_ = 0;
@@ -107,6 +92,7 @@ size_t HeapScanOperator::NextCodeMatch(size_t pos, size_t end) {
 Result<bool> HeapScanOperator::NextBatch(RowBatch* out) {
   // Slots a code test rejects between two interrupt polls.
   constexpr size_t kCodeStretch = 4096;
+  if (list_mode_) return NextListBatch(out);
   out->Clear();
   // One sweep fills the whole batch. A run of rejected or dead versions
   // keeps sweeping (the slot range is sealed, so this terminates) rather
@@ -130,40 +116,13 @@ Result<bool> HeapScanOperator::NextBatch(RowBatch* out) {
   return !out->rows.empty();
 }
 
-void HeapScanOperator::Close() {
-  if (counters_ != nullptr && scanned_ > 0) {
-    counters_->versions_scanned.fetch_add(scanned_, std::memory_order_relaxed);
-    counters_->versions_skipped.fetch_add(skipped_, std::memory_order_relaxed);
-    scanned_ = 0;
-    skipped_ = 0;
-  }
-}
-
-HeapPositionScanOperator::HeapPositionScanOperator(
-    Schema schema, const RowHeap* heap, std::vector<size_t> positions,
-    uint64_t snapshot, bool check_visibility, MvccScanCounters* counters)
-    : schema_(std::move(schema)),
-      heap_(heap),
-      positions_(std::move(positions)),
-      snapshot_(snapshot),
-      check_visibility_(check_visibility),
-      counters_(counters) {}
-
-Status HeapPositionScanOperator::Open() {
-  pos_ = 0;
-  tick_ = 0;
-  scanned_ = 0;
-  skipped_ = 0;
-  return Status::OK();
-}
-
-Result<bool> HeapPositionScanOperator::NextBatch(RowBatch* out) {
+Result<bool> HeapScanOperator::NextListBatch(RowBatch* out) {
   out->Clear();
-  while (pos_ < positions_.size() && !out->full()) {
+  while (pos_ < limit_ && !out->full()) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
-    size_t slot = positions_[pos_++];
+    const size_t slot = slots_[pos_++];
     ++scanned_;
-    if (check_visibility_ && !heap_->VisibleAt(slot, snapshot_)) {
+    if (!heap_->VisibleAt(slot, snapshot_)) {
       ++skipped_;
       continue;
     }
@@ -172,7 +131,7 @@ Result<bool> HeapPositionScanOperator::NextBatch(RowBatch* out) {
   return !out->rows.empty();
 }
 
-void HeapPositionScanOperator::Close() {
+void HeapScanOperator::Close() {
   if (counters_ != nullptr && scanned_ > 0) {
     counters_->versions_scanned.fetch_add(scanned_, std::memory_order_relaxed);
     counters_->versions_skipped.fetch_add(skipped_, std::memory_order_relaxed);

@@ -1,5 +1,6 @@
-// Access-path operators: sequential scan, index-selected position scan, and
-// the synthetic one-row source used by FROM-less SELECTs.
+// Access-path operators: the sequential scan of a materialized relation,
+// the heap scan of a base table, and the synthetic one-row source used by
+// FROM-less SELECTs.
 
 #pragma once
 
@@ -46,36 +47,22 @@ class SeqScanOperator : public PhysicalOperator {
   size_t pos_ = 0;
 };
 
-/// Emits the rows at `positions` (in order) of a borrowed row vector; the
-/// access path for index-served scans and for re-projecting an explicit
-/// selection vector over a materialized relation.
-class PositionScanOperator : public PhysicalOperator {
- public:
-  PositionScanOperator(Schema schema, const std::vector<Row>* rows,
-                       std::vector<size_t> positions);
-
-  const Schema& schema() const override { return schema_; }
-  Status Open() override;
-  Result<bool> NextBatch(RowBatch* out) override;
-  void Close() override;
-
- private:
-  Schema schema_;
-  const std::vector<Row>* rows_;
-  std::vector<size_t> positions_;
-  size_t pos_ = 0;
-};
-
 /// Scans the row versions of a base-table heap, emitting those visible at
-/// `snapshot`. `limit` bounds the slot range (the heap size the snapshot's
-/// table version sealed), so the scan is deterministic even while writers
-/// append concurrently.
+/// `snapshot` — every read of a base table goes through it. It runs in one
+/// of two modes:
 ///
-/// Each of `coded` is a column's dictionary codes with a truth table the
-/// planner decided from the leading run of the WHERE's direct conjuncts
-/// (Table::CodesFor). The scan tests the per-slot codes first and
-/// visibility second, and emits a row only when every truth table passes;
-/// `versions_scanned` counts the slots that reached the visibility test.
+///  * Range mode scans slots [0, `limit`), the heap size the snapshot's
+///    table version sealed, so the scan is deterministic even while writers
+///    append concurrently. Each of `coded` is a column's dictionary codes
+///    with a truth table the planner decided from the leading run of the
+///    WHERE's direct conjuncts (Table::CodesFor). The scan tests the
+///    per-slot codes first and visibility second, and emits a row only when
+///    every truth table passes; `versions_scanned` counts the slots that
+///    reached the visibility test.
+///  * List mode emits the ascending heap slots `slots` (index hits or
+///    skyline-cache positions) that are visible at `snapshot`. Index hits
+///    cover dead versions and slots beyond the snapshot's heap size too;
+///    the visibility test drops them.
 class HeapScanOperator : public PhysicalOperator {
  public:
   struct CodedFilter {
@@ -83,9 +70,15 @@ class HeapScanOperator : public PhysicalOperator {
     std::vector<uint8_t> truth;  // one byte per dictionary code
   };
 
+  /// Range mode.
   HeapScanOperator(Schema schema, const RowHeap* heap, size_t limit,
                    uint64_t snapshot, MvccScanCounters* counters,
                    std::vector<CodedFilter> coded = {});
+
+  /// List mode.
+  HeapScanOperator(Schema schema, const RowHeap* heap,
+                   std::vector<size_t> slots, uint64_t snapshot,
+                   MvccScanCounters* counters);
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
@@ -96,45 +89,18 @@ class HeapScanOperator : public PhysicalOperator {
   /// The first slot in [pos, end) whose codes pass every coded filter, or
   /// `end`.
   size_t NextCodeMatch(size_t pos, size_t end);
+  Result<bool> NextListBatch(RowBatch* out);
 
   Schema schema_;
   const RowHeap* heap_;
-  size_t limit_;
+  size_t limit_;  // the slot bound (range mode) or the list's length
   uint64_t snapshot_;
   MvccScanCounters* counters_;
   std::vector<CodedFilter> coded_;
   std::vector<const uint16_t*> runs_;  // per coded filter, NextCodeMatch
-  size_t pos_ = 0;
-  size_t tick_ = 0;
-  uint64_t scanned_ = 0;
-  uint64_t skipped_ = 0;
-};
-
-/// Emits the rows at explicit heap slot positions. Index lookups return
-/// *candidate* slots (they cover dead versions too), so those scans re-check
-/// visibility at `snapshot`; position lists served from the version-matched
-/// skyline cache are visible by construction and pass
-/// `check_visibility = false`.
-class HeapPositionScanOperator : public PhysicalOperator {
- public:
-  HeapPositionScanOperator(Schema schema, const RowHeap* heap,
-                           std::vector<size_t> positions, uint64_t snapshot,
-                           bool check_visibility,
-                           MvccScanCounters* counters = nullptr);
-
-  const Schema& schema() const override { return schema_; }
-  Status Open() override;
-  Result<bool> NextBatch(RowBatch* out) override;
-  void Close() override;
-
- private:
-  Schema schema_;
-  const RowHeap* heap_;
-  std::vector<size_t> positions_;
-  uint64_t snapshot_;
-  bool check_visibility_;
-  MvccScanCounters* counters_;
-  size_t pos_ = 0;
+  bool list_mode_ = false;
+  std::vector<size_t> slots_;  // list mode
+  size_t pos_ = 0;  // the next slot (range mode) or list entry
   size_t tick_ = 0;
   uint64_t scanned_ = 0;
   uint64_t skipped_ = 0;

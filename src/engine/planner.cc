@@ -1,7 +1,6 @@
 #include "engine/planner.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "engine/aggregates.h"
 #include "engine/executor.h"
@@ -12,6 +11,7 @@
 #include "engine/operators/scan.h"
 #include "engine/operators/sort.h"
 #include "sql/printer.h"
+#include "storage/index.h"
 #include "util/string_util.h"
 
 namespace prefsql {
@@ -64,118 +64,6 @@ void ExtractEquiKeys(const Expr& on, const Schema& left, const Schema& right,
     }
   }
   residual->push_back(&on);
-}
-
-// Collects top-level `column = literal` conjuncts of a predicate. Columns
-// must be unqualified or qualified with `alias`.
-void CollectEqualityConjuncts(
-    const Expr& e, const std::string& alias,
-    std::vector<std::pair<std::string, const Value*>>* out) {
-  if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
-    CollectEqualityConjuncts(*e.left, alias, out);
-    CollectEqualityConjuncts(*e.right, alias, out);
-    return;
-  }
-  if (e.kind != ExprKind::kBinary || e.binary_op != BinaryOp::kEq) return;
-  const Expr* col = nullptr;
-  const Expr* lit = nullptr;
-  if (e.left->kind == ExprKind::kColumnRef &&
-      e.right->kind == ExprKind::kLiteral) {
-    col = e.left.get();
-    lit = e.right.get();
-  } else if (e.right->kind == ExprKind::kColumnRef &&
-             e.left->kind == ExprKind::kLiteral) {
-    col = e.right.get();
-    lit = e.left.get();
-  } else {
-    return;
-  }
-  if (!col->qualifier.empty() && !EqualsIgnoreCase(col->qualifier, alias)) {
-    return;
-  }
-  out->emplace_back(col->column, &lit->literal);
-}
-
-// Inclusive over-approximated range bounds per column name. Callers re-apply
-// the full WHERE, so widening (inclusive bounds, ignored conjuncts) is safe.
-struct RangeBounds {
-  const Value* lo = nullptr;
-  const Value* hi = nullptr;
-};
-
-void TightenLo(RangeBounds* b, const Value* v) {
-  if (b->lo == nullptr || Value::Compare(*v, *b->lo) > 0) b->lo = v;
-}
-
-void TightenHi(RangeBounds* b, const Value* v) {
-  if (b->hi == nullptr || Value::Compare(*v, *b->hi) < 0) b->hi = v;
-}
-
-void CollectRangeConjuncts(
-    const Expr& e, const std::string& alias,
-    std::unordered_map<std::string, RangeBounds>* out) {
-  if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
-    CollectRangeConjuncts(*e.left, alias, out);
-    CollectRangeConjuncts(*e.right, alias, out);
-    return;
-  }
-  auto column_ok = [&](const Expr& col) {
-    return col.kind == ExprKind::kColumnRef &&
-           (col.qualifier.empty() || EqualsIgnoreCase(col.qualifier, alias));
-  };
-  if (e.kind == ExprKind::kBetween && !e.negated && e.left != nullptr &&
-      column_ok(*e.left) && e.lo != nullptr &&
-      e.lo->kind == ExprKind::kLiteral && e.hi != nullptr &&
-      e.hi->kind == ExprKind::kLiteral) {
-    RangeBounds& b = (*out)[ToLower(e.left->column)];
-    TightenLo(&b, &e.lo->literal);
-    TightenHi(&b, &e.hi->literal);
-    return;
-  }
-  if (e.kind != ExprKind::kBinary) return;
-  bool lower_bound;  // does the comparison bound the column from below?
-  const Expr *col, *lit;
-  switch (e.binary_op) {
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-      col = e.left.get();
-      lit = e.right.get();
-      lower_bound = false;
-      break;
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      col = e.left.get();
-      lit = e.right.get();
-      lower_bound = true;
-      break;
-    default:
-      return;
-  }
-  // literal OP column: flip the bound direction.
-  if (col->kind == ExprKind::kLiteral && lit->kind == ExprKind::kColumnRef) {
-    std::swap(col, lit);
-    lower_bound = !lower_bound;
-  }
-  if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral ||
-      !column_ok(*col)) {
-    return;
-  }
-  RangeBounds& b = (*out)[ToLower(col->column)];
-  if (lower_bound) {
-    TightenLo(&b, &lit->literal);
-  } else {
-    TightenHi(&b, &lit->literal);
-  }
-}
-
-// Splits a predicate into its top-level AND conjuncts.
-void FlattenConjuncts(const Expr& e, std::vector<const Expr*>* out) {
-  if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
-    FlattenConjuncts(*e.left, out);
-    FlattenConjuncts(*e.right, out);
-    return;
-  }
-  out->push_back(&e);
 }
 
 // Collects the column references of `e`; returns false when the expression
@@ -406,12 +294,39 @@ Table* Planner::ScannedTable(const TableRef& tr) {
   return table.ok() ? *table : nullptr;
 }
 
+OperatorPtr Planner::PlanTableScan(const Table& table, Schema schema,
+                                   const Expr* where,
+                                   const EvalContext* outer,
+                                   bool count_stats) {
+  if (where == nullptr) return PlanHeapScan(table, std::move(schema));
+  std::vector<const Expr*> conjuncts;
+  CollectConjuncts(*where, &conjuncts);
+  auto slots = TryIndexPositions(table, schema, conjuncts);
+  if (count_stats) executor_->CountScan(/*used_index=*/slots.has_value());
+  OperatorPtr scan =
+      PlanHeapScan(table, std::move(schema), &conjuncts, std::move(slots));
+  if (conjuncts.empty()) return scan;
+  return std::make_unique<FilterOperator>(std::move(scan), conjuncts, outer,
+                                          scope_);
+}
+
 OperatorPtr Planner::PlanHeapScan(const Table& table, Schema schema,
-                                  std::vector<const Expr*>* conjuncts) {
-  // Scan the version heap at the statement's snapshot; the slot bound is
-  // the heap size that snapshot's table version sealed, so rows a
-  // concurrent writer appends later are out of range by construction.
+                                  std::vector<const Expr*>* conjuncts,
+                                  std::optional<std::vector<size_t>> slots) {
+  // Scan the version heap at the statement's snapshot.
   const uint64_t snap = AmbientSnapshotOr(table.epochs().current());
+  if (slots) {
+    // Index hits are candidates over all heap slots (dead versions and
+    // slots beyond the snapshot's sealed heap size included); the scan's
+    // visibility test drops them, and the filter re-applies the WHERE.
+    std::sort(slots->begin(), slots->end());
+    return std::make_unique<HeapScanOperator>(std::move(schema),
+                                              &table.heap(), std::move(*slots),
+                                              snap, executor_->mvcc_counters());
+  }
+  // The slot bound is the heap size that snapshot's table version sealed,
+  // so rows a concurrent writer appends later are out of range by
+  // construction.
   const size_t limit = table.HeapSizeAt(snap);
   std::vector<HeapScanOperator::CodedFilter> coded;
   if (conjuncts != nullptr) {
@@ -483,54 +398,14 @@ Result<OperatorPtr> Planner::PlanJoin(const TableRef& tr,
 Result<OperatorPtr> Planner::PlanFromWhere(const SelectStmt& select,
                                            const EvalContext* outer,
                                            bool count_stats) {
-  // Index-assisted path: single base-table FROM with a usable index.
-  Catalog* catalog = executor_->catalog();
-  if (select.where != nullptr && select.from.size() == 1 &&
-      select.from[0]->kind == TableRef::Kind::kTable &&
-      catalog->HasTable(select.from[0]->table_name)) {
-    const std::string& visible = select.from[0]->alias.empty()
-                                     ? select.from[0]->table_name
-                                     : select.from[0]->alias;
-    auto positions = TryIndexPositions(select.from[0]->table_name, visible,
-                                       *select.where);
-    if (positions) {
-      if (count_stats) executor_->CountScan(/*used_index=*/true);
-      PSQL_ASSIGN_OR_RETURN(Table * table,
-                            catalog->GetTable(select.from[0]->table_name));
-      std::sort(positions->begin(), positions->end());
-      // Index hits are candidates over all heap slots (dead versions
-      // included), so the scan re-checks visibility at the snapshot; slots
-      // beyond the snapshot's sealed heap size carry begin > snap and are
-      // dropped by the same check.
-      uint64_t snap = AmbientSnapshotOr(table->epochs().current());
-      OperatorPtr scan = std::make_unique<HeapPositionScanOperator>(
-          table->schema().WithQualifier(visible), &table->heap(),
-          std::move(*positions), snap, /*check_visibility=*/true,
-          executor_->mvcc_counters());
-      // Re-apply the full WHERE (residual predicates, over-approximation).
-      return OperatorPtr(std::make_unique<FilterOperator>(
-          std::move(scan), select.where.get(), outer, scope_));
-    }
-  }
-
-  // One base table: the scan applies the leading run of direct conjuncts
-  // on the table's column codes. Only the leading run moves into the scan,
-  // so a generic conjunct still sees exactly the rows (and raises exactly
-  // the errors) it would under a filter on the whole WHERE.
-  if (select.where != nullptr && select.from.size() == 1) {
+  if (select.from.size() == 1) {
     if (Table* table = ScannedTable(*select.from[0])) {
       const TableRef& tr = *select.from[0];
-      std::vector<const Expr*> conjuncts;
-      CollectConjuncts(*select.where, &conjuncts);
-      if (count_stats) executor_->CountScan(/*used_index=*/false);
-      OperatorPtr scan = PlanHeapScan(
+      return PlanTableScan(
           *table,
           table->schema().WithQualifier(tr.alias.empty() ? tr.table_name
                                                          : tr.alias),
-          &conjuncts);
-      if (conjuncts.empty()) return scan;
-      return OperatorPtr(std::make_unique<FilterOperator>(
-          std::move(scan), conjuncts, outer, scope_));
+          select.where.get(), outer, count_stats);
     }
   }
 
@@ -656,7 +531,7 @@ Result<std::optional<OperatorPtr>> Planner::TryPlanPushdown(
   std::vector<const Expr*> below, above;
   if (select.where != nullptr) {
     std::vector<const Expr*> conjuncts;
-    FlattenConjuncts(*select.where, &conjuncts);
+    CollectConjuncts(*select.where, &conjuncts);
     for (const Expr* conjunct : conjuncts) {
       std::vector<const Expr*> refs;
       if (!CollectRefsNoSubquery(*conjunct, &refs)) {
@@ -750,73 +625,106 @@ Result<std::optional<OperatorPtr>> Planner::TryPlanPushdown(
 }
 
 std::optional<std::vector<size_t>> Planner::TryIndexPositions(
-    const std::string& table_name, const std::string& visible_alias,
-    const Expr& where) {
-  Catalog* catalog = executor_->catalog();
-  auto table = catalog->GetTable(table_name);
-  if (!table.ok()) return std::nullopt;
+    const Table& table, const Schema& schema,
+    const std::vector<const Expr*>& conjuncts) {
+  std::vector<Index*> indexes = executor_->catalog()->IndexesOn(table.name());
+  if (indexes.empty()) return std::nullopt;
+  // Per column: an equality literal, and inclusive over-approximated range
+  // bounds. The filter above the scan re-applies the WHERE, so widening
+  // (inclusive bounds, ignored conjuncts) is safe.
+  struct Bounds {
+    const Value* eq = nullptr;
+    const Value* lo = nullptr;
+    const Value* hi = nullptr;
+  };
+  std::vector<Bounds> bounds(schema.num_columns());
+  auto tighten_lo = [](Bounds& b, const Value* v) {
+    if (b.lo == nullptr || Value::Compare(*v, *b.lo) > 0) b.lo = v;
+  };
+  auto tighten_hi = [](Bounds& b, const Value* v) {
+    if (b.hi == nullptr || Value::Compare(*v, *b.hi) < 0) b.hi = v;
+  };
+  auto literal = [](const ExprPtr& e) -> const Value* {
+    bool usable = e != nullptr && e->kind == ExprKind::kLiteral &&
+                  !e->literal.is_param() && Index::UsableBound(e->literal);
+    return usable ? &e->literal : nullptr;
+  };
+  for (const Expr* e : conjuncts) {
+    if (auto c = ClassifyDirect(*e, schema)) {
+      if (c->kind != DirectConjunct::Kind::kColOpLit ||
+          !Index::UsableBound(*c->lit)) {
+        continue;
+      }
+      Bounds& b = bounds[c->col];
+      switch (c->op) {
+        case BinaryOp::kEq:
+          if (b.eq == nullptr) b.eq = c->lit;
+          break;
+        case BinaryOp::kGt:
+        case BinaryOp::kGe:
+          tighten_lo(b, c->lit);
+          break;
+        case BinaryOp::kLt:
+        case BinaryOp::kLe:
+          tighten_hi(b, c->lit);
+          break;
+        default:
+          break;
+      }
+      continue;
+    }
+    // The one range source beyond the direct conjuncts: a non-negated
+    // BETWEEN with literal bounds.
+    size_t col;
+    if (e->kind == ExprKind::kBetween && !e->negated && e->left != nullptr &&
+        e->left->kind == ExprKind::kColumnRef &&
+        schema.ResolveScoped(e->left->qualifier, e->left->column, &col) ==
+            Schema::ResolveOutcome::kFound) {
+      if (const Value* lo = literal(e->lo)) tighten_lo(bounds[col], lo);
+      if (const Value* hi = literal(e->hi)) tighten_hi(bounds[col], hi);
+    }
+  }
 
   // 1) Equality path: the index with the most key columns fully covered by
   //    `column = literal` conjuncts ("having the right indices available",
   //    §3.2).
-  std::vector<std::pair<std::string, const Value*>> equalities;
-  CollectEqualityConjuncts(where, visible_alias, &equalities);
-  if (!equalities.empty()) {
-    auto equality_on = [&](const std::string& name) {
-      return FindNameIgnoreCase(equalities, name, [](const auto& eq) {
-        return std::string_view(eq.first);
-      });
-    };
-    Index* best = nullptr;
-    for (Index* idx : catalog->IndexesOn(table_name)) {
-      bool covered = true;
-      for (size_t key_col : idx->key_columns()) {
-        if (!equality_on((*table)->columns()[key_col].name)) {
-          covered = false;
-          break;
-        }
-      }
-      if (covered && (best == nullptr || idx->key_columns().size() >
-                                             best->key_columns().size())) {
-        best = idx;
-      }
+  Index* best = nullptr;
+  for (Index* idx : indexes) {
+    bool covered = true;
+    for (size_t key_col : idx->key_columns()) {
+      covered &= bounds[key_col].eq != nullptr;
     }
-    if (best != nullptr) {
-      Row key;
-      for (size_t key_col : best->key_columns()) {
-        auto pos = equality_on((*table)->columns()[key_col].name);
-        key.push_back(*equalities[*pos].second);
-      }
-      return best->Lookup(key);
+    if (covered && (best == nullptr || idx->key_columns().size() >
+                                           best->key_columns().size())) {
+      best = idx;
     }
+  }
+  if (best != nullptr) {
+    Row key;
+    for (size_t key_col : best->key_columns()) {
+      key.push_back(*bounds[key_col].eq);
+    }
+    return best->Lookup(key);
   }
 
   // 2) Range path: a single-column index whose column has at least one
   //    comparison/BETWEEN bound. Prefer both-sided ranges; tie-break by
   //    index name for determinism.
-  std::unordered_map<std::string, RangeBounds> bounds;
-  CollectRangeConjuncts(where, visible_alias, &bounds);
-  if (bounds.empty()) return std::nullopt;
   Index* best_range = nullptr;
   int best_sides = 0;
-  for (Index* idx : catalog->IndexesOn(table_name)) {
+  for (Index* idx : indexes) {
     if (idx->key_columns().size() != 1) continue;
-    const std::string& name = (*table)->columns()[idx->key_columns()[0]].name;
-    auto it = bounds.find(ToLower(name));
-    if (it == bounds.end()) continue;
-    int sides = (it->second.lo != nullptr ? 1 : 0) +
-                (it->second.hi != nullptr ? 1 : 0);
+    const Bounds& b = bounds[idx->key_columns()[0]];
+    int sides = (b.lo != nullptr ? 1 : 0) + (b.hi != nullptr ? 1 : 0);
+    if (sides == 0) continue;
     if (sides > best_sides ||
-        (sides == best_sides && best_range != nullptr &&
-         idx->name() < best_range->name())) {
+        (sides == best_sides && idx->name() < best_range->name())) {
       best_range = idx;
       best_sides = sides;
     }
   }
   if (best_range == nullptr) return std::nullopt;
-  const std::string& name =
-      (*table)->columns()[best_range->key_columns()[0]].name;
-  const RangeBounds& b = bounds.at(ToLower(name));
+  const Bounds& b = bounds[best_range->key_columns()[0]];
   return best_range->RangeLookupBounds(b.lo, b.hi);
 }
 

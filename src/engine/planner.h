@@ -1,8 +1,9 @@
 // Planner: compiles a SelectStmt into a tree of physical operators
-// (engine/operators/). Access-path selection (sequential scan vs. index
+// (engine/operators/). Access-path selection (coded heap scan vs. index
 // lookup for equality/range predicates), join algorithm choice (hash vs.
 // nested loop) and the projection/distinct/order/limit tail all happen
-// here; execution is pure pulling afterwards.
+// here; execution is pure pulling afterwards. UPDATE and DELETE plan their
+// target scan here too (PlanTableScan).
 //
 // The Preference SQL layer uses PlanCandidates to stream `FROM ... WHERE`
 // (qualifiers preserved) into a BmoOperator, and PlanTail to project the
@@ -104,16 +105,29 @@ class Planner {
   /// catalog view, a subquery or a join.
   Table* ScannedTable(const TableRef& tr);
 
+  /// The one read of a base table (rows of `schema`) filtered by `where`
+  /// (borrowed; may be null), at the statement's snapshot: a heap scan over
+  /// the slots an index serves, else over the coded slot range, under a
+  /// filter on the conjuncts the scan leaves. `count_stats` records the
+  /// access-path choice of a WHERE. SELECTs over one table and the target
+  /// scans of UPDATE and DELETE plan here.
+  OperatorPtr PlanTableScan(const Table& table, Schema schema,
+                            const Expr* where, const EvalContext* outer,
+                            bool count_stats);
+
  private:
   Result<OperatorPtr> PlanTableRef(const TableRef& tr,
                                    const EvalContext* outer);
-  /// Scans `table` (rows of `schema`) at the statement's snapshot. Given
-  /// `conjuncts` (a WHERE's, left to right), the scan tests their leading
-  /// run of direct conjuncts on the table's column codes, and `conjuncts`
-  /// keeps what a filter must still test: the run's conjuncts on refused
-  /// columns, then the rest.
-  OperatorPtr PlanHeapScan(const Table& table, Schema schema,
-                           std::vector<const Expr*>* conjuncts = nullptr);
+  /// Scans `table` (rows of `schema`) at the statement's snapshot: the
+  /// heap slots `slots` when given (list mode; `conjuncts` is left as it
+  /// is), else the slot range. There, given `conjuncts` (a WHERE's, left to
+  /// right), the scan tests their leading run of direct conjuncts on the
+  /// table's column codes, and `conjuncts` keeps what a filter must still
+  /// test: the run's conjuncts on refused columns, then the rest.
+  OperatorPtr PlanHeapScan(
+      const Table& table, Schema schema,
+      std::vector<const Expr*>* conjuncts = nullptr,
+      std::optional<std::vector<size_t>> slots = std::nullopt);
   Result<OperatorPtr> PlanJoin(const TableRef& tr, const EvalContext* outer);
   /// The pushdown plan described at PlanCandidates, or nullopt (with the
   /// rejection reason in `report`) when a soundness condition fails.
@@ -127,12 +141,13 @@ class Planner {
                                     OperatorPtr input,
                                     const EvalContext* outer);
 
-  /// Index-assisted access path: row positions matching the indexable
-  /// equality/range conjuncts of `where` (callers re-apply the full WHERE);
-  /// nullopt when no usable index exists.
+  /// Index-assisted access path: candidate heap slots for the `column =
+  /// literal` and range conjuncts (ClassifyDirect, plus BETWEEN with
+  /// literal bounds) among `conjuncts` over rows of `schema` (callers
+  /// re-apply every conjunct); nullopt when no index serves them.
   std::optional<std::vector<size_t>> TryIndexPositions(
-      const std::string& table_name, const std::string& visible_alias,
-      const Expr& where);
+      const Table& table, const Schema& schema,
+      const std::vector<const Expr*>& conjuncts);
 
   StatementScope* scope_;
   Executor* executor_;

@@ -13,9 +13,11 @@
 // Codes use RowHeap's chunked-bucket layout and are never moved once
 // written. Table::CodesFor extends them over [covered, limit) under the
 // table's leaf mutex and publishes the new coverage with release; a reader
-// loads it with acquire and only reads codes below it. Writers never touch
-// codes: slots never move and payloads never change, so codes stay valid
-// across INSERT/UPDATE/DELETE and MVCC needs nothing new. A column whose
+// loads it with acquire and only reads codes below it. Stamping a version
+// never touches codes: slots never move and payloads never change, so codes
+// stay valid across INSERT/UPDATE/DELETE and MVCC needs nothing new. The
+// target scan of an UPDATE or DELETE reads and extends codes as a reader at
+// its snapshot, before the writer stamps anything. A column whose
 // dictionary would pass kMaxDistinct entries is refused for good; its
 // storage lives as long as the table, so a plan that already holds it
 // keeps reading valid codes.

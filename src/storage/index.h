@@ -2,7 +2,8 @@
 //
 // The paper notes that "having the right indices available current SQL
 // optimizers can efficiently process" the rewritten NOT EXISTS query; the
-// engine uses these indexes for equality lookups in filters and joins.
+// planner uses these indexes to serve a one-table WHERE's equality and
+// range conjuncts (joins do not use them).
 
 #pragma once
 
@@ -21,12 +22,23 @@ class Table;
 /// Ordered secondary index over one or more columns of a base table.
 ///
 /// MVCC notes: the index covers every heap slot (live and dead versions
-/// alike, skipping GC-cleared payloads) and is rebuilt lazily when the heap
-/// has grown — deletes only end-stamp slots, so they never stale the index.
-/// Lookups therefore return *candidate* positions; the planner filters them
-/// by snapshot visibility before use. Results are returned by value because
-/// writers commit concurrently with readers now, so another statement may
-/// trigger a rebuild while a previously returned result is still in use.
+/// alike, skipping payloads the GC cleared before they were indexed) and
+/// is extended lazily over the slots appended since its last lookup —
+/// deletes only end-stamp slots, so they never stale the index.
+/// Lookups therefore return *candidate* positions; the heap scan filters
+/// them by snapshot visibility. Results are returned by value because
+/// writers commit concurrently with readers, so another statement may
+/// extend the index while a previously returned result is still in use.
+///
+/// Lookups over-approximate the rows a full scan selects, where the SQL
+/// comparison and Value::Compare disagree:
+///  * A key holding a NaN or a TEXT that parses as a date stays out of the
+///    ordered map, and its slot comes back with every lookup. Value::Compare
+///    treats NaN as equal to every number, which no strict weak order
+///    allows, and SQL compares date text with a DATE by day number, which
+///    the key order (numbers before TEXT) cannot follow.
+///  * A TEXT literal that parses as a date is no bound (UsableBound), for
+///    the same reason.
 class Index {
  public:
   Index(std::string name, const Table* table, std::vector<size_t> key_columns);
@@ -39,14 +51,15 @@ class Index {
   /// filter by snapshot visibility.
   std::vector<size_t> Lookup(const Row& key);
 
-  /// Slot positions with key in [lo, hi] on a single-column index.
-  std::vector<size_t> RangeLookup(const Value& lo, const Value& hi);
-
-  /// Like RangeLookup with optionally open bounds (nullptr = unbounded);
-  /// the planner's access path for range predicates (col < v, BETWEEN, ...).
+  /// Slot positions with key in [lo, hi] on a single-column index; a null
+  /// bound is open. The planner's access path for range predicates
+  /// (col < v, BETWEEN, ...).
   std::vector<size_t> RangeLookupBounds(const Value* lo, const Value* hi);
 
-  /// Number of distinct keys (after refresh).
+  /// Whether the planner may look up or bound a key column by `literal`.
+  static bool UsableBound(const Value& literal);
+
+  /// Number of distinct keys in the ordered map (after refresh).
   size_t NumDistinctKeys();
 
  private:
@@ -61,13 +74,16 @@ class Index {
   };
 
   void RefreshIfStale();
+  /// `out` plus the slots kept out of the ordered map.
+  std::vector<size_t> WithUnordered(std::vector<size_t> out) const;
 
   mutable std::mutex mutex_;
   std::string name_;
   const Table* table_;
   std::vector<size_t> key_columns_;
-  size_t built_size_ = ~size_t{0};
+  size_t built_size_ = 0;  // heap slots indexed so far
   std::map<Row, std::vector<size_t>, RowLess> entries_;
+  std::vector<size_t> unordered_;  // slots kept out of `entries_`
 };
 
 }  // namespace prefsql

@@ -12,8 +12,10 @@
 // nothing is moved once written. Table::NumbersFor extends it over
 // [covered, limit) under the table's code mutex and publishes the new
 // coverage with release; a reader loads it with acquire and only reads
-// slots below it. Writers never touch the vector: slots never move and
-// payloads never change, so MVCC needs nothing new.
+// slots below it. Stamping a version never touches the vector: slots never
+// move and payloads never change, so MVCC needs nothing new. A writer's
+// reads extend it as any reader's do, at their snapshot: the target scan
+// of an UPDATE or DELETE before it stamps, skyline-cache maintenance after.
 
 #pragma once
 

@@ -47,9 +47,9 @@ enum class StatusCode {
   /// Close, statement aborted mid-stream, ...).
   kExecutionError = 8,
   /// The statement exceeded its deadline (`SET statement_timeout_ms`) and
-  /// was abandoned cooperatively. Partial DML effects are committed (no
-  /// rollback under MVCC publish semantics); no partial cache entries are
-  /// published.
+  /// was abandoned cooperatively. A DML statement stamps only after it has
+  /// computed every change, so an abandoned one changes nothing; no partial
+  /// cache entries are published.
   kTimeout = 9,
   /// The statement was cancelled by the client (Session::CancelCurrent).
   /// Same cleanup guarantees as kTimeout.

@@ -231,7 +231,8 @@ TEST(IndexTest, RangeLookup) {
   Table t("t", {{"v", ColumnType::kInt}});
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(t.Insert({Value::Int(i)}).ok());
   Index idx("by_v", &t, {0});
-  auto hits = idx.RangeLookup(Value::Int(5), Value::Int(8));
+  const Value lo = Value::Int(5), hi = Value::Int(8);
+  auto hits = idx.RangeLookupBounds(&lo, &hi);
   EXPECT_EQ(hits.size(), 4u);
 }
 
