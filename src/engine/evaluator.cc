@@ -506,13 +506,15 @@ Result<Value> Eval(const Expr& e, const BoundNode* b, const EvalContext& ctx) {
       PSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.left, bl, ctx));
       PSQL_ASSIGN_OR_RETURN(Value lo, Eval(*e.lo, Kid(b, &BoundNode::lo), ctx));
       PSQL_ASSIGN_OR_RETURN(Value hi, Eval(*e.hi, Kid(b, &BoundNode::hi), ctx));
-      auto ge_lo = lo.SqlLess(v);   // lo < v
-      auto eq_lo = lo.SqlEquals(v);
-      auto le_hi = v.SqlLess(hi);   // v < hi
-      auto eq_hi = v.SqlEquals(hi);
-      if (!ge_lo || !eq_lo || !le_hi || !eq_hi) return Value::Null();
-      bool inside = (*ge_lo || *eq_lo) && (*le_hi || *eq_hi);
-      return Value::Bool(e.negated ? !inside : inside);
+      // `v [NOT] BETWEEN lo AND hi` is `[NOT] (v >= lo AND v <= hi)` under
+      // three-valued logic, decided by the comparisons' own CompareTruth.
+      const auto ge_lo = CompareTruth(BinaryOp::kGe, v, lo);
+      const auto le_hi = CompareTruth(BinaryOp::kLe, v, hi);
+      if ((ge_lo && !*ge_lo) || (le_hi && !*le_hi)) {
+        return Value::Bool(e.negated);
+      }
+      if (!ge_lo || !le_hi) return Value::Null();
+      return Value::Bool(!e.negated);
     }
     case ExprKind::kLike: {
       PSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.left, bl, ctx));
@@ -674,25 +676,64 @@ BinaryOp MirrorComparisonOp(BinaryOp op) {
 
 }  // namespace
 
+const Value& DirectConjunct::OuterValue(const EvalContext& outer) const {
+  const EvalContext* scope = &outer;
+  for (uint32_t d = outer_depth; d > 1; --d) scope = scope->outer;
+  return (*scope->row)[outer_slot];
+}
+
 bool DirectConjunct::Test(const Value& cell) const {
   if (kind == Kind::kIsNull) return cell.is_null() != negated;
   auto t = CompareTruth(op, cell, *lit);
   return t && *t;
 }
 
-// Anything that is not direct — outer-scope references, ambiguous names,
-// unbound parameters, arbitrary expressions — evaluates per row through its
-// binding, which raises the identical error a per-row EvaluatePredicate
-// would.
+namespace {
+
+// Where `ref` binds in the scope chain `outer` when it does not resolve in
+// `schema`: BindNode's search, from depth 1 on. False when it resolves in
+// `schema`, is ambiguous in the first scope that knows it, or is unknown.
+bool ResolveOuterRef(const Expr& ref, const Schema& schema,
+                     const EvalContext* outer, uint32_t* depth,
+                     uint32_t* slot) {
+  size_t idx = 0;
+  if (schema.ResolveScoped(ref.qualifier, ref.column, &idx) !=
+      Schema::ResolveOutcome::kNotFound) {
+    return false;
+  }
+  uint32_t d = 1;
+  for (const EvalContext* scope = outer; scope != nullptr;
+       scope = scope->outer, ++d) {
+    if (scope->schema == nullptr) continue;
+    switch (scope->schema->ResolveScoped(ref.qualifier, ref.column, &idx)) {
+      case Schema::ResolveOutcome::kFound:
+        *depth = d;
+        *slot = static_cast<uint32_t>(idx);
+        return true;
+      case Schema::ResolveOutcome::kAmbiguous:
+        return false;
+      case Schema::ResolveOutcome::kNotFound:
+        break;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+// Anything that is not direct — ambiguous names, unbound parameters,
+// arbitrary expressions — evaluates per row through its binding, which
+// raises the identical error a per-row EvaluatePredicate would.
 std::optional<DirectConjunct> ClassifyDirect(const Expr& e,
-                                             const Schema& schema) {
+                                             const Schema& schema,
+                                             const EvalContext* outer) {
   DirectConjunct c;
   auto resolves = [&](const Expr& col) {
-    return schema.ResolveScoped(col.qualifier, col.column, &c.col) ==
-           Schema::ResolveOutcome::kFound;
+    return col.kind == ExprKind::kColumnRef &&
+           schema.ResolveScoped(col.qualifier, col.column, &c.col) ==
+               Schema::ResolveOutcome::kFound;
   };
-  if (e.kind == ExprKind::kIsNull && e.left != nullptr &&
-      e.left->kind == ExprKind::kColumnRef && resolves(*e.left)) {
+  if (e.kind == ExprKind::kIsNull && e.left != nullptr && resolves(*e.left)) {
     c.kind = DirectConjunct::Kind::kIsNull;
     c.negated = e.negated;
     return c;
@@ -701,21 +742,26 @@ std::optional<DirectConjunct> ClassifyDirect(const Expr& e,
       e.right == nullptr || !IsComparison(e.binary_op)) {
     return std::nullopt;
   }
-  const Expr* col = e.left.get();
-  const Expr* lit = e.right.get();
-  bool flipped = false;
-  if (col->kind == ExprKind::kLiteral && lit->kind == ExprKind::kColumnRef) {
-    std::swap(col, lit);
-    flipped = true;
+  // The column of `schema` reads on the left; try both operand orders.
+  for (const bool flipped : {false, true}) {
+    const Expr& col = flipped ? *e.right : *e.left;
+    const Expr& other = flipped ? *e.left : *e.right;
+    c.op = flipped ? MirrorComparisonOp(e.binary_op) : e.binary_op;
+    if (other.kind == ExprKind::kLiteral) {
+      if (other.literal.is_param() || !resolves(col)) continue;
+      c.kind = DirectConjunct::Kind::kColOpLit;
+      c.lit = &other.literal;
+      return c;
+    }
+    if (outer != nullptr && other.kind == ExprKind::kColumnRef &&
+        ResolveOuterRef(other, schema, outer, &c.outer_depth,
+                        &c.outer_slot) &&
+        resolves(col)) {
+      c.kind = DirectConjunct::Kind::kColOpOuter;
+      return c;
+    }
   }
-  if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral ||
-      lit->literal.is_param() || !resolves(*col)) {
-    return std::nullopt;
-  }
-  c.kind = DirectConjunct::Kind::kColOpLit;
-  c.lit = &lit->literal;
-  c.op = flipped ? MirrorComparisonOp(e.binary_op) : e.binary_op;
-  return c;
+  return std::nullopt;
 }
 
 BatchPredicate::BatchPredicate(const Expr& predicate, const Schema& schema,
@@ -731,44 +777,51 @@ BatchPredicate::BatchPredicate(const Expr& predicate, const Schema& schema,
 BatchPredicate::BatchPredicate(const std::vector<const Expr*>& conjuncts,
                                const Schema& schema, const EvalContext* outer)
     : schema_(&schema), outer_(outer) {
-  conjuncts_.reserve(conjuncts.size());
-  for (const Expr* e : conjuncts) {
-    Conjunct c;
-    c.direct = ClassifyDirect(*e, schema);
-    if (!c.direct) c.bound = BoundExpr(*e, schema, outer);
-    conjuncts_.push_back(std::move(c));
+  size_t i = 0;
+  for (; i < conjuncts.size(); ++i) {
+    auto direct = ClassifyDirect(*conjuncts[i], schema, outer);
+    if (!direct) break;
+    direct_.push_back(*direct);
+  }
+  for (; i < conjuncts.size(); ++i) {
+    rest_.emplace_back(*conjuncts[i], schema, outer);
   }
 }
 
-Status BatchPredicate::Apply(RowBatch* batch, SubqueryRunner* runner) const {
-  for (const Conjunct& c : conjuncts_) {
+void BatchPredicate::ApplyDirect(RowBatch* batch) const {
+  for (const DirectConjunct& c : direct_) {
     // Row semantics: once a conjunct filtered every row out, the remaining
     // conjuncts see no rows and evaluate nothing.
-    if (batch->sel.empty()) break;
+    if (batch->sel.empty()) return;
+    // A local copy, so the selection stores cannot force reloads; an outer
+    // operand is read once for the batch.
+    DirectConjunct d = c;
+    if (d.kind == DirectConjunct::Kind::kColOpOuter) {
+      d.lit = &d.OuterValue(*outer_);
+    }
+    // `kept` never passes `j`, so the prefetch reads a selection entry the
+    // compaction has not overwritten.
     size_t kept = 0;
-    if (c.direct) {
-      // A local copy, so the selection stores cannot force reloads.
-      const DirectConjunct d = *c.direct;
-      // `kept` never passes `j`, so the prefetch reads a selection entry
-      // the compaction has not overwritten.
-      for (size_t j = 0; j < batch->sel.size(); ++j) {
-        const size_t ahead = j + kRowPrefetchDistance;
-        if (ahead < batch->sel.size()) {
-          PrefetchCell(batch->rows[batch->sel[ahead]].row(), d.col);
-        }
-        const uint32_t idx = batch->sel[j];
-        if (d.Test(batch->rows[idx].row()[d.col])) batch->sel[kept++] = idx;
+    for (size_t j = 0; j < batch->sel.size(); ++j) {
+      const size_t ahead = j + kRowPrefetchDistance;
+      if (ahead < batch->sel.size()) {
+        PrefetchCell(batch->rows[batch->sel[ahead]].row(), d.col);
       }
-    } else {
-      for (uint32_t idx : batch->sel) {
-        EvalContext ctx{schema_, &batch->rows[idx].row(), outer_, runner};
-        PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(c.bound, ctx));
-        if (pass) batch->sel[kept++] = idx;
-      }
+      const uint32_t idx = batch->sel[j];
+      if (d.Test(batch->rows[idx].row()[d.col])) batch->sel[kept++] = idx;
     }
     batch->sel.resize(kept);
   }
-  return Status::OK();
+}
+
+Result<bool> BatchPredicate::TestRest(const Row& row,
+                                      SubqueryRunner* runner) const {
+  EvalContext ctx{schema_, &row, outer_, runner};
+  for (const BoundExpr& c : rest_) {
+    PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(c, ctx));
+    if (!pass) return false;
+  }
+  return true;
 }
 
 Result<Value> EvaluateConstant(const Expr& e) {

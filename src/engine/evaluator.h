@@ -119,37 +119,60 @@ Result<bool> EvaluatePredicate(const BoundExpr& expr, const EvalContext& ctx);
 void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out);
 
 /// A conjunct decided by one cell of the input row: `column OP literal`
-/// (either operand order; `op` is mirrored so the column reads on the left)
-/// or `column IS [NOT] NULL`. It never fails, and its truth is a function of
-/// that cell's value alone, which is what lets a heap scan decide it once
-/// per dictionary value instead of once per row.
+/// (either operand order; `op` is mirrored so the column reads on the left),
+/// `column IS [NOT] NULL`, or `column OP outer_column` (kColOpOuter), whose
+/// other operand is a column of an outer scope. An outer row is fixed for
+/// every inner row a correlated subquery filters, so that operand acts as a
+/// literal over a whole batch. A direct conjunct never fails, and its truth
+/// is a function of that cell's value alone (given the outer row). That is
+/// what lets a heap scan decide a literal one once per dictionary value
+/// instead of once per row, and a filter decide a batch without evaluating
+/// an expression tree per row.
 struct DirectConjunct {
-  enum class Kind { kColOpLit, kIsNull };
+  enum class Kind { kColOpLit, kColOpOuter, kIsNull };
   Kind kind = Kind::kColOpLit;
   size_t col = 0;
   BinaryOp op = BinaryOp::kEq;
-  const Value* lit = nullptr;  // borrowed from the conjunct's expression
+  /// The right operand: borrowed from the conjunct's expression
+  /// (kColOpLit), or pointed at the outer row's cell before each use
+  /// (kColOpOuter, see OuterValue).
+  const Value* lit = nullptr;
   bool negated = false;        // IS NOT NULL
+  uint32_t outer_depth = 0;    // kColOpOuter: scopes out (1 = the nearest)
+  uint32_t outer_slot = 0;     // kColOpOuter: the cell of that scope's row
+
+  /// kColOpOuter: the outer operand's current value, read from the scope
+  /// chain of the inner rows (`outer` is their depth-1 scope).
+  const Value& OuterValue(const EvalContext& outer) const;
 
   /// True iff the conjunct is TRUE for a row whose cell `col` is `cell`
-  /// (the row path's CompareTruth / IS NULL test).
+  /// (the row path's CompareTruth / IS NULL test). A kColOpOuter conjunct
+  /// needs `lit` set to its OuterValue first.
   bool Test(const Value& cell) const;
 };
 
 /// `conjunct` as a DirectConjunct over rows of `schema`, or nullopt when it
 /// has another shape, its column does not resolve in `schema`, or its
-/// literal is an unbound parameter.
+/// literal is an unbound parameter. With `outer` (the rows' outer scope
+/// chain), a comparison of a column of `schema` with a column that does not
+/// resolve there but does in `outer` is a kColOpOuter conjunct; the outer
+/// reference resolves as the evaluator binds it (innermost scope first, an
+/// ambiguous name is no match). Without `outer` (plan-time code and index
+/// decisions), such a conjunct is not direct.
 std::optional<DirectConjunct> ClassifyDirect(const Expr& conjunct,
-                                             const Schema& schema);
+                                             const Schema& schema,
+                                             const EvalContext* outer = nullptr);
 
-/// A predicate compiled once for batch evaluation over one input schema.
-/// Top-level AND conjuncts run left-to-right over the surviving selection
-/// (the batch form of the row path's short-circuit AND), and direct
-/// conjuncts (ClassifyDirect) read their column slot directly. Everything
-/// else evaluates per row through its binding, so results match per-row
-/// evaluation exactly; only the order in which multiple *erroring* rows
-/// surface may differ (a conjunct sees rows already filtered by its left
-/// siblings).
+/// A WHERE compiled once for batch evaluation over one input schema, in
+/// two parts. The leading run of direct conjuncts (ClassifyDirect, outer
+/// operands included) decides whole batches at once (ApplyDirect); outer
+/// operands are read from the scope chain on each call. The conjuncts
+/// after it evaluate per row through their bindings, left to right, and a
+/// row stops at its first conjunct that is not TRUE (TestRest) — the row
+/// path's short-circuit AND. Direct conjuncts never raise, so deciding the
+/// leading run first keeps every row's answer and error; a direct conjunct
+/// after a non-direct one stays in the per-row part, where it may be
+/// shielded by its left siblings.
 class BatchPredicate {
  public:
   /// Classifies and binds the conjuncts of `predicate` (borrowed) for rows
@@ -162,18 +185,18 @@ class BatchPredicate {
   BatchPredicate(const std::vector<const Expr*>& conjuncts,
                  const Schema& schema, const EvalContext* outer);
 
-  /// Compacts `batch->sel` in place to the rows where the predicate is TRUE.
-  Status Apply(RowBatch* batch, SubqueryRunner* runner) const;
+  /// Compacts `batch->sel` in place to the rows the leading run of direct
+  /// conjuncts keeps.
+  void ApplyDirect(RowBatch* batch) const;
+
+  /// True iff `row` passes every conjunct after the direct run.
+  Result<bool> TestRest(const Row& row, SubqueryRunner* runner) const;
 
  private:
-  struct Conjunct {
-    std::optional<DirectConjunct> direct;
-    BoundExpr bound;  // when not direct
-  };
-
   const Schema* schema_;
   const EvalContext* outer_;
-  std::vector<Conjunct> conjuncts_;
+  std::vector<DirectConjunct> direct_;
+  std::vector<BoundExpr> rest_;
 };
 
 /// Evaluates a constant expression (no column refs); used for INSERT VALUES.

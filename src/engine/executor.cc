@@ -116,8 +116,8 @@ Result<ResultTable> Executor::ExecuteSelect(const SelectStmt& select,
 
 Result<OperatorPtr> Executor::PlanSelectOperator(const SelectStmt& select,
                                                  LocalViews local_views) {
-  auto scope =
-      std::make_unique<StatementScope>(this, std::move(local_views));
+  auto scope = std::make_unique<StatementScope>(this, std::move(local_views),
+                                                &select);
   Planner planner(scope.get());
   PSQL_ASSIGN_OR_RETURN(OperatorPtr plan, planner.PlanSelect(select, nullptr));
   return OperatorPtr(
@@ -136,8 +136,9 @@ Result<ResultTable> Executor::MaterializeCandidates(const SelectStmt& select) {
 // Statement scope: views and subqueries
 // ===========================================================================
 
-StatementScope::StatementScope(Executor* executor, LocalViews local_views)
-    : executor_(executor) {
+StatementScope::StatementScope(Executor* executor, LocalViews local_views,
+                               const SelectStmt* root)
+    : executor_(executor), root_(root) {
   for (auto& [name, def] : local_views) {
     local_views_[ToLower(name)] = std::move(def);
   }
@@ -153,18 +154,113 @@ bool StatementScope::HasLocalView(const std::string& name) const {
   return local_views_.count(ToLower(name)) > 0;
 }
 
+Result<std::shared_ptr<const SelectStmt>> StatementScope::ViewDefinition(
+    const std::string& name) const {
+  if (auto local = local_views_.find(ToLower(name));
+      local != local_views_.end()) {
+    return local->second;
+  }
+  PSQL_ASSIGN_OR_RETURN(std::shared_ptr<const SelectStmt> def,
+                        executor_->catalog()->GetView(name));
+  return def;
+}
+
+namespace {
+
+// Walks a statement for StatementScope::ViewColumnUse: every column name it
+// mentions, and the views a select-list `*` reaches. The views it reads are
+// walked too (once each), so what one view reads of another counts.
+class ViewUseCollector {
+ public:
+  using Lookup =
+      std::function<std::shared_ptr<const SelectStmt>(const std::string&)>;
+
+  ViewUseCollector(std::unordered_set<std::string>* names,
+                   std::unordered_set<std::string>* whole, Lookup view)
+      : names_(names), whole_(whole), view_(std::move(view)) {}
+
+  void Select(const SelectStmt& s) {
+    bool star = false;
+    for (const auto& item : s.items) star |= item.expr->kind == ExprKind::kStar;
+    for (const auto& tr : s.from) Ref(*tr, star);
+    for (const auto& item : s.items) Walk(item.expr.get());
+    Walk(s.where.get());
+    for (const auto& g : s.group_by) Walk(g.get());
+    Walk(s.having.get());
+    for (const auto& oi : s.order_by) Walk(oi.expr.get());
+  }
+
+ private:
+  void Ref(const TableRef& tr, bool star) {
+    switch (tr.kind) {
+      case TableRef::Kind::kTable: {
+        std::string key = ToLower(tr.table_name);
+        if (star) whole_->insert(key);
+        if (!walked_.insert(key).second) return;
+        if (auto def = view_(key)) Select(*def);
+        return;
+      }
+      case TableRef::Kind::kSubquery:
+        Select(*tr.subquery);
+        return;
+      case TableRef::Kind::kJoin:
+        Ref(*tr.join_left, star);
+        Ref(*tr.join_right, star);
+        Walk(tr.join_on.get());
+        return;
+    }
+  }
+
+  void Walk(const Expr* e) {
+    if (e == nullptr) return;
+    if (e->kind == ExprKind::kColumnRef) names_->insert(ToLower(e->column));
+    if (e->subquery != nullptr) Select(*e->subquery);
+    Walk(e->left.get());
+    Walk(e->right.get());
+    Walk(e->lo.get());
+    Walk(e->hi.get());
+    Walk(e->case_else.get());
+    for (const auto& a : e->args) Walk(a.get());
+    for (const auto& item : e->in_list) Walk(item.get());
+    for (const auto& cw : e->case_whens) {
+      Walk(cw.when.get());
+      Walk(cw.then.get());
+    }
+  }
+
+  std::unordered_set<std::string>* names_;
+  std::unordered_set<std::string>* whole_;
+  Lookup view_;
+  std::unordered_set<std::string> walked_;
+};
+
+}  // namespace
+
 Result<std::shared_ptr<ResultTable>> StatementScope::MaterializeView(
     const std::string& name) {
   std::string key = ToLower(name);
   auto it = views_.find(key);
   if (it != views_.end()) return it->second;
-  std::shared_ptr<const SelectStmt> def;
-  if (auto local = local_views_.find(key); local != local_views_.end()) {
-    def = local->second;
-  } else {
-    PSQL_ASSIGN_OR_RETURN(def, executor_->catalog()->GetView(name));
+  PSQL_ASSIGN_OR_RETURN(std::shared_ptr<const SelectStmt> def,
+                        ViewDefinition(name));
+  const std::unordered_set<std::string>* keep = nullptr;
+  if (root_ != nullptr) {
+    if (!view_use_) {
+      view_use_.emplace();
+      ViewUseCollector collector(
+          &view_use_->names, &view_use_->whole,
+          [&](const std::string& view) -> std::shared_ptr<const SelectStmt> {
+            auto found = ViewDefinition(view);
+            return found.ok() ? *found : nullptr;
+          });
+      collector.Select(*root_);
+    }
+    if (view_use_->whole.count(key) == 0) keep = &view_use_->names;
   }
-  PSQL_ASSIGN_OR_RETURN(ResultTable rt, RunSubquery(*def, nullptr));
+  Planner planner(this);
+  PSQL_ASSIGN_OR_RETURN(OperatorPtr plan,
+                        planner.PlanSelect(*def, nullptr, keep));
+  PSQL_ASSIGN_OR_RETURN(ResultTable rt, DrainToTable(*plan));
   auto materialized = std::make_shared<ResultTable>(std::move(rt));
   views_[key] = materialized;
   return materialized;
@@ -195,11 +291,11 @@ bool IsPlainProbe(const SelectStmt& select) {
   return true;
 }
 
-// Pulls one row through a planned probe. A 1-row target: the scan hands
-// over one row per pull and the filter above it evaluates only that row, so
-// the probe stops at its first match instead of scanning and testing a
-// whole batch. Scan counters stay untouched (probes would drown the
-// per-statement counts).
+// Pulls one row through a planned probe. A 1-row target: the filter above
+// the scan decides its leading direct conjuncts over child batches that
+// grow while they keep nothing, and evaluates the rest only until its first
+// match, so the probe stops there instead of testing a whole batch. Scan
+// counters stay untouched (probes would drown the per-statement counts).
 Result<bool> PullFirstRow(PhysicalOperator& plan, RowBatch* batch) {
   Status open = plan.Open();
   if (!open.ok()) {

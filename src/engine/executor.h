@@ -17,8 +17,10 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -45,7 +47,10 @@ using LocalViews =
 /// at a time.
 class StatementScope final : public SubqueryRunner {
  public:
-  explicit StatementScope(Executor* executor, LocalViews local_views = {});
+  /// `root` (borrowed; may be null) is the statement's SELECT: given, the
+  /// views it reads are materialized with only the columns it names.
+  explicit StatementScope(Executor* executor, LocalViews local_views = {},
+                          const SelectStmt* root = nullptr);
   ~StatementScope() override;
 
   StatementScope(const StatementScope&) = delete;
@@ -58,7 +63,10 @@ class StatementScope final : public SubqueryRunner {
   bool HasLocalView(const std::string& name) const;
 
   /// Materializes a local or catalog view once per statement (planner
-  /// access path).
+  /// access path). Under a root SELECT, a view that no `*` reaches keeps
+  /// only the columns whose names the statement mentions anywhere (its
+  /// select list, WHERE, ORDER BY, joins, nested subqueries and the views
+  /// it reads), qualifiers ignored; see Planner::PlanSelect.
   Result<std::shared_ptr<ResultTable>> MaterializeView(
       const std::string& name);
 
@@ -83,11 +91,24 @@ class StatementScope final : public SubqueryRunner {
   void CountProbeRun() { ++probe_runs_; }
 
  private:
+  /// The definition of the local or catalog view `name`.
+  Result<std::shared_ptr<const SelectStmt>> ViewDefinition(
+      const std::string& name) const;
+
   Executor* executor_;
   /// Keyed by lower-cased name, like the catalog.
   std::unordered_map<std::string, std::shared_ptr<const SelectStmt>>
       local_views_;
   std::unordered_map<std::string, std::shared_ptr<ResultTable>> views_;
+  const SelectStmt* root_;
+  /// What the root reads of its views, collected on the first view
+  /// materialization: the column names it mentions (lower case), and the
+  /// views a `*` reaches, which keep every column.
+  struct ViewColumnUse {
+    std::unordered_set<std::string> names;
+    std::unordered_set<std::string> whole;
+  };
+  std::optional<ViewColumnUse> view_use_;
   uint64_t probe_runs_ = 0;
   uint64_t probe_plans_ = 0;
 };

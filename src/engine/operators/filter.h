@@ -1,7 +1,15 @@
 // Streaming selection: forwards child rows whose predicate evaluates to
 // TRUE (SQL three-valued logic; NULL/UNKNOWN drops the row). The predicate
 // is split into conjuncts, classified and bound once, when the operator is
-// built.
+// built (BatchPredicate).
+//
+// The filter pulls child batches into a batch of its own. The leading run
+// of direct conjuncts decides each child batch whole; the other conjuncts
+// then run row by row, in order, only until the consumer's row target is
+// filled, and the rest of the child batch waits for the next pull. A
+// child batch that keeps nothing doubles the next child pull, from the
+// consumer's target up to kRowBatchCapacity. An EXISTS probe (target 1)
+// thus tests few rows near its first match and whole batches far from it.
 
 #pragma once
 
@@ -30,15 +38,17 @@ class FilterOperator : public PhysicalOperator {
                  const EvalContext* outer, SubqueryRunner* runner);
 
   const Schema& schema() const override { return child_->schema(); }
-  Status Open() override { return child_->Open(); }
+  Status Open() override;
   Result<bool> NextBatch(RowBatch* out) override;
-  void Close() override { child_->Close(); }
+  void Close() override;
 
  private:
   OperatorPtr child_;
   ExprPtr owned_predicate_;
   BatchPredicate predicate_;
   SubqueryRunner* runner_;
+  RowBatch pending_;  // the child batch being consumed
+  size_t next_ = 0;   // its first selection entry not yet handed over
 };
 
 }  // namespace prefsql

@@ -9,7 +9,7 @@
 // Every operator produces batches natively. The consumer sets the batch's
 // row target (`RowBatch::capacity`): full drains keep the 1024-row default,
 // and an EXISTS probe asks for a single row, so it stops at its first match
-// without scanning or evaluating a whole batch.
+// without evaluating its per-row conjuncts on a whole batch.
 
 #pragma once
 

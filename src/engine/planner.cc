@@ -195,8 +195,9 @@ bool RefContainsSubquery(const TableRef& tr) {
 Planner::Planner(StatementScope* scope)
     : scope_(scope), executor_(scope->executor()) {}
 
-Result<OperatorPtr> Planner::PlanSelect(const SelectStmt& select,
-                                        const EvalContext* outer) {
+Result<OperatorPtr> Planner::PlanSelect(
+    const SelectStmt& select, const EvalContext* outer,
+    const std::unordered_set<std::string>* keep_names) {
   if (select.IsPreferenceQuery()) {
     return Status::InvalidArgument(
         "PREFERRING queries must go through the Preference SQL layer "
@@ -230,7 +231,7 @@ Result<OperatorPtr> Planner::PlanSelect(const SelectStmt& select,
   }
   return PlanTail(CloneItems(select.items), select.distinct,
                   CloneOrder(select.order_by), select.limit, select.offset,
-                  std::move(input), outer);
+                  std::move(input), outer, keep_names);
 }
 
 Result<OperatorPtr> Planner::PlanCandidates(const SelectStmt& select,
@@ -732,13 +733,11 @@ std::optional<std::vector<size_t>> Planner::TryIndexPositions(
 // Projection tail
 // ===========================================================================
 
-Result<OperatorPtr> Planner::PlanTail(std::vector<SelectItem> items,
-                                      bool distinct,
-                                      std::vector<OrderItem> order_by,
-                                      std::optional<int64_t> limit,
-                                      std::optional<int64_t> offset,
-                                      OperatorPtr child,
-                                      const EvalContext* outer) {
+Result<OperatorPtr> Planner::PlanTail(
+    std::vector<SelectItem> items, bool distinct,
+    std::vector<OrderItem> order_by, std::optional<int64_t> limit,
+    std::optional<int64_t> offset, OperatorPtr child, const EvalContext* outer,
+    const std::unordered_set<std::string>* keep_names) {
   const Schema& in_schema = child->schema();
 
   // Expand stars and derive the output schema.
@@ -765,6 +764,28 @@ Result<OperatorPtr> Planner::PlanTail(std::vector<SelectItem> items,
   }
   if (out_cols.empty()) {
     return Status::InvalidArgument("empty select list");
+  }
+  if (keep_names != nullptr && !distinct && order_by.empty()) {
+    // ORDER BY ordinals count the select list, so it stays whole there.
+    // When no column is named, nothing moved and the first one stays.
+    size_t kept = 0;
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      const Expr& e = *exprs[i];
+      size_t idx = 0;
+      if (e.kind == ExprKind::kColumnRef &&
+          in_schema.ResolveScoped(e.qualifier, e.column, &idx) ==
+              Schema::ResolveOutcome::kFound &&
+          keep_names->count(ToLower(out_cols[i].name)) == 0) {
+        continue;
+      }
+      if (kept != i) {
+        exprs[kept] = std::move(exprs[i]);
+        out_cols[kept] = std::move(out_cols[i]);
+      }
+      ++kept;
+    }
+    exprs.resize(std::max<size_t>(kept, 1));
+    out_cols.resize(exprs.size());
   }
   size_t n_visible = out_cols.size();
   Schema visible_schema(out_cols);

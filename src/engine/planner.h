@@ -14,6 +14,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -67,9 +68,16 @@ class Planner {
   /// catalog and scan counters.
   explicit Planner(StatementScope* scope);
 
-  /// Plans a full (non-preference) SELECT pipeline.
-  Result<OperatorPtr> PlanSelect(const SelectStmt& select,
-                                 const EvalContext* outer);
+  /// Plans a full (non-preference) SELECT pipeline. With `keep_names`
+  /// (lower-case column names; a view materialization), a select list
+  /// without DISTINCT, aggregates or ORDER BY drops each column reference
+  /// item, `*` expansions included, whose output name is not in the set;
+  /// one column stays when none is named, so the rows stay. Such items
+  /// cannot raise, so no error is lost, and a name that stays keeps every
+  /// column of that name, so ambiguity is kept too.
+  Result<OperatorPtr> PlanSelect(
+      const SelectStmt& select, const EvalContext* outer,
+      const std::unordered_set<std::string>* keep_names = nullptr);
 
   /// Plans `FROM ... WHERE ...` of `select` with column qualifiers
   /// preserved (no projection). `count_stats` = false leaves the executor's
@@ -95,11 +103,12 @@ class Planner {
   /// Plans the projection/distinct/order/limit tail over `child`. Takes
   /// ownership of the item/order expressions (callers clone from the AST or
   /// pass synthesized rewrites).
-  Result<OperatorPtr> PlanTail(std::vector<SelectItem> items, bool distinct,
-                               std::vector<OrderItem> order_by,
-                               std::optional<int64_t> limit,
-                               std::optional<int64_t> offset,
-                               OperatorPtr child, const EvalContext* outer);
+  Result<OperatorPtr> PlanTail(
+      std::vector<SelectItem> items, bool distinct,
+      std::vector<OrderItem> order_by, std::optional<int64_t> limit,
+      std::optional<int64_t> offset, OperatorPtr child,
+      const EvalContext* outer,
+      const std::unordered_set<std::string>* keep_names = nullptr);
 
   /// The base table `tr` scans, or null when it names a statement-local or
   /// catalog view, a subquery or a join.
@@ -121,7 +130,8 @@ class Planner {
   /// Scans `table` (rows of `schema`) at the statement's snapshot: the
   /// heap slots `slots` when given (list mode; `conjuncts` is left as it
   /// is), else the slot range. There, given `conjuncts` (a WHERE's, left to
-  /// right), the scan tests their leading run of direct conjuncts on the
+  /// right), the scan tests their leading run of direct conjuncts with a
+  /// literal operand (ClassifyDirect without an outer chain) on the
   /// table's column codes, and `conjuncts` keeps what a filter must still
   /// test: the run's conjuncts on refused columns, then the rest.
   OperatorPtr PlanHeapScan(

@@ -14,10 +14,12 @@
 //     clears it. The BMO key build reads column vectors by these slots.
 //   * `capacity` — the row target the consumer sets. Batch producers (scans,
 //     sort, aggregate, join, BMO output) fill at most this many rows;
-//     pass-through operators (filter, project, distinct, prefix, limit) hand
-//     the same batch down, so the target reaches the producer below them.
-//     Full drains keep the default; an early-exit consumer asks for fewer
-//     (an EXISTS probe asks for 1 and stops at its first match).
+//     pass-through operators (project, distinct, prefix, limit) hand the
+//     same batch down, so the target reaches the producer below them. A
+//     filter hands over at most this many rows and keeps the rest of its
+//     child batch for the next pull. Full drains keep the default; an
+//     early-exit consumer asks for fewer (an EXISTS probe asks for 1 and
+//     stops at its first match).
 //
 // Per-row bookkeeping amortizes across the batch: one interrupt poll, one
 // memory-budget charge, and (for heap scans) one MVCC visibility sweep per

@@ -86,6 +86,60 @@ TEST(TableScanIndexTest, NaNKeysDoNotHideRowsFromRangeLookups) {
   }
 }
 
+// `x [NOT] BETWEEN lo AND hi` is `[NOT] (x >= lo AND x <= hi)` under
+// three-valued logic: the same value (TRUE, FALSE or NULL) on every row of a
+// NULL/NaN/±inf/mixed-type column, for every bound, negated or not, and the
+// same rows with or without an index on x.
+TEST(TableScanIndexTest, BetweenIsGreaterOrEqualAndLessOrEqual) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> xs = {
+      Value::Null(),       Value::Double(nan),  Value::Double(-inf),
+      Value::Double(inf),  Value::Double(-1.5), Value::Int(0),
+      Value::Int(2),       Value::Double(2.5),  Value::Int(7),
+      Value::Double(nan),  Value::Text("abc"),  Value::Text("5"),
+      Value::Date(3),      Value::Bool(true),   Value::Double(nan)};
+  const char* const bounds[] = {"NULL", "0",     "2",
+                                "7",    "-1e400", "'abc'",
+                                "'1970-01-03'"};
+  Connection plain, indexed;
+  for (Connection* conn : {&plain, &indexed}) {
+    ASSERT_TRUE(conn->Execute("CREATE TABLE t (id INTEGER, x DOUBLE)").ok());
+    Table* table = GetTable(*conn, "t");
+    ASSERT_NE(table, nullptr);
+    std::vector<Row> rows;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      rows.push_back({Value::Int(static_cast<int64_t>(i)), xs[i]});
+    }
+    table->BulkLoadUnchecked(std::move(rows));
+  }
+  ASSERT_TRUE(indexed.Execute("CREATE INDEX tx ON t (x)").ok());
+  int true_rows = 0;
+  for (const char* lo : bounds) {
+    for (const char* hi : bounds) {
+      for (const char* neg : {"", "NOT "}) {
+        const std::string between = std::string("x ") + neg + "BETWEEN " +
+                                    lo + " AND " + hi;
+        const std::string expanded = std::string(neg) + "(x >= " + lo +
+                                     " AND x <= " + hi + ")";
+        SCOPED_TRACE(between);
+        EXPECT_EQ(Rendered(plain, "SELECT id, " + between + " AS v FROM t"),
+                  Rendered(plain, "SELECT id, " + expanded + " AS v FROM t"));
+        const std::string rows =
+            Rendered(plain, "SELECT id FROM t WHERE " + expanded);
+        EXPECT_EQ(Rendered(plain, "SELECT id FROM t WHERE " + between), rows);
+        EXPECT_EQ(Rendered(indexed, "SELECT id FROM t WHERE " + between +
+                                        " ORDER BY id"),
+                  Rendered(plain, "SELECT id FROM t WHERE " + expanded +
+                                      " ORDER BY id"));
+        true_rows += static_cast<int>(
+            std::count(rows.begin(), rows.end(), '\n'));
+      }
+    }
+  }
+  EXPECT_GT(true_rows, 0);
+}
+
 TEST(TableScanIndexTest, DateTextAndDatesCompareAlikeWithAnIndex) {
   Connection conn;
   ASSERT_TRUE(conn.ExecuteScript(
