@@ -25,6 +25,7 @@
 #include "bench_json.h"
 #include "preference/composite.h"
 #include "preference/dominance_program.h"
+#include "preference/dominance_window.h"
 #include "sql/parser.h"
 #include "util/random.h"
 
@@ -173,49 +174,61 @@ int main(int argc, char** argv) {
     const double packed_rate = static_cast<double>(n_pairs) / packed_s;
     const double generic_rate = static_cast<double>(n_pairs) / generic_s;
 
-    // Block-kernel section: DominatesBlock over the full store from a set
-    // of random candidates, once per SIMD variant (DominatesBlock never
-    // early-exits, so the rate is data-independent). The packed kernels are
+    // Window section: the whole store loaded into one DominanceWindow,
+    // tested by probes no member can dominate (a random row whose first
+    // score is moved below every stored one), so each fused pass walks the
+    // full window and marks the members its probe dominates: the rate is
+    // (probes x rows) / s, once per SIMD variant. The packed kernels are
     // the only ones with vectorized forms; the generic kernel ignores the
     // variant, so its section would measure the same loop thrice.
     const prefsql::SimdVariant dispatched =
         prefsql::DispatchedSimdVariant();
     double block_rate[3] = {0.0, 0.0, 0.0};
     if (prog.kernel() != prefsql::DominanceKernel::kGeneric) {
-      std::vector<size_t> all_rows(rows);
-      for (size_t i = 0; i < rows; ++i) all_rows[i] = i;
-      std::vector<size_t> candidates;
-      const size_t n_candidates =
+      const size_t n_probes =
           std::max<size_t>(1, n_pairs / std::max<size_t>(rows, 1));
-      for (size_t i = 0; i < n_candidates; ++i) {
-        candidates.push_back(static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(rows) - 1)));
+      double lowest = 0.0;
+      for (size_t i = 0; i < rows; ++i) {
+        lowest = std::min(lowest, store.score(i, 0));
       }
-      std::vector<uint8_t> out(rows);
+      prefsql::KeyStore probes(pref->num_leaves());
+      for (size_t i = 0; i < n_probes; ++i) {
+        const size_t row = static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(rows) - 1));
+        for (size_t l = 0; l < pref->num_leaves(); ++l) {
+          probes.PushLeaf(l == 0 ? lowest - 1.0 : store.score(row, l), -1);
+        }
+        probes.CommitRow();
+      }
       size_t dominated_scalar = 0;
       for (prefsql::SimdVariant v :
            {prefsql::SimdVariant::kScalar, prefsql::SimdVariant::kUnrolled4,
             prefsql::SimdVariant::kAvx2}) {
         if (v > dispatched) continue;  // host/build cannot run it
+        prefsql::DominanceWindow window(prog, v);
+        window.Reserve(rows);
+        for (size_t i = 0; i < rows; ++i) window.Admit(store, i);
         t0 = Clock::now();
         size_t dominated = 0;
-        for (size_t cand : candidates) {
-          prog.DominatesBlock(store, cand, all_rows.data(), all_rows.size(),
-                              out.data(), v, /*comparisons=*/nullptr);
-          for (uint8_t bit : out) dominated += bit;
+        for (size_t p = 0; p < n_probes; ++p) {
+          if (window.Test(probes, p, /*comparisons=*/nullptr)) {
+            std::fprintf(stderr, "%s: a member dominates probe %zu\n",
+                         w.name, p);
+            return 1;
+          }
+          for (size_t m = 0; m < rows; ++m) dominated += window.marked(m);
         }
         const double s = SecondsSince(t0);
         if (v == prefsql::SimdVariant::kScalar) {
           dominated_scalar = dominated;
         } else if (dominated != dominated_scalar) {
-          std::fprintf(stderr, "%s: %s block kernel diverges from scalar\n",
+          std::fprintf(stderr, "%s: %s window kernel diverges from scalar\n",
                        w.name, prefsql::SimdVariantToString(v));
           return 1;
         }
         block_rate[static_cast<size_t>(v)] =
-            static_cast<double>(candidates.size()) *
-            static_cast<double>(rows) / s;
-        std::printf("%-16s block %-9s %10.3g tests/s (%zu dominated)\n",
+            static_cast<double>(n_probes) * static_cast<double>(rows) / s;
+        std::printf("%-16s window %-9s %10.3g tests/s (%zu dominated)\n",
                     w.name, prefsql::SimdVariantToString(v),
                     block_rate[static_cast<size_t>(v)], dominated);
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/query_context.h"
+#include "preference/dominance_window.h"
 
 namespace prefsql {
 namespace {
@@ -11,6 +12,14 @@ namespace {
 // reserving a modest floor removes the early reallocation churn without
 // over-committing memory for small partitions.
 size_t ResultReserve(size_t n) { return std::min<size_t>(n, 256); }
+
+// The candidate indices of a result window, ascending.
+std::vector<size_t> SortedIndices(const DominanceWindow& window) {
+  std::vector<size_t> out(window.size());
+  for (size_t m = 0; m < window.size(); ++m) out[m] = window.index(m);
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 // Stride-counted interrupt poll for the per-tuple loops. True means the
 // statement was cancelled or timed out; the algorithm must bail out (its
@@ -54,22 +63,21 @@ void LexSortInterruptible(std::vector<size_t>& v, const KeyStore& keys,
 std::vector<size_t> NaiveNestedLoop(const DominanceProgram& prog,
                                     const KeyStore& keys,
                                     std::span<const size_t> candidates,
-                                    SimdVariant simd, QueryContext* ctx,
-                                    BmoStats* stats) {
+                                    QueryContext* ctx, BmoStats* stats) {
   // Paper §3.2: "Insert t1 into Max if there is no tuple t2 in R that is
-  // better than t1" — repeated for every t1. The whole candidate array is
-  // the block (a tuple never strictly dominates itself, so t1's own entry
-  // is harmless).
+  // better than t1" — repeated for every t1. All candidates form one
+  // window (a tuple never strictly dominates itself, so t1's own member is
+  // harmless).
+  DominanceWindow all(prog);
+  all.Reserve(candidates.size());
+  for (size_t i : candidates) all.Admit(keys, i);
   std::vector<size_t> out;
   out.reserve(ResultReserve(candidates.size()));
   size_t* cmp = stats != nullptr ? &stats->comparisons : nullptr;
   size_t tick = 0;
   for (size_t i : candidates) {
     if (InterruptedTick(ctx, &tick)) return out;
-    if (!prog.AnyDominates(keys, candidates.data(), candidates.size(), i,
-                           simd, cmp)) {
-      out.push_back(i);
-    }
+    if (!all.Dominated(keys, i, cmp)) out.push_back(i);
   }
   return out;
 }
@@ -77,24 +85,18 @@ std::vector<size_t> NaiveNestedLoop(const DominanceProgram& prog,
 std::vector<size_t> BlockNestedLoop(const DominanceProgram& prog,
                                     const KeyStore& keys,
                                     std::span<const size_t> candidates,
-                                    size_t window_capacity, SimdVariant simd,
-                                    QueryContext* ctx, BmoStats* stats) {
-  struct Entry {
-    size_t index;
-    size_t insert_pass;
-  };
-  std::vector<size_t> result;          // confirmed skyline members
+                                    size_t window_capacity, QueryContext* ctx,
+                                    BmoStats* stats) {
+  std::vector<size_t> result;  // confirmed skyline members
   result.reserve(ResultReserve(candidates.size()));
-  std::vector<Entry> window;
-  // window_idx mirrors window's indices contiguously for the block calls.
-  std::vector<size_t> window_idx;
-  std::vector<uint8_t> evict;
-  window.reserve(window_capacity != 0
+  DominanceWindow window(prog);
+  window.Reserve(window_capacity != 0
                      ? std::min(window_capacity, candidates.size())
                      : ResultReserve(candidates.size()));
-  window_idx.reserve(window.capacity());
-  std::vector<size_t> input(candidates.begin(), candidates.end());
-  std::vector<size_t> overflow;
+  // Pass 0 reads the candidates in place; later passes read the previous
+  // pass's overflow (the two buffers swap roles).
+  std::span<const size_t> input = candidates;
+  std::vector<size_t> next, overflow;
   size_t pass = 0;
   size_t* cmp = stats != nullptr ? &stats->comparisons : nullptr;
   size_t tick = 0;
@@ -103,56 +105,35 @@ std::vector<size_t> BlockNestedLoop(const DominanceProgram& prog,
     overflow.clear();
     for (size_t t : input) {
       if (InterruptedTick(ctx, &tick)) return result;
-      // Two phases over the window. They match the classic interleaved
-      // compare/evict loop exactly because window entries are mutually
-      // non-dominated: if some entry dominates t, then t dominates no
-      // entry (transitivity would make that entry dominated inside the
-      // window), so the dominated case evicts nothing — and otherwise
-      // only the eviction phase runs.
-      if (prog.AnyDominates(keys, window_idx.data(), window_idx.size(), t,
-                            simd, cmp)) {
-        continue;
-      }
-      evict.resize(window.size());
-      prog.DominatesBlock(keys, t, window_idx.data(), window.size(),
-                          evict.data(), simd, cmp);
-      size_t kept = 0;
-      for (size_t w = 0; w < window.size(); ++w) {
-        if (evict[w]) continue;
-        window[kept] = window[w];
-        window_idx[kept] = window_idx[w];
-        ++kept;
-      }
-      window.resize(kept);
-      window_idx.resize(kept);
+      // One pass over the window decides both relations. It matches the
+      // classic interleaved compare/evict loop exactly because window
+      // members are mutually non-dominated: if some member dominates t,
+      // then t dominates no member (transitivity would make that member
+      // dominated inside the window), so the dominated case evicts nothing.
+      if (window.Test(keys, t, cmp)) continue;
+      window.EvictMarked();
       if (window_capacity == 0 || window.size() < window_capacity) {
-        window.push_back({t, pass});
-        window_idx.push_back(t);
+        window.Admit(keys, t, pass);
       } else {
         overflow.push_back(t);
       }
     }
-    // End of pass: entries inserted in an *earlier* pass have now been
+    // End of pass: members inserted in an *earlier* pass have now been
     // compared against every live tuple (anything they dominate was dropped
     // before reaching the overflow), so they are confirmed skyline members.
     // Emitting them frees window space, which guarantees progress when the
     // window is smaller than the skyline.
-    std::vector<Entry> remaining;
-    for (const Entry& e : window) {
-      if (e.insert_pass < pass) {
-        result.push_back(e.index);
-      } else {
-        remaining.push_back(e);
-      }
-    }
-    window = std::move(remaining);
-    window_idx.clear();
-    for (const Entry& e : window) window_idx.push_back(e.index);
-    input = overflow;
+    window.EvictIf([&](size_t m) {
+      if (window.insert_pass(m) >= pass) return false;
+      result.push_back(window.index(m));
+      return true;
+    });
+    next.swap(overflow);
+    input = next;
     ++pass;
     if (stats != nullptr) stats->passes = pass;
   }
-  for (const Entry& e : window) result.push_back(e.index);
+  for (size_t m = 0; m < window.size(); ++m) result.push_back(window.index(m));
   std::sort(result.begin(), result.end());
   return result;
 }
@@ -160,26 +141,21 @@ std::vector<size_t> BlockNestedLoop(const DominanceProgram& prog,
 std::vector<size_t> SortFilterSkyline(const DominanceProgram& prog,
                                       const KeyStore& keys,
                                       std::span<const size_t> candidates,
-                                      SimdVariant simd, QueryContext* ctx,
-                                      BmoStats* stats) {
+                                      QueryContext* ctx, BmoStats* stats) {
   // Presort by a linear extension of the order: afterwards no tuple can be
   // dominated by a later one, so a single forward pass with an append-only
   // result window is exact.
   std::vector<size_t> sorted(candidates.begin(), candidates.end());
   LexSortInterruptible(sorted, keys, ctx);
-  std::vector<size_t> result;
-  result.reserve(ResultReserve(candidates.size()));
+  DominanceWindow result(prog);
+  result.Reserve(ResultReserve(candidates.size()));
   size_t* cmp = stats != nullptr ? &stats->comparisons : nullptr;
   size_t tick = 0;
   for (size_t t : sorted) {
-    if (InterruptedTick(ctx, &tick)) return result;
-    if (!prog.AnyDominates(keys, result.data(), result.size(), t, simd,
-                           cmp)) {
-      result.push_back(t);
-    }
+    if (InterruptedTick(ctx, &tick)) break;
+    if (!result.Dominated(keys, t, cmp)) result.Admit(keys, t);
   }
-  std::sort(result.begin(), result.end());
-  return result;
+  return SortedIndices(result);
 }
 
 // The LESS elimination-filter (EF) prepass: a window of a few
@@ -192,7 +168,7 @@ std::vector<size_t> SortFilterSkyline(const DominanceProgram& prog,
 std::vector<size_t> EliminationFilterScan(const DominanceProgram& prog,
                                           const KeyStore& keys,
                                           std::span<const size_t> candidates,
-                                          size_t ef_capacity, SimdVariant simd,
+                                          size_t ef_capacity,
                                           QueryContext* ctx, BmoStats* stats) {
   const size_t L = keys.num_leaves();
   auto volume = [&](size_t t) {
@@ -202,14 +178,9 @@ std::vector<size_t> EliminationFilterScan(const DominanceProgram& prog,
     return sum;
   };
 
-  struct EfEntry {
-    size_t index;
-    double volume;
-  };
-  std::vector<EfEntry> ef;
-  std::vector<size_t> ef_idx;  // mirrors ef's indices for the block calls
-  ef.reserve(std::max<size_t>(1, ef_capacity));
-  ef_idx.reserve(ef.capacity());
+  DominanceWindow ef(prog);
+  std::vector<double> ef_volume;  // per EF member
+  ef.Reserve(std::max<size_t>(1, ef_capacity));
   size_t* cmp = stats != nullptr ? &stats->comparisons : nullptr;
 
   std::vector<size_t> survivors;
@@ -217,24 +188,22 @@ std::vector<size_t> EliminationFilterScan(const DominanceProgram& prog,
   size_t tick = 0;
   for (size_t t : candidates) {
     if (InterruptedTick(ctx, &tick)) return survivors;
-    if (prog.AnyDominates(keys, ef_idx.data(), ef_idx.size(), t, simd, cmp)) {
-      continue;
-    }
+    if (ef.Dominated(keys, t, cmp)) continue;
     survivors.push_back(t);
-    // Admit t when it beats the weakest EF entry by volume (or there is
+    // Admit t when it beats the weakest EF member by volume (or there is
     // room); the window self-organizes toward the most dominant tuples.
     double v = volume(t);
     if (ef.size() < ef_capacity) {
-      ef.push_back({t, v});
-      ef_idx.push_back(t);
+      ef.Admit(keys, t);
+      ef_volume.push_back(v);
     } else if (!ef.empty()) {
       size_t weakest = 0;
       for (size_t e = 1; e < ef.size(); ++e) {
-        if (ef[e].volume > ef[weakest].volume) weakest = e;
+        if (ef_volume[e] > ef_volume[weakest]) weakest = e;
       }
-      if (v < ef[weakest].volume) {
-        ef[weakest] = {t, v};
-        ef_idx[weakest] = t;
+      if (v < ef_volume[weakest]) {
+        ef.Replace(weakest, keys, t);
+        ef_volume[weakest] = v;
       }
     }
   }
@@ -247,22 +216,12 @@ std::vector<size_t> EliminationFilterScan(const DominanceProgram& prog,
 std::vector<size_t> LessSkyline(const DominanceProgram& prog,
                                 const KeyStore& keys,
                                 std::span<const size_t> candidates,
-                                size_t ef_capacity, SimdVariant simd,
-                                QueryContext* ctx, BmoStats* stats) {
-  std::vector<size_t> survivors = EliminationFilterScan(
-      prog, keys, candidates, ef_capacity, simd, ctx, stats);
+                                size_t ef_capacity, QueryContext* ctx,
+                                BmoStats* stats) {
+  std::vector<size_t> survivors =
+      EliminationFilterScan(prog, keys, candidates, ef_capacity, ctx, stats);
   if (ctx != nullptr && ctx->interrupted()) return survivors;
-  return SortFilterSkyline(prog, keys, survivors, simd, ctx, stats);
-}
-
-// The variant the inner loops run with: the block path only exists for the
-// packed kernels, and the session knob can force row-at-a-time.
-SimdVariant EffectiveSimd(const DominanceProgram& prog,
-                          const BmoOptions& options) {
-  if (!options.simd || prog.kernel() == DominanceKernel::kGeneric) {
-    return SimdVariant::kScalar;
-  }
-  return DispatchedSimdVariant();
+  return SortFilterSkyline(prog, keys, survivors, ctx, stats);
 }
 
 }  // namespace
@@ -273,10 +232,9 @@ std::vector<size_t> ComputeBmoTopK(const CompiledPreference& pref,
                                    size_t k, const BmoOptions& options,
                                    BmoStats* stats) {
   const DominanceProgram& prog = pref.program();
-  SimdVariant simd = EffectiveSimd(prog, options);
   if (stats != nullptr) {
     stats->kernel = prog.kernel();
-    stats->simd = simd;
+    stats->simd = prog.WindowVariant();
   }
   if (k == 0) return {};
   // LESS EF prepass: the presort then runs over the (usually much smaller)
@@ -292,26 +250,24 @@ std::vector<size_t> ComputeBmoTopK(const CompiledPreference& pref,
   if (candidates.size() >= kEfMinRows) {
     sorted = EliminationFilterScan(prog, keys, candidates,
                                    std::max<size_t>(1, options.less_window),
-                                   simd, options.ctx, stats);
+                                   options.ctx, stats);
     if (options.ctx != nullptr && options.ctx->interrupted()) return sorted;
   } else {
     sorted.assign(candidates.begin(), candidates.end());
   }
   LexSortInterruptible(sorted, keys, options.ctx);
-  std::vector<size_t> result;
-  result.reserve(std::min(k, candidates.size()));
+  DominanceWindow result(prog);
+  result.Reserve(std::min(k, candidates.size()));
   size_t* cmp = stats != nullptr ? &stats->comparisons : nullptr;
   size_t tick = 0;
   for (size_t t : sorted) {
-    if (InterruptedTick(options.ctx, &tick)) return result;
-    if (!prog.AnyDominates(keys, result.data(), result.size(), t, simd,
-                           cmp)) {
-      result.push_back(t);
+    if (InterruptedTick(options.ctx, &tick)) break;
+    if (!result.Dominated(keys, t, cmp)) {
+      result.Admit(keys, t);
       if (result.size() >= k) break;  // progressive early exit
     }
   }
-  std::sort(result.begin(), result.end());
-  return result;
+  return SortedIndices(result);
 }
 
 const char* BmoAlgorithmToString(BmoAlgorithm a) {
@@ -342,24 +298,21 @@ std::vector<size_t> ComputeBmo(const CompiledPreference& pref,
                                std::span<const size_t> candidates,
                                const BmoOptions& options, BmoStats* stats) {
   const DominanceProgram& prog = pref.program();
-  SimdVariant simd = EffectiveSimd(prog, options);
   if (stats != nullptr) {
     stats->kernel = prog.kernel();
-    stats->simd = simd;
+    stats->simd = prog.WindowVariant();
   }
   switch (options.algorithm) {
     case BmoAlgorithm::kNaiveNestedLoop:
-      return NaiveNestedLoop(prog, keys, candidates, simd, options.ctx,
-                             stats);
+      return NaiveNestedLoop(prog, keys, candidates, options.ctx, stats);
     case BmoAlgorithm::kBlockNestedLoop:
       return BlockNestedLoop(prog, keys, candidates, options.bnl_window,
-                             simd, options.ctx, stats);
+                             options.ctx, stats);
     case BmoAlgorithm::kSortFilterSkyline:
-      return SortFilterSkyline(prog, keys, candidates, simd, options.ctx,
-                               stats);
+      return SortFilterSkyline(prog, keys, candidates, options.ctx, stats);
     case BmoAlgorithm::kLess:
       return LessSkyline(prog, keys, candidates,
-                         std::max<size_t>(1, options.less_window), simd,
+                         std::max<size_t>(1, options.less_window),
                          options.ctx, stats);
   }
   return {};

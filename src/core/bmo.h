@@ -15,9 +15,11 @@
 //     score volume) drops most dominated tuples in the initial scan, so the
 //     sort and the filter pass run over a fraction of the input.
 //
-// All algorithms read keys from the packed KeyStore and test dominance
-// through the preference's compiled DominanceProgram (flat opcodes,
-// specialized kernels) — see preference/dominance_program.h. The recursive
+// All algorithms read keys from the packed KeyStore and test each tuple
+// against a DominanceWindow (preference/dominance_window.h): the BNL
+// window, the SFS/top-k result and the LESS filter hold their members'
+// keys leaf-major and run the preference's compiled DominanceProgram
+// kernel over them in one pass per tuple. The recursive
 // CompiledPreference::Compare remains the parity oracle.
 //
 // The fifth strategy — the rewrite to standard SQL with a NOT EXISTS
@@ -57,8 +59,9 @@ struct BmoOptions {
   size_t bnl_window = 0;
   /// LESS elimination-filter window capacity in tuples.
   size_t less_window = 32;
-  /// Run the packed kernels through the block SIMD/unrolled path
-  /// (DispatchedSimdVariant decides which); off forces row-at-a-time.
+  /// Retired and read by nothing: the windows run the variant
+  /// DominanceProgram::WindowVariant() picks, which PREFSQL_SIMD controls.
+  /// Kept only so existing callers that assign it still compile.
   bool simd = true;
   /// Cooperative-interrupt context, polled every kInterruptStride tuples.
   /// On an interrupt the algorithms bail out returning a partial (garbage)
@@ -77,8 +80,7 @@ struct BmoStats {
   uint64_t key_build_ns = 0;
   /// Dominance kernel the preference's compiled program dispatched to.
   DominanceKernel kernel = DominanceKernel::kGeneric;
-  /// Block-walk variant the inner loops ran with (scalar for the generic
-  /// kernel or when BmoOptions::simd is off).
+  /// Variant the windows ran with (DominanceProgram::WindowVariant()).
   SimdVariant simd = SimdVariant::kScalar;
 };
 

@@ -12,6 +12,7 @@
 #include "core/analyzer.h"
 #include "core/rewriter.h"
 #include "core/slot_keys.h"
+#include "preference/dominance_window.h"
 #include "sql/normalize.h"
 #include "sql/parameters.h"
 #include "sql/parser.h"
@@ -783,11 +784,7 @@ Result<ResultTable> Engine::ExecuteExplain(
             analyzed.preference().program().kernel())) +
         ", bmo_threads=" + std::to_string(options.bmo_threads) + ", simd=" +
         std::string(SimdVariantToString(
-            options.simd &&
-                    analyzed.preference().program().kernel() !=
-                        DominanceKernel::kGeneric
-                ? DispatchedSimdVariant()
-                : SimdVariant::kScalar)) +
+            analyzed.preference().program().WindowVariant())) +
         ")");
     add("-- " + pplan.pushdown_detail);
     add("-- " + pplan.key_cache_detail);
@@ -860,14 +857,6 @@ void Engine::SnapshotCacheCounters(Session& session) {
 
 namespace {
 
-// Maintenance reuses the block dominance kernels at full dispatch width
-// (it serves every session's cached entries, so there is no per-session
-// simd knob to honor).
-SimdVariant MaintenanceSimd(const DominanceProgram& prog) {
-  return prog.kernel() == DominanceKernel::kGeneric ? SimdVariant::kScalar
-                                                    : DispatchedSimdVariant();
-}
-
 // True iff the ascending position lists `touched` and `skyline` intersect.
 bool TouchesSkyline(const std::vector<uint32_t>& touched,
                     const std::vector<size_t>& skyline) {
@@ -883,30 +872,6 @@ bool TouchesSkyline(const std::vector<uint32_t>& touched,
     }
   }
   return false;
-}
-
-// Dominance-tests row `pos` (already keyed in `keys`) against the evolving
-// skyline: a dominated tuple is discarded, a surviving one evicts the
-// members it dominates and joins. Exact because a non-maximal tuple is
-// always dominated by some *maximal* tuple (follow its dominator chain —
-// finite and acyclic by transitivity/irreflexivity), so testing against the
-// skyline alone decides maximality.
-void AdmitIntoSkyline(const DominanceProgram& prog, const KeyStore& keys,
-                      SimdVariant simd, size_t pos,
-                      std::vector<size_t>* sky) {
-  if (prog.AnyDominates(keys, sky->data(), sky->size(), pos, simd,
-                        nullptr)) {
-    return;
-  }
-  std::vector<uint8_t> evict(sky->size());
-  prog.DominatesBlock(keys, pos, sky->data(), sky->size(), evict.data(),
-                      simd, nullptr);
-  size_t kept = 0;
-  for (size_t w = 0; w < sky->size(); ++w) {
-    if (!evict[w]) (*sky)[kept++] = (*sky)[w];
-  }
-  sky->resize(kept);
-  sky->push_back(pos);
 }
 
 // Re-derives one cache entry under the post-DML state of `table`; nullptr
@@ -941,8 +906,6 @@ std::shared_ptr<const SkylineEntry> MaintainEntry(
   if (heap_now == dml.heap_before) return entry;
 
   const CompiledPreference& pref = *entry->pref;
-  const DominanceProgram& prog = pref.program();
-  const SimdVariant simd = MaintenanceSimd(prog);
   auto keys = std::make_shared<KeyStore>(*entry->keys);
   keys->Reserve(heap_now);
   const std::vector<BoundExpr> leaves = pref.BindLeaves(table.schema());
@@ -959,13 +922,23 @@ std::shared_ptr<const SkylineEntry> MaintainEntry(
     // The surviving members still dominate every surviving old non-member,
     // so admitting the appended tuples one by one against the evolving
     // skyline is exact (an appended tuple that evicts a member dominates
-    // that member's subjects transitively).
-    std::vector<size_t> sky = *entry->skyline;
+    // that member's subjects transitively). Testing against the skyline
+    // alone decides maximality: a non-maximal tuple is always dominated by
+    // some *maximal* tuple (follow its dominator chain — finite and acyclic
+    // by transitivity/irreflexivity). A dominated tuple is discarded; a
+    // surviving one evicts the members it dominates and joins.
+    DominanceWindow sky(pref.program());
+    sky.Reserve(entry->skyline->size() + (heap_now - dml.heap_before));
+    for (size_t pos : *entry->skyline) sky.Admit(*keys, pos);
     for (size_t slot = dml.heap_before; slot < heap_now; ++slot) {
-      AdmitIntoSkyline(prog, *keys, simd, slot, &sky);
+      if (sky.Test(*keys, slot, nullptr)) continue;
+      sky.EvictMarked();
+      sky.Admit(*keys, slot);
     }
-    std::sort(sky.begin(), sky.end());
-    out->skyline = std::move(sky);
+    std::vector<size_t> members(sky.size());
+    for (size_t m = 0; m < sky.size(); ++m) members[m] = sky.index(m);
+    std::sort(members.begin(), members.end());
+    out->skyline = std::move(members);
   }
   out->keys = std::move(keys);
   return out;
@@ -1155,7 +1128,6 @@ const Knob kKnobs[] = {
         "auto_parameterize"),
     MakeKnob<&O::key_cache, SetValueAsBool, EchoBool>("key_cache"),
     MakeKnob<&O::skyline_cache, SetValueAsBool, EchoBool>("skyline_cache"),
-    MakeKnob<&O::simd, SetValueAsBool, EchoBool>("simd"),
     MakeKnob<&O::mvcc_gc, SetValueAsBool, EchoBool>("mvcc_gc"),
     MakeKnob<&O::mvcc_gc_background, SetValueAsBool, EchoBool>(
         "mvcc_gc_background"),

@@ -22,7 +22,6 @@ Result<PreferencePlan> BuildPreferencePlan(
   BmoOptions bmo_options;
   bmo_options.algorithm = options.bmo_algorithm;
   bmo_options.bnl_window = options.bnl_window;
-  bmo_options.simd = options.simd;
   PreferencePlan plan;
   plan.preference = analyzed.pref;
   plan.scope = std::make_unique<StatementScope>(&db.executor());

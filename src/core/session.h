@@ -63,9 +63,10 @@ struct ConnectionOptions {
   /// Consult the engine's preference-key cache (reuses packed KeyStores for
   /// repeated PREFERRING queries over unchanged tables; direct path).
   bool key_cache = true;
-  /// Run the packed dominance kernels through the block SIMD/unrolled path
-  /// (AVX2 where the build and CPU support it); off forces the scalar
-  /// row-at-a-time loops.
+  /// Retired and read by nothing (no `SET` knob reaches it): the dominance
+  /// windows run the variant DominanceProgram::WindowVariant() picks, which
+  /// the PREFSQL_SIMD environment variable controls. Kept only so existing
+  /// callers that read it still compile.
   bool simd = true;
   /// Serve eligible repeated PREFERRING queries straight from the cached
   /// skyline position list, and publish skylines into the cache (direct

@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "preference/composite.h"
-#include "preference/dominance_simd.h"
+#include "preference/dominance_simd.h"  // PREFSQL_HAVE_AVX2_BUILD
 
 namespace prefsql {
 namespace {
@@ -84,169 +84,6 @@ Rel PackedLexCompare(const double* a, const double* b, size_t n) {
   return Rel::kEquivalent;
 }
 
-// -- Scalar single-row helpers for the block API tails --------------------
-
-// Pareto: row strictly dominates target (all <=, some <).
-inline bool ParetoRowDominates(const double* r, const double* t, size_t L) {
-  bool strict = false;
-  for (size_t l = 0; l < L; ++l) {
-    if (r[l] > t[l]) return false;
-    strict |= r[l] < t[l];
-  }
-  return strict;
-}
-
-// Lexicographic: row strictly dominates target (first difference is <).
-inline bool LexRowDominates(const double* r, const double* t, size_t L) {
-  for (size_t l = 0; l < L; ++l) {
-    if (r[l] < t[l]) return true;
-    if (r[l] > t[l]) return false;
-  }
-  return false;
-}
-
-// -- Portable 4-wide unrolled block kernels -------------------------------
-// One candidate slice against four KeyStore row slices per iteration, flag
-// accumulators per lane, early exit once every lane of the group is
-// decided. Exactly the arithmetic the AVX2 forms (dominance_simd.cc) run
-// with vector registers, so both paths agree bit-for-bit (NaN compares
-// false under < and > in both; -0.0 == 0.0 in both).
-
-bool ParetoAnyDominates4(const double* base, size_t L, const size_t* rows,
-                         size_t count, const double* t, size_t* tested) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = base + rows[i] * L;
-    const double* r1 = base + rows[i + 1] * L;
-    const double* r2 = base + rows[i + 2] * L;
-    const double* r3 = base + rows[i + 3] * L;
-    bool w0 = false, w1 = false, w2 = false, w3 = false;
-    bool s0 = false, s1 = false, s2 = false, s3 = false;
-    for (size_t l = 0; l < L; ++l) {
-      const double tl = t[l];
-      w0 |= r0[l] > tl;
-      s0 |= r0[l] < tl;
-      w1 |= r1[l] > tl;
-      s1 |= r1[l] < tl;
-      w2 |= r2[l] > tl;
-      s2 |= r2[l] < tl;
-      w3 |= r3[l] > tl;
-      s3 |= r3[l] < tl;
-      if (w0 & w1 & w2 & w3) break;  // every lane already worse somewhere
-    }
-    if (tested != nullptr) *tested += 4;
-    if ((s0 & !w0) | (s1 & !w1) | (s2 & !w2) | (s3 & !w3)) return true;
-  }
-  for (; i < count; ++i) {
-    if (tested != nullptr) ++*tested;
-    if (ParetoRowDominates(base + rows[i] * L, t, L)) return true;
-  }
-  return false;
-}
-
-void ParetoDominatesBlock4(const double* base, size_t L, const double* c,
-                           const size_t* rows, size_t count, uint8_t* out,
-                           size_t* tested) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = base + rows[i] * L;
-    const double* r1 = base + rows[i + 1] * L;
-    const double* r2 = base + rows[i + 2] * L;
-    const double* r3 = base + rows[i + 3] * L;
-    bool w0 = false, w1 = false, w2 = false, w3 = false;
-    bool s0 = false, s1 = false, s2 = false, s3 = false;
-    for (size_t l = 0; l < L; ++l) {
-      const double cl = c[l];
-      w0 |= cl > r0[l];
-      s0 |= cl < r0[l];
-      w1 |= cl > r1[l];
-      s1 |= cl < r1[l];
-      w2 |= cl > r2[l];
-      s2 |= cl < r2[l];
-      w3 |= cl > r3[l];
-      s3 |= cl < r3[l];
-      if (w0 & w1 & w2 & w3) break;  // candidate worse in every lane
-    }
-    if (tested != nullptr) *tested += 4;
-    out[i] = static_cast<uint8_t>(s0 & !w0);
-    out[i + 1] = static_cast<uint8_t>(s1 & !w1);
-    out[i + 2] = static_cast<uint8_t>(s2 & !w2);
-    out[i + 3] = static_cast<uint8_t>(s3 & !w3);
-  }
-  for (; i < count; ++i) {
-    if (tested != nullptr) ++*tested;
-    out[i] =
-        static_cast<uint8_t>(ParetoRowDominates(c, base + rows[i] * L, L));
-  }
-}
-
-bool LexAnyDominates4(const double* base, size_t L, const size_t* rows,
-                      size_t count, const double* t, size_t* tested) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = base + rows[i] * L;
-    const double* r1 = base + rows[i + 1] * L;
-    const double* r2 = base + rows[i + 2] * L;
-    const double* r3 = base + rows[i + 3] * L;
-    bool d0 = false, d1 = false, d2 = false, d3 = false;  // decided
-    bool b0 = false, b1 = false, b2 = false, b3 = false;  // first diff <
-    for (size_t l = 0; l < L; ++l) {
-      const double tl = t[l];
-      b0 |= !d0 & (r0[l] < tl);
-      d0 |= (r0[l] < tl) | (r0[l] > tl);
-      b1 |= !d1 & (r1[l] < tl);
-      d1 |= (r1[l] < tl) | (r1[l] > tl);
-      b2 |= !d2 & (r2[l] < tl);
-      d2 |= (r2[l] < tl) | (r2[l] > tl);
-      b3 |= !d3 & (r3[l] < tl);
-      d3 |= (r3[l] < tl) | (r3[l] > tl);
-      if (d0 & d1 & d2 & d3) break;
-    }
-    if (tested != nullptr) *tested += 4;
-    if (b0 | b1 | b2 | b3) return true;
-  }
-  for (; i < count; ++i) {
-    if (tested != nullptr) ++*tested;
-    if (LexRowDominates(base + rows[i] * L, t, L)) return true;
-  }
-  return false;
-}
-
-void LexDominatesBlock4(const double* base, size_t L, const double* c,
-                        const size_t* rows, size_t count, uint8_t* out,
-                        size_t* tested) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = base + rows[i] * L;
-    const double* r1 = base + rows[i + 1] * L;
-    const double* r2 = base + rows[i + 2] * L;
-    const double* r3 = base + rows[i + 3] * L;
-    bool d0 = false, d1 = false, d2 = false, d3 = false;
-    bool b0 = false, b1 = false, b2 = false, b3 = false;
-    for (size_t l = 0; l < L; ++l) {
-      const double cl = c[l];
-      b0 |= !d0 & (cl < r0[l]);
-      d0 |= (cl < r0[l]) | (cl > r0[l]);
-      b1 |= !d1 & (cl < r1[l]);
-      d1 |= (cl < r1[l]) | (cl > r1[l]);
-      b2 |= !d2 & (cl < r2[l]);
-      d2 |= (cl < r2[l]) | (cl > r2[l]);
-      b3 |= !d3 & (cl < r3[l]);
-      d3 |= (cl < r3[l]) | (cl > r3[l]);
-      if (d0 & d1 & d2 & d3) break;
-    }
-    if (tested != nullptr) *tested += 4;
-    out[i] = static_cast<uint8_t>(b0);
-    out[i + 1] = static_cast<uint8_t>(b1);
-    out[i + 2] = static_cast<uint8_t>(b2);
-    out[i + 3] = static_cast<uint8_t>(b3);
-  }
-  for (; i < count; ++i) {
-    if (tested != nullptr) ++*tested;
-    out[i] = static_cast<uint8_t>(LexRowDominates(c, base + rows[i] * L, L));
-  }
-}
-
 }  // namespace
 
 const char* DominanceKernelToString(DominanceKernel k) {
@@ -297,76 +134,6 @@ std::string DominanceKernelVariantName(DominanceKernel k, SimdVariant v) {
   std::string name = DominanceKernelToString(k);
   if (k == DominanceKernel::kGeneric) return name;
   return name + "-" + SimdVariantToString(v);
-}
-
-bool DominanceProgram::AnyDominates(const KeyStore& keys, const size_t* rows,
-                                    size_t count, size_t target,
-                                    SimdVariant variant,
-                                    size_t* comparisons) const {
-  if (count == 0) return false;
-  if (kernel_ == DominanceKernel::kGeneric) variant = SimdVariant::kScalar;
-  const double* t = keys.scores(target);
-  if (variant != SimdVariant::kScalar) {
-    const double* base = keys.scores(0);
-#if PREFSQL_HAVE_AVX2_BUILD
-    if (variant == SimdVariant::kAvx2) {
-      return kernel_ == DominanceKernel::kPackedPareto
-                 ? simd_detail::ParetoAnyDominatesAvx2(base, num_leaves_, rows,
-                                                       count, t, comparisons)
-                 : simd_detail::LexAnyDominatesAvx2(base, num_leaves_, rows,
-                                                    count, t, comparisons);
-    }
-#endif
-    return kernel_ == DominanceKernel::kPackedPareto
-               ? ParetoAnyDominates4(base, num_leaves_, rows, count, t,
-                                     comparisons)
-               : LexAnyDominates4(base, num_leaves_, rows, count, t,
-                                  comparisons);
-  }
-  for (size_t i = 0; i < count; ++i) {
-    if (comparisons != nullptr) ++*comparisons;
-    if (Dominates(keys, rows[i], target)) return true;
-  }
-  return false;
-}
-
-void DominanceProgram::DominatesBlock(const KeyStore& keys, size_t candidate,
-                                      const size_t* rows, size_t count,
-                                      uint8_t* out_dominated,
-                                      SimdVariant variant,
-                                      size_t* comparisons) const {
-  if (count == 0) return;
-  if (kernel_ == DominanceKernel::kGeneric) variant = SimdVariant::kScalar;
-  const double* c = keys.scores(candidate);
-  if (variant != SimdVariant::kScalar) {
-    const double* base = keys.scores(0);
-#if PREFSQL_HAVE_AVX2_BUILD
-    if (variant == SimdVariant::kAvx2) {
-      if (kernel_ == DominanceKernel::kPackedPareto) {
-        simd_detail::ParetoDominatesBlockAvx2(base, num_leaves_, c, rows,
-                                              count, out_dominated,
-                                              comparisons);
-      } else {
-        simd_detail::LexDominatesBlockAvx2(base, num_leaves_, c, rows, count,
-                                           out_dominated, comparisons);
-      }
-      return;
-    }
-#endif
-    if (kernel_ == DominanceKernel::kPackedPareto) {
-      ParetoDominatesBlock4(base, num_leaves_, c, rows, count, out_dominated,
-                            comparisons);
-    } else {
-      LexDominatesBlock4(base, num_leaves_, c, rows, count, out_dominated,
-                         comparisons);
-    }
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    if (comparisons != nullptr) ++*comparisons;
-    out_dominated[i] =
-        static_cast<uint8_t>(Dominates(keys, candidate, rows[i]));
-  }
 }
 
 DominanceProgram DominanceProgram::Compile(

@@ -19,6 +19,12 @@
 // Everything else (EXPLICIT partial orders, nested mixes, INTERSECT) runs
 // the generic iterative evaluator. The recursive
 // CompiledPreference::Compare stays untouched as the parity oracle.
+//
+// The BMO loops test one tuple against a set of tuples at a time; they do
+// that through a DominanceWindow (dominance_window.h), which holds the
+// set's scores leaf-major so the packed kernels load four members per
+// instruction. The pairwise Compare below is the generic kernel's window
+// form; Dominates is the tests' row-at-a-time oracle.
 
 #pragma once
 
@@ -44,15 +50,15 @@ enum class DominanceKernel : uint8_t {
 
 const char* DominanceKernelToString(DominanceKernel k);
 
-/// How the block-oriented dominance API (AnyDominates / DominatesBlock)
-/// walks a group of KeyStore rows. The generic opcode kernel always runs
-/// row-at-a-time; the packed kernels additionally support a portable 4-wide
-/// unrolled form and, on x86-64 hosts with AVX2, a vectorized form
-/// comparing four rows per instruction with movemask accumulators.
+/// How a DominanceWindow (dominance_window.h) walks its members. The
+/// generic opcode kernel always runs member-at-a-time; the packed kernels
+/// additionally support a portable 4-wide unrolled form and, on x86-64
+/// hosts with AVX2, a vectorized form comparing four members per
+/// instruction with movemask accumulators.
 enum class SimdVariant : uint8_t {
-  kScalar,     ///< one row at a time (also the generic kernel's only form)
-  kUnrolled4,  ///< portable 4-wide unrolled blocks (any host)
-  kAvx2,       ///< AVX2 256-bit blocks (x86-64 only, runtime-detected)
+  kScalar,     ///< member at a time (also the generic kernel's only form)
+  kUnrolled4,  ///< portable 4-wide unrolled groups (any host)
+  kAvx2,       ///< AVX2 256-bit groups (x86-64 only, runtime-detected)
 };
 
 const char* SimdVariantToString(SimdVariant v);
@@ -93,6 +99,14 @@ class DominanceProgram {
 
   DominanceKernel kernel() const { return kernel_; }
   size_t num_ops() const { return ops_.size(); }
+  size_t num_leaves() const { return num_leaves_; }
+
+  /// The variant the BMO windows run with: scalar for the generic kernel
+  /// (it has no block form), DispatchedSimdVariant() otherwise.
+  SimdVariant WindowVariant() const {
+    return kernel_ == DominanceKernel::kGeneric ? SimdVariant::kScalar
+                                                : DispatchedSimdVariant();
+  }
 
   /// Compares tuples `a` and `b` of `keys` under the full preference.
   Rel Compare(const KeyStore& keys, size_t a, size_t b) const {
@@ -117,29 +131,6 @@ class DominanceProgram {
   /// Raw-slice comparison (slices must hold one score/id per leaf).
   Rel Compare(const double* sa, const int32_t* ia, const double* sb,
               const int32_t* ib) const;
-
-  // -- Block-oriented dominance API ---------------------------------------
-  // The BMO inner loops test one tuple against a set of rows (a window, a
-  // growing result, an elimination filter). These entry points take the
-  // whole row set at once so the packed kernels can stream 4 rows per
-  // iteration (unrolled or AVX2); the generic kernel falls back to the
-  // scalar loop regardless of `variant`. `comparisons`, when non-null, is
-  // incremented by the number of row tests actually performed (blocks
-  // count every lane of a visited group).
-
-  /// True iff any rows[i] (i < count) strictly dominates `target`. A row
-  /// equal to `target` (including target itself) never counts — equal keys
-  /// are not strict dominance — so callers may pass unfiltered row sets.
-  bool AnyDominates(const KeyStore& keys, const size_t* rows, size_t count,
-                    size_t target, SimdVariant variant,
-                    size_t* comparisons) const;
-
-  /// Sets out_dominated[i] = 1 iff `candidate` strictly dominates rows[i],
-  /// 0 otherwise (i < count).
-  void DominatesBlock(const KeyStore& keys, size_t candidate,
-                      const size_t* rows, size_t count,
-                      uint8_t* out_dominated, SimdVariant variant,
-                      size_t* comparisons) const;
 
  private:
   Rel GenericCompare(const double* sa, const int32_t* ia, const double* sb,

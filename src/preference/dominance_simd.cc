@@ -4,168 +4,102 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 namespace prefsql {
 namespace simd_detail {
 namespace {
 
 #define PREFSQL_AVX2 __attribute__((target("avx2")))
 
-// The KeyStore's score vectors carry no alignment guarantee, and the four
-// rows of a group are strided by num_leaves doubles — each group is
-// gathered with _mm256_set_pd (scalar loads + inserts), which still wins
-// because all 2L compares and the per-leaf mask arithmetic of four rows
-// run in two vector ops per leaf.
-PREFSQL_AVX2 inline __m256d GatherLeaf(const double* r0, const double* r1,
-                                       const double* r2, const double* r3,
-                                       size_t l) {
-  return _mm256_set_pd(r3[l], r2[l], r1[l], r0[l]);
+// Writes the four lane bits of `mask` as marks[0..3] (one byte each) with
+// one store: kSpread[m] holds bit k of m in byte k (x86 is little-endian).
+inline void StoreMarks(int mask, uint8_t* marks) {
+  static constexpr uint32_t kSpread[16] = {
+      0x00000000, 0x00000001, 0x00000100, 0x00000101,
+      0x00010000, 0x00010001, 0x00010100, 0x00010101,
+      0x01000000, 0x01000001, 0x01000100, 0x01000101,
+      0x01010000, 0x01010001, 0x01010100, 0x01010101};
+  std::memcpy(marks, &kSpread[mask], sizeof(uint32_t));
 }
 
-// Scalar tails (rows beyond the last full group of four).
-inline bool ParetoRowDominates(const double* r, const double* t, size_t L) {
-  bool strict = false;
-  for (size_t l = 0; l < L; ++l) {
-    if (r[l] > t[l]) return false;
-    strict |= r[l] < t[l];
+// Without marks a group is decided once every lane is worse somewhere (no
+// member can dominate). With marks the leaf loop runs through: stopping
+// early would need every lane incomparable, and testing for that after
+// each leaf costs more than it saves at the usual two to four leaves.
+template <bool kMarks>
+PREFSQL_AVX2 size_t ParetoWindow(const double* cols, size_t stride,
+                                 size_t L, size_t count, const double* t,
+                                 uint8_t* marks, bool* dominated) {
+  size_t g = 0;
+  for (; g + 4 <= count; g += 4) {
+    __m256d better = _mm256_setzero_pd();  // member < target on some leaf
+    __m256d worse = _mm256_setzero_pd();   // member > target on some leaf
+    for (size_t l = 0; l < L; ++l) {
+      const __m256d w = _mm256_loadu_pd(cols + l * stride + g);
+      const __m256d tl = _mm256_broadcast_sd(t + l);
+      better = _mm256_or_pd(better, _mm256_cmp_pd(w, tl, _CMP_LT_OQ));
+      worse = _mm256_or_pd(worse, _mm256_cmp_pd(w, tl, _CMP_GT_OQ));
+      if (!kMarks && _mm256_movemask_pd(worse) == 0xF) break;
+    }
+    const int b = _mm256_movemask_pd(better);
+    const int w = _mm256_movemask_pd(worse);
+    if ((b & ~w) != 0) {
+      *dominated = true;
+      return g + 4;
+    }
+    if (kMarks) StoreMarks(w & ~b, marks + g);
   }
-  return strict;
+  *dominated = false;
+  return g;
 }
 
-inline bool LexRowDominates(const double* r, const double* t, size_t L) {
-  for (size_t l = 0; l < L; ++l) {
-    if (r[l] < t[l]) return true;
-    if (r[l] > t[l]) return false;
+template <bool kMarks>
+PREFSQL_AVX2 size_t LexWindow(const double* cols, size_t stride, size_t L,
+                              size_t count, const double* t, uint8_t* marks,
+                              bool* dominated) {
+  size_t g = 0;
+  for (; g + 4 <= count; g += 4) {
+    __m256d decided = _mm256_setzero_pd();
+    __m256d better = _mm256_setzero_pd();  // first difference is member <
+    for (size_t l = 0; l < L; ++l) {
+      const __m256d w = _mm256_loadu_pd(cols + l * stride + g);
+      const __m256d tl = _mm256_broadcast_sd(t + l);
+      const __m256d lt = _mm256_cmp_pd(w, tl, _CMP_LT_OQ);
+      const __m256d gt = _mm256_cmp_pd(w, tl, _CMP_GT_OQ);
+      better = _mm256_or_pd(better, _mm256_andnot_pd(decided, lt));
+      decided = _mm256_or_pd(decided, _mm256_or_pd(lt, gt));
+      if (_mm256_movemask_pd(decided) == 0xF) break;
+    }
+    const int b = _mm256_movemask_pd(better);
+    if (b != 0) {
+      *dominated = true;
+      return g + 4;
+    }
+    // No lane is better, so a decided lane's first difference is member >.
+    if (kMarks) StoreMarks(_mm256_movemask_pd(decided), marks + g);
   }
-  return false;
+  *dominated = false;
+  return g;
 }
 
 }  // namespace
 
-PREFSQL_AVX2
-bool ParetoAnyDominatesAvx2(const double* base, size_t L, const size_t* rows,
-                            size_t count, const double* t, size_t* tested) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = base + rows[i] * L;
-    const double* r1 = base + rows[i + 1] * L;
-    const double* r2 = base + rows[i + 2] * L;
-    const double* r3 = base + rows[i + 3] * L;
-    __m256d worse = _mm256_setzero_pd();
-    __m256d strict = _mm256_setzero_pd();
-    for (size_t l = 0; l < L; ++l) {
-      const __m256d tl = _mm256_set1_pd(t[l]);
-      const __m256d r = GatherLeaf(r0, r1, r2, r3, l);
-      worse = _mm256_or_pd(worse, _mm256_cmp_pd(r, tl, _CMP_GT_OQ));
-      strict = _mm256_or_pd(strict, _mm256_cmp_pd(r, tl, _CMP_LT_OQ));
-      if (_mm256_movemask_pd(worse) == 0xF) break;  // every lane worse
-    }
-    if (tested != nullptr) *tested += 4;
-    if ((_mm256_movemask_pd(strict) & ~_mm256_movemask_pd(worse)) != 0) {
-      return true;
-    }
-  }
-  for (; i < count; ++i) {
-    if (tested != nullptr) ++*tested;
-    if (ParetoRowDominates(base + rows[i] * L, t, L)) return true;
-  }
-  return false;
+size_t ParetoWindowAvx2(const double* cols, size_t stride, size_t L,
+                        size_t count, const double* t, uint8_t* marks,
+                        bool* dominated) {
+  return marks != nullptr
+             ? ParetoWindow<true>(cols, stride, L, count, t, marks, dominated)
+             : ParetoWindow<false>(cols, stride, L, count, t, marks,
+                                   dominated);
 }
 
-PREFSQL_AVX2
-void ParetoDominatesBlockAvx2(const double* base, size_t L, const double* c,
-                              const size_t* rows, size_t count, uint8_t* out,
-                              size_t* tested) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = base + rows[i] * L;
-    const double* r1 = base + rows[i + 1] * L;
-    const double* r2 = base + rows[i + 2] * L;
-    const double* r3 = base + rows[i + 3] * L;
-    __m256d worse = _mm256_setzero_pd();
-    __m256d strict = _mm256_setzero_pd();
-    for (size_t l = 0; l < L; ++l) {
-      const __m256d cl = _mm256_set1_pd(c[l]);
-      const __m256d r = GatherLeaf(r0, r1, r2, r3, l);
-      worse = _mm256_or_pd(worse, _mm256_cmp_pd(cl, r, _CMP_GT_OQ));
-      strict = _mm256_or_pd(strict, _mm256_cmp_pd(cl, r, _CMP_LT_OQ));
-      if (_mm256_movemask_pd(worse) == 0xF) break;  // candidate worse all
-    }
-    if (tested != nullptr) *tested += 4;
-    const int dom = _mm256_movemask_pd(strict) & ~_mm256_movemask_pd(worse);
-    out[i] = static_cast<uint8_t>(dom & 1);
-    out[i + 1] = static_cast<uint8_t>((dom >> 1) & 1);
-    out[i + 2] = static_cast<uint8_t>((dom >> 2) & 1);
-    out[i + 3] = static_cast<uint8_t>((dom >> 3) & 1);
-  }
-  for (; i < count; ++i) {
-    if (tested != nullptr) ++*tested;
-    out[i] =
-        static_cast<uint8_t>(ParetoRowDominates(c, base + rows[i] * L, L));
-  }
-}
-
-PREFSQL_AVX2
-bool LexAnyDominatesAvx2(const double* base, size_t L, const size_t* rows,
-                         size_t count, const double* t, size_t* tested) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = base + rows[i] * L;
-    const double* r1 = base + rows[i + 1] * L;
-    const double* r2 = base + rows[i + 2] * L;
-    const double* r3 = base + rows[i + 3] * L;
-    __m256d decided = _mm256_setzero_pd();
-    __m256d better = _mm256_setzero_pd();
-    for (size_t l = 0; l < L; ++l) {
-      const __m256d tl = _mm256_set1_pd(t[l]);
-      const __m256d r = GatherLeaf(r0, r1, r2, r3, l);
-      const __m256d lt = _mm256_cmp_pd(r, tl, _CMP_LT_OQ);
-      const __m256d gt = _mm256_cmp_pd(r, tl, _CMP_GT_OQ);
-      better = _mm256_or_pd(better, _mm256_andnot_pd(decided, lt));
-      decided = _mm256_or_pd(decided, _mm256_or_pd(lt, gt));
-      if (_mm256_movemask_pd(decided) == 0xF) break;
-    }
-    if (tested != nullptr) *tested += 4;
-    if (_mm256_movemask_pd(better) != 0) return true;
-  }
-  for (; i < count; ++i) {
-    if (tested != nullptr) ++*tested;
-    if (LexRowDominates(base + rows[i] * L, t, L)) return true;
-  }
-  return false;
-}
-
-PREFSQL_AVX2
-void LexDominatesBlockAvx2(const double* base, size_t L, const double* c,
-                           const size_t* rows, size_t count, uint8_t* out,
-                           size_t* tested) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = base + rows[i] * L;
-    const double* r1 = base + rows[i + 1] * L;
-    const double* r2 = base + rows[i + 2] * L;
-    const double* r3 = base + rows[i + 3] * L;
-    __m256d decided = _mm256_setzero_pd();
-    __m256d better = _mm256_setzero_pd();
-    for (size_t l = 0; l < L; ++l) {
-      const __m256d cl = _mm256_set1_pd(c[l]);
-      const __m256d r = GatherLeaf(r0, r1, r2, r3, l);
-      const __m256d lt = _mm256_cmp_pd(cl, r, _CMP_LT_OQ);
-      const __m256d gt = _mm256_cmp_pd(cl, r, _CMP_GT_OQ);
-      better = _mm256_or_pd(better, _mm256_andnot_pd(decided, lt));
-      decided = _mm256_or_pd(decided, _mm256_or_pd(lt, gt));
-      if (_mm256_movemask_pd(decided) == 0xF) break;
-    }
-    if (tested != nullptr) *tested += 4;
-    const int dom = _mm256_movemask_pd(better);
-    out[i] = static_cast<uint8_t>(dom & 1);
-    out[i + 1] = static_cast<uint8_t>((dom >> 1) & 1);
-    out[i + 2] = static_cast<uint8_t>((dom >> 2) & 1);
-    out[i + 3] = static_cast<uint8_t>((dom >> 3) & 1);
-  }
-  for (; i < count; ++i) {
-    if (tested != nullptr) ++*tested;
-    out[i] = static_cast<uint8_t>(LexRowDominates(c, base + rows[i] * L, L));
-  }
+size_t LexWindowAvx2(const double* cols, size_t stride, size_t L,
+                     size_t count, const double* t, uint8_t* marks,
+                     bool* dominated) {
+  return marks != nullptr
+             ? LexWindow<true>(cols, stride, L, count, t, marks, dominated)
+             : LexWindow<false>(cols, stride, L, count, t, marks, dominated);
 }
 
 #undef PREFSQL_AVX2

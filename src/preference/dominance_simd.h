@@ -1,13 +1,13 @@
-// AVX2 forms of the packed block dominance kernels (internal to
-// preference/). Compiled with a per-function target("avx2") attribute so
-// the rest of the library keeps the baseline ISA; DominanceProgram only
-// calls these after DispatchedSimdVariant() confirmed runtime support.
+// AVX2 forms of the packed window kernels (internal to preference/).
+// Compiled with a per-function target("avx2") attribute so the rest of the
+// library keeps the baseline ISA; DominanceWindow only calls these after
+// DispatchedSimdVariant() confirmed runtime support.
 //
-// Each function walks `rows[0..count)` as slices of `base` (stride =
-// num_leaves doubles) against one broadcast candidate/target slice, four
-// rows per 256-bit group, accumulating better/worse lane masks and
-// deciding groups via movemask. The comparison predicates are ordered-
-// quiet (_CMP_LT_OQ/_CMP_GT_OQ): NaN compares false both ways and
+// Each function walks the full groups of four members of a leaf-major
+// window (dominance_window.h) against one broadcast target slice: one
+// unaligned 256-bit load per leaf and group, better/worse lane masks
+// accumulated and decided via movemask. The comparison predicates are
+// ordered-quiet (_CMP_LT_OQ/_CMP_GT_OQ): NaN compares false both ways and
 // -0.0 == 0.0, exactly like the scalar `<`/`>` the portable kernels use,
 // so all variants agree bit-for-bit.
 
@@ -28,25 +28,22 @@
 namespace prefsql {
 namespace simd_detail {
 
-/// True iff any rows[i] Pareto-dominates the target slice `t`.
-bool ParetoAnyDominatesAvx2(const double* base, size_t num_leaves,
-                            const size_t* rows, size_t count, const double* t,
-                            size_t* tested);
+// `cols + l * stride` is leaf l's column of `count` members; `t` is the
+// target's score slice. The walk stops after the first group holding a
+// member that dominates `t` (*dominated = true). With `marks` non-null,
+// marks[m] = 1 iff `t` dominates member m, for every member of the groups
+// walked before that. Returns the number of members walked (a multiple of
+// four); the caller tests the tail members one at a time.
 
-/// out[i] = 1 iff candidate slice `c` Pareto-dominates rows[i].
-void ParetoDominatesBlockAvx2(const double* base, size_t num_leaves,
-                              const double* c, const size_t* rows,
-                              size_t count, uint8_t* out, size_t* tested);
+/// Pareto over the leaves.
+size_t ParetoWindowAvx2(const double* cols, size_t stride, size_t num_leaves,
+                        size_t count, const double* t, uint8_t* marks,
+                        bool* dominated);
 
-/// True iff any rows[i] lexicographically dominates the target slice `t`.
-bool LexAnyDominatesAvx2(const double* base, size_t num_leaves,
-                         const size_t* rows, size_t count, const double* t,
-                         size_t* tested);
-
-/// out[i] = 1 iff candidate slice `c` lexicographically dominates rows[i].
-void LexDominatesBlockAvx2(const double* base, size_t num_leaves,
-                           const double* c, const size_t* rows, size_t count,
-                           uint8_t* out, size_t* tested);
+/// Lexicographic over the leaves (the first differing leaf decides).
+size_t LexWindowAvx2(const double* cols, size_t stride, size_t num_leaves,
+                     size_t count, const double* t, uint8_t* marks,
+                     bool* dominated);
 
 }  // namespace simd_detail
 }  // namespace prefsql

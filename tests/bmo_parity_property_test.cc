@@ -10,18 +10,25 @@
 //     oracle on randomized preference trees including EXPLICIT leaves
 //     (weak-order and general partial orders), DUAL wrappers, Prioritized /
 //     Pareto / INTERSECT mixes — ≥10k (preference, key-pair) samples.
+//   * A DominanceWindow's fused pass (dominated flag, eviction marks and
+//     comparison charge) must agree with the row-at-a-time oracle through
+//     admits, evictions and replacements, under every SIMD variant.
+//   * The BMO algorithms' comparison counts repeat pinned values.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/bmo.h"
 #include "core/connection.h"
+#include "preference/dominance_window.h"
 #include "sql/parser.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -321,6 +328,13 @@ TEST(DominanceProgramParityTest, ProgramMatchesRecursiveCompareOracle) {
             << DominanceKernelToString(pref->program().kernel());
         EXPECT_EQ(pref->program().Dominates(store, i, j),
                   want == Rel::kBetter);
+        // The fused window pass reads "j dominates i" off Compare(i, j) ==
+        // kWorse, which holds only if the relation is antisymmetric.
+        EXPECT_EQ(want == Rel::kWorse,
+                  pref->Compare(oracle_keys[j], oracle_keys[i]) ==
+                      Rel::kBetter);
+        EXPECT_EQ(got == Rel::kWorse,
+                  pref->program().Compare(store, j, i) == Rel::kBetter);
         ++samples;
       }
     }
@@ -343,110 +357,218 @@ std::vector<SimdVariant> BlockVariants() {
   return v;
 }
 
-// Checks AnyDominates / DominatesBlock against the row-at-a-time Dominates
-// oracle for every target row of `store`, under every supported variant.
-void CheckBlockParity(const DominanceProgram& prog, const KeyStore& store,
-                      const std::vector<size_t>& rows) {
-  for (size_t target = 0; target < store.size(); ++target) {
-    bool want_any = false;
-    for (size_t r : rows) want_any |= prog.Dominates(store, r, target);
-    std::vector<uint8_t> want_block(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      want_block[i] = prog.Dominates(store, target, rows[i]) ? 1 : 0;
+// The comparison charge of one window pass (dominance_window.h) whose
+// first dominating member is `first` (`n` when none): the lanes visited up
+// to and including it, plus the window size again for a marking pass that
+// no member dominates.
+size_t ExpectedCharge(SimdVariant v, size_t n, size_t first, bool marking) {
+  if (first == n) return marking ? 2 * n : n;
+  if (v == SimdVariant::kScalar || first >= n / 4 * 4) return first + 1;
+  return (first / 4 + 1) * 4;
+}
+
+// Drives one window through random admits, fused passes, evictions and
+// replacements. After every step its membership must equal a mirror kept
+// beside it, and its answers for a random target must equal the
+// row-at-a-time Dominates oracle over that mirror, in both directions.
+void CheckWindowParity(const DominanceProgram& prog, const KeyStore& store,
+                       SimdVariant variant, Random& rng) {
+  SCOPED_TRACE(std::string("variant ") + SimdVariantToString(variant));
+  DominanceWindow window(prog, variant);
+  struct Mirror {
+    size_t index;
+    size_t insert_pass;
+  };
+  std::vector<Mirror> mirror;
+  const int64_t last_row = static_cast<int64_t>(store.size()) - 1;
+  for (size_t step = 0; step < 3 * store.size(); ++step) {
+    const size_t t = static_cast<size_t>(rng.Uniform(0, last_row));
+    const size_t n = mirror.size();
+    size_t first = n;
+    for (size_t m = 0; m < n && first == n; ++m) {
+      if (prog.Dominates(store, mirror[m].index, t)) first = m;
+    }
+    const bool want = first < n;
+    size_t comparisons = 0;
+    ASSERT_EQ(window.Dominated(store, t, &comparisons), want)
+        << "step " << step << ", target " << t;
+    EXPECT_EQ(comparisons, ExpectedCharge(window.variant(), n, first, false));
+    comparisons = 0;
+    ASSERT_EQ(window.Test(store, t, &comparisons), want)
+        << "step " << step << ", target " << t;
+    EXPECT_EQ(comparisons, ExpectedCharge(window.variant(), n, first, true));
+    std::vector<bool> dominated_by_t(n);
+    for (size_t m = 0; m < n; ++m) {
+      dominated_by_t[m] = prog.Dominates(store, t, mirror[m].index);
+      if (!want) {
+        ASSERT_EQ(window.marked(m), dominated_by_t[m])
+            << "step " << step << ", target " << t << ", member " << m;
+      }
+    }
+
+    std::vector<bool> drop(n, false);
+    switch (rng.Uniform(0, 5)) {
+      case 0:
+      case 1:
+      case 2:  // a BNL step; a dominated t joins too (no antichain needed)
+        if (!want) {
+          window.EvictMarked();
+          drop = dominated_by_t;
+        }
+        window.Admit(store, t, step);
+        break;
+      case 3:
+        if (n > 0) {
+          const size_t m = static_cast<size_t>(
+              rng.Uniform(0, static_cast<int64_t>(n) - 1));
+          window.Replace(m, store, t);
+          mirror[m] = {t, 0};
+        }
+        break;
+      case 4:
+        for (size_t m = 0; m < n; ++m) drop[m] = rng.Bernoulli(0.3);
+        window.EvictIf([&](size_t m) {
+          EXPECT_EQ(window.index(m), mirror[m].index);
+          return drop[m];
+        });
+        break;
+      default:
+        break;
+    }
+    std::vector<Mirror> kept;
+    for (size_t m = 0; m < n; ++m) {
+      if (!drop[m]) kept.push_back(mirror[m]);
+    }
+    if (kept.size() < window.size()) kept.push_back({t, step});
+    mirror = std::move(kept);
+    ASSERT_EQ(window.size(), mirror.size()) << "step " << step;
+    for (size_t m = 0; m < mirror.size(); ++m) {
+      ASSERT_EQ(window.index(m), mirror[m].index) << "step " << step;
+      ASSERT_EQ(window.insert_pass(m), mirror[m].insert_pass);
+    }
+  }
+}
+
+// NaN (incomparable both ways), -0.0 == 0.0 and ±inf, beside a few
+// ordinary scores.
+const std::vector<double>& SpecialScores() {
+  static const std::vector<double> specials = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::infinity(),
+      -1.0,
+      -0.0,
+      0.0,
+      1.0,
+      2.0,
+      std::numeric_limits<double>::infinity()};
+  return specials;
+}
+
+const DominanceProgram& ProgramOf(const std::string& text,
+                                  std::optional<CompiledPreference>* holder) {
+  auto term = ParsePreference(text);
+  EXPECT_TRUE(term.ok()) << term.status().ToString();
+  auto pref = CompiledPreference::Compile(**term);
+  EXPECT_TRUE(pref.ok()) << pref.status().ToString();
+  holder->emplace(std::move(pref).value());
+  return (*holder)->program();
+}
+
+// Window parity on random packed Pareto and packed lex trees whose scores
+// are drawn from SpecialScores(), under every variant this host runs.
+TEST(DominanceWindowParityTest, PackedWindowsMatchTheRowOracle) {
+  Random rng(20261019);
+  for (size_t t = 0; t < 80; ++t) {
+    const bool pareto = t % 2 == 0;
+    const size_t leaves =
+        static_cast<size_t>(rng.Uniform(pareto ? 1 : 2, 5));
+    std::string text;
+    for (size_t l = 0; l < leaves; ++l) {
+      if (l > 0) text += pareto ? " AND " : " CASCADE ";
+      text += "LOWEST(c" + std::to_string(l) + ")";
+    }
+    SCOPED_TRACE("PREFERRING " + text);
+    std::optional<CompiledPreference> pref;
+    const DominanceProgram& prog = ProgramOf(text, &pref);
+    ASSERT_EQ(prog.kernel(), pareto ? DominanceKernel::kPackedPareto
+                                    : DominanceKernel::kPackedLex);
+    KeyStore store(leaves);
+    const size_t rows = static_cast<size_t>(rng.Uniform(5, 40));
+    const auto& specials = SpecialScores();
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t l = 0; l < leaves; ++l) {
+        store.PushLeaf(specials[static_cast<size_t>(rng.Uniform(
+                           0, static_cast<int64_t>(specials.size()) - 1))],
+                       -1);
+      }
+      store.CommitRow();
     }
     for (SimdVariant v : BlockVariants()) {
-      size_t comparisons = 0;
-      EXPECT_EQ(prog.AnyDominates(store, rows.data(), rows.size(), target, v,
-                                  &comparisons),
-                want_any)
-          << "AnyDominates, variant " << SimdVariantToString(v)
-          << ", target " << target;
-      if (want_any) {
-        EXPECT_GT(comparisons, 0u);
-      }
-      std::vector<uint8_t> got(rows.size(), 0xee);
-      prog.DominatesBlock(store, target, rows.data(), rows.size(),
-                          got.data(), v, /*comparisons=*/nullptr);
-      EXPECT_EQ(got, want_block)
-          << "DominatesBlock, variant " << SimdVariantToString(v)
-          << ", candidate " << target;
+      CheckWindowParity(prog, store, v, rng);
     }
   }
 }
 
-// Block-kernel parity on randomized trees: the group-of-4 unrolled and
-// AVX2 forms must agree bit-for-bit with the scalar loop, including on row
-// sets shorter than the vector width (tail handling) and shuffled subsets.
-TEST(DominanceProgramParityTest, BlockKernelsMatchTheScalarOracle) {
-  Random rng(20260808);
-  Schema schema = Schema::FromNames({"c0", "c1", "c2", "c3", "c4", "c5"});
-  size_t packed_trees = 0;
-  for (size_t t = 0; t < 80; ++t) {
-    size_t next_col = static_cast<size_t>(rng.Uniform(0, 5));
-    std::string text = RandomTreeText(rng, 2, &next_col);
-    SCOPED_TRACE("PREFERRING " + text);
-    auto term = ParsePreference(text);
-    ASSERT_TRUE(term.ok()) << term.status().ToString();
-    auto pref = CompiledPreference::Compile(**term);
-    ASSERT_TRUE(pref.ok()) << pref.status().ToString();
-    if (pref->program().kernel() != DominanceKernel::kGeneric) {
-      ++packed_trees;
-    }
-
-    // Row counts straddle the 4-wide group size: every tail length 1..9
-    // shows up across iterations, as do multi-group sets.
-    size_t n = static_cast<size_t>(t % 2 == 0 ? rng.Uniform(1, 9)
-                                              : rng.Uniform(10, 30));
-    KeyStore store(pref->num_leaves());
-    store.Reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      ASSERT_TRUE(pref->AppendKey(schema, RandomTreeRow(rng), &store).ok());
-    }
-    std::vector<size_t> rows;  // random subset, shuffled (non-contiguous)
-    for (size_t r = 0; r < n; ++r) {
-      if (rng.Bernoulli(0.8)) rows.push_back(r);
-    }
-    for (size_t i = rows.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(
-          rng.Uniform(0, static_cast<int64_t>(i) - 1));
-      std::swap(rows[i - 1], rows[j]);
-    }
-    CheckBlockParity(pref->program(), store, rows);
-  }
-  EXPECT_GT(packed_trees, 20u);
-}
-
-// NaN (incomparable both ways), -0.0 == 0.0, and ±inf must behave
-// identically across scalar, unrolled and AVX2 forms — the vector
-// comparisons are ordered-quiet (_CMP_LT_OQ/_CMP_GT_OQ) exactly so this
-// holds. Every (special, special) pair appears as a row of both a packed
-// Pareto and a packed lex store; 49 rows also exercises the 4-wide tail.
-TEST(DominanceProgramParityTest, BlockKernelsAgreeOnAdversarialDoubles) {
-  const double kNaN = std::numeric_limits<double>::quiet_NaN();
-  const double kInf = std::numeric_limits<double>::infinity();
-  const std::vector<double> specials = {kNaN, -kInf, -1.0, -0.0,
-                                        0.0,  1.0,   kInf};
+// Every (special, special) pair as a row of a two-leaf Pareto and a
+// two-leaf lex store.
+TEST(DominanceWindowParityTest, WindowsAgreeOnAdversarialDoubles) {
+  Random rng(20261020);
   for (const char* text :
        {"LOWEST(a) AND LOWEST(b)", "LOWEST(a) CASCADE LOWEST(b)"}) {
     SCOPED_TRACE(text);
-    auto term = ParsePreference(text);
-    ASSERT_TRUE(term.ok());
-    auto pref = CompiledPreference::Compile(**term);
-    ASSERT_TRUE(pref.ok());
-    ASSERT_NE(pref->program().kernel(), DominanceKernel::kGeneric);
-
+    std::optional<CompiledPreference> pref;
+    const DominanceProgram& prog = ProgramOf(text, &pref);
+    ASSERT_NE(prog.kernel(), DominanceKernel::kGeneric);
     KeyStore store(2);
-    for (double a : specials) {
-      for (double b : specials) {
+    for (double a : SpecialScores()) {
+      for (double b : SpecialScores()) {
         store.PushLeaf(a, -1);
         store.PushLeaf(b, -1);
         store.CommitRow();
       }
     }
-    std::vector<size_t> rows(store.size());
-    for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
-    CheckBlockParity(pref->program(), store, rows);
+    for (SimdVariant v : BlockVariants()) {
+      CheckWindowParity(prog, store, v, rng);
+    }
   }
+}
+
+// Window parity on the randomized trees of the oracle test (EXPLICIT DAGs,
+// mixed combinators, INTERSECT: mostly the generic kernel), over rows whose
+// numeric columns include NaN, ±inf and -0.0.
+TEST(DominanceWindowParityTest, GenericWindowsMatchTheRowOracle) {
+  Random rng(20261021);
+  Schema schema = Schema::FromNames({"c0", "c1", "c2", "c3", "c4", "c5"});
+  size_t generic_trees = 0;
+  for (size_t t = 0; t < 60; ++t) {
+    size_t next_col = static_cast<size_t>(rng.Uniform(0, 5));
+    const std::string text = RandomTreeText(rng, 2, &next_col);
+    SCOPED_TRACE("PREFERRING " + text);
+    auto term = ParsePreference(text);
+    ASSERT_TRUE(term.ok()) << term.status().ToString();
+    auto pref = CompiledPreference::Compile(**term);
+    ASSERT_TRUE(pref.ok()) << pref.status().ToString();
+    if (pref->program().kernel() == DominanceKernel::kGeneric) {
+      ++generic_trees;
+    }
+    KeyStore store(pref->num_leaves());
+    const size_t rows = static_cast<size_t>(rng.Uniform(5, 30));
+    const auto& specials = SpecialScores();
+    for (size_t r = 0; r < rows; ++r) {
+      Row row = RandomTreeRow(rng);
+      for (Value& v : row) {
+        if (v.type() == ValueType::kInt && rng.Bernoulli(0.3)) {
+          v = Value::Double(specials[static_cast<size_t>(rng.Uniform(
+              0, static_cast<int64_t>(specials.size()) - 1))]);
+        }
+      }
+      ASSERT_TRUE(pref->AppendKey(schema, row, &store).ok());
+    }
+    for (SimdVariant v : BlockVariants()) {
+      CheckWindowParity(pref->program(), store, v, rng);
+    }
+  }
+  EXPECT_GT(generic_trees, 20u);
 }
 
 // The packed kernels engage exactly for the advertised shapes.
@@ -547,6 +669,171 @@ TEST(BmoParityPropertyTest, GroupingPartitionsMatchPerGroupReference) {
     }
     std::sort(actual.begin(), actual.end());
     EXPECT_EQ(actual, expected) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned dominance-test counts.
+// ---------------------------------------------------------------------------
+
+// BmoStats::comparisons charges the lanes a window pass visits: one per
+// member in the scalar form; in the 4-wide forms (unrolled4, avx2) four per
+// group up to the group holding the first dominating member, one per tail
+// member. A candidate that no member dominates is also charged the window
+// size for its eviction test. The counts below were recorded before the
+// BMO windows moved to a packed layout; any change to a window's member
+// order, its early exits or its charging shows up here to the unit. The
+// parity suites re-run under PREFSQL_SIMD=scalar and =unrolled4, which
+// checks the scalar column and the 4-wide column on every host.
+struct CountPin {
+  const char* pref;
+  const char* algorithm;
+  size_t scalar_comparisons;
+  size_t block_comparisons;
+  size_t passes;
+};
+
+// Rows over a, b (anti-correlated, so two-leaf Pareto skylines are wide),
+// c (small domain, many ties) and a colour for an EXPLICIT leaf.
+std::vector<Row> PinRows(size_t n, uint64_t seed) {
+  static const char* kColours[] = {"red", "green", "blue", "grey", "white"};
+  Random rng(seed);
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t a = rng.Uniform(0, 60);
+    rows.push_back({Value::Int(a), Value::Int(60 - a + rng.Uniform(0, 12)),
+                    Value::Int(rng.Uniform(0, 30)),
+                    Value::Text(kColours[rng.Uniform(0, 4)])});
+  }
+  return rows;
+}
+
+std::map<std::string, std::pair<size_t, size_t>> PinnedRuns(
+    const std::string& pref_text) {
+  auto term = ParsePreference(pref_text);
+  EXPECT_TRUE(term.ok()) << term.status().ToString();
+  auto pref = CompiledPreference::Compile(**term);
+  EXPECT_TRUE(pref.ok()) << pref.status().ToString();
+  const Schema schema = Schema::FromNames({"a", "b", "c", "col"});
+  auto keyed = [&](size_t n, uint64_t seed, KeyStore* keys,
+                   std::vector<size_t>* all) {
+    keys->Reset(pref->num_leaves());
+    for (const Row& row : PinRows(n, seed)) {
+      EXPECT_TRUE(pref->AppendKey(schema, row, keys).ok());
+      all->push_back(all->size());
+    }
+  };
+  KeyStore keys;
+  std::vector<size_t> all;
+  keyed(700, 777, &keys, &all);
+  KeyStore big_keys;  // ≥ 4096 rows: top-k runs its LESS prepass
+  std::vector<size_t> big_all;
+  keyed(4500, 778, &big_keys, &big_all);
+
+  std::map<std::string, std::pair<size_t, size_t>> out;
+  auto run = [&](const std::string& name, BmoOptions options) {
+    BmoStats stats;
+    ComputeBmo(*pref, keys, all, options, &stats);
+    out[name] = {stats.comparisons, stats.passes};
+  };
+  run("naive", {BmoAlgorithm::kNaiveNestedLoop, 0});
+  for (size_t window : {size_t{0}, size_t{1}, size_t{2}, size_t{7}}) {
+    run("bnl" + std::to_string(window),
+        {BmoAlgorithm::kBlockNestedLoop, window});
+  }
+  run("sfs", {BmoAlgorithm::kSortFilterSkyline, 0});
+  for (size_t ef : {size_t{4}, size_t{32}}) {
+    BmoOptions options;
+    options.algorithm = BmoAlgorithm::kLess;
+    options.less_window = ef;
+    run("less" + std::to_string(ef), options);
+  }
+  for (size_t k : {size_t{1}, size_t{5}}) {
+    BmoStats stats;
+    ComputeBmoTopK(*pref, keys, all, k, {}, &stats);
+    out["top" + std::to_string(k)] = {stats.comparisons, stats.passes};
+    BmoStats big_stats;
+    ComputeBmoTopK(*pref, big_keys, big_all, k, {}, &big_stats);
+    out["top" + std::to_string(k) + "_ef"] = {big_stats.comparisons,
+                                              big_stats.passes};
+  }
+  return out;
+}
+
+TEST(BmoComparisonCountTest, CountsRepeatThePinnedValues) {
+  const std::map<std::string, std::string> kPrefs = {
+      {"pareto2", "LOWEST(a) AND LOWEST(b)"},
+      {"pareto3", "LOWEST(a) AND LOWEST(b) AND HIGHEST(c)"},
+      {"lex3", "LOWEST(c) CASCADE LOWEST(a) CASCADE HIGHEST(b)"},
+      // Not a chain, hence the generic kernel.
+      {"explicit",
+       "LOWEST(a) AND col EXPLICIT ('red' BETTER THAN 'green', "
+       "'blue' BETTER THAN 'green')"},
+  };
+  const bool scalar = DispatchedSimdVariant() == SimdVariant::kScalar;
+  const CountPin kPins[] = {
+      {"pareto2", "naive", 79686, 80640, 1},
+      {"pareto2", "bnl0", 13533, 14504, 1},
+      {"pareto2", "bnl1", 25827, 25827, 153},
+      {"pareto2", "bnl2", 24847, 24847, 77},
+      {"pareto2", "bnl7", 21442, 22049, 21},
+      {"pareto2", "sfs", 20269, 21168, 1},
+      {"pareto2", "less4", 18349, 19262, 1},
+      {"pareto2", "less32", 13589, 14696, 1},
+      {"pareto2", "top1", 0, 0, 1},
+      {"pareto2", "top1_ef", 58357, 65082, 1},
+      {"pareto2", "top5", 53, 77, 1},
+      {"pareto2", "top5_ef", 58367, 65092, 1},
+      {"pareto3", "naive", 111633, 112620, 1},
+      {"pareto3", "bnl0", 22857, 23722, 1},
+      {"pareto3", "bnl1", 40003, 40003, 175},
+      {"pareto3", "bnl2", 39149, 39149, 87},
+      {"pareto3", "bnl7", 36756, 37176, 25},
+      {"pareto3", "sfs", 29609, 30405, 1},
+      {"pareto3", "less4", 25671, 26606, 1},
+      {"pareto3", "less32", 21230, 22227, 1},
+      {"pareto3", "top1", 0, 0, 1},
+      {"pareto3", "top1_ef", 56375, 61477, 1},
+      {"pareto3", "top5", 48, 52, 1},
+      {"pareto3", "top5_ef", 56436, 61538, 1},
+      {"lex3", "naive", 6687, 7532, 1},
+      {"lex3", "bnl0", 708, 708, 1},
+      {"lex3", "bnl1", 708, 708, 1},
+      {"lex3", "bnl2", 708, 708, 1},
+      {"lex3", "bnl7", 708, 708, 1},
+      {"lex3", "sfs", 699, 699, 1},
+      {"lex3", "less4", 1267, 2796, 1},
+      {"lex3", "less32", 2343, 3774, 1},
+      {"lex3", "top1", 0, 0, 1},
+      {"lex3", "top1_ef", 9998, 20027, 1},
+      {"lex3", "top5", 699, 699, 1},
+      {"lex3", "top5_ef", 10011, 20040, 1},
+      {"explicit", "naive", 10840, 10840, 1},
+      {"explicit", "bnl0", 904, 904, 1},
+      {"explicit", "bnl1", 1303, 1303, 13},
+      {"explicit", "bnl2", 931, 931, 7},
+      {"explicit", "bnl7", 904, 904, 1},
+      {"explicit", "sfs", 859, 859, 1},
+      {"explicit", "less4", 946, 946, 1},
+      {"explicit", "less32", 1327, 1327, 1},
+      {"explicit", "top1", 0, 0, 1},
+      {"explicit", "top1_ef", 11999, 11999, 1},
+      {"explicit", "top5", 10, 10, 1},
+      {"explicit", "top5_ef", 12009, 12009, 1},
+  };
+  std::map<std::string, std::map<std::string, std::pair<size_t, size_t>>>
+      runs;
+  for (const CountPin& pin : kPins) {
+    if (!runs.count(pin.pref)) runs[pin.pref] = PinnedRuns(kPrefs.at(pin.pref));
+    const auto& run = runs[pin.pref];
+    auto it = run.find(pin.algorithm);
+    ASSERT_NE(it, run.end()) << pin.algorithm;
+    EXPECT_EQ(it->second.first,
+              scalar ? pin.scalar_comparisons : pin.block_comparisons)
+        << pin.pref << " / " << pin.algorithm << " ("
+        << SimdVariantToString(DispatchedSimdVariant()) << ")";
+    EXPECT_EQ(it->second.second, pin.passes)
+        << pin.pref << " / " << pin.algorithm;
   }
 }
 
