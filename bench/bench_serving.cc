@@ -1,11 +1,11 @@
-// Serving-scale behaviour of the shared-engine architecture: repeated-query
-// throughput cold vs. warm (prepared-plan cache + preference-key cache),
-// cache benefit vs. caches off, multi-session scaling over one shared
-// Engine, and the cost of invalidation churn (DML between queries).
+// Serving-scale behaviour of the shared-engine architecture: the plan
+// cache cold vs. warm, multi-session scaling over one shared Engine, the
+// cost of DML between queries, the client-surface tiers, streaming,
+// readers vs. writers under MVCC, cancellation, and networked serving.
 //
 // Writes BENCH_serving.json (bench_json.h record format). Wall times on
-// shared CI runners are noisy; the signal is the cold/warm ratio and the
-// hit flags, which are deterministic.
+// shared CI runners are noisy; the signal is the ratios and the hit flags,
+// which are deterministic.
 
 #include <algorithm>
 #include <atomic>
@@ -53,7 +53,7 @@ double MeanMs(prefsql::Connection& conn, int iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Mixed-traffic shape (section 10); CI's high-churn stress passes
+  // Mixed-traffic shape (section 6); CI's high-churn stress passes
   // --mixed-writers 8 --mixed-readers 8.
   int mixed_writers = 1;
   int mixed_readers = 2;
@@ -72,65 +72,9 @@ int main(int argc, char** argv) {
   }
 
   prefsql::benchjson::Writer json("serving");
-  std::printf("=== Serving: engine caches and multi-session scaling ===\n");
+  std::printf("=== Serving: plan cache and multi-session scaling ===\n");
 
-  // --- 1. Cold vs warm, direct mode (plan cache + key cache) -------------
-  {
-    prefsql::Connection conn;
-    if (!prefsql::GenerateUsedCars(conn.database(), kRows, 7).ok()) {
-      std::fprintf(stderr, "generation failed\n");
-      return 1;
-    }
-    (void)conn.Execute("SET evaluation_mode = bnl");
-    const auto t0 = Clock::now();
-    (void)conn.Execute(kQuery);
-    const double cold_ms = MsSince(t0);
-    const bool cold_hit = conn.last_stats().key_cache_hit;
-    const uint64_t cold_key_ns = conn.last_stats().bmo_key_build_ns;
-    const double warm_ms = MeanMs(conn, kWarmIters);
-    const bool warm_key_hit = conn.last_stats().key_cache_hit;
-    const bool warm_plan_hit = conn.last_stats().plan_cache_hit;
-    const uint64_t warm_key_ns = conn.last_stats().bmo_key_build_ns;
-    std::printf(
-        "direct bnl, %zu rows: cold %.3f ms (key build %.3f ms) -> warm "
-        "%.3f ms (key hit %d, plan hit %d), speedup %.2fx\n",
-        kRows, cold_ms, cold_key_ns / 1e6, warm_ms, warm_key_hit,
-        warm_plan_hit, cold_ms / warm_ms);
-    json.BeginRecord()
-        .Field("section", "cold_vs_warm")
-        .Field("mode", "bnl")
-        .Field("rows", static_cast<uint64_t>(kRows))
-        .Field("cold_ms", cold_ms)
-        .Field("cold_key_build_ms", cold_key_ns / 1e6)
-        .Field("cold_key_cache_hit", static_cast<uint64_t>(cold_hit))
-        .Field("warm_ms", warm_ms)
-        .Field("warm_key_build_ms", warm_key_ns / 1e6)
-        .Field("warm_key_cache_hit", static_cast<uint64_t>(warm_key_hit))
-        .Field("warm_plan_cache_hit", static_cast<uint64_t>(warm_plan_hit))
-        .Field("warm_qps", 1000.0 / warm_ms)
-        .Field("speedup", cold_ms / warm_ms);
-  }
-
-  // --- 2. Warm latency with the caches disabled (the baseline the caches
-  //        are measured against) ------------------------------------------
-  {
-    prefsql::Connection conn;
-    if (!prefsql::GenerateUsedCars(conn.database(), kRows, 7).ok()) return 1;
-    (void)conn.Execute("SET evaluation_mode = bnl");
-    (void)conn.Execute("SET plan_cache = off");
-    (void)conn.Execute("SET key_cache = off");
-    (void)conn.Execute(kQuery);  // comparable "already touched" state
-    const double nocache_ms = MeanMs(conn, kWarmIters);
-    std::printf("direct bnl, caches off: %.3f ms per query\n", nocache_ms);
-    json.BeginRecord()
-        .Field("section", "caches_off")
-        .Field("mode", "bnl")
-        .Field("rows", static_cast<uint64_t>(kRows))
-        .Field("warm_ms", nocache_ms)
-        .Field("warm_qps", 1000.0 / nocache_ms);
-  }
-
-  // --- 3. Rewrite mode: the plan cache skips lex/parse/analyze -----------
+  // --- 1. Rewrite mode: the plan cache skips lex/parse/analyze -----------
   {
     prefsql::Connection conn;
     if (!prefsql::GenerateUsedCars(conn.database(), 2000, 7).ok()) return 1;
@@ -141,7 +85,7 @@ int main(int argc, char** argv) {
     std::printf("rewrite, 2000 rows: cold %.3f ms -> warm %.3f ms\n",
                 cold_ms, warm_ms);
     json.BeginRecord()
-        .Field("section", "cold_vs_warm")
+        .Field("section", "plan_cache_warm")
         .Field("mode", "rewrite")
         .Field("rows", static_cast<uint64_t>(2000))
         .Field("cold_ms", cold_ms)
@@ -150,7 +94,7 @@ int main(int argc, char** argv) {
                static_cast<uint64_t>(conn.last_stats().plan_cache_hit));
   }
 
-  // --- 4. Multi-session scaling over one shared engine -------------------
+  // --- 2. Multi-session scaling over one shared engine -------------------
   for (size_t sessions : {1u, 2u, 4u}) {
     auto engine = std::make_shared<prefsql::Engine>();
     {
@@ -186,8 +130,7 @@ int main(int argc, char** argv) {
                static_cast<uint64_t>(std::thread::hardware_concurrency()));
   }
 
-  // --- 5. Invalidation churn: DML between queries keeps the key cache
-  //        permanently cold ------------------------------------------------
+  // --- 3. Write churn: an INSERT and a DELETE between queries -----------
   {
     prefsql::Connection conn;
     if (!prefsql::GenerateUsedCars(conn.database(), kRows, 7).ok()) return 1;
@@ -208,34 +151,24 @@ int main(int argc, char** argv) {
       }
     }
     const double churn_ms = MsSince(t0) / kIters;
-    std::printf(
-        "invalidation churn: %.3f ms per (insert+delete+query) round, key "
-        "hit=%d\n",
-        churn_ms, conn.last_stats().key_cache_hit);
+    std::printf("write churn: %.3f ms per (insert+delete+query) round\n",
+                churn_ms);
     json.BeginRecord()
-        .Field("section", "invalidation_churn")
+        .Field("section", "write_churn")
         .Field("rows", static_cast<uint64_t>(kRows))
-        .Field("round_ms", churn_ms)
-        .Field("final_key_cache_hit",
-               static_cast<uint64_t>(conn.last_stats().key_cache_hit));
+        .Field("round_ms", churn_ms);
   }
 
-  // --- 6. Prepared vs unprepared: the client-surface tiers, each request
+  // --- 4. Prepared vs unprepared: the client-surface tiers, each request
   //        asking for a different AROUND target (the realistic serving
   //        shape — per-request values, shared plan):
   //        unprepared = plan cache off, full lex/parse/analyze per query;
   //        text       = literal text, auto-parameterized plan-cache hit;
-  //        prepared   = PreparedStatement, bind + execute per request;
-  //        fixed      = prepared with an unchanged value (fully warm:
-  //                     plan-cache hit + key-cache hit).
+  //        prepared   = PreparedStatement, bind + execute per request.
   {
     prefsql::Connection conn;
     if (!prefsql::GenerateUsedCars(conn.database(), kRows, 7).ok()) return 1;
     (void)conn.Execute("SET evaluation_mode = bnl");
-    // The varying tiers share preference fingerprints across loops, so the
-    // key cache would let the first tier pay every key build; disable it
-    // here to isolate what this section measures (the parse/plan path).
-    (void)conn.Execute("SET key_cache = off");
     auto text_query = [](int target) {
       return "SELECT id FROM car PREFERRING price AROUND " +
              std::to_string(target) + " AND LOWEST(mileage)";
@@ -281,21 +214,11 @@ int main(int argc, char** argv) {
     const double prepared_ms = MsSince(t_prepared) / kWarmIters;
     const bool prepared_hit = conn.last_stats().plan_cache_hit;
 
-    (void)conn.Execute("SET key_cache = on");
-    (void)stmt->Bind("target", prefsql::Value::Int(15000));
-    (void)stmt->Execute();
-    (void)stmt->Execute();
-    const auto t_fixed = Clock::now();
-    for (int i = 0; i < kWarmIters; ++i) (void)stmt->Execute();
-    const double fixed_ms = MsSince(t_fixed) / kWarmIters;
-    const bool fixed_key_hit = conn.last_stats().key_cache_hit;
-
     std::printf(
         "prepared vs unprepared (varying target), %zu rows: unprepared "
         "%.3f ms, text (auto-param hit %d) %.3f ms, prepared (hit %d) %.3f "
-        "ms, fixed-value prepared %.3f ms (key hit %d)\n",
-        kRows, unprepared_ms, text_hit, text_ms, prepared_hit, prepared_ms,
-        fixed_ms, fixed_key_hit);
+        "ms\n",
+        kRows, unprepared_ms, text_hit, text_ms, prepared_hit, prepared_ms);
     json.BeginRecord()
         .Field("section", "prepared_vs_unprepared")
         .Field("rows", static_cast<uint64_t>(kRows))
@@ -305,13 +228,10 @@ int main(int argc, char** argv) {
         .Field("prepared_ms", prepared_ms)
         .Field("prepared_plan_cache_hit",
                static_cast<uint64_t>(prepared_hit))
-        .Field("prepared_fixed_ms", fixed_ms)
-        .Field("prepared_fixed_key_cache_hit",
-               static_cast<uint64_t>(fixed_key_hit))
         .Field("prepared_speedup", unprepared_ms / prepared_ms);
   }
 
-  // --- 7. Streaming vs materialized: Cursor against Execute ---------------
+  // --- 5. Streaming vs materialized: Cursor against Execute ---------------
   //        Full drains must cost about the same; the cursor's win is the
   //        top-k client stop (close after k rows, no tail evaluation of the
   //        projection pipeline and no result materialization).
@@ -369,105 +289,13 @@ int main(int argc, char** argv) {
         .Field("topk_speedup", materialized_ms / topk_ms);
   }
 
-  // --- 8. Skyline result cache: a warm hit serves the memoized maximal
-  //        positions without a dominance pass — against the warm key-cache
-  //        path, which re-runs the BMO over cached packed keys every query.
-  {
-    prefsql::Connection conn;
-    if (!prefsql::GenerateUsedCars(conn.database(), kRows, 7).ok()) return 1;
-    (void)conn.Execute("SET evaluation_mode = bnl");
-
-    (void)conn.Execute("SET skyline_cache = off");
-    (void)conn.Execute(kQuery);
-    (void)conn.Execute(kQuery);
-    const double keycache_ms = MeanMs(conn, kWarmIters);
-    const bool keycache_hit = conn.last_stats().key_cache_hit;
-
-    (void)conn.Execute("SET skyline_cache = on");
-    (void)conn.Execute(kQuery);  // recompute + publish under this knob set
-    (void)conn.Execute(kQuery);
-    const double skyline_ms = MeanMs(conn, kWarmIters);
-    const bool skyline_hit = conn.last_stats().skyline_cache_hit;
-    std::printf(
-        "skyline cache, %zu rows: warm key-cache BMO %.3f ms -> warm "
-        "skyline hit %.3f ms (hit %d), speedup %.2fx\n",
-        kRows, keycache_ms, skyline_ms, skyline_hit,
-        keycache_ms / skyline_ms);
-    json.BeginRecord()
-        .Field("section", "skyline_cache_warm")
-        .Field("rows", static_cast<uint64_t>(kRows))
-        .Field("warm_keycache_ms", keycache_ms)
-        .Field("warm_keycache_hit", static_cast<uint64_t>(keycache_hit))
-        .Field("warm_skyline_ms", skyline_ms)
-        .Field("warm_skyline_hit", static_cast<uint64_t>(skyline_hit))
-        .Field("speedup", keycache_ms / skyline_ms);
-  }
-
-  // --- 9. Incremental maintenance vs full recompute: a dominated INSERT
-  //        between queries. With the skyline cache the engine dominance-
-  //        tests the one new row against the cached maximal set and keeps
-  //        serving; without it every query re-runs the BMO from the keys.
-  {
-    constexpr int kRounds = 20;
-    auto run_rounds = [&](prefsql::Connection& conn, int id_base) {
-      const auto t0 = Clock::now();
-      for (int i = 0; i < kRounds; ++i) {
-        (void)conn.Execute(
-            "INSERT INTO car VALUES (" + std::to_string(id_base + i) +
-            ", 'zz', 'zz', 'zz', 'zz', 999999, 999999, 1, 1, 0, 0)");
-        auto r = conn.Execute(kQuery);
-        if (!r.ok()) {
-          std::fprintf(stderr, "maintenance round failed: %s\n",
-                       r.status().ToString().c_str());
-          std::exit(1);
-        }
-      }
-      return MsSince(t0) / kRounds;
-    };
-
-    prefsql::Connection incremental;
-    if (!prefsql::GenerateUsedCars(incremental.database(), kRows, 7).ok()) {
-      return 1;
-    }
-    (void)incremental.Execute("SET evaluation_mode = bnl");
-    (void)incremental.Execute(kQuery);  // publish the skyline entry
-    const double incremental_ms = run_rounds(incremental, 900000);
-    const bool final_hit = incremental.last_stats().skyline_cache_hit;
-    const uint64_t maintenance_events =
-        incremental.last_stats().skyline_maintenance_events;
-
-    prefsql::Connection recompute;
-    if (!prefsql::GenerateUsedCars(recompute.database(), kRows, 7).ok()) {
-      return 1;
-    }
-    (void)recompute.Execute("SET evaluation_mode = bnl");
-    (void)recompute.Execute("SET skyline_cache = off");
-    (void)recompute.Execute(kQuery);
-    const double recompute_ms = run_rounds(recompute, 900000);
-
-    std::printf(
-        "insert churn, %zu rows: full recompute %.3f ms per round -> "
-        "incremental maintenance %.3f ms (final hit %d), speedup %.2fx\n",
-        kRows, recompute_ms, incremental_ms, final_hit,
-        recompute_ms / incremental_ms);
-    json.BeginRecord()
-        .Field("section", "skyline_cache_maintenance")
-        .Field("rows", static_cast<uint64_t>(kRows))
-        .Field("rounds", static_cast<uint64_t>(kRounds))
-        .Field("recompute_round_ms", recompute_ms)
-        .Field("incremental_round_ms", incremental_ms)
-        .Field("final_skyline_hit", static_cast<uint64_t>(final_hit))
-        .Field("maintenance_events", maintenance_events)
-        .Field("speedup", recompute_ms / incremental_ms);
-  }
-
-  // --- 10. Readers vs writers: mixed traffic under MVCC. Writers churn
-  //         the table (insert / update / delete cycle, each statement one
-  //         commit epoch) while readers stream the skyline query at their
-  //         own pinned snapshots. Pre-MVCC every DML statement stalled the
-  //         whole reader pool on the engine lock; now the signal is reader
-  //         latency under churn vs. a quiet engine, plus sustained writer
-  //         throughput while every reader keeps pulling.
+  // --- 6. Readers vs writers: mixed traffic under MVCC. Writers churn
+  //        the table (insert / update / delete cycle, each statement one
+  //        commit epoch) while readers stream the skyline query at their
+  //        own pinned snapshots. Pre-MVCC every DML statement stalled the
+  //        whole reader pool on the engine lock; now the signal is reader
+  //        latency under churn vs. a quiet engine, plus sustained writer
+  //        throughput while every reader keeps pulling.
   {
     const int n_writers = mixed_writers > 0 ? mixed_writers : 1;
     const int n_readers = mixed_readers > 0 ? mixed_readers : 1;
@@ -478,7 +306,7 @@ int main(int argc, char** argv) {
     setup.Attach(engine);
     if (!prefsql::GenerateUsedCars(setup.database(), kRows, 7).ok()) return 1;
     (void)setup.Execute("SET evaluation_mode = bnl");
-    (void)setup.Execute(kQuery);  // warm the caches once
+    (void)setup.Execute(kQuery);  // warm the plan cache once
 
     auto reader_pool_mean_ms = [&](bool with_writers, uint64_t* writer_stmts,
                                    uint64_t* gc_cleared) {
@@ -562,13 +390,12 @@ int main(int argc, char** argv) {
         .Field("gc_cleared", gc_cleared);
   }
 
-  // --- 11. Cancellation: time-to-cancel under mixed traffic. A victim
-  //         session runs a heavy 4-d skyline with the result caches off
-  //         (every run recomputes); once its statement context is armed,
-  //         Session::CancelCurrent() fires from the bench thread and we
-  //         measure cancel-issue -> statement-return while writers churn
-  //         the table. The signal is the p99: the longest stretch any
-  //         operator runs between interrupt polls.
+  // --- 7. Cancellation: time-to-cancel under mixed traffic. A victim
+  //        session runs a heavy 4-d skyline; once its statement context is
+  //        armed, Session::CancelCurrent() fires from the bench thread and
+  //        we measure cancel-issue -> statement-return while writers churn
+  //        the table. The signal is the p99: the longest stretch any
+  //        operator runs between interrupt polls.
   {
     const int n_writers = mixed_writers > 0 ? mixed_writers : 1;
     constexpr int kSamples = 40;
@@ -601,8 +428,6 @@ int main(int argc, char** argv) {
     prefsql::Connection victim;
     victim.Attach(engine);
     (void)victim.Execute("SET evaluation_mode = bnl");
-    (void)victim.Execute("SET key_cache = off");
-    (void)victim.Execute("SET skyline_cache = off");
 
     std::vector<double> cancel_ms;
     int completed_early = 0;
@@ -658,13 +483,13 @@ int main(int argc, char** argv) {
         .Field("cancel_max_ms", cancel_ms.empty() ? 0.0 : cancel_ms.back());
   }
 
-  // --- 12. Networked serving: concurrent wire-protocol clients against a
-  //         prefsqld instance. Eight clients connect over TCP, prepare the
-  //         AROUND-target skyline query once, and stream every execution's
-  //         rows through FETCH pages — per-query latency includes the bind
-  //         ship, the execute round trip, and every page round trip, so the
-  //         percentiles measure the full serving stack (framing, reactor,
-  //         handler pool, engine) rather than the engine alone.
+  // --- 8. Networked serving: concurrent wire-protocol clients against a
+  //        prefsqld instance. Eight clients connect over TCP, prepare the
+  //        AROUND-target skyline query once, and stream every execution's
+  //        rows through FETCH pages — per-query latency includes the bind
+  //        ship, the execute round trip, and every page round trip, so the
+  //        percentiles measure the full serving stack (framing, reactor,
+  //        handler pool, engine) rather than the engine alone.
   {
     constexpr int kClients = 8;
     constexpr int kPerClient = 40;

@@ -43,20 +43,15 @@ BmoOperator::~BmoOperator() { FlushStats(); }
 Status BmoOperator::Open() {
   PSQL_RETURN_IF_ERROR(child_->Open());
   rows_.clear();
-  keys_.reset();
   survivors_.clear();
-  use_positions_ = false;
   slots_.clear();
-  local_of_.clear();
   pos_ = 0;
   run_stats_ = BmoRunStats{};
   stmt_charge_.Reset();
   engine_charge_.Reset();
-  // The ambient statement context: polled in the pull and key-build loops,
-  // handed to the BMO algorithms through BmoOptions (explicitly, so
-  // bmo_parallel workers see it across pool threads), and consulted before
-  // every cache publication — an interrupted run must not publish partial
-  // entries.
+  // The ambient statement context: polled in the pull and key-build loops
+  // and handed to the BMO algorithms through BmoOptions (explicitly, so
+  // bmo_parallel workers see it across pool threads).
   QueryContext* qctx = CurrentQueryContext();
   config_.bmo.ctx = qctx;
 
@@ -85,119 +80,52 @@ Status BmoOperator::Open() {
   if (!have_slots) slots_.clear();
   const size_t n = rows_.size();
 
-  // 1b. Position mode: a cache-keyed run (config_.key_cache set) over heap
-  //     slots keys the whole table by slot, so the dominance pass runs over
-  //     the shared whole-table KeyStore. Without slots, or with a duplicate
-  //     slot, the run falls back to the local un-cached path. The pass
-  //     polls the deadline: over a large table it runs long enough that a
-  //     statement timeout would otherwise fire late.
+  // 2. Packed keys of the candidates, indexed by pulled position and
+  //    appended straight into the packed KeyStore — no per-tuple key
+  //    allocation. Charged up front (scores: 8 bytes, explicit ids: 4 bytes
+  //    per leaf per row), the single largest allocation of the run: a
+  //    refused charge surfaces kResourceExhausted before the memory exists.
+  using Clock = std::chrono::steady_clock;
+  if (qctx != nullptr) {
+    PSQL_RETURN_IF_ERROR(qctx->ChargeMemory(
+        n * pref_->num_leaves() * (sizeof(double) + sizeof(int32_t)),
+        &stmt_charge_, &engine_charge_));
+  }
+  keys_.Reset(pref_->num_leaves());
+  keys_.Reserve(n);
   size_t tick = 0;
-  if (config_.key_cache != nullptr && have_slots) {
-    bool ok = true;
-    local_of_.reserve(n);
-    for (size_t i = 0; i < n && ok; ++i) {
+  const auto t0 = Clock::now();
+  if (have_slots) {
+    // Candidates are visible versions, so their payloads are live.
+    PSQL_ASSIGN_OR_RETURN(
+        const SlotKeys slot_keys,
+        SlotKeys::Make(*pref_, leaf_attrs_, child_->schema(), *config_.table,
+                       config_.key_rows, runner_));
+    run_stats_.vector_leaves = slot_keys.vector_leaves();
+    for (size_t slot : slots_) {
       PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-      ok = local_of_.emplace(slots_[i], i).second;
+      PSQL_RETURN_IF_ERROR(slot_keys.Append(slot, &keys_));
     }
-    if (!ok) local_of_.clear();
-    use_positions_ = ok;
-  }
-  // Candidate id of pulled row i: its heap slot in position mode (an index
-  // into the whole-table KeyStore), the pulled index otherwise.
-  auto id_of = [&](size_t i) { return use_positions_ ? slots_[i] : i; };
-  const size_t key_rows = use_positions_ ? config_.key_rows : n;
-
-  // 2. Packed keys: an engine cache hit reuses the whole store (the cached
-  //    row count matching the expected count re-checks the planner's row
-  //    correspondence); otherwise build into a fresh store — appended
-  //    straight into the packed KeyStore, no per-tuple key allocation —
-  //    and publish it when this run is cache-keyed. In position mode the
-  //    store covers every heap slot of the snapshot, so later readers of
-  //    the same table version share it by slot.
-  if (use_positions_) {
-    auto cached = config_.key_cache->Lookup(config_.key_cache_key);
-    if (cached != nullptr && cached->keys != nullptr &&
-        cached->keys->size() == key_rows &&
-        cached->keys->num_leaves() == pref_->num_leaves()) {
-      keys_ = cached->keys;
-      run_stats_.key_cache_hit = true;  // key_build_ns stays 0
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
+      PSQL_RETURN_IF_ERROR(pref_->AppendKey(leaf_attrs_, child_->schema(),
+                                            rows_[i].row(), &keys_, runner_));
     }
   }
-  if (keys_ == nullptr) {
-    using Clock = std::chrono::steady_clock;
-    // Charge the key store up front (scores: 8 bytes, explicit ids: 4 bytes
-    // per leaf per row) — the single largest allocation of the run. A
-    // refused charge surfaces kResourceExhausted before the memory exists.
-    if (qctx != nullptr) {
-      PSQL_RETURN_IF_ERROR(qctx->ChargeMemory(
-          key_rows * pref_->num_leaves() * (sizeof(double) + sizeof(int32_t)),
-          &stmt_charge_, &engine_charge_));
-    }
-    auto built = std::make_shared<KeyStore>(pref_->num_leaves());
-    built->Reserve(key_rows);
-    const auto t0 = Clock::now();
-    if (have_slots) {
-      PSQL_ASSIGN_OR_RETURN(
-          const SlotKeys slot_keys,
-          SlotKeys::Make(*pref_, leaf_attrs_, child_->schema(),
-                         *config_.table, config_.key_rows, runner_));
-      run_stats_.vector_leaves = slot_keys.vector_leaves();
-      if (use_positions_) {
-        // Key every slot of the snapshot's key space, dead versions
-        // included (slot = key row). GC-cleared payloads can no longer be
-        // evaluated; they get neutral worst-score keys, which is sound
-        // because cleared slots are invisible at every servable snapshot
-        // and dominance only ever runs over candidate (visible) ids.
-        const RowHeap& heap = config_.table->heap();
-        for (size_t slot = 0; slot < key_rows; ++slot) {
-          PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-          if (heap.payload_cleared(slot)) {
-            for (size_t l = 0; l < pref_->num_leaves(); ++l) {
-              built->PushLeaf(kWorstScore, -1);
-            }
-            built->CommitRow();
-            continue;
-          }
-          PSQL_RETURN_IF_ERROR(slot_keys.Append(slot, built.get()));
-        }
-      } else {
-        // Candidates are visible versions, so their payloads are live.
-        for (size_t slot : slots_) {
-          PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-          PSQL_RETURN_IF_ERROR(slot_keys.Append(slot, built.get()));
-        }
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-        PSQL_RETURN_IF_ERROR(pref_->AppendKey(leaf_attrs_, child_->schema(),
-                                              rows_[i].row(), built.get(),
-                                              runner_));
-      }
-    }
-    run_stats_.bmo.key_build_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             t0)
-            .count());
-    keys_ = std::move(built);
-    if (use_positions_) {
-      if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
-      auto entry = std::make_shared<SkylineEntry>();
-      entry->keys = keys_;
-      entry->pref = config_.cache_pref;
-      config_.key_cache->Insert(config_.key_cache_key, std::move(entry));
-    }
-  }
-  const KeyStore& keys = *keys_;
+  run_stats_.bmo.key_build_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+          .count());
+  const KeyStore& keys = keys_;
 
   // 3. GROUPING partitions (§2.2.5): BMO within each partition. Partitions
-  //    hold candidate ids; partition_of_ stays pulled-indexed.
+  //    hold pulled indices.
   std::vector<std::vector<size_t>> partitions;
   partition_of_.assign(n, 0);
   if (config_.grouping_cols.empty()) {
     partitions.emplace_back();
     partitions[0].reserve(n);
-    for (size_t i = 0; i < n; ++i) partitions[0].push_back(id_of(i));
+    for (size_t i = 0; i < n; ++i) partitions[0].push_back(i);
   } else {
     std::unordered_map<size_t, std::vector<size_t>> by_hash;  // hash->part ids
     std::vector<Row> part_keys;
@@ -220,7 +148,7 @@ Status BmoOperator::Open() {
         by_hash[h].push_back(part);
       }
       partition_of_[i] = part;
-      partitions[part].push_back(id_of(i));
+      partitions[part].push_back(i);
     }
   }
 
@@ -306,40 +234,18 @@ Status BmoOperator::Open() {
   } else {
     survivors_ = std::move(maximal);
   }
-  // 8. Publish the skyline position list when this run computed the bare
-  //    whole-table skyline (survivors_ is then heap slots of the maximal
-  //    visible versions), upgrading the keys-only entry published above.
-  if (use_positions_ && config_.publish_skyline &&
-      keys_->size() == key_rows) {
-    if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
-    auto entry = std::make_shared<SkylineEntry>();
-    entry->keys = keys_;
-    entry->pref = config_.cache_pref;
-    std::vector<size_t> ascending = survivors_;
-    std::sort(ascending.begin(), ascending.end());
-    entry->skyline = std::move(ascending);
-    config_.key_cache->Insert(config_.key_cache_key, std::move(entry));
-  }
   // Emitted in candidate order (like LIMIT without ORDER BY, the particular
   // maximal tuples of a top-k run are unspecified, but the order is stable).
-  // In position mode ids are heap slots — map back to pulled order.
-  if (use_positions_) {
-    std::sort(survivors_.begin(), survivors_.end(),
-              [this](size_t a, size_t b) {
-                return local_of_.at(a) < local_of_.at(b);
-              });
-  }
   run_stats_.result_count = survivors_.size();
   return Status::OK();
 }
 
-Row BmoOperator::BuildAugmentedRow(size_t id) const {
-  const size_t local = LocalOf(id);
-  Row row = rows_[local].row();
-  const auto& mins = min_scores_[partition_of_[local]];
+Row BmoOperator::BuildAugmentedRow(size_t i) const {
+  Row row = rows_[i].row();
+  const auto& mins = min_scores_[partition_of_[i]];
   for (auto [fn, leaf] : quality_slots_) {
     const BasePreference& base = *pref_->leaf(leaf).pref;
-    const LeafKey key = keys_->key(id, leaf);
+    const LeafKey key = keys_.key(i, leaf);
     switch (fn) {
       case QualityFn::kTop:
         row.push_back(Value::Bool(ComputeTop(base, key, mins[leaf])));
@@ -355,8 +261,8 @@ Row BmoOperator::BuildAugmentedRow(size_t id) const {
   return row;
 }
 
-Result<bool> BmoOperator::PassesButOnly(size_t id) {
-  Row aug = BuildAugmentedRow(id);
+Result<bool> BmoOperator::PassesButOnly(size_t i) {
+  Row aug = BuildAugmentedRow(i);
   EvalContext ctx{&aug_schema_, &aug, nullptr, runner_};
   return EvaluatePredicate(but_only_, ctx);
 }
@@ -368,11 +274,11 @@ Result<bool> BmoOperator::NextBatch(RowBatch* out) {
   out->rows.reserve(take);
   out->sel.reserve(take);
   for (size_t i = 0; i < take; ++i) {
-    size_t id = survivors_[pos_ + i];
+    const size_t id = survivors_[pos_ + i];
     if (config_.emit_quality_columns) {
       out->PushRow(RowRef::Owned(BuildAugmentedRow(id)));
     } else {
-      out->PushRow(std::move(rows_[LocalOf(id)]));
+      out->PushRow(std::move(rows_[id]));
     }
   }
   pos_ += take;
@@ -382,11 +288,10 @@ Result<bool> BmoOperator::NextBatch(RowBatch* out) {
 void BmoOperator::Close() {
   child_->Close();
   rows_.clear();
-  keys_.reset();
+  keys_ = KeyStore();
   stmt_charge_.Reset();
   engine_charge_.Reset();
   slots_.clear();
-  local_of_.clear();
   partition_of_.clear();
   min_scores_.clear();
   survivors_.clear();

@@ -1,10 +1,9 @@
 // BmoOperator: the paper's plug-in preference selection operator (§3.2) as
 // a physical pipeline operator. It pulls the candidate stream (scan/filter
-// tree planned by engine/planner.h), obtains the packed preference keys —
-// from the engine key cache when the run is cache-keyed and the table is
-// unchanged, freshly built otherwise — partitions by the GROUPING
-// attributes (§2.2.5), runs one of the BMO algorithms (core/bmo.h) per
-// partition, and streams the maximal tuples to the projection tail.
+// tree planned by engine/planner.h), builds the packed preference keys of
+// exactly those candidates, partitions by the GROUPING attributes
+// (§2.2.5), runs one of the BMO algorithms (core/bmo.h) per partition, and
+// streams the maximal tuples to the projection tail.
 //
 // LIMIT pushdown: with `top_k` set (bare LIMIT, sort-filter mode) the
 // operator runs the progressive ComputeBmoTopK and stops the filter pass at
@@ -20,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,7 +28,7 @@
 #include "engine/evaluator.h"
 #include "engine/operators/operator.h"
 #include "preference/composite.h"
-#include "preference/key_cache.h"
+#include "preference/key_store.h"
 #include "storage/table.h"
 
 namespace prefsql {
@@ -48,9 +46,6 @@ struct BmoRunStats {
   size_t result_count = 0;     ///< maximal tuples after BUT ONLY
   size_t partitions = 0;       ///< GROUPING partitions evaluated
   size_t threads_used = 1;     ///< parallel pool width (1 = serial)
-  /// The packed keys came from the engine key cache (key build skipped;
-  /// bmo.key_build_ns stays 0).
-  bool key_cache_hit = false;
   /// Preference leaves the key build read from column vectors by slot
   /// (core/slot_keys.h); 0 when it evaluated rows only.
   size_t vector_leaves = 0;
@@ -78,35 +73,13 @@ struct BmoOperatorConfig {
   size_t parallel_min_rows = 4096;
   /// Stats flushed on Close()/destruction (not owned; may be nullptr).
   BmoRunStats* stats_sink = nullptr;
-  /// Engine skyline/key cache to consult/fill for this run (not owned;
-  /// nullptr = off). The planner sets it only when the candidate child is a
-  /// bare scan of `table` (no WHERE), and the run uses it only in position
-  /// mode; `key_cache_key` carries the (preference fingerprint, table id,
-  /// table version) identity of the whole-table key store.
-  SkylineCache* key_cache = nullptr;
-  KeyCacheKey key_cache_key;
-  /// Shared ownership of the compiled preference, stored into published
-  /// cache entries so incremental maintenance can re-key rows after the
-  /// plan is gone. Set iff `key_cache` is.
-  std::shared_ptr<const CompiledPreference> cache_pref;
-  /// Publish the computed maximal set as the table's skyline position list
-  /// (planner sets this only when the result equals the bare skyline: full
-  /// scan, no GROUPING / BUT ONLY / top-k truncation).
-  bool publish_skyline = false;
   /// The base table whose heap scan (with or without WHERE, full or index
   /// path) is the candidate stream; nullptr otherwise. Its batches then
   /// carry each row's heap slot (RowBatch::slots), and the key build reads
-  /// the table's column vectors by slot (core/slot_keys.h). A cache-eligible
-  /// run (`key_cache` set) also runs in position mode: the dominance pass
-  /// runs over slot positions into a whole-table KeyStore — slot positions,
-  /// not pulled indices, are the stable id space a published entry shares
-  /// with later snapshot readers.
+  /// the table's column vectors by slot (core/slot_keys.h).
   const Table* table = nullptr;
   /// Slot count sealed by the snapshot's table version (`table` set): the
-  /// range the column vectors cover and the key space of the position-mode
-  /// KeyStore. Slots holding versions invisible at the snapshot still
-  /// occupy a key row — GC-cleared payloads get neutral keys, sound because
-  /// dominance only runs over candidate ids.
+  /// range the column vectors cover.
   size_t key_rows = 0;
 };
 
@@ -132,13 +105,9 @@ class BmoOperator : public PhysicalOperator {
   const BmoRunStats& run_stats() const { return run_stats_; }
 
  private:
-  /// Local (pulled) index of candidate id `id`. Ids are storage positions
-  /// in position mode and pulled indices otherwise.
-  size_t LocalOf(size_t id) const {
-    return use_positions_ ? local_of_.at(id) : id;
-  }
-  Row BuildAugmentedRow(size_t id) const;
-  Result<bool> PassesButOnly(size_t id);
+  /// Candidate `i` (pulled index) with its quality columns appended.
+  Row BuildAugmentedRow(size_t i) const;
+  Result<bool> PassesButOnly(size_t i);
   /// Copies the run counters into the configured sink (if any).
   void FlushStats();
 
@@ -152,20 +121,15 @@ class BmoOperator : public PhysicalOperator {
   std::vector<std::pair<QualityFn, size_t>> quality_slots_;
 
   std::vector<RowRef> rows_;
-  /// Packed SoA keys shared by every partition / chunk: freshly built, or
-  /// borrowed wholesale from the engine key cache (immutable either way).
-  /// Indexed by candidate id (storage positions in position mode).
-  std::shared_ptr<const KeyStore> keys_;
-  /// Position mode engaged at runtime: the run is cache-keyed, config_.table
-  /// is set and every pulled row came with its distinct heap slot.
-  bool use_positions_ = false;
+  /// Packed SoA keys of the candidates, read by every partition / chunk;
+  /// indexed by pulled index.
+  KeyStore keys_;
   /// Pulled index -> heap slot; empty unless config_.table is set and every
   /// batch carried slots.
   std::vector<size_t> slots_;
-  std::unordered_map<size_t, size_t> local_of_;  // storage pos -> pulled
   std::vector<size_t> partition_of_;  // by pulled index
   std::vector<std::vector<double>> min_scores_;  // per partition per leaf
-  std::vector<size_t> survivors_;  // candidate ids, in emission order
+  std::vector<size_t> survivors_;  // pulled indices, in emission order
   size_t pos_ = 0;
   BmoRunStats run_stats_;
   /// Budget reservations for this run's buffers (pulled rows + key store),

@@ -10,8 +10,8 @@
 //   std::cout << result->ToString();
 //
 // A Connection is a thin facade bundling one Session (per-client knobs and
-// stats, core/session.h) with an Engine (shared catalog + executor +
-// caches, core/engine.h). By default each Connection owns a private engine
+// stats, core/session.h) with an Engine (shared catalog + executor + plan
+// cache, core/engine.h). By default each Connection owns a private engine
 // — the classic embedded behaviour; Attach() switches it onto a shared
 // engine so many connections serve one database, as in the paper's
 // deployment:

@@ -6,13 +6,10 @@
 #include <mutex>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "core/analyzer.h"
 #include "core/rewriter.h"
-#include "core/slot_keys.h"
-#include "preference/dominance_window.h"
 #include "sql/normalize.h"
 #include "sql/parameters.h"
 #include "sql/parser.h"
@@ -174,15 +171,13 @@ uint64_t Engine::CollectGarbageLocked(Table* only) {
 }
 
 void Engine::RelieveMemoryPressure(uint64_t /*requested_bytes*/) {
-  // Shed roughly a quarter of each cache's resident entries, cold end
+  // Shed roughly a quarter of the plan cache's resident entries, cold end
   // first. This frees their heap memory immediately — though not
   // budget-charged bytes, which only return to the budget when their
   // statements finish — and the kicked reclaimer frees superseded version
   // payloads as soon as it wins the DDL lock. Only after both does a
   // retried charge fail the query with kResourceExhausted.
-  auto quarter = [](size_t n) { return std::max<size_t>(4, n / 4); };
-  plan_cache_.Shed(quarter(plan_cache_.size()));
-  key_cache_.Shed(quarter(key_cache_.size()));
+  plan_cache_.Shed(std::max<size_t>(4, plan_cache_.size() / 4));
   {
     std::lock_guard<std::mutex> g(gc_mu_);
     gc_kick_ = true;
@@ -324,8 +319,7 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
 
   // DML appends row versions: it runs under the *shared* DDL lock (readers
   // streaming at pinned snapshots are never blocked) with DML statements
-  // serialized against each other — and with the cache maintenance/sweep
-  // they trigger — by the writer mutex.
+  // serialized against each other by the writer mutex.
   if (stmt.kind == StatementKind::kInsert ||
       stmt.kind == StatementKind::kUpdate ||
       stmt.kind == StatementKind::kDelete) {
@@ -339,7 +333,7 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
       // INSERT ... SELECT with a PREFERRING clause (§2.2.5): drain the
       // preference plan at the current epoch, which no other writer can
       // move now, then bulk-insert the BMO rows. A failed evaluation has
-      // written nothing, so there is nothing to maintain.
+      // written nothing.
       std::optional<ResultTable> rows;
       if (stmt.kind == StatementKind::kInsert && stmt.select != nullptr &&
           stmt.select->IsPreferenceQuery()) {
@@ -357,12 +351,9 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
                    qctx.get());
         PSQL_ASSIGN_OR_RETURN(rows, std::move(drained));
       }
-      auto r = rows.has_value() ? db_.executor().InsertTable(
-                                      stmt.name, stmt.insert_columns, *rows)
-                                : db_.ExecuteStatement(stmt);
-      MaintainSkylineCaches();
-      SweepCaches();
-      return r;
+      return rows.has_value() ? db_.executor().InsertTable(
+                                    stmt.name, stmt.insert_columns, *rows)
+                              : db_.ExecuteStatement(stmt);
     }();
     SnapshotCacheCounters(session);
     ddl.unlock();
@@ -371,12 +362,11 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
   }
 
   // Everything else passes through to the database system (§3.1: "without
-  // causing any noticeable overhead") — DDL, so exclusively, with a cache
-  // sweep afterwards to reclaim entries the write made unreachable.
+  // causing any noticeable overhead") — DDL, so exclusively, then evicts
+  // the preparations the catalog change made unreachable.
   std::unique_lock<std::shared_mutex> lock(mutex_);
   auto result = db_.ExecuteStatement(stmt);
-  MaintainSkylineCaches();
-  SweepCaches();
+  plan_cache_.EvictOtherVersions(db_.catalog().version());
   SnapshotCacheCounters(session);
   return result;
 }
@@ -702,17 +692,12 @@ Result<PreferencePlan> Engine::PlanPreferenceLocked(
   // In-engine BMO over the streamed candidates.
   AnalyzedPreferenceQuery analyzed(view.select.get(), view.preference);
   PSQL_ASSIGN_OR_RETURN(PreferencePlan plan,
-                        BuildPreferencePlan(db_, analyzed, options,
-                                            &key_cache_));
+                        BuildPreferencePlan(db_, analyzed, options));
   stats.bmo_algorithm = BmoAlgorithmToString(options.bmo_algorithm);
   stats.bmo_kernel =
       DominanceKernelToString(analyzed.preference().program().kernel());
   stats.used_pushdown = plan.used_pushdown;
   stats.pushdown_detail = plan.pushdown_detail;
-  stats.key_cache_eligible = plan.key_cache_eligible;
-  stats.key_cache_detail = plan.key_cache_detail;
-  stats.skyline_cache_hit = plan.skyline_cache_hit;
-  stats.skyline_cache_detail = plan.skyline_cache_detail;
   plan.query = std::move(view.select);
   return plan;
 }
@@ -730,7 +715,6 @@ void Engine::FlushStats(Session& session, PreferenceQueryStats stats,
     stats.bmo_key_build_ns = bmo.bmo.key_build_ns;
     stats.bmo_kernel = DominanceKernelToString(bmo.bmo.kernel);
     stats.bmo_simd = SimdVariantToString(bmo.bmo.simd);
-    stats.key_cache_hit = bmo.key_cache_hit;
     stats.bmo_vector_leaves = bmo.vector_leaves;
     stats.prefilter_candidate_count = pre.candidate_count;
     stats.prefilter_result_count = pre.result_count;
@@ -770,11 +754,10 @@ Result<ResultTable> Engine::ExecuteExplain(
   AnalyzedPreferenceQuery analyzed(&select, view.preference);
   if (options.mode != EvaluationMode::kRewrite) {
     // Direct path: describe the physical decisions (pushdown placement,
-    // skyline algorithm, parallelism, cache keying) by compiling the plan
-    // without draining it.
+    // skyline algorithm, parallelism) by compiling the plan without
+    // draining it.
     PSQL_ASSIGN_OR_RETURN(PreferencePlan pplan,
                           BuildPreferencePlan(db_, analyzed, options,
-                                              &key_cache_,
                                               /*count_stats=*/false));
     add("-- direct evaluation (mode=" +
         std::string(EvaluationModeToString(options.mode)) + ", algorithm=" +
@@ -787,8 +770,6 @@ Result<ResultTable> Engine::ExecuteExplain(
             analyzed.preference().program().WindowVariant())) +
         ")");
     add("-- " + pplan.pushdown_detail);
-    add("-- " + pplan.key_cache_detail);
-    add("-- " + pplan.skyline_cache_detail);
     add("-- mvcc: snapshot epoch " + std::to_string(pin.snapshot()) +
         ", pinned readers " +
         std::to_string(db_.catalog().epochs().pinned_count()) +
@@ -840,179 +821,12 @@ Result<std::string> Engine::RewriteToSql(Session& session,
 void Engine::SnapshotCacheCounters(Session& session) {
   PreferenceQueryStats& stats = session.mutable_last_stats();
   stats.plan_cache_evictions = plan_cache_.counters().evictions;
-  stats.key_cache_evictions = key_cache_.counters().evictions;
-  stats.skyline_maintenance_events = key_cache_.maintenance_events();
-  stats.skyline_invalidations = key_cache_.invalidations();
   const Executor::Stats& xstats = db_.executor().stats();
   stats.mvcc_versions_scanned =
       xstats.mvcc.versions_scanned.load(std::memory_order_relaxed);
   stats.mvcc_versions_skipped =
       xstats.mvcc.versions_skipped.load(std::memory_order_relaxed);
   stats.mvcc_gc_cleared = xstats.gc_cleared.load(std::memory_order_relaxed);
-}
-
-// ===========================================================================
-// Incremental skyline-cache maintenance
-// ===========================================================================
-
-namespace {
-
-// True iff the ascending position lists `touched` and `skyline` intersect.
-bool TouchesSkyline(const std::vector<uint32_t>& touched,
-                    const std::vector<size_t>& skyline) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < touched.size() && j < skyline.size()) {
-    if (touched[i] < skyline[j]) {
-      ++i;
-    } else if (touched[i] > skyline[j]) {
-      ++j;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Re-derives one cache entry under the post-DML state of `table`; nullptr
-// means the entry cannot be carried over (skyline member end-stamped,
-// re-key failure, or recorded effect inconsistent with the observed table)
-// and must be invalidated. Under MVCC every DML is appends + end-stamps in
-// a position-stable heap, so all three statement kinds share one shape:
-// the entry's keys for the surviving slots are still correct verbatim, the
-// appended slots [heap_before, heap_size) get fresh keys, and each
-// appended tuple is dominance-tested against the cached skyline. Returns
-// `entry` itself (no copy) when nothing was appended — a pure DELETE of
-// non-members keeps both keys and skyline bit-identical; only the version
-// key moves.
-std::shared_ptr<const SkylineEntry> MaintainEntry(
-    const std::shared_ptr<const SkylineEntry>& entry,
-    const Executor::DmlEffect& dml, const Table& table) {
-  if (entry->pref == nullptr || entry->keys == nullptr) return nullptr;
-  // The entry's keys cover exactly the slot space sealed by the
-  // pre-statement version.
-  if (entry->keys->size() != dml.heap_before) return nullptr;
-  const size_t heap_now = table.heap_size();
-  if (heap_now < dml.heap_before) return nullptr;
-  // End-stamping a skyline member masks an unknown dominated set — the
-  // carried skyline would be missing resurfacing tuples. Invalidate.
-  // (End-stamping non-members is free: removing dominated tuples never
-  // changes the skyline, and dead slots are never candidates, so their
-  // stale keys are never consulted.)
-  if (entry->skyline.has_value() &&
-      TouchesSkyline(dml.dead, *entry->skyline)) {
-    return nullptr;
-  }
-  if (heap_now == dml.heap_before) return entry;
-
-  const CompiledPreference& pref = *entry->pref;
-  auto keys = std::make_shared<KeyStore>(*entry->keys);
-  keys->Reserve(heap_now);
-  const std::vector<BoundExpr> leaves = pref.BindLeaves(table.schema());
-  auto slot_keys =
-      SlotKeys::Make(pref, leaves, table.schema(), table, heap_now, nullptr);
-  if (!slot_keys.ok()) return nullptr;
-  for (size_t slot = dml.heap_before; slot < heap_now; ++slot) {
-    if (!slot_keys->Append(slot, keys.get()).ok()) return nullptr;
-  }
-  if (keys->size() != heap_now) return nullptr;
-  auto out = std::make_shared<SkylineEntry>();
-  out->pref = entry->pref;
-  if (entry->skyline.has_value()) {
-    // The surviving members still dominate every surviving old non-member,
-    // so admitting the appended tuples one by one against the evolving
-    // skyline is exact (an appended tuple that evicts a member dominates
-    // that member's subjects transitively). Testing against the skyline
-    // alone decides maximality: a non-maximal tuple is always dominated by
-    // some *maximal* tuple (follow its dominator chain — finite and acyclic
-    // by transitivity/irreflexivity). A dominated tuple is discarded; a
-    // surviving one evicts the members it dominates and joins.
-    DominanceWindow sky(pref.program());
-    sky.Reserve(entry->skyline->size() + (heap_now - dml.heap_before));
-    for (size_t pos : *entry->skyline) sky.Admit(*keys, pos);
-    for (size_t slot = dml.heap_before; slot < heap_now; ++slot) {
-      if (sky.Test(*keys, slot, nullptr)) continue;
-      sky.EvictMarked();
-      sky.Admit(*keys, slot);
-    }
-    std::vector<size_t> members(sky.size());
-    for (size_t m = 0; m < sky.size(); ++m) members[m] = sky.index(m);
-    std::sort(members.begin(), members.end());
-    out->skyline = std::move(members);
-  }
-  out->keys = std::move(keys);
-  return out;
-}
-
-}  // namespace
-
-void Engine::MaintainSkylineCaches() {
-  // Injected fault: maintenance "fails" — skip the carry entirely. Sound by
-  // construction: the un-carried entries stay keyed at the superseded table
-  // version, unreachable to any new reader, and the pin-aware sweep
-  // reclaims them; repeated queries just rebuild from scratch.
-  PSQL_FAILPOINT_VOID("skyline_maintenance");
-  using Kind = Executor::DmlEffect::Kind;
-  const Executor::DmlEffect& dml = db_.executor().last_dml();
-  if (dml.kind == Kind::kNone) return;
-  auto table_r = db_.catalog().GetTable(dml.table);
-  if (!table_r.ok()) return;
-  const Table& table = **table_r;
-  if (table.id() != dml.table_id) return;
-  // A DML statement that touched no rows seals no version and leaves every
-  // entry reachable.
-  if (table.version() == dml.version_before) return;
-  EpochManager& epochs = db_.catalog().epochs();
-  // A reader pinned at a pre-statement snapshot can still serve the
-  // superseded entry — keep it resident next to the carried one. With no
-  // such pin the carry is an atomic Rekey, so maintenance never doubles
-  // the entry's residency (peak footprint stays flat across DML).
-  const bool old_version_pinned =
-      table.VersionAt(epochs.MinPinnedOr(epochs.current())) <=
-      dml.version_before;
-  for (auto& [key, entry] : key_cache_.SnapshotForTable(dml.table_id)) {
-    if (key.table_version != dml.version_before || entry == nullptr) {
-      continue;  // older version; kept or swept by the pin-aware sweep
-    }
-    auto maintained = MaintainEntry(entry, dml, table);
-    if (maintained != nullptr) {
-      KeyCacheKey new_key = key;
-      new_key.table_version = table.version();
-      if (old_version_pinned) {
-        key_cache_.Insert(new_key, std::move(maintained));
-      } else {
-        key_cache_.Rekey(key, new_key, std::move(maintained));
-      }
-      key_cache_.CountMaintenance();
-    } else {
-      key_cache_.CountInvalidation();
-    }
-  }
-}
-
-void Engine::SweepCaches() {
-  plan_cache_.EvictOtherVersions(db_.catalog().version());
-  EpochManager& epochs = db_.catalog().epochs();
-  // Liveness is a version *range* per table incarnation: a reader pinned at
-  // the oldest snapshot may still serve entries keyed at the version its
-  // snapshot sees, so everything from that version up to the current one
-  // stays resident; with no pins the range collapses to the current
-  // version.
-  const uint64_t min_snapshot = epochs.MinPinnedOr(epochs.current());
-  std::unordered_map<uint64_t, std::pair<uint64_t, uint64_t>> live;
-  for (const auto& name : db_.catalog().TableNames()) {
-    auto table = db_.catalog().GetTable(name);
-    if (table.ok()) {
-      live[(*table)->id()] = {(*table)->VersionAt(min_snapshot),
-                              (*table)->version()};
-    }
-  }
-  auto is_live = [&](uint64_t table_id, uint64_t version) {
-    auto it = live.find(table_id);
-    return it != live.end() && version >= it->second.first &&
-           version <= it->second.second;
-  };
-  key_cache_.EvictStale(is_live);
 }
 
 void Engine::TryCollectGarbage(Session& session) {
@@ -1126,8 +940,6 @@ const Knob kKnobs[] = {
     MakeKnob<&O::plan_cache, SetValueAsBool, EchoBool>("plan_cache"),
     MakeKnob<&O::auto_parameterize, SetValueAsBool, EchoBool>(
         "auto_parameterize"),
-    MakeKnob<&O::key_cache, SetValueAsBool, EchoBool>("key_cache"),
-    MakeKnob<&O::skyline_cache, SetValueAsBool, EchoBool>("skyline_cache"),
     MakeKnob<&O::mvcc_gc, SetValueAsBool, EchoBool>("mvcc_gc"),
     MakeKnob<&O::mvcc_gc_background, SetValueAsBool, EchoBool>(
         "mvcc_gc_background"),

@@ -7,55 +7,36 @@
 //   a.Attach(engine);
 //   b.Attach(engine);         // b sees every table a creates
 //
-// The engine owns the catalog/executor (Database), the prepared-plan cache
-// and the preference-key cache. Concurrency is MVCC: rows carry
-// [begin, end) commit-epoch stamps (storage/row_heap.h), every committed
-// DML statement gets one epoch (storage/epoch.h), and a reader pins the
-// current epoch when its statement or streaming Cursor opens and filters
-// scans by visibility at that snapshot. Two locks coordinate the rest:
+// The engine owns the catalog/executor (Database) and the prepared-plan
+// cache, its one cache. Concurrency is MVCC: rows carry [begin, end)
+// commit-epoch stamps (storage/row_heap.h), every committed DML statement
+// gets one epoch (storage/epoch.h), and a reader pins the current epoch
+// when its statement or streaming Cursor opens and filters scans by
+// visibility at that snapshot. Two locks coordinate the rest:
 //
 //   * `mutex_` (shared_mutex) — the DDL lock. Readers (in every evaluation
 //     mode) AND DML writers (INSERT ... SELECT PREFERRING included) hold it
 //     shared; only DDL (CREATE/DROP move the catalog) and the version GC
 //     (which must observe no active pins) take it exclusively.
-//   * `writer_mutex_` (mutex) — serializes DML statements and the
-//     post-statement cache maintenance/sweep that runs with them.
+//   * `writer_mutex_` (mutex) — serializes DML statements.
 //
 // Readers therefore never block writers and vice versa: a streaming Cursor
 // holds only the shared DDL lock plus its snapshot pin while concurrent
-// INSERT/UPDATE/DELETE append new row versions. A reader's pinned epoch
-// gives it a stable view of every table version, which is what makes the
-// version-keyed caches sound (entries are keyed by the version the
-// reader's snapshot sees — Table::VersionAt — not by the latest version):
+// INSERT/UPDATE/DELETE append new row versions.
 //
-//   * plan cache  — (parameterized normalized text, catalog version)
-//                   -> parsed + expanded + compiled preparation. Constant
-//                   literals of SELECT/EXPLAIN texts are auto-parameterized
-//                   into `?` holes for keying, so statements differing only
-//                   in literal values share one preparation; the values are
-//                   re-injected at execute time (sql/normalize.h,
-//                   sql/parameters.h). No session knob is part of the key:
-//                   preparation reads none;
-//   * skyline cache — (preference fingerprint, table id, table version)
-//                   -> packed KeyStore + optionally the skyline positions
-//                   (see preference/key_cache.h). Only bare scans
-//                   (no WHERE) are keyed; a filtered query builds keys for
-//                   its candidates alone.
-//
-// Any DDL bumps the catalog version and any DML seals a new table version,
-// so stale entries become unreachable by key — except to a reader still
-// pinned at an older snapshot, for which the sweep keeps the superseded
-// versions alive (liveness is the range [VersionAt(oldest pin), current]).
-// After each write statement the engine first *maintains* the skyline
-// cache incrementally — carrying each affected entry to the new table
-// version by keying the appended version slots and dominance-testing them
-// against the cached skyline (MaintainSkylineCaches; exact because a
-// non-maximal tuple is always dominated by some maximal one). With no
-// older pin the carry is an in-place Rekey (never two residencies of one
-// entry); afterwards the sweep reclaims unreachable entries early (feeding
-// the eviction counters surfaced in last_stats/EXPLAIN). Finally, when the
-// DDL lock is momentarily free of readers, superseded row-version payloads
-// older than every pin are garbage-collected (TryCollectGarbage).
+// The plan cache maps (parameterized normalized text, catalog version) to
+// the parsed + expanded + compiled preparation. Constant literals of
+// SELECT/EXPLAIN texts are auto-parameterized into `?` holes for keying,
+// so statements differing only in literal values share one preparation;
+// the values are re-injected at execute time (sql/normalize.h,
+// sql/parameters.h). No session knob is part of the key: preparation reads
+// none. Any DDL bumps the catalog version, which leaves older preparations
+// unreachable; the DDL path evicts them right away. Table contents are in
+// no cache: every PREFERRING statement pulls its candidates at its
+// snapshot, keys exactly those and runs the BMO (or the §3.2 rewrite), so
+// a write does no cache work. After a write, when the DDL lock is
+// momentarily free of readers, superseded row-version payloads older than
+// every pin are garbage-collected (TryCollectGarbage).
 //
 // The client surface is three-tiered:
 //   * Execute(text)      — one-shot; a thin wrapper that drains a Cursor;
@@ -98,7 +79,6 @@
 #include "core/rewriter.h"
 #include "core/session.h"
 #include "engine/database.h"
-#include "preference/key_cache.h"
 #include "storage/epoch.h"
 #include "types/result_table.h"
 #include "util/memory_budget.h"
@@ -176,7 +156,14 @@ class Engine {
   Database& database() { return db_; }
 
   PlanCache& plan_cache() { return plan_cache_; }
-  SkylineCache& key_cache() { return key_cache_; }
+
+  /// Retired and read by nothing: the engine keeps no key or skyline cache,
+  /// so a write has no cache entry to maintain. Kept only so existing
+  /// callers (perfbench) still compile.
+  struct RetiredKeyCache {
+    uint64_t maintenance_events() const { return 0; }
+  };
+  RetiredKeyCache key_cache() const { return {}; }
 
   /// Engine-wide memory budget shared by all sessions' statement buffers
   /// (`SET engine_memory_bytes` adjusts the limit; 0 = unlimited).
@@ -316,22 +303,9 @@ class Engine {
   /// probe for the rewriter). Caller must hold the lock.
   Result<std::vector<std::string>> ProbeBaseColumns(const SelectStmt& select);
 
-  /// Copies the caches' cumulative eviction counters into `session`'s
-  /// last_stats.
+  /// Copies the plan cache's cumulative eviction counter and the MVCC
+  /// counters into `session`'s last_stats.
   void SnapshotCacheCounters(Session& session);
-
-  /// Carries skyline-cache entries of the table the last DML statement
-  /// touched to its new version (incremental maintenance; see the file
-  /// comment). Runs before SweepCaches so the maintained entries are keyed
-  /// live when the sweep reclaims their predecessors. Caller must hold
-  /// writer_mutex_ or the DDL lock exclusively.
-  void MaintainSkylineCaches();
-
-  /// Reclaims cache entries no active or future snapshot can reach: an
-  /// entry stays live while its version is within [VersionAt(oldest pinned
-  /// snapshot), current version] of a live table incarnation. Caller must
-  /// hold writer_mutex_.
-  void SweepCaches();
 
   /// Opportunistic version GC: if the DDL lock is free of readers (no pins
   /// can exist without it), frees row-version payloads of the last DML's
@@ -355,9 +329,9 @@ class Engine {
   uint64_t CollectGarbageLocked(Table* only);
 
   /// Engine-budget pressure relief (installed into each statement's
-  /// QueryContext): sheds cold plan/skyline-cache entries — freeing
-  /// their heap memory, though not budget-charged bytes, which only return
-  /// when statements finish — and kicks the background reclaimer so a full
+  /// QueryContext): sheds cold plan-cache entries — freeing their heap
+  /// memory, though not budget-charged bytes, which only return when
+  /// statements finish — and kicks the background reclaimer so a full
   /// pin-aware sweep runs before any query is refused.
   void RelieveMemoryPressure(uint64_t requested_bytes);
 
@@ -372,10 +346,9 @@ class Engine {
   /// The DDL lock: readers and DML writers share it, DDL and GC take it
   /// exclusively; see file comment.
   std::shared_mutex mutex_;
-  /// Serializes DML statements and their cache maintenance/sweep.
+  /// Serializes DML statements.
   std::mutex writer_mutex_;
   PlanCache plan_cache_;
-  SkylineCache key_cache_;
 
   /// Engine-wide statement-buffer budget (`SET engine_memory_bytes`).
   MemoryBudget engine_budget_;

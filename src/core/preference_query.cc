@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/operators/scan.h"
 #include "engine/planner.h"
 #include "storage/epoch.h"
 #include "sql/printer.h"
@@ -14,11 +13,9 @@ namespace prefsql {
 
 Result<PreferencePlan> BuildPreferencePlan(
     Database& db, const AnalyzedPreferenceQuery& analyzed,
-    const ConnectionOptions& options, SkylineCache* key_cache,
-    bool count_stats) {
+    const ConnectionOptions& options, bool count_stats) {
   const SelectStmt& q = *analyzed.query;
   const CompiledPreference& pref = analyzed.preference();
-  if (!options.key_cache) key_cache = nullptr;
   BmoOptions bmo_options;
   bmo_options.algorithm = options.bmo_algorithm;
   bmo_options.bnl_window = options.bnl_window;
@@ -164,96 +161,11 @@ Result<PreferencePlan> BuildPreferencePlan(
     }
   }
 
-  // Key-cache eligibility: the packed keys are a pure function of
-  // (preference, table contents) only when the candidate stream is a bare
-  // scan of one base table — no WHERE, not a view or join, no pushed-down
-  // pre-filter — and no preference attribute reads another table. The cache
-  // key embeds the preference tree hash, the table's process-unique id and
-  // its mutation version, so a match is provably the same keys. A filtered
-  // query applies its hard selection first (§2.2) and keys only the
-  // surviving candidates, locally and uncached.
-  if (key_cache == nullptr) {
-    plan.key_cache_detail = "key cache: disabled";
-  } else if (q.where != nullptr) {
-    plan.key_cache_detail =
-        "key cache: not eligible (WHERE: keys cover the candidates only)";
-  } else if (plan.used_pushdown || q.from.size() != 1 ||
-             q.from[0]->kind != TableRef::Kind::kTable) {
-    plan.key_cache_detail =
-        "key cache: not eligible (candidates are not a base-table scan)";
-  } else if (config.table == nullptr) {
-    plan.key_cache_detail = "key cache: not eligible (view or missing table)";
-  } else if (!PreferenceColumnRefs(pref).has_value()) {
-    plan.key_cache_detail =
-        "key cache: not eligible (preference attribute uses a subquery)";
-  } else {
-    const Table* table = config.table;
-    // Cache identity is the table version *this reader's snapshot* sees —
-    // not the latest — so a pinned reader still keys (and can serve) the
-    // superseded entry its epoch corresponds to while writers race ahead.
-    const uint64_t snap_version = table->VersionAt(snap);
-    config.key_cache = key_cache;
-    config.key_cache_key =
-        KeyCacheKey{pref.Fingerprint(), PrefTermToSql(pref.term()),
-                    table->id(), snap_version};
-    config.cache_pref = analyzed.pref;
-    plan.key_cache_eligible = true;
-    plan.key_cache_detail = "key cache: eligible (table " +
-                            q.from[0]->table_name + ", version " +
-                            std::to_string(snap_version) + ")";
-  }
-
   bool progressive_topk =
       q.limit.has_value() && *q.limit >= 0 && !q.offset && q.order_by.empty() &&
       q.grouping.empty() && q.but_only == nullptr && !q.distinct &&
       bmo_options.algorithm == BmoAlgorithm::kSortFilterSkyline;
   if (progressive_topk) config.top_k = static_cast<size_t>(*q.limit);
-
-  // Skyline-cache serving and publication: a cached position list IS the
-  // result of a bare whole-table skyline (a key-cache-eligible scan with no
-  // GROUPING / BUT ONLY and no progressive top-k truncation — the full
-  // maximal set, emitted in storage order exactly like the BMO path), so an
-  // eligible repeat query skips the dominance pass entirely.
-  // Quality-projected queries still publish (the survivor set is the
-  // skyline) but cannot be served — their output rows carry per-run quality
-  // columns.
-  const bool bare_skyline = plan.key_cache_eligible &&
-                            config.grouping_cols.empty() &&
-                            config.but_only == nullptr &&
-                            !config.top_k.has_value();
-  config.publish_skyline = bare_skyline && options.skyline_cache;
-  if (!options.skyline_cache) {
-    plan.skyline_cache_detail = "skyline cache: disabled";
-  } else if (!bare_skyline) {
-    plan.skyline_cache_detail =
-        "skyline cache: not eligible (not a bare whole-table skyline)";
-  } else if (quality_projected) {
-    plan.skyline_cache_detail =
-        "skyline cache: publish only (quality columns are computed per run)";
-  } else {
-    auto cached = key_cache->Lookup(config.key_cache_key);
-    if (cached != nullptr && cached->skyline.has_value() &&
-        cached->keys != nullptr && cached->keys->size() == config.key_rows) {
-      plan.skyline_cache_hit = true;
-      plan.skyline_cache_detail =
-          "skyline cache: hit (" + std::to_string(cached->skyline->size()) +
-          " positions)";
-      // The cached keys are reused by proxy — no key build, no BMO pass
-      // (bmo.simd stays kScalar: no dominance code executed).
-      plan.bmo_stats->key_cache_hit = true;
-      plan.bmo_stats->result_count = cached->skyline->size();
-      plan.bmo_stats->bmo.kernel = pref.program().kernel();
-      auto scan = std::make_unique<HeapScanOperator>(
-          cand_schema, &config.table->heap(), *cached->skyline, snap,
-          /*counters=*/nullptr);
-      PSQL_ASSIGN_OR_RETURN(
-          plan.root,
-          planner.PlanTail(std::move(items), q.distinct, std::move(order_by),
-                           q.limit, q.offset, std::move(scan), nullptr));
-      return plan;
-    }
-    plan.skyline_cache_detail = "skyline cache: miss";
-  }
 
   auto bmo = std::make_unique<BmoOperator>(std::move(candidates), &pref,
                                            std::move(config),

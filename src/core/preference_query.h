@@ -42,12 +42,6 @@ struct PreferencePlan {
   std::unique_ptr<BmoRunStats> prefilter_stats;  ///< pushdown pre-filter
   bool used_pushdown = false;
   std::string pushdown_detail;
-  bool key_cache_eligible = false;
-  std::string key_cache_detail;
-  /// The plan replays a cached skyline position list instead of running
-  /// the BMO (bmo_stats then stays zeroed).
-  bool skyline_cache_hit = false;
-  std::string skyline_cache_detail;
   /// BUT ONLY rewritten against the augmented schema (referenced by the
   /// operators in `root`).
   ExprPtr owned_but_only;
@@ -64,12 +58,10 @@ struct PreferencePlan {
 };
 
 /// Compiles `analyzed` into an in-engine plan without draining it, under
-/// the session knobs in `options`; `key_cache` is consulted when
-/// `options.key_cache` is on. EXPLAIN passes `count_stats` false so
+/// the session knobs in `options`. EXPLAIN passes `count_stats` false so
 /// describing a plan leaves the executor's scan counters untouched.
 Result<PreferencePlan> BuildPreferencePlan(
     Database& db, const AnalyzedPreferenceQuery& analyzed,
-    const ConnectionOptions& options, SkylineCache* key_cache,
-    bool count_stats = true);
+    const ConnectionOptions& options, bool count_stats = true);
 
 }  // namespace prefsql

@@ -3,7 +3,7 @@
 // The paper's deployment (§3.1) puts one Preference SQL optimizer in front
 // of one standard SQL database serving many clients. Mirroring that split,
 // an Engine (core/engine.h) owns everything clients share — catalog,
-// executor, plan cache, key cache — while a Session holds only what is
+// executor, plan cache — while a Session holds only what is
 // private to one client: its knobs (ConnectionOptions, reachable from SQL
 // via SET) and the statistics of its last preference query. Sessions are
 // cheap; creating one per request is fine.
@@ -60,17 +60,15 @@ struct ConnectionOptions {
   /// plan-cache keying, so statements differing only in literal values
   /// share one prepared plan (values are re-injected at execute time).
   bool auto_parameterize = true;
-  /// Consult the engine's preference-key cache (reuses packed KeyStores for
-  /// repeated PREFERRING queries over unchanged tables; direct path).
-  bool key_cache = true;
   /// Retired and read by nothing (no `SET` knob reaches it): the dominance
   /// windows run the variant DominanceProgram::WindowVariant() picks, which
   /// the PREFSQL_SIMD environment variable controls. Kept only so existing
   /// callers that read it still compile.
   bool simd = true;
-  /// Serve eligible repeated PREFERRING queries straight from the cached
-  /// skyline position list, and publish skylines into the cache (direct
-  /// path; requires key_cache on).
+  /// Retired and read by nothing (no `SET` knob reaches them): the engine
+  /// keeps no key or skyline cache. Kept only so existing callers
+  /// (perfbench) still compile.
+  bool key_cache = true;
   bool skyline_cache = true;
   /// Opportunistically reclaim superseded row-version payloads after DML
   /// (runs only when no reader holds the statement lock or a pinned
@@ -91,8 +89,8 @@ struct ConnectionOptions {
   /// kResourceExhausted instead of OOM-ing. 0 = unlimited.
   uint64_t statement_memory_bytes = 0;
   /// Engine-wide memory budget in bytes shared by all sessions' statement
-  /// buffers. Under pressure the engine sheds cold cache entries and runs a
-  /// pin-aware GC sweep before refusing a query. 0 = unlimited.
+  /// buffers. Under pressure the engine sheds cold plan-cache entries and
+  /// runs a pin-aware GC sweep before refusing a query. 0 = unlimited.
   uint64_t engine_memory_bytes = 0;
 };
 
@@ -118,27 +116,20 @@ struct PreferenceQueryStats {
   std::string pushdown_detail;    // placement / rejection reason
   size_t prefilter_candidate_count = 0;  // rows into the pushed prefilter
   size_t prefilter_result_count = 0;     // rows surviving the prefilter
-  // Cache observability (tentpole satellites). The hit flags describe this
-  // statement; the eviction counters are cumulative engine-wide totals
-  // snapshotted after it.
+  // Plan-cache observability. The hit flag describes this statement; the
+  // eviction counter is a cumulative engine-wide total snapshotted after it.
   bool plan_cache_hit = false;     // preparation reused (parse/analyze skipped)
   bool auto_parameterized = false; // literals lifted into plan-cache key holes
   size_t bound_parameters = 0;     // values injected into this execution
-  bool key_cache_eligible = false; // run was keyed against the key cache
-  bool key_cache_hit = false;      // packed keys reused (key build skipped)
-  std::string key_cache_detail;    // eligibility / rejection reason
-  bool skyline_cache_hit = false;  // served from the cached skyline positions
-  std::string skyline_cache_detail;  // serve eligibility / rejection reason
   uint64_t plan_cache_evictions = 0;
-  uint64_t key_cache_evictions = 0;
-  // Cumulative engine-wide incremental-maintenance totals (snapshotted like
-  // the eviction counters above).
-  uint64_t skyline_maintenance_events = 0;
-  uint64_t skyline_invalidations = 0;
+  // Retired and always false: the engine keeps no key or skyline cache.
+  // Kept only so existing callers (perfbench) still compile.
+  bool key_cache_hit = false;
+  bool skyline_cache_hit = false;
   // MVCC observability. `pinned_epoch` is the snapshot this statement
   // pinned (0 = the statement did not pin — DML, DDL, rewrite mode); the
   // version/GC counters are cumulative engine-wide totals snapshotted
-  // after the statement, like the eviction counters above.
+  // after the statement, like the eviction counter above.
   uint64_t pinned_epoch = 0;
   uint64_t mvcc_versions_scanned = 0;  // row versions visibility-tested
   uint64_t mvcc_versions_skipped = 0;  // versions invisible at the snapshot

@@ -1,6 +1,5 @@
 // SlotKeys: the one key build for preference keys that start from a heap
-// slot of a base table — the BMO's candidates of a heap scan, the whole-table
-// build of position mode, and the key-cache maintenance of appended slots.
+// slot of a base table — the BMO's candidates of a heap scan.
 //
 // A leaf whose attribute is a plain column and whose base preference scores
 // by the value's numeric view (AROUND, BETWEEN, LOWEST, HIGHEST, or the DUAL

@@ -15,16 +15,9 @@ namespace prefsql {
 // Statement dispatch
 // ===========================================================================
 
-Executor::DmlEffect& Executor::BeginDml(DmlEffect::Kind kind,
-                                        const std::string& name,
-                                        const Table& table) {
-  last_dml_ = DmlEffect{};
-  last_dml_.kind = kind;
-  last_dml_.table = name;
-  last_dml_.table_id = table.id();
-  last_dml_.version_before = table.version();
-  last_dml_.heap_before = table.heap_size();
-  return last_dml_;
+void Executor::BeginDml(DmlEffect::Kind kind, const std::string& name,
+                        const Table& table) {
+  last_dml_ = DmlEffect{kind, table.id(), name};
 }
 
 Result<ResultTable> Executor::ExecuteStatement(const Statement& stmt) {
@@ -382,17 +375,16 @@ namespace {
 // with it (`stamp`), then seals the table version and publishes the epoch,
 // so readers see all of the statement or none. A statement that changes
 // no row never calls this and seals nothing.
-void CommitDml(Table* table, Executor::DmlEffect* dml,
+void CommitDml(Table* table,
                const std::function<void(uint64_t epoch)>& stamp) {
   const uint64_t epoch = table->epochs().BeginWrite();
   stamp(epoch);
   // Fault-injection site (delay-only): stretches the window between the
   // last stamped change and the epoch becoming visible, the exact interval
-  // concurrent readers and cache maintenance must tolerate.
+  // concurrent readers must tolerate.
   PSQL_FAILPOINT("epoch_publish");
   table->SealVersion(epoch);
   table->epochs().Publish(epoch);
-  dml->commit_epoch = epoch;
 }
 
 ResultTable RowsAffected(size_t n) {
@@ -412,7 +404,7 @@ Result<ResultTable> Executor::InsertTable(const std::string& table,
 Result<ResultTable> Executor::InsertRows(Table* table, const std::string& name,
                                          const std::vector<std::string>& columns,
                                          std::vector<Row> values) {
-  DmlEffect& dml = BeginDml(DmlEffect::Kind::kInsert, name, *table);
+  BeginDml(DmlEffect::Kind::kInsert, name, *table);
   std::vector<size_t> positions;
   if (columns.empty()) {
     for (size_t i = 0; i < table->columns().size(); ++i) positions.push_back(i);
@@ -444,7 +436,7 @@ Result<ResultTable> Executor::InsertRows(Table* table, const std::string& name,
     rows.push_back(std::move(row));
   }
   if (!rows.empty()) {
-    CommitDml(table, &dml, [&](uint64_t epoch) {
+    CommitDml(table, [&](uint64_t epoch) {
       for (Row& row : rows) table->AppendVersion(std::move(row), epoch);
     });
   }
@@ -494,7 +486,7 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
   // The subquery runner of the statement's WHERE and SET expressions.
   StatementScope statement(this);
   PSQL_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.name));
-  DmlEffect& dml = BeginDml(DmlEffect::Kind::kUpdate, stmt.name, *table);
+  BeginDml(DmlEffect::Kind::kUpdate, stmt.name, *table);
   ScopedSnapshot scope(AmbientSnapshotOr(table->epochs().current()));
   const Schema schema = table->schema().WithQualifier(stmt.name);
   std::vector<size_t> target_cols;
@@ -533,11 +525,10 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
   }
   if (!slots.empty()) {
     // End-stamp each old slot and append its replacement.
-    CommitDml(table, &dml, [&](uint64_t epoch) {
+    CommitDml(table, [&](uint64_t epoch) {
       for (size_t i = 0; i < slots.size(); ++i) {
         table->MarkDeleted(slots[i], epoch);
         table->AppendVersion(std::move(updated[i]), epoch);
-        dml.dead.push_back(static_cast<uint32_t>(slots[i]));
       }
     });
   }
@@ -548,18 +539,15 @@ Result<ResultTable> Executor::ExecuteDelete(const Statement& stmt) {
   // The subquery runner of the statement's WHERE.
   StatementScope statement(this);
   PSQL_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.name));
-  DmlEffect& dml = BeginDml(DmlEffect::Kind::kDelete, stmt.name, *table);
+  BeginDml(DmlEffect::Kind::kDelete, stmt.name, *table);
   ScopedSnapshot scope(AmbientSnapshotOr(table->epochs().current()));
   PSQL_ASSIGN_OR_RETURN(
       std::vector<size_t> slots,
       TargetSlots(&statement, *table,
                   table->schema().WithQualifier(stmt.name), stmt.where.get()));
   if (!slots.empty()) {
-    CommitDml(table, &dml, [&](uint64_t epoch) {
-      for (size_t slot : slots) {
-        table->MarkDeleted(slot, epoch);
-        dml.dead.push_back(static_cast<uint32_t>(slot));
-      }
+    CommitDml(table, [&](uint64_t epoch) {
+      for (size_t slot : slots) table->MarkDeleted(slot, epoch);
     });
   }
   return RowsAffected(slots.size());

@@ -150,26 +150,14 @@ class Executor {
 
   Catalog* catalog() { return catalog_; }
 
-  /// What the last DML statement did to its target table, at heap-slot
-  /// granularity — the input of the engine's incremental skyline-cache
-  /// maintenance (core/engine.cc). Reset at every statement dispatch and by
-  /// InsertTable. A failing statement stamps nothing, so it leaves
-  /// `commit_epoch` 0 and `dead` empty.
-  ///
-  /// MVCC shape: slots never move, so the appended versions of an
-  /// INSERT/UPDATE are implicit as [heap_before, table->heap_size()), and
-  /// `dead` lists the slots end-stamped at `commit_epoch` (DELETE victims
-  /// and the superseded old versions of an UPDATE), ascending.
+  /// The target table of the last DML statement — where the engine's
+  /// post-write version GC looks (core/engine.cc, TryCollectGarbage). Reset
+  /// at every statement dispatch and by InsertTable.
   struct DmlEffect {
     enum class Kind { kNone, kInsert, kDelete, kUpdate };
     Kind kind = Kind::kNone;
-    uint64_t table_id = 0;
-    uint64_t version_before = 0;  ///< Table::version at statement start
-    uint64_t commit_epoch = 0;    ///< epoch this statement committed (0 = none)
-    size_t heap_before = 0;       ///< heap slot count at statement start
-    std::string table;            ///< target table name
-    /// Slots end-stamped by this statement, ascending.
-    std::vector<uint32_t> dead;
+    uint64_t table_id = 0;  ///< Table::id, so a recreated table never matches
+    std::string table;      ///< target table name
   };
   const DmlEffect& last_dml() const { return last_dml_; }
 
@@ -228,9 +216,9 @@ class Executor {
                                           const Schema& schema,
                                           const Expr* where);
 
-  /// Stamps `last_dml_` with the pre-statement identity of `table`.
-  DmlEffect& BeginDml(DmlEffect::Kind kind, const std::string& name,
-                      const Table& table);
+  /// Stamps `last_dml_` with the identity of `table`.
+  void BeginDml(DmlEffect::Kind kind, const std::string& name,
+                const Table& table);
 
   Catalog* catalog_;
   DmlEffect last_dml_;

@@ -59,10 +59,9 @@ class SeqScanOperator : public PhysicalOperator {
 ///    per-slot codes first and visibility second, and emits a row only when
 ///    every truth table passes; `versions_scanned` counts the slots that
 ///    reached the visibility test.
-///  * List mode emits the ascending heap slots `slots` (index hits or
-///    skyline-cache positions) that are visible at `snapshot`. Index hits
-///    cover dead versions and slots beyond the snapshot's heap size too;
-///    the visibility test drops them.
+///  * List mode emits the ascending heap slots `slots` (index hits) that
+///    are visible at `snapshot`. Index hits cover dead versions and slots
+///    beyond the snapshot's heap size too; the visibility test drops them.
 class HeapScanOperator : public PhysicalOperator {
  public:
   struct CodedFilter {

@@ -30,11 +30,6 @@ class DualBasePreference : public BasePreference {
 
   const char* TypeName() const override { return "DUAL"; }
 
-  uint64_t Fingerprint() const override {
-    return FingerprintMix(BasePreference::Fingerprint(),
-                          inner_->Fingerprint());
-  }
-
   double Score(const Value& v) const override { return -inner_->Score(v); }
 
   std::optional<NumericScore> numeric_score() const override {

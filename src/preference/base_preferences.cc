@@ -31,10 +31,6 @@ ExprPtr InList(const Expr& attr, const std::vector<Value>& values) {
 // AROUND
 // ---------------------------------------------------------------------------
 
-uint64_t AroundPreference::Fingerprint() const {
-  return FingerprintDouble(BasePreference::Fingerprint(), score_.low);
-}
-
 Result<ExprPtr> AroundPreference::ScoreExpr(const Expr& attr) const {
   // ABS(attr - target)
   std::vector<ExprPtr> args;
@@ -47,12 +43,6 @@ Result<ExprPtr> AroundPreference::ScoreExpr(const Expr& attr) const {
 // ---------------------------------------------------------------------------
 // BETWEEN
 // ---------------------------------------------------------------------------
-
-uint64_t BetweenPreference::Fingerprint() const {
-  return FingerprintDouble(
-      FingerprintDouble(BasePreference::Fingerprint(), score_.low),
-      score_.high);
-}
 
 Result<ExprPtr> BetweenPreference::ScoreExpr(const Expr& attr) const {
   // CASE WHEN attr < low THEN low - attr
@@ -116,15 +106,6 @@ LayeredSetPreference::LayeredSetPreference(
     : type_name_(type_name),
       layers_(std::move(layers)),
       others_level_(others_level.value_or(static_cast<int>(layers_.size()) + 1)) {}
-
-uint64_t LayeredSetPreference::Fingerprint() const {
-  uint64_t h = BasePreference::Fingerprint();
-  for (const auto& layer : layers_) {
-    h = FingerprintMix(h, layer.size());
-    for (const auto& v : layer) h = FingerprintValue(h, v);
-  }
-  return FingerprintMix(h, static_cast<uint64_t>(others_level_));
-}
 
 double LayeredSetPreference::Score(const Value& v) const {
   if (!v.is_null()) {
@@ -191,10 +172,6 @@ std::unique_ptr<BasePreference> MakePosNegPreference(std::vector<Value> pos,
 // ---------------------------------------------------------------------------
 // CONTAINS
 // ---------------------------------------------------------------------------
-
-uint64_t ContainsPreference::Fingerprint() const {
-  return FingerprintString(BasePreference::Fingerprint(), needle_);
-}
 
 double ContainsPreference::Score(const Value& v) const {
   if (v.type() != ValueType::kText) return 2.0;

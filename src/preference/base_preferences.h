@@ -16,7 +16,6 @@ class AroundPreference : public BasePreference {
   explicit AroundPreference(double target)
       : score_{NumericScore::Kind::kAround, target} {}
   const char* TypeName() const override { return "AROUND"; }
-  uint64_t Fingerprint() const override;
   double Score(const Value& v) const override { return score_.Of(v); }
   std::optional<NumericScore> numeric_score() const override {
     return score_;
@@ -37,7 +36,6 @@ class BetweenPreference : public BasePreference {
   BetweenPreference(double low, double high)
       : score_{NumericScore::Kind::kBetween, low, high} {}
   const char* TypeName() const override { return "BETWEEN"; }
-  uint64_t Fingerprint() const override;
   double Score(const Value& v) const override { return score_.Of(v); }
   std::optional<NumericScore> numeric_score() const override {
     return score_;
@@ -94,7 +92,6 @@ class LayeredSetPreference : public BasePreference {
                        std::optional<int> others_level = std::nullopt);
 
   const char* TypeName() const override { return type_name_; }
-  uint64_t Fingerprint() const override;
   double Score(const Value& v) const override;
   Result<ExprPtr> ScoreExpr(const Expr& attr) const override;
   bool IsCategorical() const override { return true; }
@@ -126,7 +123,6 @@ class ContainsPreference : public BasePreference {
   explicit ContainsPreference(std::string needle)
       : needle_(std::move(needle)) {}
   const char* TypeName() const override { return "CONTAINS"; }
-  uint64_t Fingerprint() const override;
   double Score(const Value& v) const override;
   Result<ExprPtr> ScoreExpr(const Expr& attr) const override;
   bool IsCategorical() const override { return true; }

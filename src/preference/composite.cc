@@ -3,7 +3,6 @@
 #include "preference/algebra.h"
 #include "preference/base_preferences.h"
 #include "preference/explicit_preference.h"
-#include "sql/printer.h"
 #include "util/string_util.h"
 
 namespace prefsql {
@@ -117,21 +116,7 @@ Result<CompiledPreference> CompiledPreference::Compile(const PrefTerm& term) {
                                          /*dualize=*/false));
   out.term_ = term.Clone();
   out.program_ = DominanceProgram::Compile(*out.root_, out.leaves_);
-  out.fingerprint_ = out.FingerprintNode(*out.root_, kFingerprintSeed);
   return out;
-}
-
-uint64_t CompiledPreference::FingerprintNode(const PrefNode& node,
-                                             uint64_t h) const {
-  h = FingerprintMix(h, static_cast<uint64_t>(node.kind));
-  if (node.kind == PrefNode::Kind::kLeaf) {
-    const PrefLeaf& leaf = leaves_[node.leaf_slot];
-    h = FingerprintMix(h, leaf.pref->Fingerprint());
-    return FingerprintString(h, ExprToSql(*leaf.attr));
-  }
-  h = FingerprintMix(h, node.children.size());
-  for (const auto& child : node.children) h = FingerprintNode(*child, h);
-  return h;
 }
 
 Result<PrefKey> CompiledPreference::MakeKey(const Schema& schema,

@@ -75,14 +75,6 @@ class CompiledPreference {
   /// The flat dominance program the BMO kernels evaluate (compiled once).
   const DominanceProgram& program() const { return program_; }
 
-  /// Stable structural hash of the whole preference: constructor tree shape,
-  /// per-leaf BasePreference::Fingerprint, and the leaf attribute
-  /// expressions (as SQL text). Equal fingerprints mean the compiled
-  /// preferences produce identical keys and identical dominance outcomes
-  /// over any relation — the preference component of the engine's key-cache
-  /// keys. Computed once at Compile time.
-  uint64_t Fingerprint() const { return fingerprint_; }
-
   /// Compares two tuples under the full preference tree — the recursive
   /// reference implementation; program() is the production kernel and is
   /// property-tested against this oracle.
@@ -119,13 +111,10 @@ class CompiledPreference {
   Rel CompareNode(const PrefNode& node, const PrefKey& a,
                   const PrefKey& b) const;
 
-  uint64_t FingerprintNode(const PrefNode& node, uint64_t h) const;
-
   std::vector<PrefLeaf> leaves_;
   std::unique_ptr<PrefNode> root_;
   PrefTermPtr term_;
   DominanceProgram program_;
-  uint64_t fingerprint_ = 0;
 };
 
 }  // namespace prefsql

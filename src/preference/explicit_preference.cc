@@ -95,16 +95,6 @@ Result<std::unique_ptr<ExplicitPreference>> ExplicitPreference::Make(
   return p;
 }
 
-uint64_t ExplicitPreference::Fingerprint() const {
-  uint64_t h = BasePreference::Fingerprint();
-  h = FingerprintMix(h, values_.size());
-  for (const auto& v : values_) h = FingerprintValue(h, v);
-  for (size_t i = 0; i < reach_.size(); ++i) {
-    if (reach_[i]) h = FingerprintMix(h, i);
-  }
-  return h;
-}
-
 double ExplicitPreference::Score(const Value& v) const {
   int32_t id = ExplicitId(v);
   if (id < 0) return static_cast<double>(max_rank_ + 2);

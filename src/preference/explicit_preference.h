@@ -26,7 +26,6 @@ class ExplicitPreference : public BasePreference {
 
   /// Mixes the mentioned values (in id order) and the transitive closure —
   /// together they determine the order completely.
-  uint64_t Fingerprint() const override;
 
   /// Layer rank + 1 (longest chain from a maximal value); a monotone linear
   /// extension of the order. Unmentioned values score max_rank + 2.

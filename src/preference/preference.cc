@@ -1,7 +1,5 @@
 #include "preference/preference.h"
 
-#include <cstring>
-
 namespace prefsql {
 
 namespace {
@@ -20,21 +18,6 @@ uint64_t FingerprintString(uint64_t h, std::string_view s) {
   for (unsigned char c : s) h = (h ^ c) * kFnvPrime;
   // Length terminator: "ab"+"c" must differ from "a"+"bc".
   return FingerprintMix(h, s.size());
-}
-
-uint64_t FingerprintDouble(uint64_t h, double d) {
-  if (d == 0.0) d = 0.0;  // collapse -0.0 onto +0.0
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return FingerprintMix(h, bits);
-}
-
-uint64_t FingerprintValue(uint64_t h, const Value& v) {
-  h = FingerprintString(h, ValueTypeToString(v.type()));
-  // Doubles hash by bit pattern — ToString's %g rendering would conflate
-  // values differing past six significant digits.
-  if (v.type() == ValueType::kDouble) return FingerprintDouble(h, v.AsDouble());
-  return FingerprintString(h, v.ToString());
 }
 
 const char* RelToString(Rel rel) {

@@ -33,9 +33,8 @@ const char* RelToString(Rel rel);
 Rel FlipRel(Rel rel);
 
 // -- Fingerprinting -----------------------------------------------------
-// Building blocks for the structural hashes that key the engine's caches
-// (FNV-1a, 64-bit). Fingerprints must be stable within a process run and
-// must change whenever the hashed object would order values differently.
+// Building blocks of the plan cache's key hash (FNV-1a, 64-bit; stable
+// within a process run).
 
 /// The FNV-1a offset basis; the seed of every fingerprint chain.
 inline constexpr uint64_t kFingerprintSeed = 1469598103934665603ULL;
@@ -45,14 +44,6 @@ uint64_t FingerprintMix(uint64_t h, uint64_t v);
 
 /// Mixes a string into a running fingerprint.
 uint64_t FingerprintString(uint64_t h, std::string_view s);
-
-/// Mixes a double into a running fingerprint (by bit pattern; normalizes
-/// -0.0 to 0.0 so equal-comparing targets fingerprint equally).
-uint64_t FingerprintDouble(uint64_t h, double d);
-
-/// Mixes a Value into a fingerprint: type tag plus rendered form, so
-/// Int(1), Double(1.0) and Text('1') stay distinct.
-uint64_t FingerprintValue(uint64_t h, const Value& v);
 
 /// Score assigned to NULL / untyped-garbage values: worse than any real
 /// value. A large finite number (not infinity) so the SQL rewrite can use the
@@ -119,16 +110,6 @@ class BasePreference {
 
   /// Preference type name for diagnostics ("AROUND", "POS", ...).
   virtual const char* TypeName() const = 0;
-
-  /// Structural hash of this base preference: type plus every parameter
-  /// that affects how values are ordered or scored. Two base preferences
-  /// with different behavior must fingerprint differently; the engine's
-  /// key cache keys packed KeyStores by the preference tree hash built
-  /// from these (CompiledPreference::Fingerprint). The default hashes the
-  /// type name only — parameterized subclasses must mix in their state.
-  virtual uint64_t Fingerprint() const {
-    return FingerprintString(kFingerprintSeed, TypeName());
-  }
 
   /// Numeric score of a value; lower is better; kWorstScore for NULL or
   /// non-applicable values. For every base preference this is a monotone

@@ -9,8 +9,8 @@
 // complete — readers either observe the whole statement or none of it.
 //
 // The pin registry tracks every snapshot still held by an open statement or
-// cursor so garbage collection and cache sweeps never destroy state an
-// active reader can still see (MinPinnedOr is the GC horizon).
+// cursor so garbage collection never destroys state an active reader can
+// still see (MinPinnedOr is the GC horizon).
 
 #pragma once
 
@@ -64,7 +64,7 @@ class EpochManager {
   }
 
   /// Oldest pinned snapshot, or `fallback` when nothing is pinned. Used as
-  /// the GC horizon and by the cache sweep's liveness rule.
+  /// the GC horizon.
   uint64_t MinPinnedOr(uint64_t fallback) const {
     std::lock_guard<std::mutex> g(mu_);
     return pins_.empty() ? fallback : *pins_.begin();

@@ -15,7 +15,7 @@
 // slots below it. Stamping a version never touches the vector: slots never
 // move and payloads never change, so MVCC needs nothing new. A writer's
 // reads extend it as any reader's do, at their snapshot: the target scan
-// of an UPDATE or DELETE before it stamps, skyline-cache maintenance after.
+// of an UPDATE or DELETE before it stamps.
 
 #pragma once
 

@@ -10,9 +10,10 @@
 //      (published by the writer with release), and filters by
 //      begin <= S < end — end stamps are atomic, so a reader races a
 //      DELETE only into one of two correct outcomes.
-//   2. Slot positions are durable identifiers. The skyline/key caches key
-//      tuples by slot position; because positions never shift, DML
-//      maintenance appends/re-stamps instead of remapping position lists.
+//   2. Slot positions are durable identifiers. Index entries and the
+//      per-slot column codes and vectors address tuples by slot position;
+//      because positions never shift, DML appends/re-stamps instead of
+//      remapping them.
 //   3. Borrowed RowRefs stay valid. Rows live in chunked buckets (geometric
 //      doubling, starting at kFirstBucketSize), never reallocated, so a
 //      streaming operator can hold `const Row*` across concurrent appends.
@@ -46,8 +47,8 @@ class RowHeap {
     // visibility.
     std::atomic<uint64_t> end{kInfiniteEpoch};
     // Payload reclaimed by CollectGarbage (row is empty). Only flipped while
-    // no readers are active, but atomic so cache-maintenance code on other
-    // writer iterations reads it cheaply.
+    // no readers are active, but atomic so code on other writer iterations
+    // reads it cheaply.
     std::atomic<bool> cleared{false};
   };
 

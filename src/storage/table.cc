@@ -27,7 +27,7 @@ Table::Table(std::string name, std::vector<ColumnDef> columns,
   infos.reserve(columns_.size());
   for (const auto& c : columns_) infos.push_back({"", c.name});
   schema_ = Schema(std::move(infos));
-  seals_.push_back({0, 0, 0});
+  seals_.push_back({0, 0});
   codes_.resize(columns_.size());
   numbers_.resize(columns_.size());
 }
@@ -113,20 +113,12 @@ void Table::SealVersion(uint64_t commit_epoch) {
   uint64_t v = version_.load(std::memory_order_relaxed) + 1;
   version_.store(v, std::memory_order_release);
   std::lock_guard<std::mutex> g(seal_mu_);
-  seals_.push_back({commit_epoch, v, heap_.size()});
-}
-
-uint64_t Table::VersionAt(uint64_t snapshot) const {
-  std::lock_guard<std::mutex> g(seal_mu_);
-  // Last seal with epoch <= snapshot (seals_ ascends; seeded with epoch 0).
-  auto it = std::upper_bound(
-      seals_.begin(), seals_.end(), snapshot,
-      [](uint64_t snap, const Seal& s) { return snap < s.epoch; });
-  return it == seals_.begin() ? 0 : std::prev(it)->version;
+  seals_.push_back({commit_epoch, heap_.size()});
 }
 
 size_t Table::HeapSizeAt(uint64_t snapshot) const {
   std::lock_guard<std::mutex> g(seal_mu_);
+  // Last seal with epoch <= snapshot (seals_ ascends; seeded with epoch 0).
   auto it = std::upper_bound(
       seals_.begin(), seals_.end(), snapshot,
       [](uint64_t snap, const Seal& s) { return snap < s.epoch; });
@@ -167,7 +159,7 @@ const NumericColumn& Table::NumbersFor(size_t col, size_t limit) const {
 size_t Table::CollectGarbage(uint64_t horizon) {
   size_t freed = heap_.CollectGarbage(horizon);
   std::lock_guard<std::mutex> g(seal_mu_);
-  // Keep the last seal at or below the horizon (it resolves VersionAt for
+  // Keep the last seal at or below the horizon (it resolves HeapSizeAt for
   // the horizon snapshot itself) and everything after it.
   auto it = std::upper_bound(
       seals_.begin(), seals_.end(), horizon,

@@ -6,10 +6,10 @@
 // exactly the versions with begin <= S < end, so concurrent readers never
 // block writers and a pinned cursor keeps a stable view for its lifetime.
 //
-// SealVersion records (commit epoch -> logical table version, heap size)
-// after each statement; VersionAt/HeapSizeAt let snapshot readers key the
-// plan/key/skyline caches by the table version *their epoch* saw, which is
-// how a pinned reader can still serve from a superseded cache entry.
+// SealVersion bumps the logical table version and records (commit epoch ->
+// heap size) after each statement; HeapSizeAt gives a snapshot reader the
+// slot range its epoch saw, so its scans stay deterministic while writers
+// append.
 
 #pragma once
 
@@ -53,8 +53,7 @@ class Table {
   const Schema& schema() const { return schema_; }
 
   const RowHeap& heap() const { return heap_; }
-  /// All slots ever appended, live and dead (the slot-position key space of
-  /// the preference caches).
+  /// All slots ever appended, live and dead.
   size_t heap_size() const { return heap_.size(); }
   EpochManager& epochs() const { return *epochs_; }
 
@@ -97,18 +96,13 @@ class Table {
   void MarkDeleted(size_t slot, uint64_t end) { heap_.MarkDead(slot, end); }
 
   /// Bumps the logical table version and records that `commit_epoch` sealed
-  /// it at the current heap size. Call once per mutating statement.
+  /// the current heap size. Call once per mutating statement.
   void SealVersion(uint64_t commit_epoch);
 
   // -- Snapshot views -------------------------------------------------------
 
-  /// The logical table version visible at `snapshot` (the version sealed by
-  /// the last commit epoch <= snapshot). Cache keys on read paths use this
-  /// instead of version() so a pinned reader keys the entry its epoch saw.
-  uint64_t VersionAt(uint64_t snapshot) const;
-
-  /// The heap size at `snapshot` — the slot-position key space a reader at
-  /// that snapshot computes caches over (deterministic per version).
+  /// The heap size at `snapshot` (the size sealed by the last commit epoch
+  /// <= snapshot) — the slot range a reader at that snapshot scans.
   size_t HeapSizeAt(uint64_t snapshot) const;
 
   /// The dictionary codes of column `col` covering at least slots
@@ -135,13 +129,11 @@ class Table {
   /// horizon <= the oldest pinned snapshot. Returns payloads freed.
   size_t CollectGarbage(uint64_t horizon);
 
-  /// Monotone counter bumped on every mutation (latest sealed version);
-  /// indexes and the engine's cache maintenance compare it for staleness.
+  /// Monotone counter bumped on every mutation (latest sealed version).
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   /// Process-unique identity of this table object. Unlike the name, the id
-  /// distinguishes a dropped-and-recreated table from its predecessor, so
-  /// version-keyed caches can never match entries of a dead incarnation.
+  /// distinguishes a dropped-and-recreated table from its predecessor.
   uint64_t id() const { return id_; }
 
  private:
@@ -149,7 +141,6 @@ class Table {
 
   struct Seal {
     uint64_t epoch;
-    uint64_t version;
     size_t heap_size;
   };
 
@@ -162,7 +153,7 @@ class Table {
   std::atomic<uint64_t> version_{0};
   uint64_t id_ = NextId();
 
-  // Commit history, ascending by epoch; seeded with {0, 0, 0} so every
+  // Commit history, ascending by epoch; seeded with {0, 0} so every
   // snapshot resolves. Guarded by seal_mu_ (appends are writer-serialized,
   // but readers binary-search concurrently).
   mutable std::mutex seal_mu_;

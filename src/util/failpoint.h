@@ -1,13 +1,13 @@
 // Compile-time-gated failpoint harness for fault-injection testing.
 //
-// A failpoint is a named site at a hairy transition (epoch publish, skyline
-// cache maintenance, writer-mutex handoff, GC horizon computation, thread
-// pool dispatch). Production builds compile the sites away entirely; a build
-// with -DPREFSQL_FAILPOINTS=ON (which defines PREFSQL_FAILPOINTS_ENABLED)
+// A failpoint is a named site at a hairy transition (epoch publish,
+// writer-mutex handoff, GC horizon computation, thread pool dispatch).
+// Production builds compile the sites away entirely; a build with
+// -DPREFSQL_FAILPOINTS=ON (which defines PREFSQL_FAILPOINTS_ENABLED)
 // evaluates each site against a registry armed either programmatically
 // (failpoint::Arm) or through the environment:
 //
-//   PREFSQL_FAILPOINTS="epoch_publish=delay(5),skyline_maintenance=error"
+//   PREFSQL_FAILPOINTS="epoch_publish=delay(5),writer_handoff=error"
 //
 // Actions:
 //   error       the site reports Status::Internal("failpoint <name>"); sites
@@ -22,9 +22,6 @@
 //   PSQL_FAILPOINT(name)          evaluate; discard any error action
 //   PSQL_FAILPOINT_STATUS(name)   evaluate; `return` the error action's
 //                                 Status from the enclosing function
-//   PSQL_FAILPOINT_VOID(name)     evaluate; on an error action `return;`
-//                                 from the enclosing void function (the
-//                                 injected fault skips the guarded step)
 
 #pragma once
 
@@ -75,12 +72,7 @@ Status Evaluate(const char* name);
         ::prefsql::failpoint::Evaluate(name);                  \
     if (!psql_fp_status_.ok()) return psql_fp_status_;         \
   } while (false)
-#define PSQL_FAILPOINT_VOID(name)                              \
-  do {                                                         \
-    if (!::prefsql::failpoint::Evaluate(name).ok()) return;    \
-  } while (false)
 #else
 #define PSQL_FAILPOINT(name) ((void)0)
 #define PSQL_FAILPOINT_STATUS(name) ((void)0)
-#define PSQL_FAILPOINT_VOID(name) ((void)0)
 #endif

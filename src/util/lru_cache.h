@@ -1,8 +1,7 @@
-// LruCache: the shared mutex-guarded LRU machinery behind the engine's
-// plan cache (core/plan_cache.h) and preference-key cache
-// (preference/key_cache.h).
+// LruCache: the mutex-guarded LRU machinery behind the engine's plan cache
+// (core/plan_cache.h).
 //
-// Semantics the two caches rely on:
+// Semantics the plan cache relies on:
 //   * Lookup counts a hit or miss and refreshes the entry's LRU position.
 //   * Insert overwrites an existing entry for the same key (a racing
 //     builder's result simply wins; more importantly, a defensively
@@ -20,7 +19,6 @@
 #include <mutex>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace prefsql {
 
@@ -74,51 +72,6 @@ class LruCache {
       lru_.pop_back();
       ++counters_.evictions;
     }
-  }
-
-  /// Atomically moves the entry under `old_key` to `new_key`, storing
-  /// `value` there — erase and insert happen inside one critical section,
-  /// so at no instant are both keys resident (the skyline cache's
-  /// incremental maintenance relies on this to keep its peak footprint
-  /// flat across DML instead of transiently doubling). Works like Insert
-  /// when `old_key` is absent; counts neither an eviction nor an insertion
-  /// for the move itself (capacity evictions still count).
-  void Rekey(const Key& old_key, const Key& new_key, Value value) {
-    if (capacity_ == 0) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto old_it = map_.find(old_key);
-    if (old_it != map_.end()) {
-      lru_.erase(old_it->second);
-      map_.erase(old_it);
-    }
-    auto it = map_.find(new_key);
-    if (it != map_.end()) {
-      it->second->second = std::move(value);
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;
-    }
-    lru_.emplace_front(new_key, std::move(value));
-    map_[new_key] = lru_.begin();
-    while (lru_.size() > capacity_) {
-      map_.erase(lru_.back().first);
-      lru_.pop_back();
-      ++counters_.evictions;
-    }
-  }
-
-  /// Copies of every (key, value) pair whose key matches `pred`, in LRU
-  /// order (most recent first). Does not count hits or touch LRU positions
-  /// — this is the bulk-read primitive behind incremental cache
-  /// maintenance, where the engine re-derives entries under a new version
-  /// key rather than serving them.
-  std::vector<std::pair<Key, Value>> SnapshotWhere(
-      const std::function<bool(const Key&)>& pred) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<Key, Value>> out;
-    for (const Entry& e : lru_) {
-      if (pred(e.first)) out.push_back(e);
-    }
-    return out;
   }
 
   /// Drops up to `n` entries from the cold (least recently used) end —

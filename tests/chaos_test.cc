@@ -1,7 +1,7 @@
 // Chaos battery: the MVCC snapshot-isolation oracle of
 // mvcc_property_test.cc re-run with fault-injection failpoints armed at the
-// engine's five hairy transitions (epoch publish, skyline-cache
-// maintenance, writer-mutex handoff, GC horizon, thread-pool dispatch).
+// engine's four hairy transitions (epoch publish, writer-mutex handoff,
+// GC horizon, thread-pool dispatch).
 //
 // Each round replays a randomized DML script serially on a private engine
 // — with every failpoint disarmed — to capture the oracle, then runs it
@@ -11,9 +11,6 @@
 //                         writer retries it (the hit limit guarantees the
 //                         retry converges), so the applied sequence stays a
 //                         prefix of the script and the oracle holds;
-//   skyline_maintenance   the incremental cache carry is skipped — sound,
-//                         because uncarried entries are unreachable by
-//                         version key and the sweep reclaims them;
 //   gc_horizon            a GC pass is skipped — garbage lingers, results
 //                         are unaffected.
 // Delay actions (epoch_publish, pool_dispatch, and optionally the above)
@@ -190,7 +187,6 @@ TEST(ChaosTest, OracleHoldsUnderInjectedFaults) {
     ArmRandom(fp_rng, "epoch_publish", /*allow_error=*/false);
     ArmRandom(fp_rng, "pool_dispatch", /*allow_error=*/false);
     ArmRandom(fp_rng, "writer_handoff", /*allow_error=*/true);
-    ArmRandom(fp_rng, "skyline_maintenance", /*allow_error=*/true);
     ArmRandom(fp_rng, "gc_horizon", /*allow_error=*/true);
 
     struct Observation {
@@ -270,10 +266,8 @@ TEST(ChaosTest, OracleHoldsUnderInjectedFaults) {
       }
     }
 
-    // Convergence + cache coherence: with faults disarmed, fresh reads (one
-    // through the skyline cache, one plain) see exactly the full script's
-    // effect — a skipped maintenance carry must not have left a stale
-    // cache entry serving old positions.
+    // Convergence: with faults disarmed, a fresh in-engine read of every
+    // probe sees exactly the full script's effect.
     Connection final_conn;
     final_conn.Attach(engine);
     ASSERT_TRUE(final_conn.Execute("SET evaluation_mode = bnl").ok());
@@ -288,8 +282,8 @@ TEST(ChaosTest, OracleHoldsUnderInjectedFaults) {
 #if defined(PREFSQL_FAILPOINTS_ENABLED)
   // Coverage: the battery actually reached every catalogued site.
   const std::vector<std::string> sites = failpoint::EvaluatedSites();
-  for (const char* site : {"epoch_publish", "pool_dispatch", "writer_handoff",
-                           "skyline_maintenance", "gc_horizon"}) {
+  for (const char* site :
+       {"epoch_publish", "pool_dispatch", "writer_handoff", "gc_horizon"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << "site never evaluated: " << site;
   }

@@ -239,7 +239,7 @@ TEST_F(ColumnVectorsCarTest, StatsShowTheVectorPath) {
                                "HIGHEST(power)"),
             3u);
   EXPECT_GT(conn_.last_stats().bmo_key_build_ns, 0u);
-  // Bare scan (position mode, key cache): categorical leaves evaluate rows.
+  // Bare scan: categorical leaves evaluate rows.
   EXPECT_EQ(ExpectAnswerParity(conn_, "car", "",
                                "make IN ('BMW') AND LOWEST(price)"),
             1u);

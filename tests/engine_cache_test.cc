@@ -1,10 +1,9 @@
-// The engine's two caches and their version-based invalidation:
-//   * plan cache — (normalized text, catalog version), shared by sessions
-//     whatever their knobs,
-//   * key cache  — (preference fingerprint, table id, table version), for
-//     bare scans only,
-// plus the stats/EXPLAIN surface (`plan_cache_hit`, `key_cache_hit`,
-// eviction counters) and the preference tree hashes the key cache rests on.
+// The engine's one cache, the plan cache — (normalized text, catalog
+// version), shared by sessions whatever their knobs — and its
+// version-based invalidation, plus the stats/EXPLAIN surface
+// (`plan_cache_hit`, the eviction counter). Table contents are in no
+// cache: every PREFERRING statement keys exactly its candidates, so DML is
+// visible to the next statement and memory charges follow the candidates.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "core/connection.h"
 #include "sql/normalize.h"
-#include "sql/parser.h"
 
 namespace prefsql {
 namespace {
@@ -139,68 +137,6 @@ TEST_F(EngineCacheTest, RedefinedPreferenceIsNotServedStale) {
   EXPECT_EQ(r2->at(0, 0).AsText(), "tent");  // 300: expansion re-prepared
 }
 
-TEST_F(EngineCacheTest, RepeatedPreferringQueryHitsTheKeyCache) {
-  ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  ASSERT_TRUE(conn_.Execute(kQuery).ok());
-  EXPECT_TRUE(conn_.last_stats().key_cache_eligible)
-      << conn_.last_stats().key_cache_detail;
-  EXPECT_FALSE(conn_.last_stats().key_cache_hit);
-
-  auto warm = conn_.Execute(kQuery);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(conn_.last_stats().key_cache_hit)
-      << conn_.last_stats().key_cache_detail;
-  // The keys were reused wholesale: no rebuild happened at all.
-  EXPECT_EQ(conn_.last_stats().bmo_key_build_ns, 0u);
-}
-
-TEST_F(EngineCacheTest, KeyCacheIsSharedAcrossSessionsAndAlgorithms) {
-  auto engine = conn_.engine();
-  Connection other;
-  other.Attach(engine);
-  ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  ASSERT_TRUE(other.Execute("SET evaluation_mode = bnl").ok());
-  ASSERT_TRUE(other.Execute("SET bmo_algorithm = sfs").ok());
-
-  ASSERT_TRUE(conn_.Execute(kQuery).ok());
-  ASSERT_FALSE(conn_.last_stats().key_cache_hit);
-  // Same preference + same table version: the other session (and the other
-  // skyline algorithm) reuses the keys — they are algorithm-independent.
-  ASSERT_TRUE(other.Execute(kQuery).ok());
-  EXPECT_TRUE(other.last_stats().key_cache_hit)
-      << other.last_stats().key_cache_detail;
-}
-
-TEST_F(EngineCacheTest, DmlMaintainsTheSkylineCacheIncrementally) {
-  ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  ASSERT_TRUE(conn_.Execute(kQuery).ok());
-  ASSERT_TRUE(conn_.Execute(kQuery).ok());
-  ASSERT_TRUE(conn_.last_stats().key_cache_hit);
-
-  // A new dominator must appear in the next result. The INSERT does not
-  // discard the cached entry — it is carried to the new table version by
-  // keying the new row and dominance-testing it against the cached skyline
-  // — so the repeat query still hits, and is served from the maintained
-  // skyline position list without a dominance pass.
-  ASSERT_TRUE(
-      conn_.Execute("INSERT INTO gear VALUES ('quilt', 100, 1)").ok());
-  EXPECT_GT(conn_.last_stats().skyline_maintenance_events, 0u);
-  auto fresh = conn_.Execute(kQuery);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE(conn_.last_stats().key_cache_hit)
-      << conn_.last_stats().key_cache_detail;
-  EXPECT_TRUE(conn_.last_stats().skyline_cache_hit)
-      << conn_.last_stats().skyline_cache_detail;
-  // Double-residency regression: with no reader pinned at the old
-  // snapshot, the carry is an in-place rekey — at no instant were both the
-  // predecessor and the maintained entry resident, so nothing was evicted
-  // and the cache holds exactly one entry for the preference.
-  EXPECT_EQ(conn_.last_stats().key_cache_evictions, 0u);
-  EXPECT_EQ(conn_.engine()->key_cache().size(), 1u);
-  ASSERT_EQ(fresh->num_rows(), 1u);
-  EXPECT_EQ(fresh->at(0, 0).AsText(), "quilt");
-}
-
 TEST_F(EngineCacheTest, DroppedAndRecreatedTableNeverMatchesOldKeys) {
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
   ASSERT_TRUE(conn_.Execute(kQuery).ok());
@@ -212,27 +148,20 @@ TEST_F(EngineCacheTest, DroppedAndRecreatedTableNeverMatchesOldKeys) {
                   .ok());
   auto r = conn_.Execute(kQuery);
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(conn_.last_stats().key_cache_hit);  // new table id
   ASSERT_EQ(r->num_rows(), 1u);
   EXPECT_EQ(r->at(0, 0).AsText(), "new");
 }
 
 TEST_F(EngineCacheTest, FilteredQueriesKeyOnlyTheirCandidates) {
   // The WHERE pre-selection runs first; the BMO then keys only the rows
-  // that survive it, locally, and publishes nothing.
+  // that survive it.
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
   const std::string filtered =
       "SELECT name FROM gear WHERE weight < 4 "
       "PREFERRING LOWEST(price) AND LOWEST(weight)";
   auto r = conn_.Execute(filtered);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(conn_.last_stats().key_cache_eligible);
-  EXPECT_NE(conn_.last_stats().key_cache_detail.find("WHERE"),
-            std::string::npos)
-      << conn_.last_stats().key_cache_detail;
-  EXPECT_FALSE(conn_.last_stats().key_cache_hit);
   EXPECT_EQ(conn_.last_stats().candidate_count, 3u);  // tent is filtered
-  EXPECT_EQ(conn_.engine()->key_cache().size(), 0u);
 
   // The key build is charged per keyed row (2 leaves x 12 bytes): the 3
   // candidates (72 bytes) fit in 80 bytes, the 4-row table (96) does not.
@@ -246,36 +175,23 @@ TEST_F(EngineCacheTest, FilteredQueriesKeyOnlyTheirCandidates) {
       << bare.status().ToString();
 }
 
-TEST_F(EngineCacheTest, IneligibleShapesSkipTheKeyCache) {
-  ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
-  // A subquery in the WHERE can read other tables; like any WHERE it makes
-  // the run local and uncached.
-  auto r = conn_.Execute(
-      "SELECT name FROM gear WHERE weight < (SELECT 4) "
-      "PREFERRING LOWEST(price) AND LOWEST(weight)");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(conn_.last_stats().key_cache_eligible);
-  EXPECT_FALSE(conn_.last_stats().key_cache_hit);
-}
-
-TEST_F(EngineCacheTest, CachesCanBeDisabledPerSession) {
+TEST_F(EngineCacheTest, PlanCacheCanBeDisabledPerSession) {
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
   ASSERT_TRUE(conn_.Execute("SET plan_cache = off").ok());
-  ASSERT_TRUE(conn_.Execute("SET key_cache = off").ok());
   ASSERT_TRUE(conn_.Execute(kQuery).ok());
   ASSERT_TRUE(conn_.Execute(kQuery).ok());
   EXPECT_FALSE(conn_.last_stats().plan_cache_hit);
-  EXPECT_FALSE(conn_.last_stats().key_cache_hit);
-  EXPECT_FALSE(conn_.last_stats().key_cache_eligible);
 }
 
-TEST_F(EngineCacheTest, ExplainReportsCacheState) {
+TEST_F(EngineCacheTest, ExplainReportsPlanCacheState) {
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
   auto plan = conn_.Execute("EXPLAIN " + kQuery);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   std::string text = plan->ToString();
-  EXPECT_NE(text.find("key cache: eligible"), std::string::npos) << text;
   EXPECT_NE(text.find("plan cache: miss"), std::string::npos) << text;
+  // The plan cache is the only cache EXPLAIN reports.
+  EXPECT_EQ(text.find("key cache"), std::string::npos) << text;
+  EXPECT_EQ(text.find("skyline cache"), std::string::npos) << text;
   plan = conn_.Execute("EXPLAIN " + kQuery);
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->ToString().find("plan cache: hit"), std::string::npos)
@@ -504,31 +420,6 @@ TEST_F(EngineCacheTest, InListWidthsKeepBoundPreferencesApart) {
   EXPECT_TRUE(conn_.last_stats().plan_cache_hit);
   // tarp matches the name set, hammock (150) the price set: incomparable.
   EXPECT_EQ(r2->num_rows(), 2u);
-}
-
-TEST(PreferenceFingerprintTest, DistinguishesParametersAndStructure) {
-  auto fp = [](const std::string& text) {
-    auto term = ParsePreference(text);
-    EXPECT_TRUE(term.ok()) << text;
-    auto compiled = CompiledPreference::Compile(**term);
-    EXPECT_TRUE(compiled.ok()) << text;
-    return compiled->Fingerprint();
-  };
-  EXPECT_EQ(fp("price AROUND 40000"), fp("price AROUND 40000"));
-  EXPECT_NE(fp("price AROUND 40000"), fp("price AROUND 39999"));
-  EXPECT_NE(fp("price AROUND 40000"), fp("mileage AROUND 40000"));
-  EXPECT_NE(fp("LOWEST(price)"), fp("HIGHEST(price)"));
-  EXPECT_NE(fp("LOWEST(price)"), fp("DUAL(HIGHEST(price))"));
-  EXPECT_NE(fp("LOWEST(a) AND LOWEST(b)"), fp("LOWEST(a) CASCADE LOWEST(b)"));
-  EXPECT_NE(fp("LOWEST(a) AND LOWEST(b)"), fp("LOWEST(b) AND LOWEST(a)"));
-  EXPECT_NE(fp("color IN ('red')"), fp("color IN ('red', 'blue')"));
-  EXPECT_NE(fp("color IN ('red')"), fp("color NOT IN ('red')"));
-  EXPECT_NE(
-      fp("color EXPLICIT ('a' BETTER THAN 'b')"),
-      fp("color EXPLICIT ('b' BETTER THAN 'a')"));
-  EXPECT_NE(fp("price BETWEEN 10, 20"), fp("price BETWEEN 10, 30"));
-  // Set values hash doubles bit-exactly, beyond %g's six digits.
-  EXPECT_NE(fp("x IN (0.12345678)"), fp("x IN (0.12345679)"));
 }
 
 }  // namespace

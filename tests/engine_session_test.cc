@@ -94,8 +94,6 @@ TEST(EngineSessionTest, EveryKnobRoundTripsThroughSetAndItsEcho) {
       {"but_only_mode", {"prefilter", "prefilter"}},
       {"plan_cache", {"off", "off"}},
       {"auto_parameterize", {"off", "off"}},
-      {"key_cache", {"off", "off"}},
-      {"skyline_cache", {"off", "off"}},
       {"mvcc_gc", {"off", "off"}},
       {"mvcc_gc_background", {"off", "off"}},
       {"statement_timeout_ms", {"5000", "5000"}},
@@ -120,9 +118,16 @@ TEST(EngineSessionTest, EveryKnobRoundTripsThroughSetAndItsEcho) {
   std::set<std::string> expected;
   for (const auto& [knob, values] : knobs) expected.insert(knob);
   EXPECT_EQ(listed, expected);
-  EXPECT_EQ(listed.size(), 16u);
+  EXPECT_EQ(listed.size(), 14u);
   // Retired: PREFSQL_SIMD is the one control of the dominance kernels.
   EXPECT_FALSE(conn.Execute("SET simd = off").ok());
+  // Retired: the engine keeps no key or skyline cache.
+  for (const char* retired : {"key_cache", "skyline_cache"}) {
+    auto r = conn.Execute(std::string("SET ") + retired + " = off");
+    ASSERT_FALSE(r.ok()) << retired;
+    EXPECT_NE(r.status().message().find("unknown setting"), std::string::npos)
+        << r.status().message();
+  }
 
   for (const auto& [knob, values] : knobs) {
     SCOPED_TRACE(knob);
@@ -179,8 +184,7 @@ TEST(EngineSessionTest, ConcurrentSessionsMatchSerialReplay) {
         stmts.push_back("DELETE FROM " + t + " WHERE x < " +
                         std::to_string(100 - round / 2));
       }
-      // Shared static table read (exercises concurrent shared locks and the
-      // shared key cache).
+      // Shared static table read (exercises concurrent shared locks).
       stmts.push_back("SELECT id FROM car PREFERRING LOWEST(price)");
     }
     return stmts;

@@ -1,9 +1,9 @@
 -- Cache invalidation under mutation: the same PREFERRING query repeated
 -- around INSERT / DELETE / UPDATE / DROP+recreate must always reflect the
--- current table contents — the engine's plan cache and key cache are
--- version-keyed and must never serve stale preparations or stale packed
--- keys. Replayed under all harness configurations (rewrite, direct serial,
--- direct parallel, sfs, less) with both caches at their default (on).
+-- current table contents — the engine's plan cache is keyed by catalog
+-- version and must never serve a stale preparation, and no cache holds
+-- table contents. Replayed under all harness configurations (rewrite,
+-- direct serial, direct parallel, sfs, less) with the plan cache on.
 CREATE TABLE gear (name TEXT, price INTEGER, weight INTEGER);
 INSERT INTO gear VALUES
   ('tent', 300, 4),
@@ -11,7 +11,7 @@ INSERT INTO gear VALUES
   ('bivy', 180, 1),
   ('hammock', 150, 2);
 
--- Cold run, then an identical warm run (key cache hit): same result.
+-- Cold run, then an identical warm run (plan cache hit): same result.
 SELECT name FROM gear PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 SELECT name FROM gear PREFERRING LOWEST(price) AND LOWEST(weight)
@@ -32,8 +32,8 @@ UPDATE gear SET price = 110 WHERE name = 'bivy';
 SELECT name FROM gear PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 
--- DROP + recreate: a fresh table incarnation must never match cached keys
--- of its predecessor, even at the same name.
+-- DROP + recreate: a fresh table incarnation shows only its own rows,
+-- even at the same name.
 DROP TABLE gear;
 CREATE TABLE gear (name TEXT, price INTEGER, weight INTEGER);
 INSERT INTO gear VALUES ('solo', 90, 1), ('duo', 80, 3);

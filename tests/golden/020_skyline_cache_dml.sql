@@ -1,10 +1,8 @@
--- Skyline result cache under DML: a bare-table PREFERRING query is served
--- from the cached maximal-position list, and every INSERT / DELETE / UPDATE
--- either maintains that list incrementally (dominated insert, dominator
--- insert, non-member delete/update) or invalidates it (member touched).
--- The served result must always equal a fresh recompute — replayed under
--- all harness configurations, including rewrite mode where the cache never
--- engages at all.
+-- DML freshness of a bare-table skyline: after every INSERT / DELETE /
+-- UPDATE the next PREFERRING query must show exactly the current rows'
+-- maximal set — dominated and dominating inserts, deletes and updates of
+-- members and non-members alike. Replayed under all harness
+-- configurations.
 CREATE TABLE camp (name TEXT, price INTEGER, weight INTEGER);
 INSERT INTO camp VALUES
   ('tent', 300, 4),
@@ -12,18 +10,18 @@ INSERT INTO camp VALUES
   ('bivy', 180, 1),
   ('hammock', 150, 2);
 
--- Cold run publishes the skyline; the warm repeat is served from it.
+-- A repeated query returns the same skyline.
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 
--- A dominated insert keeps the cached skyline valid as-is.
+-- A dominated insert leaves the skyline as it is.
 INSERT INTO camp VALUES ('brick', 500, 9);
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 
--- A dominating insert evicts the beaten members incrementally.
+-- A dominating insert replaces the members it beats.
 INSERT INTO camp VALUES ('quilt', 100, 1);
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
@@ -33,12 +31,12 @@ INSERT INTO camp VALUES ('anvil', 900, 20), ('foam', 60, 30);
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 
--- Deleting non-members only remaps the cached positions.
+-- Deleting non-members leaves the skyline as it is.
 DELETE FROM camp WHERE name = 'brick' OR name = 'anvil';
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 
--- Deleting a member invalidates: dominated rows must resurface.
+-- Deleting a member: the rows it dominated must resurface.
 DELETE FROM camp WHERE name = 'quilt';
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
@@ -48,24 +46,22 @@ UPDATE camp SET price = 90 WHERE name = 'hammock';
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 
--- Updating a member invalidates; the next run recomputes and republishes.
+-- Updating a member; a repeat returns the same skyline.
 UPDATE camp SET weight = 50 WHERE name = 'foam';
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 
--- A different preference over the same table keeps its own cache entry.
+-- A different preference over the same table, around an update.
 SELECT name FROM camp PREFERRING HIGHEST(price) ORDER BY name;
 UPDATE camp SET price = 10 WHERE name = 'bivy';
 SELECT name FROM camp PREFERRING HIGHEST(price) ORDER BY name;
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
 
--- Serving can be switched off per session; results are identical.
-SET skyline_cache = off;
+-- Two more repeats: identical results.
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;
-SET skyline_cache = on;
 SELECT name FROM camp PREFERRING LOWEST(price) AND LOWEST(weight)
   ORDER BY name;

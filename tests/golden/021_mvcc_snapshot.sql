@@ -3,8 +3,8 @@
 -- in place, and every subsequent statement reads the table at its own
 -- snapshot epoch. With one connection the visible content after each
 -- statement must be exactly the serial state — superseded and deleted
--- versions never leak into a scan, a skyline, or a cached skyline serve,
--- whether garbage collection is allowed to reclaim dead versions or not.
+-- versions never leak into a scan or a skyline, whether garbage
+-- collection is allowed to reclaim dead versions or not.
 -- Replayed under all harness configurations: rewrite, direct serial and
 -- parallel BNL, SFS with pushdown off, and LESS.
 CREATE TABLE flat (addr TEXT, rent INTEGER, dist INTEGER);

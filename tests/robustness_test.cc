@@ -161,22 +161,6 @@ TEST(RobustnessTest, CancelWithNothingRunningIsANoOp) {
   EXPECT_TRUE(conn.Execute("SELECT id FROM t").ok());
 }
 
-TEST(RobustnessTest, TimeoutPublishesNoPartialCacheEntry) {
-  auto engine = BigEngine();
-  Connection conn;
-  conn.Attach(engine);
-  conn.options().mode = EvaluationMode::kBlockNestedLoop;
-  engine->key_cache().Shed(1000000);  // start from an empty skyline cache
-  ASSERT_EQ(engine->key_cache().size(), 0u);
-  ASSERT_TRUE(conn.Execute("SET statement_timeout_ms = 50").ok());
-  auto result = conn.Execute(kHeavyQuery);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsTimeout()) << result.status().ToString();
-  // The interrupted run must not have published a half-built KeyStore or
-  // skyline position list.
-  EXPECT_EQ(engine->key_cache().size(), 0u);
-}
-
 TEST(RobustnessTest, StatementMemoryBudgetRefusesWithResourceExhausted) {
   auto engine = std::make_shared<Engine>();
   ASSERT_TRUE(GenerateUsedCars(engine->database(), 20000).ok());
@@ -237,7 +221,6 @@ TEST(RobustnessTest, FilteredSkylineChargesOnlyItsCandidatesKeys) {
       continue;
     }
     EXPECT_EQ(conn.last_stats().candidate_count, 5365u);
-    EXPECT_FALSE(conn.last_stats().key_cache_eligible);
     EXPECT_EQ(sorted_ids(*result), expected);
   }
 }
@@ -248,23 +231,24 @@ TEST(RobustnessTest, EngineBudgetShedsCachesBeforeRefusing) {
   Connection conn;
   conn.Attach(engine);
   conn.options().mode = EvaluationMode::kBlockNestedLoop;
-  // Warm the skyline cache with a few distinct cheap queries.
+  // Warm the plan cache with a few distinct cheap statements.
   ASSERT_TRUE(
       conn.Execute("SELECT id FROM car PREFERRING LOWEST(price)").ok());
   ASSERT_TRUE(
       conn.Execute("SELECT id FROM car PREFERRING LOWEST(mileage)").ok());
   ASSERT_TRUE(
       conn.Execute("SELECT id FROM car PREFERRING HIGHEST(power)").ok());
-  const size_t warm = engine->key_cache().size();
-  ASSERT_GT(warm, 0u);
+  const size_t warm = engine->plan_cache().size();
+  ASSERT_GE(warm, 3u);
   // Now pinch the engine-wide budget: the next heavy statement exhausts it,
-  // triggering pressure relief (cache shed + GC kick) before the refusal.
+  // triggering pressure relief (plan-cache shed + GC kick) before the
+  // refusal.
   ASSERT_TRUE(conn.Execute("SET engine_memory_bytes = 65536").ok());
   auto result = conn.Execute(kHeavyQuery);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsResourceExhausted())
       << result.status().ToString();
-  EXPECT_LT(engine->key_cache().size(), warm);
+  EXPECT_LT(engine->plan_cache().size(), warm);
   ASSERT_TRUE(conn.Execute("SET engine_memory_bytes = 0").ok());
   EXPECT_TRUE(conn.Execute(kHeavyQuery).ok());
 }
