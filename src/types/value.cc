@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 
 #include "types/date.h"
@@ -46,67 +47,41 @@ std::optional<ColumnType> ParseColumnType(const std::string& name) {
   return std::nullopt;
 }
 
-Value Value::Date(int64_t day_number) {
-  return Value(Payload(DatePayload{day_number}));
+Value Value::Text(std::string s) {
+  Value v(ValueType::kText);
+  v.bits_.box = new Box{{1}, 0, std::move(s)};
+  return v;
 }
 
 Value Value::Param(int32_t index, std::string name) {
-  return Value(Payload(ParamPayload{index, std::move(name)}));
+  Value v(ValueType::kParam);
+  v.bits_.box = new Box{{1}, index, std::move(name)};
+  return v;
 }
 
-int32_t Value::ParamIndex() const {
-  return std::get<ParamPayload>(data_).index;
-}
-
-const std::string& Value::ParamName() const {
-  return std::get<ParamPayload>(data_).name;
-}
-
-ValueType Value::type() const {
-  switch (data_.index()) {
-    case 0:
-      return ValueType::kNull;
-    case 1:
-      return ValueType::kBool;
-    case 2:
-      return ValueType::kInt;
-    case 3:
-      return ValueType::kDouble;
-    case 4:
-      return ValueType::kText;
-    case 5:
-      return ValueType::kDate;
-    case 6:
-      return ValueType::kParam;
+void Value::Release(Box* box) {
+  // A count of 1 means this value is the box's only holder: no other thread
+  // holds a value to copy the box from, so the decrement can be skipped.
+  if (box->refs.load(std::memory_order_acquire) == 1 ||
+      box->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete box;
   }
-  return ValueType::kNull;
 }
 
-int64_t Value::AsInt() const {
-  if (auto* d = std::get_if<double>(&data_)) return static_cast<int64_t>(*d);
-  return std::get<int64_t>(data_);
+void Value::WrongType(const char* accessor) const {
+  std::fprintf(stderr, "prefsql: Value::%s() called on a %s value\n",
+               accessor, ValueTypeToString(type()));
+  std::abort();
 }
-
-double Value::AsDouble() const {
-  if (auto* i = std::get_if<int64_t>(&data_)) return static_cast<double>(*i);
-  if (auto* dt = std::get_if<DatePayload>(&data_)) {
-    return static_cast<double>(dt->days);
-  }
-  return std::get<double>(data_);
-}
-
-int64_t Value::AsDateDays() const { return std::get<DatePayload>(data_).days; }
 
 std::optional<double> Value::ToNumeric() const {
   switch (type()) {
     case ValueType::kInt:
-      return static_cast<double>(std::get<int64_t>(data_));
     case ValueType::kDouble:
-      return std::get<double>(data_);
     case ValueType::kDate:
-      return static_cast<double>(std::get<DatePayload>(data_).days);
+      return AsDouble();
     case ValueType::kText: {
-      auto days = ParseDate(std::get<std::string>(data_));
+      auto days = ParseDate(AsText());
       if (days) return static_cast<double>(*days);
       return std::nullopt;
     }
@@ -137,6 +112,48 @@ Kind KindOf(const Value& v) {
   }
 }
 
+// CompareNumbers' answer when a NaN takes part.
+constexpr int kUnordered = 2;
+
+template <typename T>
+int Sign(T x, T y) {
+  return x < y ? -1 : (y < x ? 1 : 0);
+}
+
+// The integer of an INT or a DATE (its day number).
+int64_t IntegralOf(const Value& v) {
+  return v.type() == ValueType::kInt ? v.AsInt() : v.AsDateDays();
+}
+
+// Three-way order of an int64 and a double, exact for every pair: the
+// int64 is never rounded through a double.
+int CompareIntDouble(int64_t i, double d) {
+  if (std::isnan(d)) return kUnordered;
+  // 2^63; every double in [-2^63, 2^63) truncates to an int64.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  const double whole = std::trunc(d);
+  const int64_t w = static_cast<int64_t>(whole);
+  if (i != w) return i < w ? -1 : 1;
+  return Sign(whole, d);  // same integer part: the fraction decides
+}
+
+// Three-way exact order of two numeric values (INT, DOUBLE, DATE);
+// kUnordered when either is NaN.
+int CompareNumbers(const Value& a, const Value& b) {
+  const bool ad = a.type() == ValueType::kDouble;
+  const bool bd = b.type() == ValueType::kDouble;
+  if (!ad && !bd) return Sign(IntegralOf(a), IntegralOf(b));
+  if (ad && bd) {
+    const double x = a.AsDouble(), y = b.AsDouble();
+    return x == y ? 0 : (x < y ? -1 : (x > y ? 1 : kUnordered));
+  }
+  if (bd) return CompareIntDouble(IntegralOf(a), b.AsDouble());
+  const int c = CompareIntDouble(IntegralOf(b), a.AsDouble());
+  return c == kUnordered ? c : -c;
+}
+
 }  // namespace
 
 std::optional<bool> Value::SqlEquals(const Value& other) const {
@@ -156,7 +173,7 @@ std::optional<bool> Value::SqlEquals(const Value& other) const {
     case Kind::kBool:
       return AsBool() == other.AsBool();
     case Kind::kNumeric:
-      return AsDouble() == other.AsDouble();
+      return CompareNumbers(*this, other) == 0;
     case Kind::kText:
       return AsText() == other.AsText();
     default:
@@ -178,7 +195,7 @@ std::optional<bool> Value::SqlLess(const Value& other) const {
     case Kind::kBool:
       return AsBool() < other.AsBool();
     case Kind::kNumeric:
-      return AsDouble() < other.AsDouble();
+      return CompareNumbers(*this, other) < 0;
     case Kind::kText:
       return AsText() < other.AsText();
     default:
@@ -193,21 +210,15 @@ int Value::Compare(const Value& a, const Value& b) {
     case Kind::kNull:
       return 0;
     case Kind::kBool:
-      return a.AsBool() == b.AsBool() ? 0 : (a.AsBool() < b.AsBool() ? -1 : 1);
+      return Sign(a.AsBool(), b.AsBool());
     case Kind::kNumeric: {
-      double x = a.AsDouble(), y = b.AsDouble();
-      if (x < y) return -1;
-      if (x > y) return 1;
-      return 0;
+      const int c = CompareNumbers(a, b);
+      return c == kUnordered ? 0 : c;
     }
     case Kind::kText:
-      return a.AsText().compare(b.AsText()) < 0
-                 ? -1
-                 : (a.AsText() == b.AsText() ? 0 : 1);
-    case Kind::kParam: {
-      int32_t x = a.ParamIndex(), y = b.ParamIndex();
-      return x == y ? 0 : (x < y ? -1 : 1);
-    }
+      return Sign(a.AsText().compare(b.AsText()), 0);
+    case Kind::kParam:
+      return Sign(a.ParamIndex(), b.ParamIndex());
   }
   return 0;
 }
@@ -219,9 +230,9 @@ std::string Value::ToString() const {
     case ValueType::kBool:
       return AsBool() ? "TRUE" : "FALSE";
     case ValueType::kInt:
-      return std::to_string(std::get<int64_t>(data_));
+      return std::to_string(AsInt());
     case ValueType::kDouble: {
-      double d = std::get<double>(data_);
+      double d = AsDouble();
       if (d == static_cast<int64_t>(d) && std::abs(d) < 1e15) {
         // Integral doubles print without trailing zeros (e.g. "40000").
         return std::to_string(static_cast<int64_t>(d));

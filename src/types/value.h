@@ -7,10 +7,10 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "util/status.h"
@@ -39,17 +39,64 @@ const char* ValueTypeToString(ValueType t);
 std::optional<ColumnType> ParseColumnType(const std::string& name);
 
 /// One SQL value: NULL, boolean, 64-bit integer, double, text, or date.
+///
+/// 16 bytes: an 8-byte payload (bool, int64, double, day number, or a
+/// pointer to a Box) and a one-byte type tag. TEXT bytes and a PARAM's
+/// index and name live out of line in an immutable, reference-counted Box,
+/// so a copy of a TEXT value shares its bytes. Rows are read by many
+/// sessions at once, so the count is atomic; a move steals the pointer and
+/// leaves NULL behind.
 class Value {
  public:
   /// NULL value.
-  Value() : data_(std::monostate{}) {}
+  Value() noexcept : bits_{0}, tag_(kNullTag) {}
+  ~Value() { Unref(); }
+  Value(const Value& other) noexcept : bits_(other.bits_), tag_(other.tag_) {
+    Ref();
+  }
+  Value(Value&& other) noexcept : bits_(other.bits_), tag_(other.tag_) {
+    other.tag_ = kNullTag;
+  }
+  Value& operator=(const Value& other) noexcept {
+    other.Ref();  // before Unref: safe under self-assignment
+    Unref();
+    bits_ = other.bits_;
+    tag_ = other.tag_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Unref();
+      bits_ = other.bits_;
+      tag_ = other.tag_;
+      other.tag_ = kNullTag;
+    }
+    return *this;
+  }
+
   static Value Null() { return Value(); }
-  static Value Bool(bool b) { return Value(Payload(b)); }
-  static Value Int(int64_t i) { return Value(Payload(i)); }
-  static Value Double(double d) { return Value(Payload(d)); }
-  static Value Text(std::string s) { return Value(Payload(std::move(s))); }
+  static Value Bool(bool b) {
+    Value v(ValueType::kBool);
+    v.bits_.b = b;
+    return v;
+  }
+  static Value Int(int64_t i) {
+    Value v(ValueType::kInt);
+    v.bits_.i = i;
+    return v;
+  }
+  static Value Double(double d) {
+    Value v(ValueType::kDouble);
+    v.bits_.d = d;
+    return v;
+  }
+  static Value Text(std::string s);
   /// A date from its day number (see types/date.h).
-  static Value Date(int64_t day_number);
+  static Value Date(int64_t day_number) {
+    Value v(ValueType::kDate);
+    v.bits_.i = day_number;
+    return v;
+  }
   /// An unbound statement parameter: the hole left by a `?` or `$name`
   /// placeholder (0-based ordinal; name empty for positional parameters).
   /// Parameter values only live inside ASTs — binding replaces them before
@@ -57,8 +104,8 @@ class Value {
   /// kBindError.
   static Value Param(int32_t index, std::string name = std::string());
 
-  ValueType type() const;
-  bool is_null() const { return type() == ValueType::kNull; }
+  ValueType type() const { return static_cast<ValueType>(tag_); }
+  bool is_null() const { return tag_ == kNullTag; }
   bool is_param() const { return type() == ValueType::kParam; }
   bool is_numeric() const {
     ValueType t = type();
@@ -66,16 +113,42 @@ class Value {
            t == ValueType::kDate;
   }
 
-  /// Accessors; each requires the matching type().
-  bool AsBool() const { return std::get<bool>(data_); }
-  int64_t AsInt() const;
-  double AsDouble() const;
-  const std::string& AsText() const { return std::get<std::string>(data_); }
-  int64_t AsDateDays() const;
+  /// Accessors; each requires the matching type(). A mismatch is a bug in
+  /// the caller: it terminates the program with a message naming both.
+  bool AsBool() const {
+    Require(ValueType::kBool, "AsBool");
+    return bits_.b;
+  }
+  /// INT, or DOUBLE truncated toward zero.
+  int64_t AsInt() const {
+    if (type() == ValueType::kDouble) return static_cast<int64_t>(bits_.d);
+    Require(ValueType::kInt, "AsInt");
+    return bits_.i;
+  }
+  /// DOUBLE, or INT / DATE converted.
+  double AsDouble() const {
+    if (type() == ValueType::kDouble) return bits_.d;
+    if (type() != ValueType::kDate) Require(ValueType::kInt, "AsDouble");
+    return static_cast<double>(bits_.i);
+  }
+  const std::string& AsText() const {
+    Require(ValueType::kText, "AsText");
+    return bits_.box->str;
+  }
+  int64_t AsDateDays() const {
+    Require(ValueType::kDate, "AsDateDays");
+    return bits_.i;
+  }
   /// 0-based ordinal of a parameter value; requires is_param().
-  int32_t ParamIndex() const;
+  int32_t ParamIndex() const {
+    Require(ValueType::kParam, "ParamIndex");
+    return bits_.box->param_index;
+  }
   /// Name of a named parameter ("" for positional); requires is_param().
-  const std::string& ParamName() const;
+  const std::string& ParamName() const {
+    Require(ValueType::kParam, "ParamName");
+    return bits_.box->str;
+  }
 
   /// Numeric view used by arithmetic and distance computations: INT, DOUBLE
   /// and DATE produce their numeric magnitude; TEXT that parses as a date
@@ -84,8 +157,9 @@ class Value {
   std::optional<double> ToNumeric() const;
 
   /// SQL equality under three-valued logic (NULL ⇒ UNKNOWN). Numeric types
-  /// compare by value across INT/DOUBLE/DATE; TEXT compares case-sensitively;
-  /// BOOL compares with BOOL only; cross-kind comparisons are false.
+  /// compare exactly by value across INT/DOUBLE/DATE; TEXT compares
+  /// case-sensitively; BOOL compares with BOOL only; cross-kind comparisons
+  /// are false.
   std::optional<bool> SqlEquals(const Value& other) const;
 
   /// SQL `<` under three-valued logic; same coercion rules as SqlEquals.
@@ -94,7 +168,9 @@ class Value {
 
   /// Total ordering for ORDER BY / GROUP BY / DISTINCT and index keys:
   /// NULL < BOOL < numeric < TEXT; deterministic across kinds (unlike the
-  /// SQL comparisons, never "unknown").
+  /// SQL comparisons, never "unknown"). Numbers order exactly (an int64
+  /// above 2^53 against its neighbours and against a double); a NaN
+  /// compares equal to every number.
   static int Compare(const Value& a, const Value& b);
 
   /// Exact equality under the total ordering (NULL equals NULL here).
@@ -113,21 +189,43 @@ class Value {
   size_t Hash() const;
 
  private:
-  struct DatePayload {
-    int64_t days;
-    bool operator==(const DatePayload&) const = default;
+  // The out-of-line part of a TEXT or PARAM value; immutable once shared.
+  struct Box {
+    std::atomic<uint32_t> refs;
+    int32_t param_index;  // PARAM only
+    std::string str;      // TEXT bytes, or a PARAM's name
   };
-  struct ParamPayload {
-    int32_t index;
-    std::string name;
-    bool operator==(const ParamPayload&) const = default;
+  union Bits {
+    int64_t i;  // INT, or a DATE's day number
+    bool b;
+    double d;
+    Box* box;  // TEXT, PARAM
   };
-  using Payload = std::variant<std::monostate, bool, int64_t, double,
-                               std::string, DatePayload, ParamPayload>;
-  explicit Value(Payload p) : data_(std::move(p)) {}
+  static constexpr uint8_t kNullTag = static_cast<uint8_t>(ValueType::kNull);
 
-  Payload data_;
+  explicit Value(ValueType t) : bits_{0}, tag_(static_cast<uint8_t>(t)) {}
+
+  bool boxed() const {
+    return tag_ == static_cast<uint8_t>(ValueType::kText) ||
+           tag_ == static_cast<uint8_t>(ValueType::kParam);
+  }
+  void Ref() const {
+    if (boxed()) bits_.box->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void Unref() {
+    if (boxed()) Release(bits_.box);
+  }
+  static void Release(Box* box);
+  void Require(ValueType t, const char* accessor) const {
+    if (type() != t) WrongType(accessor);
+  }
+  [[noreturn]] void WrongType(const char* accessor) const;
+
+  Bits bits_;
+  uint8_t tag_;  // a ValueType
 };
+
+static_assert(sizeof(Value) == 16, "a Value is a tag plus an 8-byte payload");
 
 /// A tuple: one Value per column of the owning schema.
 using Row = std::vector<Value>;

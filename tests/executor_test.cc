@@ -85,6 +85,30 @@ TEST_F(ExecutorTest, Distinct) {
   EXPECT_EQ(t.at(0, 0).AsText(), "dev");
 }
 
+// 2^53 + 1 and 2^53 round to one double; every comparison must still tell
+// them apart, through a scan and through an index (tests/golden/023 covers
+// the SQL surface in every configuration).
+TEST_F(ExecutorTest, IntegersAboveTwoTo53CompareExactly) {
+  Run("CREATE TABLE big (id INTEGER, a INTEGER)");
+  Run("INSERT INTO big VALUES (1, 9007199254740993), (2, 9007199254740992)");
+  EXPECT_EQ(Run("SELECT id FROM big WHERE a = 9007199254740992").num_rows(),
+            1u);
+  EXPECT_EQ(Run("SELECT DISTINCT a FROM big").num_rows(), 2u);
+  EXPECT_EQ(Run("SELECT a FROM big GROUP BY a").num_rows(), 2u);
+  ResultTable sorted = Run("SELECT id FROM big ORDER BY a");
+  ASSERT_EQ(sorted.num_rows(), 2u);
+  EXPECT_EQ(sorted.at(0, 0).AsInt(), 2);
+
+  Run("CREATE INDEX big_a ON big (a)");
+  const uint64_t before = db_.executor().stats().index_scans;
+  ResultTable hit = Run("SELECT id FROM big WHERE a = 9007199254740993");
+  EXPECT_EQ(db_.executor().stats().index_scans, before + 1);
+  ASSERT_EQ(hit.num_rows(), 1u);
+  EXPECT_EQ(hit.at(0, 0).AsInt(), 1);
+  EXPECT_EQ(Run("SELECT id FROM big WHERE a < 9007199254740993").num_rows(),
+            1u);
+}
+
 TEST_F(ExecutorTest, CommaJoinWithWhere) {
   ResultTable t = Run(
       "SELECT name, budget FROM emp, dept WHERE dept = dname ORDER BY id");
