@@ -53,15 +53,28 @@ bool IsCacheableKind(StatementKind kind) {
   return kind == StatementKind::kSelect || kind == StatementKind::kExplain;
 }
 
-// Case-insensitive keyword prefix test on normalized (case-preserved) text.
-bool StartsWithKeyword(const std::string& text, std::string_view keyword) {
-  if (text.size() < keyword.size()) return false;
-  for (size_t i = 0; i < keyword.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(text[i])) != keyword[i]) {
+// Whether the statement's first word, after whitespace and `--` comments
+// (skipped exactly as the lexer skips them), is `keyword` (lower-case),
+// matched case-insensitively up to a word boundary.
+bool FirstWordIs(std::string_view sql, std::string_view keyword) {
+  size_t i = 0;
+  while (i < sql.size()) {
+    if (std::isspace(static_cast<unsigned char>(sql[i]))) {
+      ++i;
+    } else if (sql.substr(i, 2) == "--") {
+      while (i < sql.size() && sql[i] != '\n') ++i;
+    } else {
+      break;
+    }
+  }
+  if (sql.size() - i < keyword.size()) return false;
+  for (size_t k = 0; k < keyword.size(); ++k, ++i) {
+    if (std::tolower(static_cast<unsigned char>(sql[i])) != keyword[k]) {
       return false;
     }
   }
-  return true;
+  return i == sql.size() ||
+         !(std::isalnum(static_cast<unsigned char>(sql[i])) || sql[i] == '_');
 }
 
 Status UnboundParametersError() {
@@ -351,9 +364,10 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
                    qctx.get());
         PSQL_ASSIGN_OR_RETURN(rows, std::move(drained));
       }
-      return rows.has_value() ? db_.executor().InsertTable(
-                                    stmt.name, stmt.insert_columns, *rows)
-                              : db_.ExecuteStatement(stmt);
+      return rows.has_value()
+                 ? db_.executor().InsertTable(stmt.name, stmt.insert_columns,
+                                              std::move(*rows))
+                 : db_.ExecuteStatement(stmt);
     }();
     SnapshotCacheCounters(session);
     ddl.unlock();
@@ -419,11 +433,9 @@ Result<Engine::PreparedText> Engine::PrepareText(Session& session,
                                                  const std::string& sql,
                                                  bool collapse_in_lists) {
   PreparedText out;
-  // Only SELECT/EXPLAIN are prepared through the cache (cheap prefix test
-  // on the normalized text); every other statement is just parsed.
-  std::string normalized = NormalizeSql(sql);
-  if (!StartsWithKeyword(normalized, "select") &&
-      !StartsWithKeyword(normalized, "explain")) {
+  // Only SELECT/EXPLAIN are prepared through the cache, routed by the first
+  // word; every other statement is just parsed, its text never normalized.
+  if (!FirstWordIs(sql, "select") && !FirstWordIs(sql, "explain")) {
     PSQL_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
     out.stmt = std::make_shared<const Statement>(std::move(stmt));
     return out;
@@ -431,7 +443,6 @@ Result<Engine::PreparedText> Engine::PrepareText(Session& session,
   // With auto-parameterization on, the key text is the canonical form with
   // literals lifted into `?` holes: repetitions differing only in literal
   // values share one entry, and the lifted values are bound per execution.
-  out.key_text = std::move(normalized);
   if (session.options().auto_parameterize) {
     ParameterizedSql p = ParameterizeSql(sql, collapse_in_lists);
     if (p.parameterized) {
@@ -441,6 +452,7 @@ Result<Engine::PreparedText> Engine::PrepareText(Session& session,
       out.auto_parameterized = true;
     }
   }
+  if (!out.auto_parameterized) out.key_text = NormalizeSql(sql);
   bool parse_failed = false;
   auto plan = LookupOrPrepare(
       session, out.key_text,

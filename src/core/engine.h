@@ -217,11 +217,13 @@ class Engine {
     std::vector<uint32_t> widths;
   };
 
-  /// Turns a statement text into a preparation through the plan cache:
-  /// normalizes it, lifts its literals when auto_parameterize is on
+  /// Turns a statement text into a preparation. A text whose first word is
+  /// not SELECT/EXPLAIN is only parsed (`stmt`). Otherwise it goes through
+  /// the plan cache: lifts its literals when auto_parameterize is on
   /// (collapsing IN lists when asked — the text path — or keeping
-  /// placeholders 1:1 with values — Prepare), and on a miss parses the
-  /// lifted text. Parse errors always point into the client's `sql`.
+  /// placeholders 1:1 with values — Prepare) or else normalizes it, and on
+  /// a miss parses the key text. Parse errors always point into the
+  /// client's `sql`.
   Result<PreparedText> PrepareText(Session& session, const std::string& sql,
                                    bool collapse_in_lists);
 

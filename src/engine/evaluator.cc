@@ -137,25 +137,37 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
     // same way the native Score() functions do).
     return Value::Null();
   }
+  // An int64 result that overflows is computed as a DOUBLE, as in SQLite;
+  // INT64_MIN / -1 (which traps) is a negation.
+  int64_t out;
   switch (op) {
     case BinaryOp::kAdd:
-      if (both_int) return Value::Int(l.AsInt() + r.AsInt());
+      if (both_int && !__builtin_add_overflow(l.AsInt(), r.AsInt(), &out)) {
+        return Value::Int(out);
+      }
       return Value::Double(*ln + *rn);
     case BinaryOp::kSub:
-      if (both_int) return Value::Int(l.AsInt() - r.AsInt());
+      if (both_int && !__builtin_sub_overflow(l.AsInt(), r.AsInt(), &out)) {
+        return Value::Int(out);
+      }
       return Value::Double(*ln - *rn);
     case BinaryOp::kMul:
-      if (both_int) return Value::Int(l.AsInt() * r.AsInt());
+      if (both_int && !__builtin_mul_overflow(l.AsInt(), r.AsInt(), &out)) {
+        return Value::Int(out);
+      }
       return Value::Double(*ln * *rn);
     case BinaryOp::kDiv:
       if (*rn == 0.0) return Value::Null();  // SQL: division by zero -> NULL
+      if (both_int && r.AsInt() == -1) return NegateNumeric(l);
       if (both_int && l.AsInt() % r.AsInt() == 0) {
         return Value::Int(l.AsInt() / r.AsInt());
       }
       return Value::Double(*ln / *rn);
     case BinaryOp::kMod:
       if (*rn == 0.0) return Value::Null();
-      if (both_int) return Value::Int(l.AsInt() % r.AsInt());
+      if (both_int) {
+        return Value::Int(r.AsInt() == -1 ? 0 : l.AsInt() % r.AsInt());
+      }
       return Value::Double(std::fmod(*ln, *rn));
     default:
       return Status::Internal("not an arithmetic operator");
@@ -412,7 +424,7 @@ Result<Value> Eval(const Expr& e, const BoundNode* b, const EvalContext& ctx) {
         return Value::Bool(!*t);
       }
       if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
+      if (v.type() == ValueType::kInt) return NegateNumeric(v);
       auto n = v.ToNumeric();
       if (!n) return Value::Null();  // same coercion rule as binary arithmetic
       return Value::Double(-*n);

@@ -392,18 +392,40 @@ ResultTable RowsAffected(size_t n) {
                      {Row{Value::Int(static_cast<int64_t>(n))}});
 }
 
+Status InsertArityError(size_t expected, size_t got) {
+  return Status::InvalidArgument("INSERT expects " + std::to_string(expected) +
+                                 " values, got " + std::to_string(got));
+}
+
+// Fills inserted rows by moving the cells of whole source rows (the result
+// of an INSERT's SELECT).
+Executor::InsertRowFiller MoveCells(std::vector<Row>& source) {
+  return [&source](size_t r, const std::vector<size_t>& positions, Row* row) {
+    Row& src = source[r];
+    if (src.size() != positions.size()) {
+      return InsertArityError(positions.size(), src.size());
+    }
+    for (size_t i = 0; i < positions.size(); ++i) {
+      (*row)[positions[i]] = std::move(src[i]);
+    }
+    return Status::OK();
+  };
+}
+
 }  // namespace
 
 Result<ResultTable> Executor::InsertTable(const std::string& table,
                                           const std::vector<std::string>& columns,
-                                          const ResultTable& data) {
+                                          ResultTable data) {
   PSQL_ASSIGN_OR_RETURN(Table * target, catalog_->GetTable(table));
-  return InsertRows(target, table, columns, data.rows());
+  return InsertRows(target, table, columns, data.num_rows(),
+                    MoveCells(data.rows()));
 }
 
 Result<ResultTable> Executor::InsertRows(Table* table, const std::string& name,
                                          const std::vector<std::string>& columns,
-                                         std::vector<Row> values) {
+                                         size_t count,
+                                         const InsertRowFiller& fill) {
   BeginDml(DmlEffect::Kind::kInsert, name, *table);
   std::vector<size_t> positions;
   if (columns.empty()) {
@@ -419,21 +441,13 @@ Result<ResultTable> Executor::InsertRows(Table* table, const std::string& name,
   BufferCharge charge;
   size_t tick = 0;
   std::vector<Row> rows;
-  rows.reserve(values.size());
-  for (Row& src : values) {
+  rows.reserve(count);
+  for (size_t r = 0; r < count; ++r) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-    if (src.size() != positions.size()) {
-      return Status::InvalidArgument(
-          "INSERT expects " + std::to_string(positions.size()) +
-          " values, got " + std::to_string(src.size()));
-    }
-    Row row(table->columns().size());  // missing columns default to NULL
-    for (size_t i = 0; i < positions.size(); ++i) {
-      row[positions[i]] = std::move(src[i]);
-    }
-    PSQL_ASSIGN_OR_RETURN(row, table->CoerceRow(std::move(row)));
+    Row& row = rows.emplace_back(table->columns().size());  // NULL default
+    PSQL_RETURN_IF_ERROR(fill(r, positions, &row));
+    PSQL_RETURN_IF_ERROR(table->CoerceRow(&row));
     PSQL_RETURN_IF_ERROR(charge.Add(sizeof(Row) + row.size() * sizeof(Value)));
-    rows.push_back(std::move(row));
   }
   if (!rows.empty()) {
     CommitDml(table, [&](uint64_t epoch) {
@@ -450,22 +464,34 @@ Result<ResultTable> Executor::ExecuteInsert(const Statement& stmt) {
   // appended, so a self-referencing source never re-reads its own inserts
   // (Halloween).
   ScopedSnapshot scope(AmbientSnapshotOr(table->epochs().current()));
-  std::vector<Row> values;
   if (stmt.select) {
     PSQL_ASSIGN_OR_RETURN(ResultTable rt, ExecuteSelect(*stmt.select));
-    values = std::move(rt.rows());
-  } else {
-    for (const auto& row_exprs : stmt.insert_rows) {
-      Row row;
-      row.reserve(row_exprs.size());
-      for (const auto& e : row_exprs) {
-        PSQL_ASSIGN_OR_RETURN(Value v, EvaluateConstant(*e));
-        row.push_back(std::move(v));
-      }
-      values.push_back(std::move(row));
-    }
+    return InsertRows(table, stmt.name, stmt.insert_columns, rt.num_rows(),
+                      MoveCells(rt.rows()));
   }
-  return InsertRows(table, stmt.name, stmt.insert_columns, std::move(values));
+  return InsertRows(
+      table, stmt.name, stmt.insert_columns, stmt.insert_rows.size(),
+      [&](size_t r, const std::vector<size_t>& positions,
+          Row* row) -> Status {
+        const std::vector<ExprPtr>& exprs = stmt.insert_rows[r];
+        if (exprs.size() != positions.size()) {
+          // A row's evaluation error reports before its arity.
+          for (const auto& e : exprs) {
+            PSQL_RETURN_IF_ERROR(EvaluateConstant(*e).status());
+          }
+          return InsertArityError(positions.size(), exprs.size());
+        }
+        for (size_t i = 0; i < positions.size(); ++i) {
+          const Expr& e = *exprs[i];
+          Value& cell = (*row)[positions[i]];
+          if (e.kind == ExprKind::kLiteral && !e.literal.is_param()) {
+            cell = e.literal;  // the VALUES common case: no evaluator call
+          } else {
+            PSQL_ASSIGN_OR_RETURN(cell, EvaluateConstant(e));
+          }
+        }
+        return Status::OK();
+      });
 }
 
 Result<std::vector<size_t>> Executor::TargetSlots(StatementScope* statement,

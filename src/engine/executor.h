@@ -140,13 +140,19 @@ class Executor {
   /// Planner::PlanCandidates for callers that need the full relation.
   Result<ResultTable> MaterializeCandidates(const SelectStmt& select);
 
+  /// Writes source row `r`'s cells into `row` (full table width, NULL
+  /// elsewhere) at `positions`, the table columns the statement's column
+  /// list names; fails on an arity mismatch.
+  using InsertRowFiller = std::function<Status(
+      size_t r, const std::vector<size_t>& positions, Row* row)>;
+
   /// Inserts all rows of `data` into `table` (column mapping as in INSERT;
   /// empty `columns` = positional), all or none. Returns [rows_affected].
   /// Public so the Preference SQL layer can execute INSERT statements whose
   /// SELECT has a PREFERRING clause (§2.2.5).
   Result<ResultTable> InsertTable(const std::string& table,
                                   const std::vector<std::string>& columns,
-                                  const ResultTable& data);
+                                  ResultTable data);
 
   Catalog* catalog() { return catalog_; }
 
@@ -200,12 +206,12 @@ class Executor {
   Result<ResultTable> ExecuteUpdate(const Statement& stmt);
   Result<ResultTable> ExecuteDelete(const Statement& stmt);
 
-  /// Maps `values` onto `columns` of `table` (named `name` by the
-  /// statement), coerces every row, and only then appends them all under
-  /// one commit epoch.
+  /// Builds `count` rows of `table` (named `name` by the statement) in
+  /// table column order through `fill`, coerces each in place, and only
+  /// then appends them all under one commit epoch.
   Result<ResultTable> InsertRows(Table* table, const std::string& name,
                                  const std::vector<std::string>& columns,
-                                 std::vector<Row> values);
+                                 size_t count, const InsertRowFiller& fill);
 
   /// The ascending heap slots of the rows of `table` (read as rows of
   /// `schema`, the table's qualified by the statement's name for it) that

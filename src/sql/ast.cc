@@ -232,6 +232,7 @@ Statement Statement::Clone() const {
   out.preference = preference ? preference->Clone() : nullptr;
   out.set_value = set_value;
   out.drop_kind = drop_kind;
+  out.has_parameters = has_parameters;
   return out;
 }
 

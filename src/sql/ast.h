@@ -297,6 +297,11 @@ struct Statement {
   enum class DropKind { kTable, kView, kIndex, kPreference } drop_kind =
       DropKind::kTable;
 
+  /// Whether a `?`/`$name` placeholder occurs anywhere in the statement,
+  /// as the parser counted them; binding every slot clears it. Unset for a
+  /// hand-built statement, whose AST StatementHasParameters walks instead.
+  std::optional<bool> has_parameters;
+
   /// Deep copy (the SELECT block and subqueries are shared, like
   /// Expr::Clone). Used to re-instantiate prepared statements with bound
   /// parameter values without re-parsing.

@@ -1,7 +1,10 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
 
 #include "util/string_util.h"
 
@@ -15,19 +18,71 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
+// Converts the number spelled by `digits` (the lexer's accepted shapes:
+// digits, optional fraction, optional exponent) into `tok`. An integer
+// spelling beyond int64 becomes a DOUBLE, as in SQLite; the spelling of
+// 2^63 is marked so a unary minus can fold it into INT64_MIN.
+void LexNumber(std::string_view digits, bool is_float, Token* tok) {
+  const char* first = digits.data();
+  const char* last = first + digits.size();
+  if (!is_float) {
+    auto [ptr, ec] = std::from_chars(first, last, tok->int_value);
+    if (ec == std::errc()) {
+      tok->type = TokenType::kInteger;
+      return;
+    }
+    tok->int_value = 0;
+    // Out of range, so some digit is nonzero.
+    const size_t lead = digits.find_first_not_of('0');
+    tok->negates_to_int64_min = digits.substr(lead) == "9223372036854775808";
+  }
+  tok->type = TokenType::kFloat;
+  auto [ptr, ec] = std::from_chars(first, last, tok->double_value);
+  if (ec != std::errc()) {
+    // Out of double range: strtod's answer (+inf, or 0 on underflow).
+    tok->double_value = std::strtod(std::string(digits).c_str(), nullptr);
+  }
+}
+
+// The type of a one-character punctuation token; kEnd for a character the
+// dialect does not use.
+TokenType PunctuationType(char c) {
+  switch (c) {
+    case '(': return TokenType::kLParen;
+    case ')': return TokenType::kRParen;
+    case ',': return TokenType::kComma;
+    case '.': return TokenType::kDot;
+    case ';': return TokenType::kSemicolon;
+    case '*': return TokenType::kStar;
+    case '+': return TokenType::kPlus;
+    case '-': return TokenType::kMinus;
+    case '/': return TokenType::kSlash;
+    case '%': return TokenType::kPercent;
+    case '=': return TokenType::kEq;
+    case '<': return TokenType::kLt;
+    case '>': return TokenType::kGt;
+    default: return TokenType::kEnd;
+  }
+}
+
 }  // namespace
 
 Result<std::vector<Token>> Tokenize(const std::string& input) {
   std::vector<Token> out;
+  // A multi-row VALUES list runs about one token per three bytes.
+  out.reserve(input.size() / 3 + 1);
   size_t i = 0;
   const size_t n = input.size();
-  auto push = [&](TokenType t, std::string text, size_t off, size_t len) {
-    Token tok;
+  // Punctuation and numbers carry no text; identifiers, keywords, strings
+  // and named parameters carry theirs.
+  auto push = [&](TokenType t, size_t off, size_t len,
+                  std::string text = std::string()) -> Token& {
+    Token& tok = out.emplace_back();
     tok.type = t;
     tok.text = std::move(text);
     tok.offset = off;
     tok.length = len;
-    out.push_back(std::move(tok));
+    return tok;
   };
   while (i < n) {
     char c = input[i];
@@ -43,12 +98,12 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
     size_t start = i;
     if (IsIdentStart(c)) {
       while (i < n && IsIdentChar(input[i])) ++i;
-      std::string word = input.substr(start, i - start);
+      std::string_view word(input.data() + start, i - start);
       std::string upper = ToUpper(word);
       if (IsReservedWord(upper)) {
-        push(TokenType::kKeyword, upper, start, i - start);
+        push(TokenType::kKeyword, start, i - start, std::move(upper));
       } else {
-        push(TokenType::kIdentifier, word, start, i - start);
+        push(TokenType::kIdentifier, start, i - start, std::string(word));
       }
       continue;
     }
@@ -74,76 +129,56 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
           i = save;  // not an exponent, e.g. "12e" -> number then identifier
         }
       }
-      std::string num = input.substr(start, i - start);
-      Token tok;
-      tok.offset = start;
-      tok.length = i - start;
-      tok.text = num;
-      if (is_float) {
-        tok.type = TokenType::kFloat;
-        tok.double_value = std::strtod(num.c_str(), nullptr);
-      } else {
-        tok.type = TokenType::kInteger;
-        tok.int_value = std::strtoll(num.c_str(), nullptr, 10);
-      }
-      out.push_back(std::move(tok));
+      Token& tok = push(TokenType::kInteger, start, i - start);
+      LexNumber(std::string_view(input.data() + start, i - start), is_float,
+                &tok);
       continue;
     }
     if (c == '\'') {
+      // One bulk append per run between quotes; '' is an escaped quote.
       std::string content;
       ++i;
       bool closed = false;
       while (i < n) {
-        if (input[i] == '\'') {
-          if (i + 1 < n && input[i + 1] == '\'') {
-            content += '\'';
-            i += 2;
-          } else {
-            ++i;
-            closed = true;
-            break;
-          }
+        const size_t quote = input.find('\'', i);
+        if (quote == std::string::npos) {
+          i = n;
+          break;
+        }
+        content.append(input, i, quote - i);
+        if (quote + 1 < n && input[quote + 1] == '\'') {
+          content += '\'';
+          i = quote + 2;
         } else {
-          content += input[i++];
+          i = quote + 1;
+          closed = true;
+          break;
         }
       }
       if (!closed) {
         return Status::ParseError("unterminated string literal at offset " +
                                   std::to_string(start));
       }
-      Token tok;
-      tok.type = TokenType::kString;
-      tok.text = std::move(content);
-      tok.offset = start;
-      tok.length = i - start;
-      out.push_back(std::move(tok));
+      push(TokenType::kString, start, i - start, std::move(content));
       continue;
     }
     if (c == '"') {
       // Quoted identifier.
-      std::string content;
-      ++i;
-      bool closed = false;
-      while (i < n) {
-        if (input[i] == '"') {
-          ++i;
-          closed = true;
-          break;
-        }
-        content += input[i++];
-      }
-      if (!closed) {
+      const size_t quote = input.find('"', i + 1);
+      if (quote == std::string::npos) {
         return Status::ParseError("unterminated quoted identifier at offset " +
                                   std::to_string(start));
       }
-      push(TokenType::kIdentifier, std::move(content), start, i - start);
+      i = quote + 1;
+      push(TokenType::kIdentifier, start, i - start,
+           input.substr(start + 1, quote - start - 1));
       continue;
     }
     auto two = [&](char a, char b) {
       return c == a && i + 1 < n && input[i + 1] == b;
     };
     if (c == '?') {
-      push(TokenType::kQuestion, "?", start, 1);
+      push(TokenType::kQuestion, start, 1);
       ++i;
       continue;
     }
@@ -151,54 +186,51 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
       ++i;
       size_t name_start = i;
       while (i < n && IsIdentChar(input[i])) ++i;
-      push(TokenType::kNamedParam, input.substr(name_start, i - name_start),
-           start, i - start);
+      push(TokenType::kNamedParam, start, i - start,
+           input.substr(name_start, i - name_start));
       continue;
     }
     if (two('<', '>') || two('!', '=')) {
-      push(TokenType::kNe, input.substr(i, 2), start, 2);
+      // The spelling is kept: error messages quote '<>' or '!='.
+      push(TokenType::kNe, start, 2, input.substr(i, 2));
       i += 2;
       continue;
     }
     if (two('<', '=')) {
-      push(TokenType::kLe, "<=", start, 2);
+      push(TokenType::kLe, start, 2);
       i += 2;
       continue;
     }
     if (two('>', '=')) {
-      push(TokenType::kGe, ">=", start, 2);
+      push(TokenType::kGe, start, 2);
       i += 2;
       continue;
     }
     if (two('|', '|')) {
-      push(TokenType::kConcat, "||", start, 2);
+      push(TokenType::kConcat, start, 2);
       i += 2;
       continue;
     }
-    TokenType t;
-    switch (c) {
-      case '(': t = TokenType::kLParen; break;
-      case ')': t = TokenType::kRParen; break;
-      case ',': t = TokenType::kComma; break;
-      case '.': t = TokenType::kDot; break;
-      case ';': t = TokenType::kSemicolon; break;
-      case '*': t = TokenType::kStar; break;
-      case '+': t = TokenType::kPlus; break;
-      case '-': t = TokenType::kMinus; break;
-      case '/': t = TokenType::kSlash; break;
-      case '%': t = TokenType::kPercent; break;
-      case '=': t = TokenType::kEq; break;
-      case '<': t = TokenType::kLt; break;
-      case '>': t = TokenType::kGt; break;
-      default:
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' at offset " + std::to_string(start));
+    const TokenType t = PunctuationType(c);
+    if (t == TokenType::kEnd) {
+      return Status::ParseError(std::string("unexpected character '") + c +
+                                "' at offset " + std::to_string(start));
     }
-    push(t, std::string(1, c), start, 1);
+    push(t, start, 1);
     ++i;
   }
-  push(TokenType::kEnd, "", n, 0);
+  push(TokenType::kEnd, n, 0);
   return out;
+}
+
+Value NumberTokenValue(const Token& tok, bool negate) {
+  if (tok.type == TokenType::kInteger) {
+    return Value::Int(negate ? -tok.int_value : tok.int_value);
+  }
+  if (negate && tok.negates_to_int64_min) {
+    return Value::Int(std::numeric_limits<int64_t>::min());
+  }
+  return Value::Double(negate ? -tok.double_value : tok.double_value);
 }
 
 }  // namespace prefsql

@@ -132,28 +132,18 @@ ParameterizedSql ParameterizeSql(const std::string& sql,
     if (clause == Clause::kLift && literal &&
         !(tok.type == TokenType::kString && after_date_keyword)) {
       Value v;
-      switch (tok.type) {
-        case TokenType::kInteger:
-          v = Value::Int(tok.int_value);
-          break;
-        case TokenType::kFloat:
-          v = Value::Double(tok.double_value);
-          break;
-        default:
-          v = Value::Text(tok.text);
-          break;
-      }
-      // Fold a leading unary minus into the lifted value (`AROUND -5`,
-      // `x = -5`): the minus is unary when what precedes it is not a value.
-      if (tok.type != TokenType::kString && pieces.size() >= 1 &&
-          pieces.back().type == TokenType::kMinus) {
-        const bool unary =
-            pieces.size() < 2 || !IsValueToken(pieces[pieces.size() - 2].type);
-        if (unary) {
-          pieces.pop_back();
-          v = tok.type == TokenType::kInteger ? Value::Int(-tok.int_value)
-                                              : Value::Double(-tok.double_value);
-        }
+      if (tok.type == TokenType::kString) {
+        v = Value::Text(tok.text);
+      } else {
+        // Fold a leading unary minus into the lifted value (`AROUND -5`,
+        // `x = -5`): the minus is unary when what precedes it is not a
+        // value.
+        const bool negate =
+            !pieces.empty() && pieces.back().type == TokenType::kMinus &&
+            (pieces.size() < 2 ||
+             !IsValueToken(pieces[pieces.size() - 2].type));
+        if (negate) pieces.pop_back();
+        v = NumberTokenValue(tok, negate);
       }
       values.push_back(std::move(v));
       pieces.push_back({TokenType::kQuestion, "?"});

@@ -140,6 +140,7 @@ bool SelectHasParameters(const SelectStmt& select) {
 }
 
 bool StatementHasParameters(const Statement& stmt) {
+  if (stmt.has_parameters.has_value()) return *stmt.has_parameters;
   if (stmt.select != nullptr && SelectHasParameters(*stmt.select)) {
     return true;
   }
@@ -573,6 +574,7 @@ Status BindStatementParameters(Statement& stmt,
   if (stmt.preference) {
     PSQL_RETURN_IF_ERROR(BindPref(*stmt.preference, values, parse_errors));
   }
+  stmt.has_parameters = false;
   return Status::OK();
 }
 

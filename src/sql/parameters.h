@@ -55,7 +55,9 @@ ParameterSignature CollectParameters(const Statement& stmt);
 bool PrefTermHasParameters(const PrefTerm& term);
 
 /// Cheap early-exit presence tests (no signature allocation): used on the
-/// per-statement hot path to reject pre-parsed statements with holes.
+/// per-statement hot path to reject pre-parsed statements with holes. A
+/// parsed or bound statement answers from Statement::has_parameters
+/// without a walk.
 bool SelectHasParameters(const SelectStmt& select);
 bool StatementHasParameters(const Statement& stmt);
 

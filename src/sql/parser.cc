@@ -67,6 +67,7 @@ class Parser {
   }
 
   // -- Statements ---------------------------------------------------------
+  Result<Statement> ParseStatementBody();
   Result<Statement> ParseCreate();
   Result<Statement> ParseInsert();
   Result<Statement> ParseUpdate();
@@ -78,7 +79,7 @@ class Parser {
   Result<std::unique_ptr<TableRef>> ParseTableRefPrimary();
 
   // -- Expressions (precedence climbing) -----------------------------------
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr();
   Result<ExprPtr> ParseOr();
   Result<ExprPtr> ParseAnd();
   Result<ExprPtr> ParseNot();
@@ -129,6 +130,12 @@ class Parser {
 Result<Statement> Parser::ParseStatementTop() {
   SkipSemicolons();
   param_names_.clear();  // parameter ordinals are per statement
+  PSQL_ASSIGN_OR_RETURN(Statement st, ParseStatementBody());
+  st.has_parameters = !param_names_.empty();
+  return st;
+}
+
+Result<Statement> Parser::ParseStatementBody() {
   if (CheckKeyword("SELECT")) {
     PSQL_ASSIGN_OR_RETURN(auto sel, ParseSelect());
     Statement st;
@@ -317,10 +324,8 @@ Result<Statement> Parser::ParseSet() {
   const Token& tok = Peek();
   switch (tok.type) {
     case TokenType::kInteger:
-      st.set_value = Value::Int(tok.int_value);
-      break;
     case TokenType::kFloat:
-      st.set_value = Value::Double(tok.double_value);
+      st.set_value = NumberTokenValue(tok);
       break;
     case TokenType::kString:
     case TokenType::kIdentifier:
@@ -513,6 +518,25 @@ Result<ExprPtr> Parser::ParseExprTop() {
   return e;
 }
 
+Result<ExprPtr> Parser::ParseExpr() {
+  // A number or string literal directly followed by ',' or ')' (a VALUES
+  // row, an IN list, a call argument) is a literal: every level of the
+  // ladder below would return it unchanged, so skip the descent.
+  const Token& tok = Peek();
+  const TokenType next = Peek(1).type;
+  if (next == TokenType::kComma || next == TokenType::kRParen) {
+    if (tok.type == TokenType::kInteger || tok.type == TokenType::kFloat) {
+      Advance();
+      return Expr::MakeLiteral(NumberTokenValue(tok));
+    }
+    if (tok.type == TokenType::kString) {
+      Advance();
+      return Expr::MakeLiteral(Value::Text(tok.text));
+    }
+  }
+  return ParseOr();
+}
+
 Result<ExprPtr> Parser::ParseOr() {
   PSQL_ASSIGN_OR_RETURN(auto left, ParseAnd());
   while (MatchKeyword("OR")) {
@@ -673,13 +697,15 @@ Result<ExprPtr> Parser::ParseMultiplicative() {
 
 Result<ExprPtr> Parser::ParseUnary() {
   if (Match(TokenType::kMinus)) {
+    if (Peek().negates_to_int64_min) {
+      // -9223372036854775808: its magnitude 2^63 lexed as a DOUBLE, but
+      // the negation is an int64, INT64_MIN.
+      return Expr::MakeLiteral(NumberTokenValue(Advance(), /*negate=*/true));
+    }
     PSQL_ASSIGN_OR_RETURN(auto operand, ParseUnary());
     if (operand->kind == ExprKind::kLiteral && operand->literal.is_numeric()) {
       // Fold -literal so preference targets stay plain literals.
-      if (operand->literal.type() == ValueType::kInt) {
-        return Expr::MakeLiteral(Value::Int(-operand->literal.AsInt()));
-      }
-      return Expr::MakeLiteral(Value::Double(-operand->literal.AsDouble()));
+      return Expr::MakeLiteral(NegateNumeric(operand->literal));
     }
     return Expr::MakeUnary(UnaryOp::kNegate, std::move(operand));
   }
@@ -690,13 +716,10 @@ Result<ExprPtr> Parser::ParseUnary() {
 Result<ExprPtr> Parser::ParsePrimary() {
   const Token& tok = Peek();
   switch (tok.type) {
-    case TokenType::kInteger: {
-      Advance();
-      return Expr::MakeLiteral(Value::Int(tok.int_value));
-    }
+    case TokenType::kInteger:
     case TokenType::kFloat: {
       Advance();
-      return Expr::MakeLiteral(Value::Double(tok.double_value));
+      return Expr::MakeLiteral(NumberTokenValue(tok));
     }
     case TokenType::kString: {
       Advance();
@@ -949,11 +972,9 @@ Result<Value> Parser::ParsePrefLiteral() {
       return MakeParam(std::move(name));
     }
     case TokenType::kInteger:
-      Advance();
-      return Value::Int(negate ? -tok.int_value : tok.int_value);
     case TokenType::kFloat:
       Advance();
-      return Value::Double(negate ? -tok.double_value : tok.double_value);
+      return NumberTokenValue(tok, negate);
     case TokenType::kString:
       if (negate) return Error("cannot negate a string literal");
       Advance();

@@ -5,6 +5,33 @@
 #include "util/string_util.h"
 
 namespace prefsql {
+namespace {
+
+// The fixed spelling of a punctuation or operator token (which carries no
+// text of its own).
+const char* Spelling(TokenType type) {
+  switch (type) {
+    case TokenType::kLParen: return "(";
+    case TokenType::kRParen: return ")";
+    case TokenType::kComma: return ",";
+    case TokenType::kDot: return ".";
+    case TokenType::kSemicolon: return ";";
+    case TokenType::kStar: return "*";
+    case TokenType::kPlus: return "+";
+    case TokenType::kMinus: return "-";
+    case TokenType::kSlash: return "/";
+    case TokenType::kPercent: return "%";
+    case TokenType::kEq: return "=";
+    case TokenType::kLt: return "<";
+    case TokenType::kLe: return "<=";
+    case TokenType::kGt: return ">";
+    case TokenType::kGe: return ">=";
+    case TokenType::kConcat: return "||";
+    default: return "";
+  }
+}
+
+}  // namespace
 
 bool Token::IsKeyword(const char* kw) const {
   return type == TokenType::kKeyword && text == kw;
@@ -28,13 +55,15 @@ std::string Token::Describe() const {
       return "parameter '?'";
     case TokenType::kNamedParam:
       return "parameter '$" + text + "'";
-    default:
+    case TokenType::kNe:
       return "'" + text + "'";
+    default:
+      return std::string("'") + Spelling(type) + "'";
   }
 }
 
-bool IsReservedWord(const std::string& upper) {
-  static const std::unordered_set<std::string> kWords = {
+bool IsReservedWord(std::string_view upper) {
+  static const std::unordered_set<std::string_view> kWords = {
       // Standard SQL subset.
       "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "ASC",
       "DESC", "LIMIT", "OFFSET", "INSERT", "INTO", "VALUES", "CREATE",

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace prefsql {
 
@@ -40,9 +41,15 @@ enum class TokenType {
 
 /// One lexed token with its source offset (for error messages) and length
 /// (so normalization can re-emit a token byte-for-byte from the input).
+///
+/// An integer spelling beyond int64 lexes as kFloat (as in SQLite);
+/// `negates_to_int64_min` marks the one such spelling, 9223372036854775808,
+/// whose negation is INT64_MIN and folds back to an integer.
 struct Token {
   TokenType type = TokenType::kEnd;
-  std::string text;       // identifier/keyword/string content
+  bool negates_to_int64_min = false;
+  std::string text;       // identifier/keyword/string/named-parameter text;
+                          // the spelling of kNe; empty otherwise
   int64_t int_value = 0;
   double double_value = 0.0;
   size_t offset = 0;      // byte offset in the input
@@ -53,6 +60,6 @@ struct Token {
 };
 
 /// True iff `word` (upper-cased) is a reserved word of the dialect.
-bool IsReservedWord(const std::string& upper);
+bool IsReservedWord(std::string_view upper);
 
 }  // namespace prefsql

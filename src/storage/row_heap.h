@@ -21,7 +21,12 @@
 // Superseded payloads are reclaimed by CollectGarbage(horizon), which the
 // engine only runs while it holds the catalog lock exclusively (no active
 // readers) with horizon <= the oldest pinned snapshot; the slot header
-// survives so positions stay stable, only the cell payload is freed.
+// survives so positions stay stable, only the cell payload is freed. The
+// sweep visits only the slots end-stamped since it last ran (the dead-slot
+// list MarkDead appends to), never the whole heap: a sweep after an INSERT
+// or an idle sweep visits nothing, and one after an UPDATE/DELETE visits
+// what that statement stamped plus the versions a pinned snapshot kept
+// alive at earlier sweeps.
 
 #pragma once
 
@@ -31,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "storage/epoch.h"
 #include "types/value.h"
@@ -79,9 +85,11 @@ class RowHeap {
     return pos;
   }
 
-  /// End-stamps `pos`: the version stops being visible to snapshots >= end.
+  /// End-stamps `pos`: the version stops being visible to snapshots >= end,
+  /// and the next sweep considers it (single writer, like Append).
   void MarkDead(size_t pos, uint64_t end) {
     slot_mut(pos).end.store(end, std::memory_order_release);
+    dead_.push_back(pos);
   }
 
   const Row& row(size_t pos) const { return slot(pos).row; }
@@ -101,22 +109,30 @@ class RowHeap {
 
   /// Frees payloads of versions dead at or before `horizon` (end <= horizon
   /// means no snapshot >= horizon can see them; the caller guarantees no
-  /// older snapshot is pinned and no readers are active). Slot headers are
-  /// kept so positions remain stable. Returns the number of payloads freed.
+  /// older snapshot is pinned and no readers are active). Visits only the
+  /// dead-slot list; entries still visible to some snapshot >= horizon stay
+  /// listed for a later sweep. Slot headers are kept so positions remain
+  /// stable. Returns the number of payloads freed.
   size_t CollectGarbage(uint64_t horizon) {
-    size_t n = size();
     size_t freed = 0;
-    for (size_t pos = 0; pos < n; ++pos) {
+    size_t kept = 0;
+    for (size_t pos : dead_) {
       Slot& s = slot_mut(pos);
       if (s.cleared.load(std::memory_order_relaxed)) continue;
       if (s.end.load(std::memory_order_relaxed) <= horizon) {
         s.row = Row();
         s.cleared.store(true, std::memory_order_release);
         ++freed;
+      } else {
+        dead_[kept++] = pos;
       }
     }
+    dead_.resize(kept);
     return freed;
   }
+
+  /// Slots end-stamped but not yet freed: what the next sweep visits.
+  size_t pending_dead() const { return dead_.size(); }
 
   /// Bucket b holds kFirstBucketSize << b slots; cumulative capacity before
   /// bucket b is kFirstBucketSize * (2^b - 1). Column codes and numeric
@@ -155,6 +171,10 @@ class RowHeap {
 
   std::array<std::atomic<Slot*>, kNumBuckets> buckets_{};
   std::atomic<size_t> size_{0};
+  // Slots end-stamped and not yet freed, in stamping order. Written by
+  // MarkDead (the single writer) and CollectGarbage (no writer or reader
+  // active); the engine's DDL lock orders the two.
+  std::vector<size_t> dead_;
 };
 
 }  // namespace prefsql

@@ -45,8 +45,12 @@ Result<Value> Table::CoerceToColumn(size_t col, Value value) const {
     case ColumnType::kInt:
       if (value.type() == ValueType::kInt) return value;
       if (value.type() == ValueType::kDouble) {
+        // Integral and inside int64 (2^63 itself is not): a wider double,
+        // such as an out-of-range integer literal, is refused, not clamped.
         double d = value.AsDouble();
-        if (d == std::floor(d)) return Value::Int(static_cast<int64_t>(d));
+        if (d == std::floor(d) && d >= -0x1p63 && d < 0x1p63) {
+          return Value::Int(static_cast<int64_t>(d));
+        }
       }
       break;
     case ColumnType::kDouble:
@@ -80,21 +84,41 @@ Result<Value> Table::CoerceToColumn(size_t col, Value value) const {
       columns_[col].name);
 }
 
-Result<Row> Table::CoerceRow(Row row) const {
-  if (row.size() != columns_.size()) {
+namespace {
+
+// The value type a column of type `c` stores.
+ValueType StoredType(ColumnType c) {
+  switch (c) {
+    case ColumnType::kInt: return ValueType::kInt;
+    case ColumnType::kDouble: return ValueType::kDouble;
+    case ColumnType::kText: return ValueType::kText;
+    case ColumnType::kBool: return ValueType::kBool;
+    case ColumnType::kDate: return ValueType::kDate;
+  }
+  return ValueType::kNull;
+}
+
+}  // namespace
+
+Status Table::CoerceRow(Row* row) const {
+  if (row->size() != columns_.size()) {
     return Status::InvalidArgument(
         "INSERT into " + name_ + " expects " +
         std::to_string(columns_.size()) + " values, got " +
-        std::to_string(row.size()));
+        std::to_string(row->size()));
   }
-  for (size_t i = 0; i < row.size(); ++i) {
-    PSQL_ASSIGN_OR_RETURN(row[i], CoerceToColumn(i, std::move(row[i])));
+  for (size_t i = 0; i < row->size(); ++i) {
+    Value& cell = (*row)[i];
+    if (cell.is_null() || cell.type() == StoredType(columns_[i].type)) {
+      continue;
+    }
+    PSQL_ASSIGN_OR_RETURN(cell, CoerceToColumn(i, std::move(cell)));
   }
-  return row;
+  return Status::OK();
 }
 
 Status Table::Insert(Row row) {
-  PSQL_ASSIGN_OR_RETURN(row, CoerceRow(std::move(row)));
+  PSQL_RETURN_IF_ERROR(CoerceRow(&row));
   uint64_t commit = epochs_->BeginWrite();
   heap_.Append(std::move(row), commit);
   SealVersion(commit);

@@ -69,8 +69,9 @@ class Table {
   /// UPDATE/INSERT...SELECT paths).
   Result<Value> CoerceToColumn(size_t col, Value value) const;
 
-  /// Arity check plus per-cell coercion of a full row.
-  Result<Row> CoerceRow(Row row) const;
+  /// Arity check plus per-cell coercion of a full row, in place. A cell
+  /// already of its column's type (or NULL) is left untouched.
+  Status CoerceRow(Row* row) const;
 
   // -- Convenience write path (auto-commits one epoch per call) ------------
 
@@ -124,9 +125,11 @@ class Table {
   const NumericColumn& NumbersFor(size_t col, size_t limit) const;
 
   /// Frees payloads of versions invisible to every snapshot >= `horizon`
-  /// and trims version history below it. The engine calls this only while
-  /// it holds the catalog lock exclusively (no active readers) with
-  /// horizon <= the oldest pinned snapshot. Returns payloads freed.
+  /// and trims version history below it. Visits only the slots
+  /// end-stamped since earlier sweeps (RowHeap's dead-slot list), so a
+  /// sweep after INSERTs alone frees nothing in O(1). The engine calls this
+  /// only while it holds the catalog lock exclusively (no active readers)
+  /// with horizon <= the oldest pinned snapshot. Returns payloads freed.
   size_t CollectGarbage(uint64_t horizon);
 
   /// Monotone counter bumped on every mutation (latest sealed version).

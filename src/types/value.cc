@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 
 #include "types/date.h"
 #include "util/string_util.h"
@@ -57,6 +58,14 @@ Value Value::Param(int32_t index, std::string name) {
   Value v(ValueType::kParam);
   v.bits_.box = new Box{{1}, index, std::move(name)};
   return v;
+}
+
+Value NegateNumeric(const Value& v) {
+  if (v.type() == ValueType::kInt &&
+      v.AsInt() != std::numeric_limits<int64_t>::min()) {
+    return Value::Int(-v.AsInt());
+  }
+  return Value::Double(-v.AsDouble());
 }
 
 void Value::Release(Box* box) {
@@ -233,7 +242,7 @@ std::string Value::ToString() const {
       return std::to_string(AsInt());
     case ValueType::kDouble: {
       double d = AsDouble();
-      if (d == static_cast<int64_t>(d) && std::abs(d) < 1e15) {
+      if (std::abs(d) < 1e15 && d == static_cast<int64_t>(d)) {
         // Integral doubles print without trailing zeros (e.g. "40000").
         return std::to_string(static_cast<int64_t>(d));
       }

@@ -227,6 +227,11 @@ class Value {
 
 static_assert(sizeof(Value) == 16, "a Value is a tag plus an 8-byte payload");
 
+/// -v for a numeric `v`: an INT stays an INT, except INT64_MIN, whose
+/// negation is no int64 and becomes the DOUBLE 2^63 (as in SQLite); DOUBLE
+/// and DATE negate as DOUBLE.
+Value NegateNumeric(const Value& v);
+
 /// A tuple: one Value per column of the owning schema.
 using Row = std::vector<Value>;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/connection.h"
 #include "engine/database.h"
 #include "engine/operators/filter.h"
@@ -249,6 +251,114 @@ TEST_F(ExecutorTest, InsertPartialColumnsDefaultsNull) {
   ResultTable t = Run("SELECT a, b FROM s");
   EXPECT_TRUE(t.at(0, 0).is_null());
   EXPECT_EQ(t.at(0, 1).AsText(), "only-b");
+}
+
+// VALUES literals skip the parser's precedence ladder; a select item
+// followed by AS always descends it. Both must store the same row, cell for
+// cell, type for type.
+TEST_F(ExecutorTest, InsertValuesStoresWhatTheLadderStores) {
+  const std::vector<std::pair<std::string, std::string>> columns = {
+      {"INTEGER", "5"}, {"INTEGER", "-5"}, {"INTEGER", "- 5"},
+      {"INTEGER", "+5"}, {"INTEGER", "(5)"}, {"INTEGER", "5 + 1"},
+      {"DOUBLE", "1e3"}, {"DOUBLE", ".5"}, {"TEXT", "'it''s'"},
+      {"TEXT", "''"}, {"TEXT", "'" + std::string(40, 'y') + "'"},
+      {"DATE", "DATE '2001-01-01'"}, {"INTEGER", "NULL"},
+      {"BOOLEAN", "TRUE"}, {"DOUBLE", "99999999999999999999"},
+      {"INTEGER", "-9223372036854775808"}, {"DOUBLE", "5"}, {"TEXT", "5"}};
+  std::string create = "CREATE TABLE lit (", values, items;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const std::string sep = i == 0 ? "" : ", ";
+    create += sep + "c" + std::to_string(i) + " " + columns[i].first;
+    values += sep + columns[i].second;
+    items += sep + columns[i].second + " AS a" + std::to_string(i);
+  }
+  Run(create + ")");
+  Run("INSERT INTO lit VALUES (" + values + ")");
+  Run("INSERT INTO lit SELECT " + items);
+  auto table = db_.catalog().GetTable("lit");
+  ASSERT_TRUE(table.ok());
+  const Row& shortcut = (*table)->heap().row(0);
+  const Row& ladder = (*table)->heap().row(1);
+  ASSERT_EQ(shortcut.size(), columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    EXPECT_TRUE(RowsIdentityEqual({shortcut[i]}, {ladder[i]}))
+        << columns[i].second << ": " << shortcut[i].ToString() << " vs "
+        << ladder[i].ToString();
+  }
+  EXPECT_EQ(shortcut[15].AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(shortcut[17].AsText(), "5");
+}
+
+TEST_F(ExecutorTest, InsertRefusesIntegersBeyondInt64) {
+  Run("CREATE TABLE wide (a INTEGER, d DOUBLE)");
+  // The literal is a DOUBLE; an INTEGER column refuses it rather than
+  // storing a clamped or wrapped int64.
+  Status st = RunError("INSERT INTO wide VALUES (99999999999999999999, 0)");
+  EXPECT_EQ(st.message(),
+            "cannot store DOUBLE value '1e+20' in column wide.a");
+  EXPECT_FALSE(RunError("INSERT INTO wide VALUES (9223372036854775808, 0)").ok());
+  Run("INSERT INTO wide VALUES (-9223372036854775808, 99999999999999999999)");
+  ResultTable t = Run("SELECT a, d FROM wide");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.at(0, 0).AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(t.at(0, 1).AsDouble(), 1e20);
+}
+
+// An int64 result that overflows is a DOUBLE, as in SQLite: never a
+// wrapped integer, and INT64_MIN / -1 never traps.
+TEST_F(ExecutorTest, IntegerOverflowBecomesDouble) {
+  ResultTable t = Run(
+      "SELECT 9223372036854775807 + 1 AS a, -9223372036854775808 - 1 AS b, "
+      "9223372036854775807 * 2 AS c, -9223372036854775808 / -1 AS d, "
+      "-9223372036854775808 % -1 AS e, 7 / -1 AS f, 7 % -1 AS g, "
+      "-(-9223372036854775807 - 1) AS h, 6 * 7 AS i");
+  const std::vector<Value> want = {
+      Value::Double(0x1p63),  Value::Double(-0x1p63), Value::Double(0x1p64),
+      Value::Double(0x1p63),  Value::Int(0),          Value::Int(-7),
+      Value::Int(0),          Value::Double(0x1p63),  Value::Int(42)};
+  ASSERT_EQ(t.num_columns(), want.size());
+  for (size_t c = 0; c < want.size(); ++c) {
+    EXPECT_TRUE(RowsIdentityEqual({t.at(0, c)}, {want[c]}))
+        << c << ": " << t.at(0, c).ToString();
+  }
+}
+
+TEST_F(ExecutorTest, InsertValuesErrorsKeepTheirOrder) {
+  Run("CREATE TABLE two (a INTEGER, b TEXT)");
+  // Within a row, an evaluation error reports before the arity mismatch.
+  EXPECT_EQ(RunError("INSERT INTO two VALUES (1)").message(),
+            "INSERT expects 2 values, got 1");
+  EXPECT_FALSE(RunError("INSERT INTO two VALUES (x)").ok());
+  EXPECT_NE(RunError("INSERT INTO two VALUES (x)").message(),
+            "INSERT expects 2 values, got 1");
+  EXPECT_EQ(RunError("INSERT INTO two (b) VALUES ('a', 'b')").message(),
+            "INSERT expects 1 values, got 2");
+  // A failed row leaves the table untouched.
+  EXPECT_FALSE(RunError("INSERT INTO two VALUES (1, 'a'), (2.5, 'b')").ok());
+  EXPECT_EQ(Run("SELECT COUNT(*) FROM two").at(0, 0).AsInt(), 0);
+}
+
+TEST(InsertParameterTest, PreparedPlaceholdersStoreTheBoundValues) {
+  Connection conn;
+  ASSERT_TRUE(conn.Execute("CREATE TABLE p (a INTEGER, b TEXT, c DOUBLE)").ok());
+  auto stmt = conn.Prepare("INSERT INTO p VALUES (?, $name, ?)");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_EQ(stmt->parameter_count(), 3u);
+  ASSERT_TRUE(stmt->Bind(0, Value::Int(7)).ok());
+  ASSERT_TRUE(stmt->Bind("name", Value::Text("it's")).ok());
+  ASSERT_TRUE(stmt->Bind(2, Value::Int(2)).ok());
+  ASSERT_TRUE(stmt->Execute().ok());
+  ASSERT_TRUE(conn.Execute("INSERT INTO p VALUES (7, 'it''s', 2)").ok());
+  auto table = conn.database().catalog().GetTable("p");
+  ASSERT_TRUE(table.ok());
+  EXPECT_TRUE(
+      RowsIdentityEqual((*table)->heap().row(0), (*table)->heap().row(1)));
+  EXPECT_EQ((*table)->heap().row(0)[2].type(), ValueType::kDouble);
+  // Text execution has no binding step: a placeholder is a bind error.
+  auto text = conn.Execute("INSERT INTO p VALUES (?, 'x', 1)");
+  ASSERT_FALSE(text.ok());
+  EXPECT_TRUE(text.status().IsBindError()) << text.status().ToString();
+  EXPECT_EQ((*table)->num_rows(), 2u);
 }
 
 TEST_F(ExecutorTest, UpdateWithWhere) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace prefsql {
 namespace {
 
@@ -56,6 +58,57 @@ TEST(LexerTest, Numbers) {
   EXPECT_DOUBLE_EQ(toks[3].double_value, 0.025);
   EXPECT_EQ(toks[4].type, TokenType::kFloat);
   EXPECT_DOUBLE_EQ(toks[4].double_value, 7.0);
+}
+
+TEST(LexerTest, OutOfRangeIntegersLexAsFloats) {
+  auto toks = Lex("9223372036854775807 9223372036854775808 "
+                  "99999999999999999999 09223372036854775808 1e400");
+  EXPECT_EQ(toks[0].type, TokenType::kInteger);
+  EXPECT_EQ(toks[0].int_value, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(toks[1].type, TokenType::kFloat);
+  EXPECT_EQ(toks[1].double_value, 0x1p63);
+  EXPECT_TRUE(toks[1].negates_to_int64_min);
+  EXPECT_EQ(toks[2].type, TokenType::kFloat);
+  EXPECT_EQ(toks[2].double_value, 1e20);
+  EXPECT_FALSE(toks[2].negates_to_int64_min);
+  EXPECT_TRUE(toks[3].negates_to_int64_min);  // leading zeros
+  EXPECT_EQ(toks[4].type, TokenType::kFloat);
+  EXPECT_EQ(toks[4].double_value, std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(toks[0].negates_to_int64_min);
+}
+
+TEST(LexerTest, NumberTokenValues) {
+  auto toks = Lex("42 2.5 9223372036854775808");
+  EXPECT_EQ(NumberTokenValue(toks[0]).AsInt(), 42);
+  EXPECT_EQ(NumberTokenValue(toks[0], /*negate=*/true).AsInt(), -42);
+  EXPECT_EQ(NumberTokenValue(toks[1], /*negate=*/true).AsDouble(), -2.5);
+  const Value big = NumberTokenValue(toks[2]);
+  EXPECT_EQ(big.type(), ValueType::kDouble);
+  const Value min = NumberTokenValue(toks[2], /*negate=*/true);
+  ASSERT_EQ(min.type(), ValueType::kInt);
+  EXPECT_EQ(min.AsInt(), std::numeric_limits<int64_t>::min());
+}
+
+TEST(LexerTest, PunctuationAndNumbersCarryNoText) {
+  auto toks = Lex("(1, 2.5) <= !=");
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(toks[i].text.empty()) << i;
+  EXPECT_EQ(toks[6].text, "!=");  // kNe keeps its spelling for messages
+  EXPECT_EQ(toks[2].Describe(), "','");
+  EXPECT_EQ(toks[5].Describe(), "'<='");
+  EXPECT_EQ(toks[6].Describe(), "'!='");
+}
+
+TEST(LexerTest, StringRunsAndEscapes) {
+  const std::string forty(40, 'x');
+  auto toks = Lex("'" + forty + "' 'a''b''''c' '''' 'x y'");
+  EXPECT_EQ(toks[0].text, forty);
+  EXPECT_EQ(toks[0].length, 42u);
+  EXPECT_EQ(toks[1].text, "a'b''c");
+  EXPECT_EQ(toks[2].text, "'");
+  EXPECT_EQ(toks[3].text, "x y");
+  auto bad = Tokenize("SELECT 'ab''");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(), "unterminated string literal at offset 7");
 }
 
 TEST(LexerTest, Strings) {

@@ -22,6 +22,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -255,6 +257,132 @@ TEST(MvccPropertyTest, ConcurrentReadsMatchSomeSerialPrefix) {
           << "round " << round << ": final state diverges for probe " << q;
     }
   }
+}
+
+// The background reclaimer sweeps while two writers UPDATE and DELETE
+// disjoint id ranges (their own post-DML sweeps off) and a reader keeps
+// pinning snapshots. The sweep visits only the end-stamped slots, so it
+// must free each of them exactly once: once every pin is gone, gc_cleared
+// equals the number of versions the writers ended, and the final state is
+// the serial one.
+TEST(MvccPropertyTest, BackgroundReclaimerRacesUpdateAndDeleteWriters) {
+  constexpr int kWriters = 2;
+  constexpr int kRowsPerWriter = 40;
+  constexpr int kStatementsPerWriter = 60;
+  auto script = [](int w) {
+    std::mt19937 rng(0xD15C + w);
+    std::vector<std::string> out;
+    for (int i = 0; i < kStatementsPerWriter; ++i) {
+      const int id = w * kRowsPerWriter + static_cast<int>(rng() % kRowsPerWriter);
+      if (rng() % 4 == 0) {
+        out.push_back("DELETE FROM acct WHERE id = " + std::to_string(id));
+      } else {
+        out.push_back("UPDATE acct SET price = price + 1 WHERE id = " +
+                      std::to_string(id));
+      }
+    }
+    return out;
+  };
+  auto load = [](Connection& conn) {
+    ASSERT_TRUE(conn.Execute("CREATE TABLE acct (id INTEGER, price INTEGER, "
+                             "grp INTEGER)")
+                    .ok());
+    std::string insert = "INSERT INTO acct VALUES ";
+    for (int i = 0; i < kWriters * kRowsPerWriter; ++i) {
+      insert += (i ? ", (" : "(") + std::to_string(i) + ", " +
+                std::to_string(i % 17) + ", " + std::to_string(i % 3) + ")";
+    }
+    ASSERT_TRUE(conn.Execute(insert).ok());
+  };
+
+  // The serial state: the ranges are disjoint, so any interleaving of the
+  // two scripts ends here.
+  std::string expected;
+  {
+    Connection serial;
+    load(serial);
+    for (int w = 0; w < kWriters; ++w) {
+      for (const std::string& sql : script(w)) {
+        ASSERT_TRUE(serial.Execute(sql).ok()) << sql;
+      }
+    }
+    auto r = serial.Execute(kProbeQueries[1]);
+    ASSERT_TRUE(r.ok());
+    expected = Canon(*r);
+  }
+
+  auto engine = std::make_shared<Engine>();
+  {
+    Connection setup;
+    setup.Attach(engine);
+    load(setup);
+  }
+  const auto& xstats = engine->database().executor().stats();
+  const uint64_t cleared_before =
+      xstats.gc_cleared.load(std::memory_order_relaxed);
+  std::atomic<int64_t> ended{0};
+  std::atomic<bool> writers_done{false};
+  std::vector<std::string> errors(kWriters + 1);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w]() {
+      Connection conn;
+      conn.Attach(engine);
+      if (!conn.Execute("SET mvcc_gc = off").ok()) return;
+      for (const std::string& sql : script(w)) {
+        auto r = conn.Execute(sql);
+        if (!r.ok()) {
+          errors[w] = sql + ": " + r.status().ToString();
+          return;
+        }
+        ended.fetch_add(r->at(0, 0).AsInt(), std::memory_order_relaxed);
+        // Spread the writes over several reclaimer periods (20 ms).
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  threads.emplace_back([&]() {
+    Connection conn;
+    conn.Attach(engine);
+    while (!writers_done.load(std::memory_order_acquire)) {
+      auto cursor = conn.OpenCursor(kProbeQueries[1]);
+      if (!cursor.ok()) {
+        errors[kWriters] = cursor.status().ToString();
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      for (;;) {
+        auto row = cursor->Next();
+        if (!row.ok()) {
+          errors[kWriters] = row.status().ToString();
+          return;
+        }
+        if (!row->has_value()) break;
+      }
+    }
+  });
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  writers_done.store(true, std::memory_order_release);
+  threads.back().join();
+  for (const std::string& e : errors) ASSERT_TRUE(e.empty()) << e;
+
+  const uint64_t want = static_cast<uint64_t>(ended.load());
+  ASSERT_GT(want, 0u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (xstats.gc_cleared.load(std::memory_order_relaxed) - cleared_before <
+             want &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(xstats.gc_cleared.load(std::memory_order_relaxed) - cleared_before,
+            want);
+  EXPECT_GT(engine->background_gc_passes(), 0u);
+  Connection check;
+  check.Attach(engine);
+  auto r = check.Execute(kProbeQueries[1]);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Canon(*r), expected);
 }
 
 }  // namespace

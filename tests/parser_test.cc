@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sql/printer.h"
 
 namespace prefsql {
@@ -174,6 +176,99 @@ TEST(ParserTest, ScriptSplitsOnSemicolons) {
 
 TEST(ParserTest, TrailingGarbageIsError) {
   EXPECT_FALSE(ParseStatement("SELECT 1 FROM t garbage garbage").ok());
+}
+
+// A literal followed by ',' or ')' skips the precedence ladder. Each form
+// must parse to the AST the full ladder builds: a select item followed by
+// AS always descends the ladder, so it is the reference.
+TEST(ParserTest, LiteralShortcutBuildsTheLadderAst) {
+  const std::vector<std::string> forms = {
+      "5", "-5", "- 5", "+5", "(5)", "5 + 1", "1e3", ".5", "'it''s'", "''",
+      "'" + std::string(40, 'x') + "'", "DATE '2001-01-01'", "NULL", "TRUE",
+      "99999999999999999999", "-9223372036854775808"};
+  for (const std::string& form : forms) {
+    SCOPED_TRACE(form);
+    Statement ladder = Parse("SELECT " + form + " AS a");
+    const Expr& want = *AsSelect(ladder).items[0].expr;
+    Statement st = Parse("INSERT INTO t VALUES (" + form + ", " + form + ")");
+    ASSERT_EQ(st.insert_rows.size(), 1u);
+    Statement rebuilt = st.Clone();
+    for (ExprPtr& e : rebuilt.insert_rows[0]) e = want.Clone();
+    EXPECT_EQ(StatementToSql(st), StatementToSql(rebuilt));
+    for (const ExprPtr& e : st.insert_rows[0]) {
+      ASSERT_EQ(e->kind, want.kind);
+      if (e->kind == ExprKind::kLiteral) {
+        EXPECT_TRUE(RowsIdentityEqual({e->literal}, {want.literal}));
+      }
+    }
+    // The same literal as an IN-list member and as a call argument.
+    Statement in = Parse("SELECT a FROM t WHERE a IN (" + form + ", f(" +
+                         form + "))");
+    const Expr& where = *AsSelect(in).where;
+    ASSERT_EQ(where.in_list.size(), 2u);
+    EXPECT_EQ(ExprToSql(*where.in_list[0]), ExprToSql(want));
+    EXPECT_EQ(ExprToSql(*where.in_list[1]->args[0]), ExprToSql(want));
+  }
+}
+
+TEST(ParserTest, OutOfRangeIntegerLiteralsAreDoubles) {
+  auto literal = [](const std::string& text) {
+    auto e = ParseExpression(text);
+    EXPECT_TRUE(e.ok()) << text << " -> " << e.status().ToString();
+    EXPECT_EQ((*e)->kind, ExprKind::kLiteral) << text;
+    return (*e)->literal;
+  };
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_TRUE(RowsIdentityEqual({literal("9223372036854775807")},
+                                {Value::Int(kMax)}));
+  EXPECT_TRUE(RowsIdentityEqual({literal("-9223372036854775807")},
+                                {Value::Int(-kMax)}));
+  // -2^63 is an int64 although 2^63 is not: the minus folds into INT64_MIN.
+  EXPECT_TRUE(RowsIdentityEqual({literal("-9223372036854775808")},
+                                {Value::Int(kMin)}));
+  EXPECT_TRUE(RowsIdentityEqual({literal("- 09223372036854775808")},
+                                {Value::Int(kMin)}));
+  EXPECT_TRUE(RowsIdentityEqual({literal("9223372036854775808")},
+                                {Value::Double(0x1p63)}));
+  // Negating INT64_MIN leaves int64: a DOUBLE, never an overflow.
+  EXPECT_TRUE(RowsIdentityEqual({literal("- -9223372036854775808")},
+                                {Value::Double(0x1p63)}));
+  EXPECT_TRUE(RowsIdentityEqual({literal("99999999999999999999")},
+                                {Value::Double(1e20)}));
+  EXPECT_TRUE(RowsIdentityEqual({literal("-99999999999999999999")},
+                                {Value::Double(-1e20)}));
+  auto pref = ParsePreference("x AROUND -9223372036854775808");
+  ASSERT_TRUE(pref.ok()) << pref.status().ToString();
+  EXPECT_TRUE(RowsIdentityEqual({(*pref)->target}, {Value::Int(kMin)}));
+}
+
+TEST(ParserTest, MalformedValuesKeepTheirErrors) {
+  auto error = [](const std::string& sql) {
+    auto r = ParseStatement(sql);
+    EXPECT_FALSE(r.ok()) << sql;
+    return r.ok() ? std::string() : r.status().message();
+  };
+  EXPECT_EQ(error("INSERT INTO t VALUES (1,)"),
+            "expected an expression, found ')' at offset 24");
+  EXPECT_EQ(error("INSERT INTO t VALUES (1 2)"),
+            "expected ')', found integer 2 at offset 24");
+  EXPECT_EQ(error("INSERT INTO t VALUES ('a', 'b)"),
+            "unterminated string literal at offset 27");
+  EXPECT_EQ(error("INSERT INTO t VALUES (1) (2)"),
+            "unexpected trailing input after statement");
+}
+
+TEST(ParserTest, ParserCountsPlaceholders) {
+  EXPECT_EQ(Parse("INSERT INTO t VALUES (1, 'a')").has_parameters, false);
+  EXPECT_EQ(Parse("INSERT INTO t VALUES (1, ?)").has_parameters, true);
+  EXPECT_EQ(Parse("UPDATE t SET a = $v WHERE b = 1").has_parameters, true);
+  EXPECT_EQ(Parse("SELECT a FROM t LIMIT ?").has_parameters, true);
+  // Ordinals and the count restart with each statement of a script.
+  auto script = ParseScript("SELECT ?; SELECT 1");
+  ASSERT_TRUE(script.ok());
+  EXPECT_EQ((*script)[0].has_parameters, true);
+  EXPECT_EQ((*script)[1].has_parameters, false);
 }
 
 // ---------------------------------------------------------------------------

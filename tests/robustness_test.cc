@@ -17,6 +17,7 @@
 
 #include "core/connection.h"
 #include "core/engine.h"
+#include "util/failpoint.h"
 #include "workload/generators.h"
 
 namespace prefsql {
@@ -334,6 +335,42 @@ TEST(RobustnessTest, BackgroundReclaimerCollectsWithSessionGcOff) {
     std::this_thread::sleep_for(milliseconds(10));
   }
   EXPECT_GT(engine->background_gc_passes(), paused + 1);
+}
+
+// A sweep whose horizon computation fails (injected) touches no table: the
+// versions it would have freed stay on the dead-slot list, and the next
+// sweep frees them.
+TEST(RobustnessTest, FailedGcHorizonKeepsDeadSlotsForTheNextSweep) {
+#if !defined(PREFSQL_FAILPOINTS_ENABLED)
+  GTEST_SKIP() << "failpoint sites are compiled out of this build";
+#else
+  auto engine = std::make_shared<Engine>();
+  Connection conn;
+  conn.Attach(engine);
+  // Only the post-DML sweeps below run; let any in-flight timer pass drain.
+  ASSERT_TRUE(conn.Execute("SET mvcc_gc_background = off").ok());
+  std::this_thread::sleep_for(milliseconds(50));
+  ASSERT_TRUE(conn.Execute("CREATE TABLE kv (id INTEGER, v INTEGER)").ok());
+  ASSERT_TRUE(conn.Execute("INSERT INTO kv VALUES (0, 0), (1, 0), (2, 0), "
+                           "(3, 0), (4, 0)")
+                  .ok());
+  auto table = engine->database().catalog().GetTable("kv");
+  ASSERT_TRUE(table.ok());
+  const auto& xstats = engine->database().executor().stats();
+  const uint64_t cleared = xstats.gc_cleared.load(std::memory_order_relaxed);
+
+  ASSERT_TRUE(failpoint::ArmFromSpec("gc_horizon", "error*1"));
+  ASSERT_TRUE(conn.Execute("UPDATE kv SET v = 1 WHERE id < 3").ok());
+  EXPECT_EQ((*table)->heap().pending_dead(), 3u);
+  EXPECT_FALSE((*table)->heap().payload_cleared(0));
+  EXPECT_EQ(xstats.gc_cleared.load(std::memory_order_relaxed), cleared);
+
+  ASSERT_TRUE(conn.Execute("DELETE FROM kv WHERE id = 4").ok());
+  EXPECT_EQ((*table)->heap().pending_dead(), 0u);
+  EXPECT_TRUE((*table)->heap().payload_cleared(0));
+  EXPECT_EQ(xstats.gc_cleared.load(std::memory_order_relaxed), cleared + 4);
+  failpoint::DisarmAll();
+#endif
 }
 
 TEST(RobustnessTest, TimeoutKnobRoundTripsThroughSet) {
