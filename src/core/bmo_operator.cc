@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/bmo_parallel.h"
@@ -45,6 +46,8 @@ Status BmoOperator::Open() {
   rows_.clear();
   survivors_.clear();
   slots_.clear();
+  partition_of_.clear();
+  min_scores_.clear();
   pos_ = 0;
   run_stats_ = BmoRunStats{};
   stmt_charge_.Reset();
@@ -55,30 +58,42 @@ Status BmoOperator::Open() {
   QueryContext* qctx = CurrentQueryContext();
   config_.bmo.ctx = qctx;
 
-  // 1. Pull the candidate stream. Base-table rows stay borrowed (no tuple
-  //    copies between scan and BMO). The scan/filter subtree hands over ~1k
-  //    rows per virtual call — one MVCC visibility sweep and one interrupt
+  // 1. Pull the candidate stream, ~1k per virtual call — one interrupt
   //    check per batch — so the key build and the SIMD dominance kernels
-  //    below see the candidates at feed, not pull, speed. A heap scan's
-  //    batches also carry each row's slot; one batch without them (or a
-  //    slot outside the snapshot's range) falls the run back to keying rows.
+  //    below see the candidates at feed, not pull, speed. Over a base
+  //    table the candidates are heap slots: the scan hands over slots
+  //    alone (a filter above it, slots with its borrowed rows), and a
+  //    candidate's row is read from the heap only where one is needed
+  //    (GROUPING keys, BUT ONLY and quality columns, emission). Otherwise
+  //    the rows are kept as pulled; base-table rows stay borrowed.
   RowBatch batch;
-  bool have_slots = config_.table != nullptr;
+  const bool by_slot = config_.table != nullptr;
+  batch.slots_only = by_slot;
   while (true) {
     PSQL_ASSIGN_OR_RETURN(bool more, PullBatch(*child_, &batch));
     if (!more) break;
-    run_stats_.candidate_count += batch.sel.size();
-    have_slots = have_slots && batch.slots.size() == batch.rows.size();
+    run_stats_.candidate_count += batch.selected();
+    if (batch.rows.empty()) {
+      slots_.insert(slots_.end(), batch.slots.begin(), batch.slots.end());
+      continue;
+    }
+    if (by_slot && batch.slots.size() != batch.rows.size()) {
+      return Status::Internal("BMO candidate batch without heap slots");
+    }
     for (uint32_t idx : batch.sel) {
-      rows_.push_back(std::move(batch.rows[idx]));
-      if (have_slots) {
-        have_slots = batch.slots[idx] < config_.key_rows;
+      if (by_slot) {
         slots_.push_back(batch.slots[idx]);
+      } else {
+        rows_.push_back(std::move(batch.rows[idx]));
       }
     }
   }
-  if (!have_slots) slots_.clear();
-  const size_t n = rows_.size();
+  const size_t n = by_slot ? slots_.size() : rows_.size();
+  // The column vectors cover the slots the snapshot's version sealed.
+  const bool vector_keys =
+      by_slot && std::all_of(slots_.begin(), slots_.end(), [&](size_t s) {
+        return s < config_.key_rows;
+      });
 
   // 2. Packed keys of the candidates, indexed by pulled position and
   //    appended straight into the packed KeyStore — no per-tuple key
@@ -95,7 +110,7 @@ Status BmoOperator::Open() {
   keys_.Reserve(n);
   size_t tick = 0;
   const auto t0 = Clock::now();
-  if (have_slots) {
+  if (vector_keys) {
     // Candidates are visible versions, so their payloads are live.
     PSQL_ASSIGN_OR_RETURN(
         const SlotKeys slot_keys,
@@ -109,8 +124,8 @@ Status BmoOperator::Open() {
   } else {
     for (size_t i = 0; i < n; ++i) {
       PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-      PSQL_RETURN_IF_ERROR(pref_->AppendKey(leaf_attrs_, child_->schema(),
-                                            rows_[i].row(), &keys_, runner_));
+      PSQL_RETURN_IF_ERROR(pref_->AppendKey(
+          leaf_attrs_, child_->schema(), CandidateRow(i), &keys_, runner_));
     }
   }
   run_stats_.bmo.key_build_ns = static_cast<uint64_t>(
@@ -119,20 +134,23 @@ Status BmoOperator::Open() {
   const KeyStore& keys = keys_;
 
   // 3. GROUPING partitions (§2.2.5): BMO within each partition. Partitions
-  //    hold pulled indices.
+  //    hold pulled indices. Only an augmented row (BUT ONLY, quality
+  //    columns) reads a candidate's partition.
+  const bool augmented =
+      config_.emit_quality_columns || config_.but_only != nullptr;
   std::vector<std::vector<size_t>> partitions;
-  partition_of_.assign(n, 0);
   if (config_.grouping_cols.empty()) {
-    partitions.emplace_back();
-    partitions[0].reserve(n);
-    for (size_t i = 0; i < n; ++i) partitions[0].push_back(i);
+    partitions.emplace_back(n);
+    std::iota(partitions[0].begin(), partitions[0].end(), size_t{0});
   } else {
+    if (augmented) partition_of_.assign(n, 0);
     std::unordered_map<size_t, std::vector<size_t>> by_hash;  // hash->part ids
     std::vector<Row> part_keys;
     for (size_t i = 0; i < n; ++i) {
+      const Row& row = CandidateRow(i);
       Row gkey;
       gkey.reserve(config_.grouping_cols.size());
-      for (size_t c : config_.grouping_cols) gkey.push_back(rows_[i].row()[c]);
+      for (size_t c : config_.grouping_cols) gkey.push_back(row[c]);
       size_t h = HashRow(gkey);
       size_t part = SIZE_MAX;
       for (size_t cand_part : by_hash[h]) {
@@ -147,19 +165,21 @@ Status BmoOperator::Open() {
         part_keys.push_back(std::move(gkey));
         by_hash[h].push_back(part);
       }
-      partition_of_[i] = part;
+      if (augmented) partition_of_[i] = part;
       partitions[part].push_back(i);
     }
   }
 
   // 4. Observed minimum score per leaf per partition (quality offsets for
   //    HIGHEST/LOWEST distances, computed over the unfiltered candidates).
-  min_scores_.assign(partitions.size(), {});
-  for (size_t p = 0; p < partitions.size(); ++p) {
-    min_scores_[p].assign(pref_->num_leaves(), kWorstScore);
-    for (size_t id : partitions[p]) {
-      for (size_t l = 0; l < pref_->num_leaves(); ++l) {
-        min_scores_[p][l] = std::min(min_scores_[p][l], keys.score(id, l));
+  if (augmented) {
+    min_scores_.assign(partitions.size(), {});
+    for (size_t p = 0; p < partitions.size(); ++p) {
+      min_scores_[p].assign(pref_->num_leaves(), kWorstScore);
+      for (size_t id : partitions[p]) {
+        for (size_t l = 0; l < pref_->num_leaves(); ++l) {
+          min_scores_[p][l] = std::min(min_scores_[p][l], keys.score(id, l));
+        }
       }
     }
   }
@@ -240,9 +260,15 @@ Status BmoOperator::Open() {
   return Status::OK();
 }
 
+const Row& BmoOperator::CandidateRow(size_t i) const {
+  return config_.table != nullptr ? config_.table->heap().row(slots_[i])
+                                  : rows_[i].row();
+}
+
 Row BmoOperator::BuildAugmentedRow(size_t i) const {
-  Row row = rows_[i].row();
-  const auto& mins = min_scores_[partition_of_[i]];
+  Row row = CandidateRow(i);
+  const auto& mins =
+      min_scores_[partition_of_.empty() ? 0 : partition_of_[i]];
   for (auto [fn, leaf] : quality_slots_) {
     const BasePreference& base = *pref_->leaf(leaf).pref;
     const LeafKey key = keys_.key(i, leaf);
@@ -277,6 +303,8 @@ Result<bool> BmoOperator::NextBatch(RowBatch* out) {
     const size_t id = survivors_[pos_ + i];
     if (config_.emit_quality_columns) {
       out->PushRow(RowRef::Owned(BuildAugmentedRow(id)));
+    } else if (config_.table != nullptr) {
+      out->PushRow(RowRef::Borrowed(&CandidateRow(id)));
     } else {
       out->PushRow(std::move(rows_[id]));
     }

@@ -74,9 +74,11 @@ struct BmoOperatorConfig {
   /// Stats flushed on Close()/destruction (not owned; may be nullptr).
   BmoRunStats* stats_sink = nullptr;
   /// The base table whose heap scan (with or without WHERE, full or index
-  /// path) is the candidate stream; nullptr otherwise. Its batches then
-  /// carry each row's heap slot (RowBatch::slots), and the key build reads
-  /// the table's column vectors by slot (core/slot_keys.h).
+  /// path) is the candidate stream: the child is the scan or a filter over
+  /// it; nullptr otherwise. The operator then pulls slots-only batches
+  /// (RowBatch::slots_only), keeps its candidates as heap slots, and the
+  /// key build reads the table's column vectors by slot
+  /// (core/slot_keys.h).
   const Table* table = nullptr;
   /// Slot count sealed by the snapshot's table version (`table` set): the
   /// range the column vectors cover.
@@ -105,7 +107,10 @@ class BmoOperator : public PhysicalOperator {
   const BmoRunStats& run_stats() const { return run_stats_; }
 
  private:
-  /// Candidate `i` (pulled index) with its quality columns appended.
+  /// The row of candidate `i` (pulled index): read from the heap by slot,
+  /// or the pulled row.
+  const Row& CandidateRow(size_t i) const;
+  /// Candidate `i` with its quality columns appended.
   Row BuildAugmentedRow(size_t i) const;
   Result<bool> PassesButOnly(size_t i);
   /// Copies the run counters into the configured sink (if any).
@@ -120,14 +125,15 @@ class BmoOperator : public PhysicalOperator {
   BoundExpr but_only_;  // config_.but_only bound to aug_schema_
   std::vector<std::pair<QualityFn, size_t>> quality_slots_;
 
+  /// The candidates by pulled index: heap slots when config_.table is set,
+  /// else the pulled rows.
+  std::vector<size_t> slots_;
   std::vector<RowRef> rows_;
   /// Packed SoA keys of the candidates, read by every partition / chunk;
   /// indexed by pulled index.
   KeyStore keys_;
-  /// Pulled index -> heap slot; empty unless config_.table is set and every
-  /// batch carried slots.
-  std::vector<size_t> slots_;
-  std::vector<size_t> partition_of_;  // by pulled index
+  /// Built only for augmented rows (BUT ONLY, quality columns):
+  std::vector<size_t> partition_of_;  // by pulled index; empty: one
   std::vector<std::vector<double>> min_scores_;  // per partition per leaf
   std::vector<size_t> survivors_;  // pulled indices, in emission order
   size_t pos_ = 0;

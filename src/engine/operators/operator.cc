@@ -10,7 +10,7 @@ Result<bool> PullBatch(PhysicalOperator& op, RowBatch* batch) {
   QueryContext* ctx = CurrentQueryContext();
   if (ctx != nullptr) PSQL_RETURN_IF_ERROR(ctx->CheckInterrupt());
   PSQL_ASSIGN_OR_RETURN(bool more, op.NextBatch(batch));
-  if (more && ctx != nullptr) ctx->batch_stats().Record(batch->sel.size());
+  if (more && ctx != nullptr) ctx->batch_stats().Record(batch->selected());
   return more;
 }
 

@@ -46,8 +46,7 @@ HeapScanOperator::HeapScanOperator(Schema schema, const RowHeap* heap,
       limit_(limit),
       snapshot_(snapshot),
       counters_(counters),
-      coded_(std::move(coded)),
-      runs_(coded_.size()) {}
+      coded_(std::move(coded)) {}
 
 HeapScanOperator::HeapScanOperator(Schema schema, const RowHeap* heap,
                                    std::vector<size_t> slots,
@@ -69,56 +68,93 @@ Status HeapScanOperator::Open() {
   return Status::OK();
 }
 
-size_t HeapScanOperator::NextCodeMatch(size_t pos, size_t end) {
-  const uint8_t* first = coded_[0].truth.data();
-  while (pos < end) {
-    size_t len = 0;
-    for (size_t f = 0; f < coded_.size(); ++f) {
-      runs_[f] = coded_[f].codes->Run(pos, &len);
-    }
-    len = std::min(len, end - pos);
-    const uint16_t* codes = runs_[0];
-    for (size_t i = 0; i < len; ++i) {
-      if (!first[codes[i]]) continue;
-      size_t f = 1;
-      while (f < coded_.size() && coded_[f].truth[runs_[f][i]]) ++f;
-      if (f == coded_.size()) return pos + i;
-    }
-    pos += len;
+size_t HeapScanOperator::GatherCodeMatches(size_t len, size_t* dst) const {
+  // Branch-free store-and-advance: every slot is written, and the cursor
+  // moves past it only when its code passes. The first filter gathers the
+  // run; each further one compacts the gathered slots in place. The codes
+  // of one table share the heap's bucket boundaries, so every run starts
+  // at pos_ and covers at least `len` slots.
+  size_t run_len = 0;
+  if (coded_.empty()) {
+    for (size_t i = 0; i < len; ++i) dst[i] = pos_ + i;
+    return len;
   }
-  return end;
+  const uint8_t* truth = coded_[0].truth.data();
+  const uint16_t* codes = coded_[0].codes->Run(pos_, &run_len);
+  size_t n = 0;
+  for (size_t i = 0; i < len; ++i) {
+    dst[n] = pos_ + i;
+    n += truth[codes[i]];
+  }
+  for (size_t f = 1; f < coded_.size(); ++f) {
+    truth = coded_[f].truth.data();
+    codes = coded_[f].codes->Run(pos_, &run_len);
+    size_t kept = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const size_t slot = dst[j];
+      dst[kept] = slot;
+      kept += truth[codes[slot - pos_]];
+    }
+    n = kept;
+  }
+  return n;
 }
 
 Result<bool> HeapScanOperator::NextBatch(RowBatch* out) {
-  // Slots a code test rejects between two interrupt polls.
+  // Slots one run covers at most (one interrupt poll per run). A run
+  // covers as many slots as the batch has room for; under coded filters,
+  // which keep a fraction of them, at least kMinRun. A run that fills the
+  // batch stops at its last kept slot, and the next pull re-gathers the
+  // rest.
   constexpr size_t kCodeStretch = 4096;
+  constexpr size_t kMinRun = 256;
   if (list_mode_) return NextListBatch(out);
   out->Clear();
-  // One sweep fills the whole batch. A run of rejected or dead versions
-  // keeps sweeping (the slot range is sealed, so this terminates) rather
-  // than hand back an empty batch; the stride poll keeps such a sweep
-  // interruptible mid-batch.
-  while (pos_ < limit_ && !out->full()) {
+  std::vector<size_t>& slots = out->slots;
+  // Runs of rejected or dead versions keep sweeping (the slot range is
+  // sealed, so this terminates) rather than hand back an empty batch; the
+  // per-run poll keeps such a sweep interruptible mid-batch.
+  while (pos_ < limit_ && slots.size() < out->capacity) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
-    if (!coded_.empty()) {
-      const size_t end = std::min(limit_, pos_ + kCodeStretch);
-      pos_ = NextCodeMatch(pos_, end);
-      if (pos_ == end) continue;
+    size_t bucket, offset;
+    RowHeap::Locate(pos_, &bucket, &offset);
+    const size_t room = out->capacity - slots.size();
+    const size_t len = std::min(
+        {limit_ - pos_, (RowHeap::kFirstBucketSize << bucket) - offset,
+         kCodeStretch, coded_.empty() ? room : std::max(room, kMinRun)});
+    const size_t base = slots.size();
+    slots.resize(base + len);
+    size_t* run = slots.data() + base;
+    const size_t matches = GatherCodeMatches(len, run);
+    // Visibility below the sealed size: an unflagged slot is visible; a
+    // flagged one is visible iff the snapshot precedes its end stamp.
+    const std::atomic<uint8_t>* ended = heap_->EndedRun(pos_);
+    size_t tested = 0;
+    size_t kept = 0;
+    size_t next = pos_ + len;
+    while (tested < matches) {
+      const size_t slot = run[tested++];
+      const bool visible =
+          ended[slot - pos_].load(std::memory_order_relaxed) == 0 ||
+          snapshot_ < heap_->end_epoch(slot);
+      run[kept] = slot;
+      kept += visible;
+      if (base + kept == out->capacity) {
+        if (tested < matches) next = slot + 1;
+        break;
+      }
     }
-    size_t slot = pos_++;
-    ++scanned_;
-    if (!heap_->VisibleAt(slot, snapshot_)) {
-      ++skipped_;
-      continue;
-    }
-    out->PushSlotRow(&heap_->row(slot), slot);
+    scanned_ += tested;
+    skipped_ += tested - kept;
+    slots.resize(base + kept);
+    pos_ = next;
   }
-  return !out->rows.empty();
+  return FinishBatch(out);
 }
 
 Result<bool> HeapScanOperator::NextListBatch(RowBatch* out) {
   out->Clear();
-  while (pos_ < limit_ && !out->full()) {
+  while (pos_ < limit_ && out->slots.size() < out->capacity) {
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
     const size_t slot = slots_[pos_++];
     ++scanned_;
@@ -126,9 +162,20 @@ Result<bool> HeapScanOperator::NextListBatch(RowBatch* out) {
       ++skipped_;
       continue;
     }
-    out->PushSlotRow(&heap_->row(slot), slot);
+    out->slots.push_back(slot);
   }
-  return !out->rows.empty();
+  return FinishBatch(out);
+}
+
+bool HeapScanOperator::FinishBatch(RowBatch* out) const {
+  if (!out->slots_only) {
+    out->rows.reserve(out->slots.size());
+    out->sel.reserve(out->slots.size());
+    for (size_t slot : out->slots) {
+      out->PushRow(RowRef::Borrowed(&heap_->row(slot)));
+    }
+  }
+  return !out->slots.empty();
 }
 
 void HeapScanOperator::Close() {

@@ -55,13 +55,20 @@ class SeqScanOperator : public PhysicalOperator {
 ///    table version sealed, so the scan is deterministic even while writers
 ///    append concurrently. Each of `coded` is a column's dictionary codes
 ///    with a truth table the planner decided from the leading run of the
-///    WHERE's direct conjuncts (Table::CodesFor). The scan tests the
-///    per-slot codes first and visibility second, and emits a row only when
-///    every truth table passes; `versions_scanned` counts the slots that
-///    reached the visibility test.
+///    WHERE's direct conjuncts (Table::CodesFor). The scan walks the heap a
+///    run at a time: it gathers the run's slots whose codes pass every
+///    truth table into the batch's slots, then keeps those visible. Below
+///    the sealed size only the end stamp can hide a version, so the test
+///    reads the heap's dense ended bytes and loads `end` only for a flagged
+///    slot (row_heap.h). `versions_scanned` counts the slots that reached
+///    the visibility test.
 ///  * List mode emits the ascending heap slots `slots` (index hits) that
 ///    are visible at `snapshot`. Index hits cover dead versions and slots
-///    beyond the snapshot's heap size too; the visibility test drops them.
+///    beyond the snapshot's heap size too; the full visibility test
+///    (RowHeap::VisibleAt) drops them.
+///
+/// Both modes hand over borrowed rows with their slots, or the slots alone
+/// when the puller asks for a slots-only batch (RowBatch::slots_only).
 class HeapScanOperator : public PhysicalOperator {
  public:
   struct CodedFilter {
@@ -85,10 +92,13 @@ class HeapScanOperator : public PhysicalOperator {
   void Close() override;
 
  private:
-  /// The first slot in [pos, end) whose codes pass every coded filter, or
-  /// `end`.
-  size_t NextCodeMatch(size_t pos, size_t end);
+  /// Stores the slots of [pos_, pos_ + len) whose codes pass every coded
+  /// filter at `dst` (room for `len`), ascending; returns their count.
+  size_t GatherCodeMatches(size_t len, size_t* dst) const;
   Result<bool> NextListBatch(RowBatch* out);
+  /// Appends the borrowed rows of `out`'s slots unless it is slots-only;
+  /// returns whether `out` holds any slot.
+  bool FinishBatch(RowBatch* out) const;
 
   Schema schema_;
   const RowHeap* heap_;
@@ -96,7 +106,6 @@ class HeapScanOperator : public PhysicalOperator {
   uint64_t snapshot_;
   MvccScanCounters* counters_;
   std::vector<CodedFilter> coded_;
-  std::vector<const uint16_t*> runs_;  // per coded filter, NextCodeMatch
   bool list_mode_ = false;
   std::vector<size_t> slots_;  // list mode
   size_t pos_ = 0;  // the next slot (range mode) or list entry

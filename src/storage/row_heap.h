@@ -18,6 +18,19 @@
 //      doubling, starting at kFirstBucketSize), never reallocated, so a
 //      streaming operator can hold `const Row*` across concurrent appends.
 //
+// A range scan at S tests visibility without the slot header. Every slot
+// below the heap size S's table version sealed (Table::HeapSizeAt) has
+// begin <= S: a statement appends, seals, then publishes its epoch. So only
+// `end` can hide such a version, and the heap keeps a dense per-slot
+// "ended" byte next to the slots, in the same bucket layout. MarkDead sets
+// it after the end stamp and before the statement publishes, so a reader
+// at S sees the byte of every version ended at or before S. A slot whose
+// byte is 0 is visible; only a flagged one loads `end` (a flag of a
+// concurrent, unpublished stamp reads an end > S or the old infinity,
+// visible either way). A slot the sweep cleared stays flagged, and its
+// end <= horizon <= S keeps it hidden. Index hits are not bounded by the
+// seal, so a list scan tests the full window (VisibleAt).
+//
 // Superseded payloads are reclaimed by CollectGarbage(horizon), which the
 // engine only runs while it holds the catalog lock exclusively (no active
 // readers) with horizon <= the oldest pinned snapshot; the slot header
@@ -66,6 +79,9 @@ class RowHeap {
     for (auto& b : buckets_) {
       delete[] b.load(std::memory_order_relaxed);
     }
+    for (auto& b : ended_) {
+      delete[] b.load(std::memory_order_relaxed);
+    }
   }
   RowHeap(const RowHeap&) = delete;
   RowHeap& operator=(const RowHeap&) = delete;
@@ -86,9 +102,15 @@ class RowHeap {
   }
 
   /// End-stamps `pos`: the version stops being visible to snapshots >= end,
-  /// and the next sweep considers it (single writer, like Append).
+  /// and the next sweep considers it (single writer, like Append). The
+  /// stamp and the ended byte are in place before the caller publishes the
+  /// statement's epoch.
   void MarkDead(size_t pos, uint64_t end) {
     slot_mut(pos).end.store(end, std::memory_order_release);
+    size_t b, off;
+    Locate(pos, &b, &off);
+    ended_[b].load(std::memory_order_acquire)[off].store(
+        1, std::memory_order_release);
     dead_.push_back(pos);
   }
 
@@ -105,6 +127,16 @@ class RowHeap {
     const Slot& s = slot(pos);
     return s.begin <= snapshot &&
            snapshot < s.end.load(std::memory_order_acquire);
+  }
+
+  /// The ended bytes from `pos` (a published slot) to the end of its
+  /// bucket: nonzero once the slot was end-stamped. Together with the seal
+  /// invariant (see the header comment) a range scan at `snapshot` keeps
+  /// slot p below the sealed size iff its byte is 0 or snapshot < end.
+  const std::atomic<uint8_t>* EndedRun(size_t pos) const {
+    size_t b, off;
+    Locate(pos, &b, &off);
+    return ended_[b].load(std::memory_order_acquire) + off;
   }
 
   /// Frees payloads of versions dead at or before `horizon` (end <= horizon
@@ -161,15 +193,20 @@ class RowHeap {
     Locate(pos, &b, &off);
     Slot* bucket = buckets_[b].load(std::memory_order_relaxed);
     if (bucket == nullptr) {
+      // Value-initialized: every ended byte starts at 0.
+      ended_[b].store(new std::atomic<uint8_t>[kFirstBucketSize << b](),
+                      std::memory_order_release);
       bucket = new Slot[kFirstBucketSize << b];
       // Release so a reader that later observes the published size also
-      // observes the bucket pointer and its initialized slots.
+      // observes the bucket pointers and their initialized slots.
       buckets_[b].store(bucket, std::memory_order_release);
     }
     return bucket[off];
   }
 
   std::array<std::atomic<Slot*>, kNumBuckets> buckets_{};
+  // Per-slot ended bytes, one array per slot bucket (EndedRun).
+  std::array<std::atomic<std::atomic<uint8_t>*>, kNumBuckets> ended_{};
   std::atomic<size_t> size_{0};
   // Slots end-stamped and not yet freed, in stamping order. Written by
   // MarkDead (the single writer) and CollectGarbage (no writer or reader

@@ -12,6 +12,11 @@
 //     heap scan produced the batch (same length as `rows`); empty
 //     otherwise. Filters keep it aligned; an operator that replaces rows
 //     clears it. The BMO key build reads column vectors by these slots.
+//   * `slots_only` — the puller's request for a slots-only batch. A heap
+//     scan then hands over `slots` alone, all of them selected, and leaves
+//     `rows` and `sel` empty; every other producer ignores the request and
+//     fills rows. Only a puller that takes both shapes (BmoOperator over a
+//     base-table scan, directly or under a filter) sets it.
 //   * `capacity` — the row target the consumer sets. Batch producers (scans,
 //     sort, aggregate, join, BMO output) fill at most this many rows;
 //     pass-through operators (project, distinct, prefix, limit) hand the
@@ -48,17 +53,13 @@ struct RowBatch {
   std::vector<size_t> slots;
   /// Row target of each pull; survives Clear().
   size_t capacity = kRowBatchCapacity;
+  /// Slots-only request (see above); survives Clear().
+  bool slots_only = false;
 
   /// Appends a row as selected (identity selection while filling).
   void PushRow(RowRef ref) {
     sel.push_back(static_cast<uint32_t>(rows.size()));
     rows.push_back(std::move(ref));
-  }
-
-  /// Appends a borrowed heap row and its slot as selected (heap scans).
-  void PushSlotRow(const Row* row, size_t slot) {
-    PushRow(RowRef::Borrowed(row));
-    slots.push_back(slot);
   }
 
   /// Whether a producer may append another row.
@@ -70,8 +71,9 @@ struct RowBatch {
     slots.clear();
   }
 
-  size_t selected() const { return sel.size(); }
-  bool empty() const { return sel.empty(); }
+  /// Selected entries: the slots of a slots-only batch, else `sel`.
+  size_t selected() const { return rows.empty() ? slots.size() : sel.size(); }
+  bool empty() const { return selected() == 0; }
 };
 
 }  // namespace prefsql

@@ -3,9 +3,11 @@
 // include NULL holes and NaN doubles (the values whose comparison semantics
 // most easily diverge between a per-row predicate and a selection-vector
 // filter), and the filter-only shapes must return exactly the ids an oracle
-// computes straight from the generated rows. Plus the mid-stream robustness
-// cases: a cancel or timeout arriving while a cursor holds a latched,
-// half-replayed batch must unwind promptly and cleanly.
+// computes straight from the generated rows. A skyline over a base table,
+// whose BMO pulls heap slots instead of rows, must match the same statement
+// over a FROM subquery and keep the statement's counters. Plus the
+// mid-stream robustness cases: a cancel or timeout arriving while a cursor
+// holds a latched, half-replayed batch must unwind promptly and cleanly.
 
 #include <gtest/gtest.h>
 
@@ -178,6 +180,120 @@ TEST(VectorizedParityTest, StatsReportBatches) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(conn.last_stats().batches, 0u);
   EXPECT_GT(conn.last_stats().batch_rows, 0u);
+}
+
+// Dead versions for the slot-path cases: deleted rows, updated rows whose
+// old version stays in the heap, and a tag change that moves rows between
+// the coded WHERE's answers.
+constexpr const char* kChurn =
+    "DELETE FROM data WHERE id % 7 = 0;"
+    "UPDATE data SET a = a + 5 WHERE id % 5 = 1;"
+    "UPDATE data SET tag = 'mid' WHERE id % 11 = 2;"
+    "DELETE FROM data WHERE tag = 'high' AND id % 3 = 0;";
+
+// Over a base table the BMO keeps its candidates as heap slots and reads a
+// candidate's row from the heap only where it needs one; over a FROM
+// subquery it keeps the pulled rows. `%s` is the FROM item: the same
+// statement must give the same answer and run the same dominance tests on
+// both paths.
+const char* const kSlotPathQueries[] = {
+    "SELECT id, a, b FROM %s PREFERRING LOWEST(a) AND HIGHEST(b)",
+    "SELECT id, tag FROM %s WHERE tag = 'mid' PREFERRING LOWEST(a) AND "
+    "HIGHEST(b) AND LOWEST(c)",
+    "SELECT id, tag, a FROM %s PREFERRING LOWEST(a) AND LOWEST(c) "
+    "GROUPING tag",
+    "SELECT id, a, c FROM %s WHERE tag <> 'low' PREFERRING a AROUND 50 AND "
+    "LOWEST(c) BUT ONLY DISTANCE(a) <= 10",
+    "SELECT id, LEVEL(a), DISTANCE(b), TOP(c) FROM %s PREFERRING "
+    "a BETWEEN 20, 30 AND b AROUND 25 AND HIGHEST(c) GROUPING tag",
+    "SELECT id, TOP(a) FROM %s PREFERRING LOWEST(a) AND HIGHEST(b) "
+    "BUT ONLY TOP(a) OR TOP(b)",
+    "SELECT id FROM %s PREFERRING LOWEST(a) AND HIGHEST(b) AND LOWEST(c) "
+    "LIMIT 4",
+    // A residual conjunct the codes cannot decide: a filter above the scan.
+    "SELECT id, b FROM %s WHERE tag = 'mid' AND a + b > c PREFERRING "
+    "LOWEST(a) AND HIGHEST(b)",
+};
+
+std::string WithFrom(const char* query, const char* from) {
+  std::string sql(query);
+  sql.replace(sql.find("%s"), 2, from);
+  return sql;
+}
+
+TEST(VectorizedParityTest, SlotPathMatchesRowPathAfterChurn) {
+  const char* const preludes[] = {
+      "SET evaluation_mode = bnl;",
+      "SET evaluation_mode = bnl; SET but_only_mode = prefilter;",
+      "SET evaluation_mode = bnl; SET bmo_algorithm = sfs;",
+      "SET evaluation_mode = bnl; SET bmo_algorithm = less;",
+  };
+  for (const char* prelude : preludes) {
+    SCOPED_TRACE(prelude);
+    Connection conn;
+    ASSERT_TRUE(LoadRandomTable(conn.database(), RandomRows(700, 9)).ok());
+    ASSERT_TRUE(conn.ExecuteScript(prelude).ok());
+    // Code the WHERE's columns while every version is live, so the dead
+    // versions' codes pass and reach the visibility test.
+    for (const char* query : kSlotPathQueries) {
+      ASSERT_TRUE(conn.Execute(WithFrom(query, "data")).ok()) << query;
+    }
+    ASSERT_TRUE(conn.ExecuteScript(kChurn).ok());
+    for (const char* query : kSlotPathQueries) {
+      const std::string by_slot = WithFrom(query, "data");
+      const std::string by_row = WithFrom(query, "(SELECT * FROM data) s");
+      auto slot_result = conn.Execute(by_slot);
+      ASSERT_TRUE(slot_result.ok()) << by_slot << ": "
+                                    << slot_result.status().ToString();
+      const PreferenceQueryStats slot_stats = conn.last_stats();
+      auto row_result = conn.Execute(by_row);
+      ASSERT_TRUE(row_result.ok()) << by_row << ": "
+                                   << row_result.status().ToString();
+      const PreferenceQueryStats row_stats = conn.last_stats();
+      EXPECT_GT(slot_result->num_rows(), 0u) << by_slot;
+      // Keys from column vectors by slot on one path, from rows on the other.
+      EXPECT_GT(slot_stats.bmo_vector_leaves, 0u) << by_slot;
+      EXPECT_EQ(row_stats.bmo_vector_leaves, 0u) << by_row;
+      EXPECT_EQ(slot_result->ToString(2000), row_result->ToString(2000))
+          << by_slot;
+      EXPECT_EQ(slot_stats.bmo_comparisons, row_stats.bmo_comparisons)
+          << by_slot;
+      EXPECT_EQ(slot_stats.candidate_count, row_stats.candidate_count)
+          << by_slot;
+    }
+  }
+}
+
+// A coded-filter PREFERRING statement pulls slots-only batches from its
+// scan. Its batch and MVCC counters must read what the row pull read: a
+// slots-only batch counts its slots (its selection vector is empty), and
+// the scan tests visibility on exactly the slots whose codes pass.
+TEST(VectorizedParityTest, SlotsOnlyPullKeepsTheStatementCounters) {
+  Connection conn;
+  ASSERT_TRUE(LoadRandomTable(conn.database(), RandomRows(5000, 13)).ok());
+  ASSERT_TRUE(conn.Execute("SET evaluation_mode = bnl").ok());
+  const char* const query =
+      "SELECT id FROM data WHERE tag = 'mid' PREFERRING LOWEST(a) AND "
+      "HIGHEST(b)";
+  // Coded before the churn, the dead versions' codes still pass.
+  ASSERT_TRUE(conn.Execute(query).ok());
+  ASSERT_TRUE(conn.ExecuteScript(kChurn).ok());
+  // The MVCC counters are engine-wide totals: take the statement's share.
+  const auto& mvcc = conn.database().executor().stats().mvcc;
+  const uint64_t scanned = mvcc.versions_scanned.load();
+  const uint64_t skipped = mvcc.versions_skipped.load();
+  auto r = conn.Execute(query);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // The figures the pull of borrowed rows read: two candidate batches
+  // (1024 + 624) and one result batch; 594 of the 2242 versions whose codes
+  // pass are dead.
+  const PreferenceQueryStats& stats = conn.last_stats();
+  EXPECT_EQ(r->num_rows(), 4u);
+  EXPECT_EQ(stats.candidate_count, 1648u);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.batch_rows, 1652u);
+  EXPECT_EQ(stats.mvcc_versions_scanned - scanned, 2242u);
+  EXPECT_EQ(stats.mvcc_versions_skipped - skipped, 594u);
 }
 
 TEST(VectorizedParityTest, MidStreamCancelUnwindsALatchedBatch) {
