@@ -14,10 +14,8 @@
 #include <vector>
 
 #include "core/bmo.h"
-#include "core/bmo_parallel.h"
 #include "sql/parser.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace prefsql {
 namespace {
@@ -140,55 +138,6 @@ void BM_BnlAntiCorrelated(benchmark::State& state) {
 BENCHMARK(BM_BnlAntiCorrelated)
     ->Args({1000, 2})->Args({4000, 2})->Args({16000, 2})
     ->Unit(benchmark::kMillisecond);
-
-// Parallel partitioned BMO over one ungrouped input: the operator
-// block-partitions the candidate list, runs a local skyline per chunk on the
-// thread pool, and merges the survivors with a final dominance pass.
-// threads=1 exercises the serial per-partition loop of the same entry point,
-// so the sweep isolates the parallel speed-up at >=100k rows. The hw_threads
-// counter records std::thread::hardware_concurrency — on a single-core
-// container the sweep can only measure oversubscription overhead, so read
-// the speed-up column against that counter.
-void RunParallel(benchmark::State& state, size_t groups) {
-  size_t n = static_cast<size_t>(state.range(0));
-  size_t threads = static_cast<size_t>(state.range(1));
-  Dataset ds = MakeDataset(n, 3, false);
-  std::vector<std::vector<size_t>> partitions(groups);
-  for (size_t i = 0; i < n; ++i) partitions[i % groups].push_back(i);
-  ParallelBmoOptions par;
-  par.threads = threads;
-  ParallelBmoStats stats;
-  size_t skyline = 0;
-  for (auto _ : state) {
-    auto bmo = ComputeBmoPartitionedParallel(ds.pref, ds.keys, partitions, {},
-                                             par, &stats);
-    skyline = bmo.size();
-    benchmark::DoNotOptimize(bmo);
-  }
-  state.counters["skyline"] = static_cast<double>(skyline);
-  state.counters["threads_used"] = static_cast<double>(stats.threads_used);
-  state.counters["chunk_tasks"] = static_cast<double>(stats.chunk_tasks);
-  state.counters["merge_candidates"] =
-      static_cast<double>(stats.merge_candidates);
-  state.counters["bmo_comparisons"] = static_cast<double>(stats.bmo.comparisons);
-  state.counters["hw_threads"] =
-      static_cast<double>(ThreadPool::HardwareThreads());
-  state.SetItemsProcessed(static_cast<int64_t>(n) *
-                          static_cast<int64_t>(state.iterations()));
-}
-
-void BM_ParallelBmo(benchmark::State& state) { RunParallel(state, 1); }
-BENCHMARK(BM_ParallelBmo)
-    ->Args({100000, 1})->Args({100000, 2})->Args({100000, 4})
-    ->Args({100000, 8})->Args({200000, 1})->Args({200000, 4})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// GROUPING-style run: 16 independent partitions scheduled across the pool
-// (each may still be chunked further when large).
-void BM_ParallelBmoGrouped(benchmark::State& state) { RunParallel(state, 16); }
-BENCHMARK(BM_ParallelBmoGrouped)
-    ->Args({100000, 1})->Args({100000, 4})->Args({200000, 1})
-    ->Args({200000, 4})->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Packed vs generic dominance kernels: raw dominance-test throughput of the
 // compiled program over the SoA KeyStore against the recursive virtual

@@ -24,7 +24,6 @@
 
 #include "bench_json.h"
 #include "core/connection.h"
-#include "util/thread_pool.h"
 #include "workload/generators.h"
 
 namespace {
@@ -206,68 +205,26 @@ int main() {
     }
   }
 
-  // Parallel partitioned BMO (SET bmo_threads): the whole relation (no
-  // narrow pre-selection, so the candidate stream is >=100k rows) through a
-  // 3-d Pareto preference, serial vs. thread-pool widths. GROUPING region
-  // additionally exercises per-partition scheduling across the pool.
-  size_t hw_threads = prefsql::ThreadPool::HardwareThreads();
-  std::printf(
-      "\nparallel partitioned BMO (direct path, SET bmo_threads; "
-      "%zu hardware threads%s):\n",
-      hw_threads,
-      hw_threads <= 1 ? " - speed-up limited to oversubscription overhead"
-                      : "");
+  // Algebraic pushdown: quality columns bind to the profiles side of an
+  // equi-join, so the optimizer can run a semi-skyline prefilter below the
+  // join. The whole relation (no narrow pre-selection, so the candidate
+  // stream is >=120k rows) goes through a 3-d Pareto preference; compare SET
+  // preference_pushdown on/off on the same connection.
+  std::printf("\npreference pushdown below a join (SET preference_pushdown):\n");
   {
-    size_t par_rows = rows < 120000 ? 120000 : rows;
-    prefsql::ConnectionOptions par_opts;
-    par_opts.mode = prefsql::EvaluationMode::kBlockNestedLoop;
-    prefsql::Connection par(par_opts);
-    prefsql::JobProfileConfig par_cfg;
-    par_cfg.rows = par_rows;
-    if (!prefsql::GenerateJobProfiles(par.database(), par_cfg).ok()) return 1;
+    size_t join_rows = rows < 120000 ? 120000 : rows;
+    prefsql::ConnectionOptions join_opts;
+    join_opts.mode = prefsql::EvaluationMode::kBlockNestedLoop;
+    prefsql::Connection join(join_opts);
+    prefsql::JobProfileConfig join_cfg;
+    join_cfg.rows = join_rows;
+    if (!prefsql::GenerateJobProfiles(join.database(), join_cfg).ok()) {
+      return 1;
+    }
     const std::string pref_clause =
         " PREFERRING LOWEST(salary) AND HIGHEST(experience) AND "
         "age AROUND 35";
-    const std::string plain = "SELECT id FROM profiles" + pref_clause;
-    const std::string grouped =
-        "SELECT id, region FROM profiles" + pref_clause + " GROUPING region";
-    for (const auto& [label, sql] :
-         {std::pair<const char*, const std::string*>{"ungrouped", &plain},
-          {"grouping_region", &grouped}}) {
-      double serial_ms = 0.0;
-      for (size_t threads : {size_t{0}, size_t{2}, size_t{4}, size_t{8}}) {
-        auto set = par.Execute("SET bmo_threads = " + std::to_string(threads));
-        if (!set.ok()) return 1;
-        size_t n = 0;
-        double ms = RunMs(par, *sql, &n);
-        if (threads == 0) serial_ms = ms;
-        const auto& st = par.last_stats();
-        std::printf(
-            "  %-16s threads=%zu %10.1f ms  (x%.2f vs serial)  %6zu rows  "
-            "%zu partitions  %zu pool threads  %zu candidates\n",
-            label, threads, ms, serial_ms / ms, n, st.bmo_partitions,
-            st.bmo_threads_used, st.candidate_count);
-        json.BeginRecord()
-            .Field("section", "parallel_bmo")
-            .Field("query", label)
-            .Field("threads", static_cast<uint64_t>(threads))
-            .Field("hw_threads", static_cast<uint64_t>(hw_threads))
-            .Field("ms", ms)
-            .Field("speedup_vs_serial", serial_ms / ms)
-            .Field("rows", static_cast<uint64_t>(n))
-            .Field("candidates", static_cast<uint64_t>(st.candidate_count))
-            .Field("partitions", static_cast<uint64_t>(st.bmo_partitions))
-            .Field("threads_used", static_cast<uint64_t>(st.bmo_threads_used))
-            .Field("bmo_comparisons",
-                   static_cast<uint64_t>(st.bmo_comparisons));
-      }
-    }
-
-    // Algebraic pushdown: quality columns bind to the profiles side of an
-    // equi-join, so the optimizer can run a semi-skyline prefilter below the
-    // join. Compare SET preference_pushdown on/off on the same connection.
-    std::printf("\npreference pushdown below a join (SET preference_pushdown):\n");
-    auto ddl = par.ExecuteScript(
+    auto ddl = join.ExecuteScript(
         "CREATE TABLE region_info (rname TEXT, timezone INTEGER);"
         "INSERT INTO region_info SELECT DISTINCT region, 1 FROM profiles");
     if (!ddl.ok()) {
@@ -275,16 +232,15 @@ int main() {
                    ddl.status().ToString().c_str());
       return 1;
     }
-    if (!par.Execute("SET bmo_threads = 0").ok()) return 1;
     const std::string join_sql =
         "SELECT id, timezone FROM profiles p JOIN region_info r "
         "ON p.region = r.rname" + pref_clause;
     for (const char* mode : {"off", "on"}) {
-      auto set = par.Execute("SET preference_pushdown = " + std::string(mode));
+      auto set = join.Execute("SET preference_pushdown = " + std::string(mode));
       if (!set.ok()) return 1;
       size_t n = 0;
-      double ms = RunMs(par, join_sql, &n);
-      const auto& st = par.last_stats();
+      double ms = RunMs(join, join_sql, &n);
+      const auto& st = join.last_stats();
       std::printf(
           "  pushdown %-3s %10.1f ms  %6zu rows  %10zu comparisons  "
           "prefilter %zu -> %zu  (%s)\n",

@@ -246,22 +246,23 @@ std::vector<size_t> ComputeBmoTopK(const CompiledPreference& pref,
   // enough for the sort to dominate; below the threshold the progressive
   // filter alone already does fewer dominance tests than a full BMO.
   constexpr size_t kEfMinRows = 4096;
+  QueryContext* ctx = CurrentQueryContext();
   std::vector<size_t> sorted;
   if (candidates.size() >= kEfMinRows) {
     sorted = EliminationFilterScan(prog, keys, candidates,
                                    std::max<size_t>(1, options.less_window),
-                                   options.ctx, stats);
-    if (options.ctx != nullptr && options.ctx->interrupted()) return sorted;
+                                   ctx, stats);
+    if (ctx != nullptr && ctx->interrupted()) return sorted;
   } else {
     sorted.assign(candidates.begin(), candidates.end());
   }
-  LexSortInterruptible(sorted, keys, options.ctx);
+  LexSortInterruptible(sorted, keys, ctx);
   DominanceWindow result(prog);
   result.Reserve(std::min(k, candidates.size()));
   size_t* cmp = stats != nullptr ? &stats->comparisons : nullptr;
   size_t tick = 0;
   for (size_t t : sorted) {
-    if (InterruptedTick(options.ctx, &tick)) break;
+    if (InterruptedTick(ctx, &tick)) break;
     if (!result.Dominated(keys, t, cmp)) {
       result.Admit(keys, t);
       if (result.size() >= k) break;  // progressive early exit
@@ -302,18 +303,19 @@ std::vector<size_t> ComputeBmo(const CompiledPreference& pref,
     stats->kernel = prog.kernel();
     stats->simd = prog.WindowVariant();
   }
+  QueryContext* ctx = CurrentQueryContext();
   switch (options.algorithm) {
     case BmoAlgorithm::kNaiveNestedLoop:
-      return NaiveNestedLoop(prog, keys, candidates, options.ctx, stats);
+      return NaiveNestedLoop(prog, keys, candidates, ctx, stats);
     case BmoAlgorithm::kBlockNestedLoop:
       return BlockNestedLoop(prog, keys, candidates, options.bnl_window,
-                             options.ctx, stats);
+                             ctx, stats);
     case BmoAlgorithm::kSortFilterSkyline:
-      return SortFilterSkyline(prog, keys, candidates, options.ctx, stats);
+      return SortFilterSkyline(prog, keys, candidates, ctx, stats);
     case BmoAlgorithm::kLess:
       return LessSkyline(prog, keys, candidates,
                          std::max<size_t>(1, options.less_window),
-                         options.ctx, stats);
+                         ctx, stats);
   }
   return {};
 }

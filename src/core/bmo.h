@@ -37,8 +37,6 @@
 
 namespace prefsql {
 
-class QueryContext;
-
 /// In-engine BMO algorithm selector.
 enum class BmoAlgorithm {
   kNaiveNestedLoop,
@@ -63,12 +61,6 @@ struct BmoOptions {
   /// DominanceProgram::WindowVariant() picks, which PREFSQL_SIMD controls.
   /// Kept only so existing callers that assign it still compile.
   bool simd = true;
-  /// Cooperative-interrupt context, polled every kInterruptStride tuples.
-  /// On an interrupt the algorithms bail out returning a partial (garbage)
-  /// result; the caller must check ctx->interrupted() and discard it. Passed
-  /// explicitly (not through the thread-local) so bmo_parallel workers see
-  /// the statement's context across pool threads.
-  QueryContext* ctx = nullptr;
 };
 
 /// Statistics of one BMO computation (benchmarks, tests).
@@ -87,6 +79,10 @@ struct BmoStats {
 /// Returns the indices (into `keys`, ascending) of all maximal tuples.
 /// `candidates` restricts the input (e.g. one GROUPING partition); pass all
 /// indices for a plain query.
+/// Both entry points poll the calling thread's statement context
+/// (CurrentQueryContext(), core/query_context.h) every kInterruptStride
+/// tuples. On an interrupt they return a partial result; the caller must
+/// check ctx->interrupted() and discard it.
 std::vector<size_t> ComputeBmo(const CompiledPreference& pref,
                                const KeyStore& keys,
                                std::span<const size_t> candidates,

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "core/bmo_parallel.h"
 #include "core/query_context.h"
 #include "core/slot_keys.h"
 
@@ -52,11 +51,9 @@ Status BmoOperator::Open() {
   run_stats_ = BmoRunStats{};
   stmt_charge_.Reset();
   engine_charge_.Reset();
-  // The ambient statement context: polled in the pull and key-build loops
-  // and handed to the BMO algorithms through BmoOptions (explicitly, so
-  // bmo_parallel workers see it across pool threads).
+  // The ambient statement context: charged for the keys, polled in the
+  // pull and key-build loops, and by the BMO algorithms themselves.
   QueryContext* qctx = CurrentQueryContext();
-  config_.bmo.ctx = qctx;
 
   // 1. Pull the candidate stream, ~1k per virtual call — one interrupt
   //    check per batch — so the key build and the SIMD dominance kernels
@@ -184,9 +181,7 @@ Status BmoOperator::Open() {
     }
   }
 
-  // 5. BUT ONLY pre-filtering runs serially first — it goes through the
-  //    expression evaluator (subqueries, catalog), which must stay on this
-  //    thread.
+  // 5. BUT ONLY pre-filtering (evaluator-bound: subqueries, catalog).
   run_stats_.partitions = partitions.size();
   if (config_.but_only != nullptr &&
       config_.but_only_mode == ButOnlyMode::kPreFilter) {
@@ -200,51 +195,26 @@ Status BmoOperator::Open() {
     }
   }
 
-  // 6. BMO per partition — parallel over a thread pool when configured and
-  //    worthwhile; dominance tests only touch the prebuilt keys. The
-  //    progressive top-k pushdown stays serial (truncated local skylines do
-  //    not merge exactly).
+  // 6. BMO per partition; dominance tests only touch the prebuilt keys. An
+  //    interrupted run returns a partial survivor set, which is discarded.
   std::vector<size_t> maximal;
-  bool parallel = config_.threads > 1 && !config_.top_k &&
-                  n >= config_.parallel_min_rows;
-  if (parallel) {
-    ParallelBmoOptions par;
-    par.threads = config_.threads;
-    // Chunk at the same granularity that justified spinning up threads, so
-    // a partition just past the threshold still splits across the pool.
-    par.min_chunk = std::max<size_t>(1, config_.parallel_min_rows);
-    ParallelBmoStats par_stats;
-    maximal = ComputeBmoPartitionedParallel(*pref_, keys, partitions,
-                                            config_.bmo, par, &par_stats);
-    // Keep the operator-side key-build estimate across the wholesale copy.
-    const uint64_t built_ns = run_stats_.bmo.key_build_ns;
-    run_stats_.bmo = par_stats.bmo;
-    run_stats_.bmo.key_build_ns = built_ns;
-    run_stats_.threads_used = par_stats.threads_used;
-    // Workers bail with partial survivor sets on an interrupt; discard.
+  for (const auto& part : partitions) {
+    BmoStats part_stats;
+    std::vector<size_t> bmo =
+        config_.top_k ? ComputeBmoTopK(*pref_, keys, part, *config_.top_k,
+                                       config_.bmo, &part_stats)
+                      : ComputeBmo(*pref_, keys, part, config_.bmo,
+                                   &part_stats);
+    run_stats_.bmo.comparisons += part_stats.comparisons;
+    run_stats_.bmo.passes = std::max(run_stats_.bmo.passes, part_stats.passes);
+    run_stats_.bmo.kernel = part_stats.kernel;
+    run_stats_.bmo.simd = part_stats.simd;
+    maximal.insert(maximal.end(), bmo.begin(), bmo.end());
     if (qctx != nullptr && qctx->interrupted()) return qctx->LatchedStatus();
-  } else {
-    for (const auto& part : partitions) {
-      BmoStats part_stats;
-      std::vector<size_t> bmo =
-          config_.top_k ? ComputeBmoTopK(*pref_, keys, part, *config_.top_k,
-                                         config_.bmo, &part_stats)
-                        : ComputeBmo(*pref_, keys, part, config_.bmo,
-                                     &part_stats);
-      run_stats_.bmo.comparisons += part_stats.comparisons;
-      run_stats_.bmo.passes =
-          std::max(run_stats_.bmo.passes, part_stats.passes);
-      run_stats_.bmo.kernel = part_stats.kernel;
-      run_stats_.bmo.simd = part_stats.simd;
-      maximal.insert(maximal.end(), bmo.begin(), bmo.end());
-      if (qctx != nullptr && qctx->interrupted()) {
-        return qctx->LatchedStatus();
-      }
-    }
-    std::sort(maximal.begin(), maximal.end());
   }
+  std::sort(maximal.begin(), maximal.end());
 
-  // 7. BUT ONLY post-filtering (serial, evaluator-bound like the pre pass).
+  // 7. BUT ONLY post-filtering (evaluator-bound like the pre pass).
   if (config_.but_only != nullptr &&
       config_.but_only_mode == ButOnlyMode::kPostFilter) {
     for (size_t id : maximal) {

@@ -45,7 +45,6 @@ struct BmoRunStats {
   size_t candidate_count = 0;  ///< rows consumed from the child
   size_t result_count = 0;     ///< maximal tuples after BUT ONLY
   size_t partitions = 0;       ///< GROUPING partitions evaluated
-  size_t threads_used = 1;     ///< parallel pool width (1 = serial)
   /// Preference leaves the key build read from column vectors by slot
   /// (core/slot_keys.h); 0 when it evaluated rows only.
   size_t vector_leaves = 0;
@@ -66,11 +65,6 @@ struct BmoOperatorConfig {
   /// ordering by TOP/LEVEL/DISTANCE); otherwise candidate columns pass
   /// through as row views.
   bool emit_quality_columns = false;
-  /// Parallel partitioned execution (core/bmo_parallel.h); 0/1 = serial.
-  /// Ignored while the progressive top-k pushdown is active.
-  size_t threads = 0;
-  /// Minimum candidate rows before worker threads spin up.
-  size_t parallel_min_rows = 4096;
   /// Stats flushed on Close()/destruction (not owned; may be nullptr).
   BmoRunStats* stats_sink = nullptr;
   /// The base table whose heap scan (with or without WHERE, full or index
@@ -129,8 +123,8 @@ class BmoOperator : public PhysicalOperator {
   /// else the pulled rows.
   std::vector<size_t> slots_;
   std::vector<RowRef> rows_;
-  /// Packed SoA keys of the candidates, read by every partition / chunk;
-  /// indexed by pulled index.
+  /// Packed SoA keys of the candidates, read by every partition; indexed by
+  /// pulled index.
   KeyStore keys_;
   /// Built only for augmented rows (BUT ONLY, quality columns):
   std::vector<size_t> partition_of_;  // by pulled index; empty: one

@@ -723,7 +723,6 @@ void Engine::FlushStats(Session& session, PreferenceQueryStats stats,
     stats.candidate_count = bmo.candidate_count;
     stats.bmo_comparisons = bmo.bmo.comparisons + pre.bmo.comparisons;
     stats.bmo_partitions = bmo.partitions;
-    stats.bmo_threads_used = std::max(bmo.threads_used, pre.threads_used);
     stats.bmo_key_build_ns = bmo.bmo.key_build_ns;
     stats.bmo_kernel = DominanceKernelToString(bmo.bmo.kernel);
     stats.bmo_simd = SimdVariantToString(bmo.bmo.simd);
@@ -766,7 +765,7 @@ Result<ResultTable> Engine::ExecuteExplain(
   AnalyzedPreferenceQuery analyzed(&select, view.preference);
   if (options.mode != EvaluationMode::kRewrite) {
     // Direct path: describe the physical decisions (pushdown placement,
-    // skyline algorithm, parallelism) by compiling the plan without
+    // skyline algorithm, kernel) by compiling the plan without
     // draining it.
     PSQL_ASSIGN_OR_RETURN(PreferencePlan pplan,
                           BuildPreferencePlan(db_, analyzed, options,
@@ -777,7 +776,7 @@ Result<ResultTable> Engine::ExecuteExplain(
         ", kernel=" +
         std::string(DominanceKernelToString(
             analyzed.preference().program().kernel())) +
-        ", bmo_threads=" + std::to_string(options.bmo_threads) + ", simd=" +
+        ", simd=" +
         std::string(SimdVariantToString(
             analyzed.preference().program().WindowVariant())) +
         ")");
@@ -941,9 +940,6 @@ const Knob kKnobs[] = {
         "evaluation_mode"),
     MakeKnob<&O::bmo_algorithm, SetValueAsAlgorithm, BmoAlgorithmToString>(
         "bmo_algorithm"),
-    MakeKnob<&O::bmo_threads, SetValueAsSize, EchoSize>("bmo_threads"),
-    MakeKnob<&O::parallel_min_rows, SetValueAsSize, EchoSize>(
-        "parallel_min_rows"),
     MakeKnob<&O::preference_pushdown, SetValueAsBool, EchoBool>(
         "preference_pushdown"),
     MakeKnob<&O::bnl_window, SetValueAsSize, EchoSize>("bnl_window"),

@@ -60,8 +60,6 @@ Result<PreferencePlan> BuildPreferencePlan(
         BmoOperatorConfig c;
         c.bmo = bmo_options;
         c.grouping_cols = std::move(partition_cols);
-        c.threads = options.bmo_threads;
-        c.parallel_min_rows = options.parallel_min_rows;
         c.stats_sink = plan.prefilter_stats.get();
         return OperatorPtr(std::make_unique<BmoOperator>(
             std::move(input), &pref, std::move(c), plan.scope.get()));
@@ -146,8 +144,6 @@ Result<PreferencePlan> BuildPreferencePlan(
   config.but_only = plan.owned_but_only.get();
   config.but_only_mode = options.but_only_mode;
   config.emit_quality_columns = quality_projected;
-  config.threads = options.bmo_threads;
-  config.parallel_min_rows = options.parallel_min_rows;
   config.stats_sink = plan.bmo_stats.get();
 
   // A heap scan of one base table (with or without WHERE, full or index

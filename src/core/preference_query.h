@@ -4,13 +4,10 @@
 // and the projection tail streams the maximal tuples out — no whole-relation
 // materialization between scan and BMO.
 //
-// Two optimizations ride on this path:
-//   * Algebraic preference pushdown (Planner::PlanCandidates): when the
-//     preference's quality columns bind to one side of an equi-join, a
-//     semi-skyline pre-filter (per join-key-group maxima) runs below the
-//     join and the full BMO on top guarantees correctness.
-//   * Parallel partitioned BMO (core/bmo_parallel.h): GROUPING partitions
-//     and block-partitioned chunks evaluated on a thread pool.
+// Algebraic preference pushdown (Planner::PlanCandidates) rides on this
+// path: when the preference's quality columns bind to one side of an
+// equi-join, a semi-skyline pre-filter (per join-key-group maxima) runs
+// below the join and the full BMO on top guarantees correctness.
 //
 // This path implements the same BMO semantics as the §3.2 rewrite but keeps
 // everything inside the engine. It runs in `evaluation_mode = bnl` and as

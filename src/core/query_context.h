@@ -15,8 +15,6 @@
 // thread-local so operator signatures stay unchanged: the engine (and
 // Cursor::Next, per pull) establishes a ScopedQueryContext around
 // execution; code that wants to cooperate asks CurrentQueryContext().
-// Worker threads in bmo_parallel receive the context explicitly through
-// BmoOptions instead (the thread-local does not cross pool threads).
 
 #pragma once
 
@@ -36,7 +34,7 @@ namespace prefsql {
 /// Pipeline sinks (DrainToTable, Cursor refills, the sort/BMO/aggregate/join
 /// feeds) count each batch they pull through PullBatch. Unsynchronized by
 /// design: the operator tree of one statement is pulled from a single
-/// thread (BMO workers receive rows, not the context).
+/// thread.
 struct BatchExecStats {
   uint64_t batches = 0;
   uint64_t batch_rows = 0;

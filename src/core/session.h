@@ -36,8 +36,8 @@ enum class EvaluationMode {
 const char* EvaluationModeToString(EvaluationMode m);
 
 /// Per-session behaviour switches. All of these are also reachable from
-/// SQL via `SET <knob> = <value>` (e.g. `SET bmo_threads = 4`,
-/// `SET preference_pushdown = off`, `SET bmo_algorithm = sfs`).
+/// SQL via `SET <knob> = <value>` (e.g. `SET bmo_algorithm = sfs`,
+/// `SET preference_pushdown = off`).
 struct ConnectionOptions {
   EvaluationMode mode = EvaluationMode::kRewrite;
   ButOnlyMode but_only_mode = ButOnlyMode::kPostFilter;
@@ -46,11 +46,6 @@ struct ConnectionOptions {
   BmoAlgorithm bmo_algorithm = BmoAlgorithm::kBlockNestedLoop;
   /// BNL window capacity (tuples); 0 = unbounded.
   size_t bnl_window = 0;
-  /// Worker threads of the parallel partitioned BMO (direct path);
-  /// 0/1 = serial.
-  size_t bmo_threads = 0;
-  /// Minimum candidate rows before BMO worker threads spin up.
-  size_t parallel_min_rows = 4096;
   /// Algebraic preference pushdown below joins (direct path).
   bool preference_pushdown = true;
   /// Consult the engine's prepared-plan cache (skips lex/parse/analyze on
@@ -106,7 +101,6 @@ struct PreferenceQueryStats {
   size_t result_count = 0;
   size_t bmo_comparisons = 0;     // dominance tests (direct path only)
   size_t bmo_partitions = 0;      // GROUPING partitions (direct path)
-  size_t bmo_threads_used = 1;    // parallel pool width (1 = serial)
   std::string bmo_algorithm;      // skyline algorithm run (direct path)
   std::string bmo_kernel;         // dominance kernel (packed vs generic)
   std::string bmo_simd;           // block-walk variant (scalar/unrolled4/avx2)

@@ -1,7 +1,7 @@
 // Compile-time-gated failpoint harness for fault-injection testing.
 //
 // A failpoint is a named site at a hairy transition (epoch publish,
-// writer-mutex handoff, GC horizon computation, thread pool dispatch).
+// writer-mutex handoff, GC horizon computation).
 // Production builds compile the sites away entirely; a build with
 // -DPREFSQL_FAILPOINTS=ON (which defines PREFSQL_FAILPOINTS_ENABLED)
 // evaluates each site against a registry armed either programmatically

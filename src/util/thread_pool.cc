@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/failpoint.h"
-
 namespace prefsql {
 
 ThreadPool::ThreadPool(size_t threads) {
@@ -32,38 +30,18 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     task_ready_.wait(lock,
                      [this] { return shutting_down_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutting_down_) return;
-      continue;
-    }
+    if (queue_.empty()) return;  // shutting down, every task run
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
-    ++in_flight_;
     lock.unlock();
-    // Fault-injection site (delay-only — the pool has no status channel):
-    // staggers worker start so partition merges and interrupt propagation
-    // race-test under skew instead of lockstep dispatch.
-    PSQL_FAILPOINT("pool_dispatch");
     task();
     lock.lock();
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) all_done_.notify_all();
   }
-}
-
-size_t ThreadPool::HardwareThreads() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<size_t>(n);
 }
 
 }  // namespace prefsql

@@ -1,8 +1,7 @@
-// A small fixed-size worker pool for intra-query parallelism (parallel
-// partitioned BMO, core/bmo_parallel.h). Tasks are plain std::function
-// thunks; Submit never blocks, Wait blocks until every submitted task has
-// finished. The pool is reusable: Submit/Wait cycles can repeat until
-// destruction.
+// A small fixed-size worker pool: net::Server runs one long-lived handler
+// task per accepted connection on it (net/server.h). Tasks are plain
+// std::function thunks; Submit never blocks, and the destructor runs every
+// task still queued before it joins the workers.
 //
 // Tasks must not throw — error propagation is by value (capture a Status
 // slot per task). Keeping the pool exception-free keeps the sanitizer
@@ -34,22 +33,12 @@ class ThreadPool {
   /// Enqueues a task; runs on some worker thread.
   void Submit(std::function<void()> task);
 
-  /// Blocks until the queue is empty and no task is in flight.
-  void Wait();
-
-  size_t thread_count() const { return workers_.size(); }
-
-  /// std::thread::hardware_concurrency with a sane floor of 1.
-  static size_t HardwareThreads();
-
  private:
   void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
-  size_t in_flight_ = 0;
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
 };

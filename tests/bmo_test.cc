@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bmo_operator.h"
 #include "core/connection.h"
+#include "engine/operators/scan.h"
 #include "preference/validate.h"
 #include "sql/parser.h"
 #include "util/random.h"
@@ -288,6 +290,51 @@ TEST(BmoTest, ExplicitPreferenceWithIncomparables) {
   // is dominated by 'a' (index 2), 'y' by 'x' (1), 'other' by all mentioned.
   EXPECT_EQ(bmo, (std::vector<size_t>{1, 2}));
   EXPECT_TRUE(CheckBmoIsMaximalSet(f.pref, f.oracle, bmo).ok());
+}
+
+// Regression: stats must be flushed by Close()/destruction so that a
+// consumer which stops pulling early still observes correct counters.
+TEST(BmoOperatorStatsTest, CloseFlushesStatsAfterPartialConsumption) {
+  Schema schema = Schema::FromNames({"a", "b"});
+  std::vector<Row> rows;
+  for (int i = 0; i < 64; ++i) {
+    rows.push_back({Value::Int(i % 8), Value::Int((64 - i) % 8)});
+  }
+  auto term = ParsePreference("LOWEST(a) AND LOWEST(b)");
+  ASSERT_TRUE(term.ok());
+  auto pref = CompiledPreference::Compile(**term);
+  ASSERT_TRUE(pref.ok());
+
+  BmoRunStats sink;
+  {
+    BmoOperatorConfig config;
+    config.stats_sink = &sink;
+    BmoOperator op(std::make_unique<SeqScanOperator>(schema, &rows), &*pref,
+                   std::move(config), nullptr);
+    ASSERT_TRUE(op.Open().ok());
+    RowBatch batch;
+    batch.capacity = 1;  // pull exactly one row, then stop
+    auto first = op.NextBatch(&batch);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(*first);
+    EXPECT_EQ(batch.selected(), 1u);
+    op.Close();
+  }
+  EXPECT_EQ(sink.candidate_count, 64u);
+  EXPECT_GT(sink.bmo.comparisons, 0u);
+  EXPECT_GT(sink.result_count, 0u);
+
+  // Destructor-only shutdown (no Close) must flush too.
+  BmoRunStats sink2;
+  {
+    BmoOperatorConfig config;
+    config.stats_sink = &sink2;
+    BmoOperator op(std::make_unique<SeqScanOperator>(schema, &rows), &*pref,
+                   std::move(config), nullptr);
+    ASSERT_TRUE(op.Open().ok());
+  }
+  EXPECT_EQ(sink2.candidate_count, 64u);
+  EXPECT_GT(sink2.bmo.comparisons, 0u);
 }
 
 }  // namespace

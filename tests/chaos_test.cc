@@ -1,7 +1,7 @@
 // Chaos battery: the MVCC snapshot-isolation oracle of
 // mvcc_property_test.cc re-run with fault-injection failpoints armed at the
-// engine's four hairy transitions (epoch publish, writer-mutex handoff,
-// GC horizon, thread-pool dispatch).
+// engine's three hairy transitions (epoch publish, writer-mutex handoff,
+// GC horizon).
 //
 // Each round replays a randomized DML script serially on a private engine
 // — with every failpoint disarmed — to capture the oracle, then runs it
@@ -13,7 +13,7 @@
 //                         prefix of the script and the oracle holds;
 //   gc_horizon            a GC pass is skipped — garbage lingers, results
 //                         are unaffected.
-// Delay actions (epoch_publish, pool_dispatch, and optionally the above)
+// Delay actions (epoch_publish, and optionally the above)
 // widen the race windows TSan watches.
 //
 // When the build compiles failpoints away (PREFSQL_FAILPOINTS off), arming
@@ -185,7 +185,6 @@ TEST(ChaosTest, OracleHoldsUnderInjectedFaults) {
     // NEVER arm `crash` here — this battery proves clean degradation.
     std::mt19937 fp_rng(0xFA11 + round);
     ArmRandom(fp_rng, "epoch_publish", /*allow_error=*/false);
-    ArmRandom(fp_rng, "pool_dispatch", /*allow_error=*/false);
     ArmRandom(fp_rng, "writer_handoff", /*allow_error=*/true);
     ArmRandom(fp_rng, "gc_horizon", /*allow_error=*/true);
 
@@ -226,12 +225,6 @@ TEST(ChaosTest, OracleHoldsUnderInjectedFaults) {
         Connection conn;
         conn.Attach(engine);
         conn.options().mode = EvaluationMode::kBlockNestedLoop;
-        if (id == 0) {
-          // One reader drives the parallel BMO so pool_dispatch delays
-          // exercise worker-dispatch skew.
-          conn.options().bmo_threads = 4;
-          conn.options().parallel_min_rows = 1;
-        }
         std::mt19937 reader_rng(0xBEEF + round * 16 + static_cast<int>(id));
         for (size_t i = 0; i < kReadsPerReader; ++i) {
           const size_t q = reader_rng() % kProbes;
@@ -283,7 +276,7 @@ TEST(ChaosTest, OracleHoldsUnderInjectedFaults) {
   // Coverage: the battery actually reached every catalogued site.
   const std::vector<std::string> sites = failpoint::EvaluatedSites();
   for (const char* site :
-       {"epoch_publish", "pool_dispatch", "writer_handoff", "gc_horizon"}) {
+       {"epoch_publish", "writer_handoff", "gc_horizon"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << "site never evaluated: " << site;
   }

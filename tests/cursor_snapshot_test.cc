@@ -8,8 +8,8 @@
 // cursor is still open — asserted with a hard timeout, not a sleep.
 //
 // The matrix mirrors the sql_golden_test variants: rewrite (statement-local
-// Aux views), direct serial, direct parallel, sfs with pushdown off, and the
-// LESS algorithm — the snapshot contract is plan-independent: every variant
+// Aux views), direct serial, sfs with pushdown off, and the LESS
+// algorithm — the snapshot contract is plan-independent: every variant
 // streams from a pinned snapshot.
 
 #include <gtest/gtest.h>
@@ -34,9 +34,6 @@ struct Variant {
 constexpr Variant kVariants[] = {
     {"rewrite (default)", ""},
     {"direct serial", "SET evaluation_mode = bnl"},
-    {"direct parallel",
-     "SET evaluation_mode = bnl; SET bmo_threads = 4; "
-     "SET parallel_min_rows = 1"},
     {"sfs, pushdown off",
      "SET evaluation_mode = bnl; SET bmo_algorithm = sfs; "
      "SET preference_pushdown = off"},

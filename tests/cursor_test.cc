@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -231,6 +232,47 @@ TEST_F(CursorTest, TopKStopTouchesProgressiveTopKPath) {
   auto table = DrainCursor(*cursor);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->num_rows(), 2u);
+}
+
+// Regression (client-surface variant of bmo_test's
+// BmoOperatorStatsTest.CloseFlushesStatsAfterPartialConsumption): a
+// streaming Cursor closed early — the LIMIT-k client stop — must release
+// the engine's shared statement lock promptly, so a writer on a *shared*
+// engine can proceed, and must still record last_stats for the partial run.
+TEST(BmoOperatorStatsTest, EarlyClosedCursorReleasesSharedEngineLock) {
+  auto engine = std::make_shared<Engine>();
+  Connection reader, writer;
+  reader.Attach(engine);
+  writer.Attach(engine);
+  ASSERT_TRUE(reader.Execute("SET evaluation_mode = bnl").ok());
+  ASSERT_TRUE(
+      reader.Execute("CREATE TABLE pts (id INTEGER, x INTEGER, y INTEGER)")
+          .ok());
+  std::string insert = "INSERT INTO pts VALUES ";
+  for (int i = 0; i < 128; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", " + std::to_string(i % 11) +
+              ", " + std::to_string((128 - i) % 11) + ")";
+  }
+  ASSERT_TRUE(reader.Execute(insert).ok());
+
+  auto cursor = reader.OpenCursor(
+      "SELECT id FROM pts PREFERRING LOWEST(x) AND LOWEST(y)");
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  auto row = cursor->Next();
+  ASSERT_TRUE(row.ok());
+  ASSERT_TRUE(row->has_value());
+  cursor->Close();
+
+  EXPECT_TRUE(reader.last_stats().was_preference_query);
+  EXPECT_EQ(reader.last_stats().candidate_count, 128u);
+  EXPECT_GT(reader.last_stats().bmo_comparisons, 0u);
+  EXPECT_EQ(reader.last_stats().result_count, 1u);
+
+  // The other session's exclusive statement must not block: the cursor's
+  // shared lock is gone. (A leak here would deadlock the test.)
+  auto write = writer.Execute("INSERT INTO pts VALUES (999, 0, 0)");
+  ASSERT_TRUE(write.ok()) << write.status().ToString();
 }
 
 }  // namespace

@@ -87,8 +87,6 @@ TEST(EngineSessionTest, EveryKnobRoundTripsThroughSetAndItsEcho) {
   const std::map<std::string, std::pair<std::string, std::string>> knobs = {
       {"evaluation_mode", {"bnl", "bnl"}},
       {"bmo_algorithm", {"sfs", "sort-filter-skyline"}},
-      {"bmo_threads", {"3", "3"}},
-      {"parallel_min_rows", {"17", "17"}},
       {"preference_pushdown", {"off", "off"}},
       {"bnl_window", {"8", "8"}},
       {"but_only_mode", {"prefilter", "prefilter"}},
@@ -118,12 +116,15 @@ TEST(EngineSessionTest, EveryKnobRoundTripsThroughSetAndItsEcho) {
   std::set<std::string> expected;
   for (const auto& [knob, values] : knobs) expected.insert(knob);
   EXPECT_EQ(listed, expected);
-  EXPECT_EQ(listed.size(), 14u);
+  EXPECT_EQ(listed.size(), 12u);
   // Retired: PREFSQL_SIMD is the one control of the dominance kernels.
   EXPECT_FALSE(conn.Execute("SET simd = off").ok());
-  // Retired: the engine keeps no key or skyline cache.
-  for (const char* retired : {"key_cache", "skyline_cache"}) {
-    auto r = conn.Execute(std::string("SET ") + retired + " = off");
+  // Retired: the engine keeps no key or skyline cache, and every in-engine
+  // skyline runs serially on the statement's thread.
+  for (const char* retired :
+       {"key_cache = off", "skyline_cache = off", "bmo_threads = 2",
+        "parallel_min_rows = 1"}) {
+    auto r = conn.Execute(std::string("SET ") + retired);
     ASSERT_FALSE(r.ok()) << retired;
     EXPECT_NE(r.status().message().find("unknown setting"), std::string::npos)
         << r.status().message();
@@ -145,9 +146,9 @@ TEST(EngineSessionTest, EveryKnobRoundTripsThroughSetAndItsEcho) {
 
 TEST(EngineSessionTest, AttachKeepsSessionOptionsAndStats) {
   Connection conn;
-  ASSERT_TRUE(conn.Execute("SET bmo_threads = 3").ok());
+  ASSERT_TRUE(conn.Execute("SET bnl_window = 3").ok());
   conn.Attach(std::make_shared<Engine>());
-  EXPECT_EQ(conn.options().bmo_threads, 3u);
+  EXPECT_EQ(conn.options().bnl_window, 3u);
 }
 
 // The multi-session concurrency stress of the ISSUE: N sessions over one

@@ -3,7 +3,7 @@
 -- current table contents — the engine's plan cache is keyed by catalog
 -- version and must never serve a stale preparation, and no cache holds
 -- table contents. Replayed under all harness configurations (rewrite,
--- direct serial, direct parallel, sfs, less) with the plan cache on.
+-- direct serial, sfs, less) with the plan cache on.
 CREATE TABLE gear (name TEXT, price INTEGER, weight INTEGER);
 INSERT INTO gear VALUES
   ('tent', 300, 4),

@@ -3,7 +3,7 @@
 -- time, so the repeated queries below share one prepared plan per shape and
 -- differ only in bound values. The results must be exactly what the
 -- literal statements say — under every harness configuration (rewrite,
--- direct serial, direct parallel, sfs, less) and identically through a
+-- direct serial, sfs, less) and identically through a
 -- streaming Cursor (the harness replays every SELECT both ways).
 CREATE TABLE car (id INTEGER, price INTEGER, mileage INTEGER, color TEXT);
 INSERT INTO car VALUES

@@ -5,8 +5,8 @@
 -- statement must be exactly the serial state — superseded and deleted
 -- versions never leak into a scan or a skyline, whether garbage
 -- collection is allowed to reclaim dead versions or not.
--- Replayed under all harness configurations: rewrite, direct serial and
--- parallel BNL, SFS with pushdown off, and LESS.
+-- Replayed under all harness configurations: rewrite, direct BNL, SFS
+-- with pushdown off, and LESS.
 CREATE TABLE flat (addr TEXT, rent INTEGER, dist INTEGER);
 INSERT INTO flat VALUES
   ('alder', 900, 12),

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -173,6 +174,12 @@ TEST(PlannerPushdownTest, ExplainReportsThePlacement) {
       "PREFERRING LOWEST(price)");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   std::string text = plan->ToString();
+  // The direct-path header names exactly the mode, algorithm, kernel and
+  // SIMD variant; the skyline is always serial, so there is no thread count.
+  EXPECT_TRUE(std::regex_search(
+      text, std::regex(R"(-- direct evaluation \(mode=bnl, algorithm=[^,]+, )"
+                       R"(kernel=[^,]+, simd=[^,)]+\))")))
+      << text;
   EXPECT_NE(text.find("pushdown: bmo prefilter below hash join"),
             std::string::npos)
       << text;

@@ -1,5 +1,5 @@
 // Shared random-preference generators for the parity-style property tests
-// (BMO parallel stress, planner pushdown, column vectors): weak-order
+// (planner pushdown, column vectors, rewrite probe): weak-order
 // preferences over the generated car workload's columns, combined with
 // AND / CASCADE.
 

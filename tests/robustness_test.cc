@@ -3,7 +3,7 @@
 // cursor-abandoned-without-Close regression.
 //
 // The deadline/cancel tests run under every golden evaluation config
-// (rewrite, serial BNL, parallel BMO, LESS, SFS with pushdown off) so a
+// (rewrite, serial BNL, LESS, SFS with pushdown off) so a
 // regression in any one path's interrupt polling fails loudly.
 
 #include <algorithm>
@@ -82,16 +82,7 @@ struct GoldenConfig {
 const GoldenConfig kGoldenConfigs[] = {
     {"rewrite", [](ConnectionOptions& o) { o.mode = EvaluationMode::kRewrite; }},
     {"serial_bnl",
-     [](ConnectionOptions& o) {
-       o.mode = EvaluationMode::kBlockNestedLoop;
-       o.bmo_threads = 0;
-     }},
-    {"parallel_bmo",
-     [](ConnectionOptions& o) {
-       o.mode = EvaluationMode::kBlockNestedLoop;
-       o.bmo_threads = 4;
-       o.parallel_min_rows = 1024;
-     }},
+     [](ConnectionOptions& o) { o.mode = EvaluationMode::kBlockNestedLoop; }},
     {"less",
      [](ConnectionOptions& o) {
        o.mode = EvaluationMode::kBlockNestedLoop;

@@ -7,14 +7,13 @@
 // row-identical output — pinning the streamed-vs-materialized equivalence
 // of the client surface.
 //
-// Each script is additionally re-run under direct evaluation (serial),
-// direct evaluation with the parallel partitioned BMO forced on,
+// Each script is additionally re-run under direct evaluation (BNL),
 // sort-filter mode with the preference pushdown disabled, direct
 // evaluation with the LESS skyline algorithm, and with the plan cache off
-// (every statement prepared afresh, still streamed) — all six
+// (every statement prepared afresh, still streamed) — all five
 // configurations must produce byte-identical output, pinning the
-// cross-path/cross-parallelism/cross-algorithm/cached-vs-uncached
-// equivalence the engine promises.
+// cross-path/cross-algorithm/cached-vs-uncached equivalence the engine
+// promises.
 //
 // Regenerate the .expected files with: PREFSQL_GOLDEN_REGEN=1 ctest -R
 // sql_golden (then review the diff like any other code change).
@@ -75,9 +74,6 @@ struct Variant {
 constexpr Variant kVariants[] = {
     {"rewrite (default)", ""},
     {"direct serial", "SET evaluation_mode = bnl;"},
-    {"direct parallel",
-     "SET evaluation_mode = bnl; SET bmo_threads = 4; "
-     "SET parallel_min_rows = 1;"},
     {"sfs, pushdown off",
      "SET evaluation_mode = bnl; SET bmo_algorithm = sfs; "
      "SET preference_pushdown = off;"},

@@ -1,5 +1,5 @@
 // Batch pipeline parity: every query must produce byte-identical output
-// across the five golden engine configurations, over randomized tables that
+// across the four golden engine configurations, over randomized tables that
 // include NULL holes and NaN doubles (the values whose comparison semantics
 // most easily diverge between a per-row predicate and a selection-vector
 // filter), and the filter-only shapes must return exactly the ids an oracle
@@ -69,9 +69,6 @@ struct Config {
 constexpr Config kConfigs[] = {
     {"rewrite", ""},
     {"direct serial", "SET evaluation_mode = bnl;"},
-    {"direct parallel",
-     "SET evaluation_mode = bnl; SET bmo_threads = 4; "
-     "SET parallel_min_rows = 1;"},
     {"sfs, pushdown off",
      "SET evaluation_mode = bnl; SET bmo_algorithm = sfs; "
      "SET preference_pushdown = off;"},
